@@ -59,6 +59,7 @@ from repro.format.notation import (
 )
 
 from repro.engine.counted import counted_tier_digits
+from repro.engine.memo import LruMemo
 from repro.engine.reader import (READ_STAT_KEYS, READ_TIER_NAMES,
                                  ReadEngine, ReadResult)
 from repro.engine.schubfach import schubfach_digits
@@ -221,10 +222,9 @@ class Engine:
         self.fixed_tier1 = fixed_tier1
         self.strict = strict
         self.cache_size = cache_size
-        # Plain dict as LRU: insertion order is the recency order
-        # (hits re-insert, eviction pops the oldest key).  A plain
-        # dict beats OrderedDict measurably on the memo hot paths.
-        self._cache: "Dict[tuple, Tuple[int, str]]" = {}
+        # OrderedDict-backed LRU: O(1) eviction at steady state, where
+        # a plain dict's dead prefix made every eviction a scan.
+        self._cache = LruMemo(cache_size)
         # Memo keys are (f, e, ctx) with ctx a small int interning the
         # (format, base, mode, tie) combination — shorter tuples hash
         # measurably faster on the hot path than six-element ones.
@@ -473,10 +473,7 @@ class Engine:
             else:
                 self._tier2_calls += 1
             if key is not None:
-                cache = self._cache
-                cache[key] = result
-                if len(cache) > self.cache_size:
-                    del cache[next(iter(cache))]
+                self._cache.put(key, result)
         return result
 
     def _convert(self, f: int, e: int, fmt: FloatFormat, base: int,
@@ -610,22 +607,12 @@ class Engine:
         # and mutation is serialized, matching ``pow_cache``'s
         # discipline.
         with self._lock:
-            cache = self._cache
-            hit = cache.get(key)
+            hit = self._cache.hit(key)
             if hit is not None:
                 self._cache_hits += 1
-                del cache[key]
-                cache[key] = hit
                 return hit
             self._cache_misses += 1
         return None
-
-    def _cache_put(self, key, value) -> None:
-        with self._lock:
-            cache = self._cache
-            cache[key] = value
-            if len(cache) > self.cache_size:
-                del cache[next(iter(cache))]
 
     def _finish_fixed(self, key, result, fast: bool, bailed: bool,
                       faulted: bool = False) -> None:
@@ -642,10 +629,7 @@ class Engine:
             if faulted:
                 self._tier_faults += 1
             if key is not None:
-                cache = self._cache
-                cache[key] = result
-                if len(cache) > self.cache_size:
-                    del cache[next(iter(cache))]
+                self._cache.put(key, result)
 
     @staticmethod
     def _fixed_args(position, ndigits):
@@ -917,14 +901,16 @@ class Engine:
         inline_tiers = self.tier_order in (
             ("tier0", "grisu3"), ("tier0",), ("grisu3",), ())
         cache = self._cache if self.cache_size else None
-        cache_size = self.cache_size
         lock = self._lock
         ctx_pos = self._ctx_id(fmt, 10, mode, tie)
         ctx_neg = self._ctx_id(fmt, 10, mirrored, tie)
         hot = self._hot or None
         plane_pos = self._planes.get(ctx_pos) if self._planes else None
         plane_neg = self._planes.get(ctx_neg) if self._planes else None
+        # Every key the batch touched (hits too, for intra-batch
+        # repeats) and, separately, its misses: only those get installed.
         pending: Optional[dict] = {} if cache is not None else None
+        fresh: dict = {}
         plan = _faults._PLAN
         strict = self.strict
         c_hits = c_misses = t0_hits = t1_hits = t1_bails = t2_calls = 0
@@ -974,15 +960,10 @@ class Engine:
                 kb = pending.get(key)
                 if kb is None:
                     with lock:
-                        kb = cache.get(key)
-                        if kb is not None:
-                            del cache[key]
-                            cache[key] = kb
+                        kb = cache.hit(key)
                     if kb is not None:
-                        # Intra-batch repeats of this key are served
-                        # from the batch-local dict, lock-free (the
-                        # tail install re-inserting a hit is just an
-                        # LRU refresh).
+                        # Bumped now; intra-batch repeats are served
+                        # from the batch-local dict, lock-free.
                         pending[key] = kb
                 if kb is not None:
                     c_hits += 1
@@ -1021,7 +1002,7 @@ class Engine:
                 else:
                     t2_calls += 1
                 if cache is not None:
-                    pending[key] = kb
+                    pending[key] = fresh[key] = kb
             elif kb is None:
                 try:
                     # Pre-filter: tier 0 only ever accepts values with
@@ -1070,7 +1051,7 @@ class Engine:
                     kb = (res.k, "".join(_DIGIT_CHARS[d]
                                          for d in res.digits))
                 if cache is not None:
-                    pending[key] = kb
+                    pending[key] = fresh[key] = kb
             k, body = kb
             # --- render (inline of render_shortest_parts: auto style,
             #     exp window (-4, 16], exp_char 'e', no grouping) ---
@@ -1100,17 +1081,15 @@ class Engine:
             self._tier_faults += t_faults
             self._hot_hits += hot_hits
             self._snapshot_faults += snap_faults
-            if pending:
-                if len(pending) > cache_size:
-                    # Oversized batch: sequential installs would have
-                    # evicted everything but the tail — skip the churn.
-                    items = list(pending.items())[-cache_size:]
-                else:
-                    items = pending.items()
-                for key, kb in items:
-                    cache[key] = kb
-                while len(cache) > cache_size:
-                    del cache[next(iter(cache))]
+            if fresh:
+                if len(pending) > cache.capacity:
+                    # Oversized batch: only its last ``capacity`` keys
+                    # would survive sequential calls; the hits among
+                    # them are already in place.
+                    fresh = {k: fresh[k]
+                             for k in list(pending)[-cache.capacity:]
+                             if k in fresh}
+                cache.install(fresh.items())
         return out
 
     # ------------------------------------------------------------------
@@ -1136,8 +1115,7 @@ class Engine:
                         cache_size=self.cache_size,
                         strict=self.strict,
                         tier_order=self.read_tier_order,
-                        _shared_cache=self._cache if self.cache_size
-                        else None,
+                        _shared_cache=self._cache,
                         _shared_lock=self._lock)
                     self._reader = r
         return r

@@ -69,6 +69,7 @@ from repro.reader.truncated import truncate_significand
 
 from repro.engine.lemire import OVERFLOW as _LEMIRE_OVERFLOW
 from repro.engine.lemire import lemire_parse
+from repro.engine.memo import LruMemo
 from repro.engine.tables import FormatTables, tables_for
 
 __all__ = ["ReadEngine", "ReadResult", "default_read_engine", "read_many",
@@ -241,7 +242,7 @@ class ReadEngine:
 
     def __init__(self, tier0: bool = True, tier1: bool = True,
                  cache_size: int = 8192, strict: bool = False,
-                 _shared_cache: Optional[dict] = None,
+                 _shared_cache: Optional[LruMemo] = None,
                  _shared_lock: Optional[threading.Lock] = None,
                  snapshot=None,
                  tier_order: Optional[Iterable[str]] = None):
@@ -260,11 +261,12 @@ class ReadEngine:
         self.tier1 = "window" in order
         self.strict = strict
         self.cache_size = cache_size
-        # Plain dict as LRU, insertion order = recency order (see
-        # ``Engine._cache_get``); shared with the write engine's memo
-        # when handed in through ``Engine.reader``.
-        self._cache: dict = (
-            _shared_cache if _shared_cache is not None else {})
+        # OrderedDict-backed LRU (O(1) eviction at steady state, where
+        # a plain dict's dead prefix made every eviction a scan); shared
+        # with the write engine's memo when handed in through
+        # ``Engine.reader``.
+        self._cache = (_shared_cache if _shared_cache is not None
+                       else LruMemo(cache_size))
         self._contexts: dict = {}
         self._lock = _shared_lock if _shared_lock is not None \
             else threading.Lock()
@@ -666,12 +668,9 @@ class ReadEngine:
         if self.cache_size and len(s) <= _MEMO_TEXT_LIMIT:
             key = (s, ctx_id)
             with self._lock:
-                cache = self._cache
-                hit = cache.get(key)
+                hit = self._cache.hit(key)
                 if hit is not None:
                     self._cache_hits += 1
-                    del cache[key]
-                    cache[key] = hit
                 else:
                     self._cache_misses += 1
             if hit is not None:
@@ -686,10 +685,7 @@ class ReadEngine:
         with self._lock:
             self._bump_locked(tier, bailed, faulted)
             if key is not None:
-                cache = self._cache
-                cache[key] = (value, tier)
-                if len(cache) > self.cache_size:
-                    del cache[next(iter(cache))]
+                self._cache.put(key, (value, tier))
         return ReadResult(value, tier)
 
     def read(self, text: str, fmt: FloatFormat = BINARY64,
@@ -705,12 +701,9 @@ class ReadEngine:
         if self.cache_size and len(s) <= _MEMO_TEXT_LIMIT:
             key = (s, ctx_id)
             with self._lock:
-                cache = self._cache
-                hit = cache.get(key)
+                hit = self._cache.hit(key)
                 if hit is not None:
                     self._cache_hits += 1
-                    del cache[key]
-                    cache[key] = hit
                 else:
                     self._cache_misses += 1
             if hit is not None:
@@ -725,10 +718,7 @@ class ReadEngine:
         with self._lock:
             self._bump_locked(tier, bailed, faulted)
             if key is not None:
-                cache = self._cache
-                cache[key] = (value, tier)
-                if len(cache) > self.cache_size:
-                    del cache[next(iter(cache))]
+                self._cache.put(key, (value, tier))
         return value
 
     def read_many(self, texts: Iterable[str], fmt: FloatFormat = BINARY64,
@@ -759,17 +749,13 @@ class ReadEngine:
         push = misses.append
         if self.cache_size and self._cache:
             hits = 0
-            cache = self._cache
-            get = cache.get
+            probe = self._cache.hit
             with self._lock:
                 for i, s in enumerate(stripped):
                     if len(s) <= _MEMO_TEXT_LIMIT:
-                        key = (s, ctx_id)
-                        hit = get(key)
+                        hit = probe((s, ctx_id))
                         if hit is not None:
                             out[i] = hit[0]
-                            del cache[key]
-                            cache[key] = hit
                             hits += 1
                             continue
                     push(i)
@@ -809,15 +795,8 @@ class ReadEngine:
             out[i] = value
             if memo_on and len(s) <= _MEMO_TEXT_LIMIT:
                 new_misses += 1
-                memoize((s, value, tier))
+                memoize(((s, ctx_id), (value, tier)))
         if fresh or misses:
-            size = self.cache_size
-            if len(fresh) > size:
-                # A batch larger than the memo: sequential reads would
-                # have evicted everything but the tail anyway, so
-                # installing the head is pure churn — skip it.
-                del fresh[:-size]
-            cache = self._cache
             with self._lock:
                 self._tier0_hits += t0
                 self._tier1_hits += t1
@@ -827,10 +806,7 @@ class ReadEngine:
                 self._specials += sp
                 self._tier_faults += tf
                 self._cache_misses += new_misses
-                for s, value, tier in fresh:
-                    cache[(s, ctx_id)] = (value, tier)
-                while size and len(cache) > size:
-                    del cache[next(iter(cache))]
+                self._cache.install(fresh)
         return out  # type: ignore[return-value]
 
 

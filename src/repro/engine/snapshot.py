@@ -493,16 +493,10 @@ def apply_snapshot(engine, snap: Snapshot) -> dict:
         return c
 
     if decoded_w and engine.cache_size:
-        rows = decoded_w[-engine.cache_size:]
         keyed = [((f, e, _ctx(fmt, mode, tie)), kb)
-                 for fmt, mode, tie, f, e, kb in rows]
+                 for fmt, mode, tie, f, e, kb in decoded_w]
         with engine._lock:
-            cache = engine._cache
-            for key, kb in keyed:
-                cache[key] = kb
-            while len(cache) > engine.cache_size:
-                del cache[next(iter(cache))]
-        counts["write"] = len(keyed)
+            counts["write"] = engine._cache.install(keyed)
     hot = engine._hot
     for fmt, mode, tie, f, e, kb in decoded_h:
         hot[(f, e, _ctx(fmt, mode, tie))] = kb
@@ -534,7 +528,6 @@ def apply_read_snapshot(reader, snap: Snapshot) -> dict:
 
 
 def _install_read_rows(reader, decoded: list) -> int:
-    rows = decoded[-reader.cache_size:]
     ctxs: dict = {}
 
     def _ctx(fmt, mode):
@@ -544,14 +537,9 @@ def _install_read_rows(reader, decoded: list) -> int:
         return c
 
     keyed = [((text, _ctx(fmt, mode)), val)
-             for fmt, mode, text, val in rows]
+             for fmt, mode, text, val in decoded]
     with reader._lock:
-        cache = reader._cache
-        for key, val in keyed:
-            cache[key] = val
-        while len(cache) > reader.cache_size:
-            del cache[next(iter(cache))]
-    return len(keyed)
+        return reader._cache.install(keyed)
 
 
 # ----------------------------------------------------------------------

@@ -11,12 +11,17 @@ The contracts under test:
   sequential calls would have left behind, and never grows the memo
   past its bound;
 * intra-batch duplicates are deduplicated against the batch-local
-  pending set and counted as cache hits.
+  pending set and counted as cache hits;
+* the memo's recency order after any mix of scalar and batch calls in
+  both directions is pinned exactly, and survives a snapshot round
+  trip per direction.
 """
 
+import math
 import random
 
 from repro.engine import Engine, ReadEngine
+from repro.engine.snapshot import build_snapshot
 
 
 class CountingLock:
@@ -156,3 +161,59 @@ class TestIntraBatchDuplicates:
         eng = Engine()
         a, b = eng.format_many([1.2345678e17] * 2)
         assert a == b
+
+
+def _label(key):
+    """A context-free name for one memo key: ``r<text>`` for reads,
+    ``w<value>`` for shortest writes, ``n<value>`` for fixed-format
+    (counted/``#``-mark) entries."""
+    if isinstance(key[0], str):
+        return "r" + key[0]
+    tag = "w" if len(key) == 3 else "n"
+    return tag + repr(math.ldexp(key[0], key[1]))
+
+
+class TestRecencyOrder:
+    def test_scripted_calls_pin_lru_order(self):
+        eng = Engine(cache_size=4)
+        steps = [
+            (lambda: eng.format(1.5), ["w1.5"]),
+            # 2.5 repeats from the batch-local pending set.
+            (lambda: eng.format_many([2.5, 3.5, 2.5]),
+             ["w1.5", "w2.5", "w3.5"]),
+            (lambda: eng.read("0.25"), ["w1.5", "w2.5", "w3.5", "r0.25"]),
+            # A scalar hit moves its entry to the most recent end.
+            (lambda: eng.format(1.5), ["w2.5", "w3.5", "r0.25", "w1.5"]),
+            (lambda: eng.counted_digits(4.5, ndigits=3),
+             ["w3.5", "r0.25", "w1.5", "n4.5"]),
+            (lambda: eng.read_many(["0.25", "0.75"]),
+             ["w1.5", "n4.5", "r0.25", "r0.75"]),
+            # Oversized batch: only its last four keys count, and the
+            # hit among them (1.5, bumped when probed) sits before the
+            # new entries; 9.5 is never installed.
+            (lambda: eng.format_many([9.5, 10.5, 11.5, 1.5, 12.5]),
+             ["w1.5", "w10.5", "w11.5", "w12.5"]),
+            (lambda: eng.fixed_digits(6.5, ndigits=2),
+             ["w10.5", "w11.5", "w12.5", "n6.5"]),
+            (lambda: eng.read("2.25"), ["w11.5", "w12.5", "n6.5", "r2.25"]),
+            # Oversized read batch: the hit is bumped, then the last
+            # four misses push everything older out.
+            (lambda: eng.read_many(["0.5", "1.25", "2.25", "3.25", "4.25",
+                                    "5.25"]),
+             ["r1.25", "r3.25", "r4.25", "r5.25"]),
+            (lambda: eng.format_many([1.5]),
+             ["r3.25", "r4.25", "r5.25", "w1.5"]),
+            (lambda: eng.read("4.25"), ["r3.25", "r5.25", "w1.5", "r4.25"]),
+        ]
+        for i, (call, expected) in enumerate(steps):
+            call()
+            assert [_label(k) for k in eng._cache] == expected, f"step {i}"
+        # A restore installs the write rows, then the read rows, each in
+        # the donor's recency order.
+        warm = Engine(cache_size=4,
+                      snapshot=build_snapshot(["binary64"], engine=eng))
+        assert [_label(k) for k in warm._cache] == [
+            "w1.5", "r3.25", "r5.25", "r4.25"]
+        small = Engine(cache_size=2,
+                       snapshot=build_snapshot(["binary64"], engine=eng))
+        assert [_label(k) for k in small._cache] == ["r5.25", "r4.25"]
