@@ -1,5 +1,8 @@
 """Sharded pools: ordering, byte identity, stats merging, validation."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.engine import Engine
@@ -55,6 +58,34 @@ class TestProcessPool:
         with BulkPool(jobs=2, fmt=BINARY32) as pool:
             got = pool.format_bulk(bits)
         assert got == format_bulk(bits, BINARY32, engine=Engine())
+
+    def test_concurrent_calls_get_their_own_bytes(self):
+        # More calling threads than workers or cores, each with its own
+        # column, all multiplexed over the same worker pipes: every
+        # reply must reach the future of the shard that asked for it.
+        columns = [[v.to_float() for v in uniform_random(120, seed=s)]
+                   for s in range(8)]
+        wants = [scalar_payload(c) for c in columns]
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with BulkPool(jobs=2, shards_per_job=3) as pool:
+                def calls(k):
+                    for _ in range(10):
+                        if pool.format_bulk(columns[k]) != wants[k]:
+                            errors.append(k)
+
+                threads = [threading.Thread(target=calls, args=(k,))
+                           for k in range(len(columns))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
 
 
 class TestThreadPool:
