@@ -2,8 +2,11 @@
 
 PY ?= python3
 BENCH_N ?= 400
+WORKLOAD ?= plane_zipf
+SEED ?= 11
+SECONDS ?= 30
 
-.PHONY: install test test-fast test-slow fuzz chaos bench bench-engine bench-reader bench-bulk bench-buffer bench-serve bench-warm bench-contenders snapshot serve-smoke control-smoke smoke ci examples verify all clean reports
+.PHONY: install test test-fast test-slow fuzz chaos bench bench-engine bench-reader bench-bulk bench-buffer bench-serve bench-warm bench-contenders snapshot serve-smoke control-smoke smoke ci perfbench examples verify all clean reports
 
 install:
 	$(PY) setup.py develop
@@ -121,7 +124,15 @@ control-smoke:
 smoke:
 	$(PY) tools/bench_engine.py --quick -o /dev/null
 
+# The suite, the engine smoke and the benchmark's own tests.
 ci: test smoke
+	$(PY) -m pytest perfbench/tests -q
+
+# One benchmark run of one workload (perfbench/METHODOLOGY.md); the
+# last output line is the JSON of every metric.  Override WORKLOAD,
+# SEED, SECONDS, e.g. `make perfbench WORKLOAD=serve_open SEED=13`.
+perfbench:
+	$(PY) perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS)
 
 reports:
 	REPRO_BENCH_N=$(BENCH_N) $(PY) -m pytest benchmarks/ -s

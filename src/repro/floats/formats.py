@@ -22,6 +22,7 @@ custom formats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import FormatError
 
@@ -44,7 +45,8 @@ class FloatFormat:
     """Description of a floating-point representation.
 
     Parameters mirror IEEE 754-2019 interchange formats but permit arbitrary
-    toy formats for exhaustive testing.
+    toy formats for exhaustive testing.  Derived quantities are computed
+    once per instance, on first use.
 
     Attributes:
         name: Human-readable identifier (e.g. ``"binary64"``).
@@ -86,7 +88,7 @@ class FloatFormat:
     # Derived quantities, all in the paper's integer-mantissa convention.
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
     def min_e(self) -> int:
         """Minimum exponent ``e`` with ``v = f * b**e`` and integer ``f``.
 
@@ -95,28 +97,28 @@ class FloatFormat:
         """
         return self.emin - (self.precision - 1)
 
-    @property
+    @cached_property
     def max_e(self) -> int:
         """Maximum exponent ``e`` in the integer-mantissa convention."""
         return self.emax - (self.precision - 1)
 
-    @property
+    @cached_property
     def mantissa_limit(self) -> int:
         """``b**p`` — exclusive upper bound on the integer mantissa."""
         return self.radix**self.precision
 
-    @property
+    @cached_property
     def hidden_limit(self) -> int:
         """``b**(p-1)`` — mantissas at or above this are normalized."""
         return self.radix ** (self.precision - 1)
 
-    @property
+    @cached_property
     def bias(self) -> int:
         """Exponent bias of the bit-level encoding."""
         self._require_encoding()
         return (1 << (self.exponent_width - 1)) - 1
 
-    @property
+    @cached_property
     def mantissa_field_width(self) -> int:
         """Width in bits of the stored mantissa field."""
         self._require_encoding()
@@ -124,19 +126,19 @@ class FloatFormat:
             return self.precision
         return self.precision - 1
 
-    @property
+    @cached_property
     def total_bits(self) -> int:
         """Total encoding width: sign + exponent + stored mantissa."""
         self._require_encoding()
         return 1 + self.exponent_width + self.mantissa_field_width
 
-    @property
+    @cached_property
     def max_biased_exponent(self) -> int:
         """The all-ones exponent field value, reserved for inf/NaN."""
         self._require_encoding()
         return (1 << self.exponent_width) - 1
 
-    @property
+    @cached_property
     def has_encoding(self) -> bool:
         """Whether this format defines a bit-level layout."""
         return self.exponent_width > 0 and self.radix == 2

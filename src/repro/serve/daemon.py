@@ -335,7 +335,7 @@ class ReproDaemon:
         if (adaptive_tiers or rotate_every) and not self.observe_stride:
             self.observe_stride = 1  # adaptation needs samples
         self._observer = TrafficObserver()
-        self._rotating = False
+        self._rotation: Optional[concurrent.futures.Future] = None
         self.hedge = bool(hedge)
         self.hedge_min = float(hedge_min)
         self.hedge_under_faults = bool(hedge_under_faults)
@@ -394,12 +394,15 @@ class ReproDaemon:
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.drain_timeout
         # Wait for every accepted response to be *written*, not merely
-        # converted — a drained daemon owes the wire nothing.  Batchers
+        # converted — a drained daemon owes the wire nothing — and for
+        # a snapshot rotation still writing its temp file.  Batchers
         # are re-woken each turn: a flush task created between the
         # one-shot wake above and the drain flag landing would
         # otherwise sleep out its whole window (or forever at
         # batch_window=0 with nothing to coalesce against).
-        while (self._inflight_requests > 0 or self._unwritten > 0) \
+        rotation = self._rotation  # no rotation starts once draining
+        while (self._inflight_requests > 0 or self._unwritten > 0
+               or rotation is not None and not rotation.done()) \
                 and loop.time() < deadline:
             for batcher in list(self._batchers.values()):
                 batcher.wake()
@@ -639,11 +642,11 @@ class ReproDaemon:
         except Exception:  # pragma: no cover - sampling is best-effort
             return
         if (self.rotate_every and self.rotate_snapshot is not None
-                and not self._rotating and not self._draining
+                and not self._draining
+                and (self._rotation is None or self._rotation.done())
                 and self._observer.rows_since_rotation
                 >= self.rotate_every):
-            self._rotating = True
-            self._workers.submit(self._rotate_now)
+            self._rotation = self._workers.submit(self._rotate_now)
 
     def _rotate_now(self) -> None:
         """Rebuild the warm-start snapshot from live hot keys (worker
@@ -674,7 +677,6 @@ class ReproDaemon:
             pass
         finally:
             self._observer.rotation_done()
-            self._rotating = False
 
     def health(self) -> dict:
         """Breaker states + controller window + observer summary — the

@@ -66,12 +66,6 @@ def exponent_sweep(fmt: FloatFormat = BINARY64, count: int = 0) -> List[int]:
     return [lo + int(i * step) for i in range(count)]
 
 
-def _random_mantissas(fmt: FloatFormat, n: int, seed: int) -> List[int]:
-    rng = random.Random(seed)
-    lo, hi = fmt.hidden_limit, fmt.mantissa_limit - 1
-    return [rng.randrange(lo, hi + 1) for _ in range(n)]
-
-
 def corpus(n: int, fmt: FloatFormat = BINARY64, seed: int = 19960501
            ) -> List[Flonum]:
     """A deterministic Schryer-style corpus of ``n`` positive normals.

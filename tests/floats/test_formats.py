@@ -1,5 +1,9 @@
 """FloatFormat: derived quantities and validation."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import FormatError
@@ -12,6 +16,16 @@ from repro.floats.formats import (
     X87_80,
     FloatFormat,
 )
+
+DERIVED = ("min_e", "max_e", "mantissa_limit", "hidden_limit",
+           "has_encoding")
+ENCODING_ONLY = ("bias", "mantissa_field_width", "total_bits",
+                 "max_biased_exponent")
+
+
+def _derived(fmt):
+    names = DERIVED + (ENCODING_ONLY if fmt.has_encoding else ())
+    return {name: getattr(fmt, name) for name in names}
 
 
 class TestStandardFormats:
@@ -102,10 +116,12 @@ class TestValidation:
     def test_toy_formats_have_no_encoding(self):
         toy = FloatFormat.toy(precision=5, emin=-4, emax=4)
         assert not toy.has_encoding
-        with pytest.raises(FormatError):
-            _ = toy.bias
-        with pytest.raises(FormatError):
-            _ = toy.total_bits
+        # Every access raises, not just the first: a failed derivation
+        # caches nothing.
+        for name in ENCODING_ONLY * 2:
+            with pytest.raises(FormatError, match="no bit-level encoding"):
+                getattr(toy, name)
+        assert not set(ENCODING_ONLY) & set(vars(toy))
 
 
 class TestValidFinite:
@@ -144,3 +160,46 @@ class TestToyAndIeeeConstructors:
     def test_default_names(self):
         assert "p=7" in FloatFormat.ieee(5, 7).name
         assert "b=3" in FloatFormat.toy(4, -2, 2, radix=3).name
+
+
+class TestDerivedCaching:
+    """Derived constants are computed once per instance; these pin
+    that caching changes no observable behaviour."""
+
+    @pytest.mark.parametrize("fmt", [
+        BINARY16, BINARY64, X87_80, FloatFormat.toy(3, -6, 6, radix=4),
+    ], ids=lambda f: f.name)
+    @pytest.mark.parametrize("clone", [
+        lambda f: pickle.loads(pickle.dumps(f)),
+        copy.copy,
+        copy.deepcopy,
+        dataclasses.replace,
+    ], ids=["pickle", "copy", "deepcopy", "replace"])
+    def test_round_trips_keep_equality_hash_and_constants(self, fmt, clone):
+        expected = _derived(fmt)  # populate the cache before cloning
+        twin = clone(fmt)
+        assert twin == fmt and hash(twin) == hash(fmt)
+        assert _derived(twin) == expected
+
+    def test_replace_precision_gets_fresh_constants(self):
+        assert BINARY64.mantissa_limit == 1 << 53  # cache populated
+        narrow = dataclasses.replace(BINARY64, precision=24, name="p24")
+        assert narrow != BINARY64
+        assert narrow.mantissa_limit == 1 << 24
+        assert narrow.hidden_limit == 1 << 23
+        assert narrow.mantissa_field_width == 23
+        assert narrow.total_bits == 1 + 11 + 23
+        assert narrow.min_e == BINARY64.emin - 23
+        assert BINARY64.mantissa_limit == 1 << 53
+
+    def test_distinct_toys_never_share_cached_values(self):
+        a = FloatFormat.toy(precision=3, emin=-2, emax=2)
+        b = FloatFormat.toy(precision=5, emin=-7, emax=9, radix=3)
+        assert (a.min_e, a.max_e, a.mantissa_limit, a.hidden_limit) == \
+            (-4, 0, 8, 4)
+        assert (b.min_e, b.max_e, b.mantissa_limit, b.hidden_limit) == \
+            (-11, 5, 243, 81)
+        # An equal but distinct instance computes its own, equal values.
+        a2 = FloatFormat.toy(precision=3, emin=-2, emax=2)
+        assert a2 == a and a2 is not a
+        assert _derived(a2) == _derived(a)

@@ -14,9 +14,11 @@ from repro.engine.buffer import (
     split_plane,
     split_rows,
 )
+from repro.core.api import format_shortest
 from repro.engine.bulk import format_column, ingest_bits, pack_bits
 from repro.errors import DecodeError, ParseError, RangeError
 from repro.floats.formats import BINARY16, BINARY32, BINARY64, BINARY128
+from repro.floats.model import Flonum
 from repro.serve import BulkPool, DelimitedWriter
 from repro.workloads.corpus import duplicated_random, uniform_random
 
@@ -219,3 +221,32 @@ class TestPoolBytePlanes:
         want, _ = row_payload(CORPUS)
         with BulkPool(jobs=2, shards_per_job=2) as pool:
             assert pool.format_bulk(CORPUS) == want
+
+
+class TestBinary16Total:
+    """Every binary16 bit pattern, through the bit layer and the byte
+    plane, against the exact oracle."""
+
+    QUIET_NAN = 0x7E00
+
+    @pytest.fixture(scope="class")
+    def column(self):
+        values = [Flonum.from_bits(b, BINARY16) for b in range(1 << 16)]
+        return [(b, v) for b, v in enumerate(values) if not v.is_nan], \
+            [v for v in values if v.is_nan]
+
+    def test_bit_layer_round_trips_every_pattern(self, column):
+        finite_and_inf, nans = column
+        assert all(v.to_bits() == b for b, v in finite_and_inf)
+        assert len(nans) == 2 * (2 ** 10 - 1)
+        assert {v.to_bits() for v in nans} == {self.QUIET_NAN}
+
+    def test_plane_round_trips_and_matches_exact_oracle(self, column):
+        finite_and_inf, _ = column
+        bits = [b for b, _ in finite_and_inf]
+        plane = format_buffer(pack_bits(bits, BINARY16), BINARY16,
+                              engine=Engine())
+        assert parse_buffer(plane, BINARY16, engine=Engine()) == bits
+        oracle = "".join(format_shortest(v, engine=None) + "\n"
+                         for _, v in finite_and_inf)
+        assert plane == oracle.encode("ascii")

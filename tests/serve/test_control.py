@@ -8,6 +8,11 @@ under test throughout: the control plane may *shed or reroute, never
 change a byte*.
 """
 
+import os
+import shutil
+import threading
+import time
+
 import pytest
 
 from repro import faults
@@ -414,6 +419,34 @@ class TestDaemonControl:
                 c.format(PACKED)
                 c.format(PACKED)
             assert d.stats()["observed_requests"] >= 1
+
+    def test_close_waits_for_an_inflight_rotation(self, tmp_path,
+                                                  monkeypatch):
+        # The save is slowed so that close always meets the rotation
+        # mid-flight; close must wait for it, leaving the snapshot
+        # directory holding only the finished file, free to remove.
+        from repro.engine import snapshot as snapshot_mod
+
+        real_save = snapshot_mod.save_snapshot
+        started = threading.Event()
+
+        def slow_save(snap, path):
+            started.set()
+            time.sleep(0.5)
+            return real_save(snap, path)
+
+        monkeypatch.setattr(snapshot_mod, "save_snapshot", slow_save)
+        root = tmp_path / "snapdir"
+        root.mkdir()
+        with serving(jobs=1, kind="thread", batch_window=0.0,
+                     rotate_snapshot=str(root / "rotated.snap"),
+                     rotate_every=1, observe_stride=1) as d:
+            with ServeClient(d.host, d.port) as c:
+                assert c.format(PACKED) == PLANE
+            assert started.wait(10)
+        assert d.stats()["snapshot_rotations"] == 1
+        assert os.listdir(root) == ["rotated.snap"]
+        shutil.rmtree(root)
 
 
 # ----------------------------------------------------------------------
