@@ -80,12 +80,10 @@ bench-buffer:
 bench-warm:
 	$(PY) tools/bench_engine.py --warm $(QUICK)
 
-# Contender-lane bench only: Grisu3-first vs Schubfach-first vs
-# Schubfach-only write orderings (and window/lemire read orderings)
-# raced per corpus, printed to stdout; gates on byte identity, a zero
-# bail rate on the Schubfach lanes and zero exact-tier fallbacks on
-# the Lemire lanes — all correctness gates, binding even with
-# QUICK=--quick.  See docs/contenders.md.
+# Default-route bench only: tier 0 -> Schubfach against the exact tier
+# on the flat, zipf and specials corpora, printed to stdout; gates on
+# byte identity and a zero write bail rate — both correctness gates,
+# binding even with QUICK=--quick.  See docs/contenders.md.
 bench-contenders:
 	$(PY) tools/bench_engine.py --contenders $(QUICK)
 

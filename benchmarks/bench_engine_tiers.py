@@ -2,8 +2,8 @@
 
 Where ``bench_ablation_fastpath.py`` compares the readable Grisu
 reference against exact digit generation, this file measures the
-production-shaped stack: the :class:`repro.engine.Engine` router
-(memo -> exact-decimal tier -> raw-integer Grisu -> exact fallback)
+production-shaped stack: the :class:`repro.engine.Engine` route
+(memo -> exact-decimal tier -> Schubfach -> exact fallback)
 through its string-level APIs, on the uniform-random corpus the
 fast-path literature reports on.
 
@@ -77,14 +77,14 @@ def test_bench_engine_memo_hot(benchmark, uniform_floats, warm_engine):
 
 @pytest.mark.benchmark(group="engine-tiers")
 def test_bench_tier2_only(benchmark, uniform_floats):
-    eng = Engine(tier0=False, tier1=False, cache_size=0)
+    eng = Engine(tier_order=(), cache_size=0)
     eng.format_many(uniform_floats[:8])
     benchmark(lambda: eng.format_many(uniform_floats))
 
 
 @pytest.mark.benchmark(group="engine-tiers")
-def test_bench_no_tier0(benchmark, uniform_floats):
-    eng = Engine(tier0=False, cache_size=0)
+def test_bench_route_no_memo(benchmark, uniform_floats):
+    eng = Engine(cache_size=0)
     eng.format_many(uniform_floats[:8])
     benchmark(lambda: eng.format_many(uniform_floats))
 
@@ -147,11 +147,10 @@ def test_engine_tier_profile(uniform_floats, capsys):
     eng.format_many([f.to_float() for f in torture_floats()])
     s = eng.stats()
     with capsys.disabled():
-        fast = s["tier0_hits"] + s["tier1_hits"] + s["cache_hits"]
+        fast = s["tier0_hits"] + s["schubfach_hits"] + s["cache_hits"]
         print(f"\n[engine] {s['conversions']} conversions: "
-              f"tier0={s['tier0_hits']} tier1={s['tier1_hits']} "
-              f"bailouts={s['tier1_bailouts']} tier2={s['tier2_calls']} "
-              f"memo={s['cache_hits']} "
+              f"tier0={s['tier0_hits']} schubfach={s['schubfach_hits']} "
+              f"tier2={s['tier2_calls']} memo={s['cache_hits']} "
               f"fast-resolved={fast / s['conversions']:.4f}")
     assert fast / s["conversions"] >= 0.99
 

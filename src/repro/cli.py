@@ -121,13 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=0,
                         help="with --serve: listen port (0 picks a free "
                              "one, printed on startup)")
-    parser.add_argument("--tiers", default=None, metavar="LANES",
-                        help="comma-separated engine lane order, e.g. "
-                             "'tier0,schubfach' or 'lemire'; write lanes "
-                             "(tier0, grisu3, schubfach) and read lanes "
-                             "(tier0, window, lemire) may be mixed in one "
-                             "list and are split by direction; output "
-                             "bytes are identical for every order")
     parser.add_argument("--snapshot", default=None, metavar="PATH",
                         help="with --bulk/--buffer/--serve: warm-start "
                              "snapshot built by tools/warm_snapshot.py "
@@ -159,8 +152,7 @@ def _reject_scalar_flags(args, parser: argparse.ArgumentParser,
         parser.error("--jobs must be >= 1")
 
 
-def _run_buffer(args, parser: argparse.ArgumentParser, fmt, out,
-                tiers) -> int:
+def _run_buffer(args, parser: argparse.ArgumentParser, fmt, out) -> int:
     """The ``--buffer`` pipeline: one delimited byte plane, round-
     tripped through ``parse_buffer``/``format_buffer`` — per-row
     strings are never materialized on either side."""
@@ -179,10 +171,9 @@ def _run_buffer(args, parser: argparse.ArgumentParser, fmt, out,
         # read_bulk routes byte/str planes through parse_buffer, and
         # format_bulk emits through format_buffer.
         bits = read_bulk(plane, fmt, out="bits", jobs=args.jobs,
-                         mode=mode, snapshot=args.snapshot, tiers=tiers)
+                         mode=mode, snapshot=args.snapshot)
         payload = format_bulk(bits, fmt, jobs=args.jobs, mode=mode,
-                              tie=_TIES[args.tie],
-                              snapshot=args.snapshot, tiers=tiers)
+                              tie=_TIES[args.tie], snapshot=args.snapshot)
     except ReproError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=out)
         return 1
@@ -195,8 +186,7 @@ def _run_buffer(args, parser: argparse.ArgumentParser, fmt, out,
     return 0
 
 
-def _run_bulk(args, parser: argparse.ArgumentParser, fmt, out,
-              tiers) -> int:
+def _run_bulk(args, parser: argparse.ArgumentParser, fmt, out) -> int:
     """The ``--bulk`` pipeline: literals → bits → delimited payload."""
     _reject_scalar_flags(args, parser, "--bulk")
     import contextlib
@@ -219,11 +209,10 @@ def _run_bulk(args, parser: argparse.ArgumentParser, fmt, out,
     try:
         with arming:
             bits = read_bulk(texts, fmt, out="bits", jobs=args.jobs,
-                             mode=mode, snapshot=args.snapshot,
-                             tiers=tiers)
+                             mode=mode, snapshot=args.snapshot)
             payload = format_bulk(bits, fmt, jobs=args.jobs, mode=mode,
                                   tie=_TIES[args.tie],
-                                  snapshot=args.snapshot, tiers=tiers)
+                                  snapshot=args.snapshot)
     except ReproError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=out)
         return 1
@@ -252,18 +241,6 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     fmt = STANDARD_FORMATS[args.format]
-    tiers = None
-    if args.tiers is not None:
-        if args.no_engine:
-            parser.error("--tiers orders the tiered engine's lanes; "
-                         "it conflicts with --no-engine")
-        from repro.engine import split_tier_names
-        from repro.errors import ReproError
-
-        try:
-            tiers = split_tier_names(args.tiers.split(","))
-        except ReproError as exc:
-            parser.error(str(exc))
     if args.serve:
         if args.bulk or args.buffer or args.values:
             parser.error("--serve runs the daemon; it takes no values "
@@ -274,8 +251,6 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
                       "--jobs", str(args.jobs)]
         if args.snapshot is not None:
             serve_args += ["--snapshot", args.snapshot]
-        if args.tiers is not None:
-            serve_args += ["--tiers", args.tiers]
         return serve_main(serve_args)
     if args.chaos_seed is not None and not args.bulk:
         parser.error("--chaos-seed only applies to the --bulk pipeline")
@@ -286,16 +261,9 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
         parser.error("--bulk and --buffer are alternative columnar "
                      "pipelines; pick one")
     if args.buffer:
-        return _run_buffer(args, parser, fmt, out, tiers)
+        return _run_buffer(args, parser, fmt, out)
     if args.bulk:
-        return _run_bulk(args, parser, fmt, out, tiers)
-    if tiers is not None:
-        from repro.engine import Engine
-
-        scalar_engine = Engine(tier_order=tiers[0],
-                               read_tier_order=tiers[1])
-    else:
-        scalar_engine = None
+        return _run_bulk(args, parser, fmt, out)
     opts = NotationOptions(style=args.style, python_repr=args.python_repr,
                            group_char=args.group)
     fixed = any(a is not None
@@ -312,10 +280,6 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
             elif args.no_engine:
                 value = read_decimal(text, fmt, _MODES[args.reader_mode])
                 tier = "exact"
-            elif scalar_engine is not None:
-                result = scalar_engine.reader.read_result(
-                    text, fmt, _MODES[args.reader_mode])
-                value, tier = result.value, result.tier
             else:
                 from repro.engine.reader import default_read_engine
 
@@ -350,17 +314,11 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
                     rendered = (("-" if value.is_negative else "")
                                 + render_shortest(digits, opts))
             elif fixed:
-                if args.no_engine:
-                    fixed_engine = None
-                elif scalar_engine is not None:
-                    fixed_engine = scalar_engine
-                else:
-                    fixed_engine = _USE_DEFAULT
                 rendered = format_fixed(
                     value, position=args.position, ndigits=args.digits,
                     decimals=args.decimals, base=args.base,
                     tie=_TIES[args.tie], options=opts,
-                    engine=fixed_engine)
+                    engine=None if args.no_engine else _USE_DEFAULT)
             else:
                 scaler = _SCALERS[args.scaler] if args.scaler else None
                 if args.no_engine and scaler is None:
@@ -368,21 +326,15 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
                 rendered = format_shortest(
                     value, base=args.base, mode=_MODES[args.reader_mode],
                     tie=_TIES[args.tie], scaler=scaler,
-                    options=opts,
-                    engine=(_USE_DEFAULT if scalar_engine is None
-                            else scalar_engine))
+                    options=opts)
             print(rendered, file=out)
         except Exception as exc:  # surface per-value errors, keep going
             print(f"error: {text!r}: {exc}", file=out)
             status = 1
     if args.engine_stats:
-        if scalar_engine is not None:
-            stats_engine = scalar_engine
-        else:
-            from repro.engine import default_engine
+        from repro.engine import default_engine
 
-            stats_engine = default_engine()
-        for name, count in stats_engine.stats().items():
+        for name, count in default_engine().stats().items():
             print(f"{name}: {count}", file=sys.stderr)
     return status
 

@@ -2,24 +2,23 @@
 
 Public surface:
 
-* :class:`Engine` — a router over three tiers (exact-decimal fast path,
-  raw-integer Grisu3, exact Burger–Dybvig) with a bounded result memo
-  and per-tier statistics;
+* :class:`Engine` — one route over three tiers (exact-decimal fast
+  path, never-bail Schubfach, exact Burger–Dybvig) with a bounded
+  result memo and per-tier statistics;
 * :class:`ReadEngine` — the mirror-image read router (exact-power
   Bellerophon window, truncated/interval certification, exact
   ``round_rational`` fallback), reachable per-engine as
   :attr:`Engine.reader`;
-* :func:`schubfach_digits` / :func:`lemire_parse` — the contender
-  lanes (never-bail Schubfach writer, no-fallback Eisel–Lemire
-  reader), selectable through ``tier_order=`` /
-  :func:`split_tier_names` (see docs/contenders.md);
+* :func:`schubfach_digits` — the shortest-write lane (see
+  docs/contenders.md for why it is the only one);
 * :func:`default_engine` / :func:`default_read_engine` — the shared
   instances the string APIs delegate to;
 * :func:`format_many` / :func:`read_many` — batch conversion through
   the default engines;
 * :func:`tables_for` / :class:`FormatTables` — the per-format
-  precomputed state (power tables, estimator constants, Grisu powers,
-  exact-pow10 read windows);
+  precomputed state (power tables, estimator constants, Grisu powers
+  for the counted lane, the Schubfach table, exact-pow10 read
+  windows);
 * :func:`parse_buffer` / :func:`format_buffer` /
   :func:`split_plane` / :func:`split_rows` — the byte-plane pipeline
   (:mod:`repro.engine.buffer`): whole delimited buffers in and out,
@@ -36,16 +35,12 @@ from repro.engine.buffer import (
 )
 from repro.engine.engine import (
     STAT_KEYS,
-    WRITE_TIER_NAMES,
     Engine,
     default_engine,
     format_many,
-    split_tier_names,
 )
-from repro.engine.lemire import lemire_parse
 from repro.engine.reader import (
     READ_STAT_KEYS,
-    READ_TIER_NAMES,
     ReadEngine,
     ReadResult,
     default_read_engine,
@@ -78,11 +73,7 @@ __all__ = [
     "read_many",
     "STAT_KEYS",
     "READ_STAT_KEYS",
-    "WRITE_TIER_NAMES",
-    "READ_TIER_NAMES",
-    "split_tier_names",
     "schubfach_digits",
-    "lemire_parse",
     "FormatTables",
     "tables_for",
     "clear_tables",

@@ -140,7 +140,7 @@ def run_engine_bench(n: int = 20000, seed: int = 2024,
     ]
 
     stats = audit_engine.stats()
-    resolved_fast = (stats["tier0_hits"] + stats["tier1_hits"]
+    resolved_fast = (stats["tier0_hits"] + stats["schubfach_hits"]
                      + stats["cache_hits"])
     return {
         "fixed": _run_fixed_bench(n, seed, repeats),
@@ -409,7 +409,7 @@ def _run_binary32_bench(n: int, seed: int, repeats: int) -> Dict:
         for v, a, b in zip(flos, expected, got) if a != b]
 
     stats = audit_engine.stats()
-    resolved_fast = (stats["tier0_hits"] + stats["tier1_hits"]
+    resolved_fast = (stats["tier0_hits"] + stats["schubfach_hits"]
                      + stats["cache_hits"])
     return {
         "corpus": {"kind": "uniform-random-bits", "n": n, "seed": seed,
@@ -849,21 +849,6 @@ def _run_reader_bench(n: int, seed: int, repeats: int) -> Dict:
     }
 
 
-#: The write-side tier orderings the contenders bench races, and the
-#: read-side ones.  The ``*_only`` lanes have no fast fallback, so their
-#: bail/tier-2 rates are the never-bail claims the gates pin at zero.
-CONTENDER_WRITE_ORDERS = {
-    "grisu3_first": ("tier0", "grisu3"),
-    "schubfach_first": ("tier0", "schubfach"),
-    "schubfach_only": ("schubfach",),
-}
-CONTENDER_READ_ORDERS = {
-    "window_first": ("tier0", "window"),
-    "lemire_first": ("tier0", "lemire"),
-    "lemire_only": ("lemire",),
-}
-
-
 def _contender_specials(n: int, seed: int) -> List[float]:
     """Denormals, power boundaries, decimal ties and torture values,
     tiled to ~``n`` — the corpus where fast tiers historically bail."""
@@ -884,31 +869,17 @@ def _contender_specials(n: int, seed: int) -> List[float]:
     return out[:n]
 
 
-def _certified_literals(n: int, seed: int) -> List[str]:
-    """In-range literals of <= 17 significant digits — binary64's
-    certified no-fallback range for the lemire lane."""
-    rng = random.Random(seed ^ 0x1E51)
-    out = []
-    for _ in range(n):
-        nd = rng.randrange(1, 18)
-        d = rng.randrange(10 ** (nd - 1), 10 ** nd)
-        out.append(f"{d}e{rng.randrange(-307, 308 - nd)}")
-    return out
-
-
 def _run_contenders_bench(n: int, seed: int, repeats: int) -> Dict:
-    """Race the modern-algorithm lanes against the classic orderings.
+    """The default write route (tier 0, then Schubfach) against the
+    exact tier.
 
-    Write side: ``grisu3_first`` (the default order), ``schubfach_first``
-    and ``schubfach_only`` over three corpora — ``flat`` (uniform random
-    bits), ``zipf`` (telemetry-shaped duplicates) and ``specials``
-    (denormals/boundaries/ties/torture).  Read side: ``window_first``
-    (the default), ``lemire_first`` and ``lemire_only`` over the
-    certified-digit literal corpus.  Every ordering is audited for byte
-    identity against the exact-only order; per-ordering bail rates and
-    exact-tier entries are recorded, and the fastest ordering per corpus
-    is declared the winner — tier ordering is a measured, per-corpus
-    decision, not a creed.
+    Three corpora — ``flat`` (uniform random bits), ``zipf``
+    (telemetry-shaped duplicates) and ``specials``
+    (denormals/boundaries/ties/torture) — go through a memo-less
+    default engine's ``format_many`` (the inlined route) and an
+    exact-only one.  Every output is audited for byte identity, both
+    are timed, and the route's write bail rate is recorded: Schubfach
+    has no bail path, so the gates pin it at zero.
     """
     corpora = {
         "flat": engine_corpus(n, seed),
@@ -920,65 +891,31 @@ def _run_contenders_bench(n: int, seed: int, repeats: int) -> Dict:
     exact_eng = Engine(tier_order=(), cache_size=0)
     mismatches: List[Dict] = []
     us: Dict[str, Dict[str, float]] = {}
-    bail: Dict[str, Dict[str, float]] = {}
-    winners: Dict[str, str] = {}
+    bail: Dict[str, float] = {}
     stats: Dict = {}
     audit_n = 0
     for mix, values in corpora.items():
         want = exact_eng.format_many(values)
         audit_n += len(values)
-        us[mix] = {}
-        bail[mix] = {}
-        for name, order in CONTENDER_WRITE_ORDERS.items():
-            eng = Engine(tier_order=order, cache_size=0)
-            got = eng.format_many(values)  # also warms the lane tables
-            mismatches += [
-                {"mix": mix, "ordering": name, "value": repr(x),
-                 "exact": a, "engine": b}
-                for x, a, b in zip(values, want, got) if a != b
-            ]
-            eng.reset_stats()
-            t = _best_of(lambda: eng.format_many(values), repeats)
-            us[mix][name] = t * 1e6 / len(values)
-            s = eng.stats()
-            bail[mix][name] = s["bail_rate"]["write"]
-            if mix == "flat" and name == "schubfach_only":
-                stats = s
-        winners[mix] = min(us[mix], key=us[mix].get)
-
-    lits = _certified_literals(n, seed)
-    want_v = [read_decimal(t) for t in lits[: min(n, 2000)]]
-    us["read_certified"] = {}
-    tier2: Dict[str, int] = {}
-    for name, order in CONTENDER_READ_ORDERS.items():
-        eng = ReadEngine(tier_order=order, cache_size=0)
-        got_v = eng.read_many(lits)  # also warms the lane tables
+        eng = Engine(cache_size=0)
+        got = eng.format_many(values)  # also builds the Schubfach table
         mismatches += [
-            {"mix": "read_certified", "ordering": name, "text": t,
-             "exact": repr(a), "engine": repr(b)}
-            for t, a, b in zip(lits, want_v, got_v)
-            if not _same_flonum(a, b)
+            {"mix": mix, "value": repr(x), "exact": a, "engine": b}
+            for x, a, b in zip(values, want, got) if a != b
         ]
-        eng.reset_stats()
-        t = _best_of(lambda: eng.read_many(lits), repeats)
-        us["read_certified"][name] = t * 1e6 / len(lits)
-        tier2[name] = eng.stats()["read_tier2_calls"]
-    winners["read_certified"] = min(us["read_certified"],
-                                    key=us["read_certified"].get)
-    audit_n += len(want_v)
-
+        s = eng.stats()
+        bail[mix] = s["bail_rate"]["write"]
+        if mix == "flat":
+            stats = s
+        t_route = _best_of(lambda: eng.format_many(values), repeats)
+        t_exact = _best_of(lambda: exact_eng.format_many(values), repeats)
+        us[mix] = {"route": t_route * 1e6 / len(values),
+                   "exact_only": t_exact * 1e6 / len(values)}
     return {
-        "corpus": {"kind": "uniform+zipf+specials+certified-literals",
-                   "n": n, "seed": seed, "audit_n": audit_n,
-                   "mix": "flat+zipf+specials mix, certified reads"},
-        "orderings": {k: list(v)
-                      for k, v in CONTENDER_WRITE_ORDERS.items()},
-        "read_orderings": {k: list(v)
-                           for k, v in CONTENDER_READ_ORDERS.items()},
+        "corpus": {"kind": "uniform+zipf+specials", "n": n, "seed": seed,
+                   "audit_n": audit_n, "mix": "flat+zipf+specials"},
         "us_per_value": us,
         "bail_rate": bail,
-        "read_tier2_calls": tier2,
-        "winners": winners,
         "mismatches": len(mismatches),
         "mismatch_samples": mismatches[:10],
         "stats": stats,

@@ -365,12 +365,11 @@ def _parse_tokens(uniques: List[bytes], fmt: FloatFormat,
     sign_shift = fmt.total_bits - 1
     # The inline host sub-batch replicates _convert's tier-0 outcome
     # exactly; it must stand aside whenever _convert would behave
-    # differently: tier0 disabled or not the leading lane (another lane
-    # would claim the attribution first), non-nearest mode, no
+    # differently: an exact-only reader, non-nearest mode, no
     # host-float tables, or an armed fault plan (whose tier sites fire
     # inside _convert).
     host_batch = (tables.read_host_float and tables.read_fast_ok
-                  and reader.tier_order[:1] == ("tier0",)
+                  and not reader.exact_only
                   and mode in _NEAREST
                   and _faults._PLAN is None)
     convert = reader._convert
@@ -378,7 +377,7 @@ def _parse_tokens(uniques: List[bytes], fmt: FloatFormat,
     host_f: List[float] = []
     host_sign: List[int] = []
     host_idx: List[int] = []
-    t0 = t1 = t1b = t2 = sp = lm = tf = 0
+    t0 = t1 = t1b = t2 = sp = tf = 0
     for i, sc in enumerate(scans):
         if sc is None:
             tok = uniques[i]
@@ -413,8 +412,6 @@ def _parse_tokens(uniques: List[bytes], fmt: FloatFormat,
             t0 += 1
         elif tier == "tier1":
             t1 += 1
-        elif tier == "lemire":
-            lm += 1
         elif tier == "tier2":
             t2 += 1
         else:
@@ -433,7 +430,6 @@ def _parse_tokens(uniques: List[bytes], fmt: FloatFormat,
         reader._tier1_hits += t1
         reader._tier1_bailouts += t1b
         reader._tier2_calls += t2
-        reader._lemire_hits += lm
         reader._specials += sp
         reader._tier_faults += tf
     return out

@@ -235,18 +235,15 @@ def _default_engine():
     return default_engine()
 
 
-def _serial_engine(engine, snapshot, tiers=None):
+def _serial_engine(engine, snapshot):
     """The engine for a ``jobs == 1`` call: the caller's, or a fresh
-    one when a snapshot or tier order was given (warming or re-routing
-    the shared default engine would leak one call's configuration into
-    every later caller)."""
-    if engine is not None or (snapshot is None and tiers is None):
+    one when a snapshot was given (warming the shared default engine
+    would leak one call's configuration into every later caller)."""
+    if engine is not None or snapshot is None:
         return engine
     from repro.engine.engine import Engine
 
-    kwargs = {} if tiers is None else {"tier_order": tiers[0],
-                                       "read_tier_order": tiers[1]}
-    return Engine(snapshot=snapshot, **kwargs)
+    return Engine(snapshot=snapshot)
 
 
 def _format_bits(eng, bits: List[int], fmt: FloatFormat, mode: ReaderMode,
@@ -295,8 +292,7 @@ def format_bulk(data, fmt: FloatFormat = BINARY64, *, jobs: int = 1,
                 tie: TieBreak = TieBreak.UP, dedup: bool = True,
                 writer=None, deadline: Optional[float] = None,
                 budget: Optional[float] = None, retries: int = 2,
-                on_error: str = "degrade", snapshot=None,
-                tiers=None) -> bytes:
+                on_error: str = "degrade", snapshot=None) -> bytes:
     """Serialize a column to delimiter-terminated ASCII bytes.
 
     With ``jobs > 1`` the column is sharded across a
@@ -308,11 +304,7 @@ def format_bulk(data, fmt: FloatFormat = BINARY64, *, jobs: int = 1,
     ``snapshot`` (a path or :class:`repro.engine.snapshot.Snapshot`)
     warm-starts the workers — or, at ``jobs == 1`` with no ``engine``,
     the serial engine; a rejected snapshot degrades to a cold start and
-    never changes output bytes.  ``tiers`` — a ``(write_order,
-    read_order)`` pair of engine lane orders, or None for the default —
-    routes the conversions through those tiers everywhere (pool
-    workers, degraded rungs, the serial engine); output bytes are
-    identical for every order.
+    never changes output bytes.
     """
     if jobs > 1:
         from repro.serve.pool import BulkPool
@@ -320,14 +312,13 @@ def format_bulk(data, fmt: FloatFormat = BINARY64, *, jobs: int = 1,
         with BulkPool(jobs=jobs, fmt=fmt, mode=mode, tie=tie, dedup=dedup,
                       delimiter=delimiter, deadline=deadline,
                       budget=budget, retries=retries,
-                      on_error=on_error, snapshot=snapshot,
-                      tiers=tiers) as pool:
+                      on_error=on_error, snapshot=snapshot) as pool:
             payload = pool.format_bulk(data)
         if writer is not None:
             writer.write_bytes(payload)
             return writer.getvalue()
         return payload
-    engine = _serial_engine(engine, snapshot, tiers)
+    engine = _serial_engine(engine, snapshot)
     from repro.engine.buffer import format_buffer
 
     return format_buffer(data, fmt, delimiter=delimiter, mode=mode,
@@ -381,7 +372,7 @@ def read_bulk(data, fmt: FloatFormat = BINARY64, *, out: str = "bits",
               engine=None, mode: ReaderMode = ReaderMode.NEAREST_EVEN,
               dedup: bool = True, deadline: Optional[float] = None,
               budget: Optional[float] = None, retries: int = 2,
-              on_error: str = "degrade", snapshot=None, tiers=None):
+              on_error: str = "degrade", snapshot=None):
     """Parse a delimited payload (or sequence of literals) in bulk.
 
     ``out="bits"`` returns the packed result as bit-pattern ints —
@@ -390,8 +381,7 @@ def read_bulk(data, fmt: FloatFormat = BINARY64, *, out: str = "bits",
     across a :class:`repro.serve.BulkPool`, with
     ``deadline``/``budget``/``retries``/``on_error`` configuring its
     fault tolerance.  ``snapshot`` warm-starts the workers (or the
-    serial engine) and ``tiers`` routes the conversions through an
-    explicit lane order, exactly as in :func:`format_bulk`.
+    serial engine), exactly as in :func:`format_bulk`.
     """
     if out not in ("bits", "flonums"):
         raise RangeError(f"out must be 'bits' or 'flonums', got {out!r}")
@@ -401,10 +391,9 @@ def read_bulk(data, fmt: FloatFormat = BINARY64, *, out: str = "bits",
         with BulkPool(jobs=jobs, fmt=fmt, mode=mode, dedup=dedup,
                       delimiter=delimiter, deadline=deadline,
                       budget=budget, retries=retries,
-                      on_error=on_error, snapshot=snapshot,
-                      tiers=tiers) as pool:
+                      on_error=on_error, snapshot=snapshot) as pool:
             return pool.read_bulk(data, out=out)
-    engine = _serial_engine(engine, snapshot, tiers)
+    engine = _serial_engine(engine, snapshot)
     if isinstance(data, (bytes, bytearray, memoryview, str)):
         # Delimited payloads take the byte-plane pipeline: no per-row
         # str, no per-row Flonum/to_bits when out="bits".

@@ -3,7 +3,7 @@
 Semantically identical to :func:`repro.fastpath.counted.counted_fixed`
 (same DigitGen / RoundWeedCounted structure, so every acceptance is a
 *certified* correctly rounded digit block of the exact value
-``f * 2**e``) but engineered like :mod:`repro.engine.tier1`:
+``f * 2**e``) but engineered for throughput:
 
 * no ``DiyFp`` allocations — the scaled significand and exponent live in
   local integers;

@@ -1,24 +1,26 @@
 """The tiered conversion engine: route each value to the cheapest
 algorithm that can certify the correct shortest output.
 
-Tiers, tried in order for positive finite values:
+One route, tried in order for positive finite values:
 
 * a bounded LRU memo of recent conversions (repeated values are common
   in real traffic — column data, sensor streams, test corpora);
 * **Tier 0** (:mod:`repro.engine.tier0`): integers and short exact
   decimals, certified with a few machine-word operations;
-* **Tier 1** (:mod:`repro.engine.tier1`): Grisu3 over raw 64-bit
-  integers with per-format precomputed powers; bails out on the ~0.5%
-  of values it cannot certify;
-* **Tier 2**: the exact Burger–Dybvig algorithm
+* **Schubfach** (:mod:`repro.engine.schubfach`): certified shortest
+  digits from a 128-bit per-format power table — it decides every
+  finite value, so it never bails;
+* **Exact**: the Burger–Dybvig algorithm
   (:func:`repro.core.dragon.shortest_digits_scaled`) with the
   table-backed scaler — never wrong, never declines.
 
-Every tier produces output byte-identical to Tier 2 for the same
-reader mode and tie strategy; the test suite enforces this over the
-Schryer and random corpora.  Tier 1 is only eligible under the two
-nearest-reader assumptions its certification covers (``NEAREST_EVEN``
-and ``NEAREST_UNKNOWN``); Tier 0 is mode-aware and eligible everywhere.
+Every lane produces output byte-identical to the exact tier for the
+same reader mode and tie strategy; the test suite enforces this over the
+Schryer, random and binade-boundary corpora (and all of binary16).
+Schubfach is only eligible under the two nearest-reader assumptions its
+decision rule covers (``NEAREST_EVEN`` and ``NEAREST_UNKNOWN``) and for
+the formats whose power table it has; every other request reaches the
+exact tier.  Tier 0 is mode-aware and eligible everywhere.
 
 Two representation choices carry the throughput:
 
@@ -29,7 +31,7 @@ Two representation choices carry the throughput:
   string form directly, so no per-digit tuple is built on the hot path;
 * for binary64 floats the ``(f, e)`` decomposition comes straight from
   ``math.frexp`` — a :class:`Flonum` is only constructed on the rare
-  Tier 2 fallback.  (``frexp`` yields the canonical components for
+  exact-tier fallback.  (``frexp`` yields the canonical components for
   every normal value; subnormals are re-clamped to ``min_e``.)
 """
 
@@ -60,22 +62,20 @@ from repro.format.notation import (
 
 from repro.engine.counted import counted_tier_digits
 from repro.engine.memo import LruMemo
-from repro.engine.reader import (READ_STAT_KEYS, READ_TIER_NAMES,
-                                 ReadEngine, ReadResult)
+from repro.engine.reader import (READ_STAT_KEYS, ReadEngine, ReadResult,
+                                 exact_only_order)
 from repro.engine.schubfach import schubfach_digits
 from repro.engine.tables import FormatTables, tables_for
 from repro.engine.tier0 import tier0_digits
-from repro.engine.tier1 import tier1_digits
 
-__all__ = ["Engine", "default_engine", "format_many", "STAT_KEYS",
-           "WRITE_TIER_NAMES", "split_tier_names"]
+__all__ = ["Engine", "default_engine", "format_many", "STAT_KEYS"]
 
 Number = Union[float, int, Flonum]
 
-#: Modes whose certification Tier 1 covers (Grisu success implies
-#: byte-equality with the exact algorithm under either nearest-reader
+#: Modes whose certification the Schubfach lane covers (its output is
+#: byte-equal to the exact algorithm under either nearest-reader
 #: assumption, for every tie strategy — enforced by the test suite).
-_TIER1_MODES = (ReaderMode.NEAREST_EVEN, ReaderMode.NEAREST_UNKNOWN)
+_NEAREST_MODES = (ReaderMode.NEAREST_EVEN, ReaderMode.NEAREST_UNKNOWN)
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -87,67 +87,12 @@ _INF = float("inf")
 #: been built — pinned by a schema test so counter consumers (benches,
 #: dashboards) never ``KeyError`` on a fresh or reset engine.
 STAT_KEYS = frozenset({
-    "tier0_hits", "tier1_hits", "tier1_bailouts", "tier2_calls",
+    "tier0_hits", "tier2_calls",
     "schubfach_hits", "fixed_tier1_hits", "fixed_tier1_bailouts",
     "fixed_tier2_calls", "fixed_conversions", "cache_hits",
     "cache_misses", "conversions", "cache_entries", "tier_faults",
     "hot_hits", "snapshot_faults", "bail_rate",
 }) | READ_STAT_KEYS
-
-#: Selectable write-side tier names for ``Engine(tier_order=...)``.
-#: The exact Burger–Dybvig tier is not in the list: it is the implicit,
-#: always-present backstop at the end of every order.
-WRITE_TIER_NAMES = ("tier0", "grisu3", "schubfach")
-
-
-def _validated_order(order, known: Tuple[str, ...], kind: str
-                     ) -> Tuple[str, ...]:
-    """Normalize a tier order to a tuple, rejecting unknown names and
-    duplicates with a typed :class:`RangeError`."""
-    names = tuple(order)
-    seen = set()
-    for name in names:
-        if name not in known:
-            raise RangeError(f"unknown {kind} tier {name!r}; known: "
-                             f"{', '.join(known)}")
-        if name in seen:
-            raise RangeError(f"duplicate {kind} tier {name!r} in tier order")
-        seen.add(name)
-    return names
-
-
-def split_tier_names(names: Iterable[str]
-                     ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """Split a mixed tier-name list (the CLI's ``--tiers``) into
-    ``(tier_order, read_tier_order)``.
-
-    ``tier0`` names the exact-decimal write tier and the exact-power
-    read tier at once (the two tier-0s are siblings and always travel
-    together); ``grisu3``/``schubfach`` are write-side; ``window`` /
-    ``lemire`` are read-side.  Lanes not named are disabled — the exact
-    tier always remains as the implicit backstop, so an empty list
-    means exact-only in both directions.  Empty components are ignored;
-    unknown names raise :class:`RangeError`.
-    """
-    write: List[str] = []
-    read: List[str] = []
-    for raw in names:
-        name = raw.strip()
-        if not name:
-            continue
-        if name == "tier0":
-            write.append(name)
-            read.append(name)
-        elif name in ("grisu3", "schubfach"):
-            write.append(name)
-        elif name in ("window", "lemire"):
-            read.append(name)
-        else:
-            raise RangeError(
-                f"unknown tier {name!r}; known: tier0, grisu3, schubfach "
-                f"(write) and tier0, window, lemire (read)")
-    return (_validated_order(write, WRITE_TIER_NAMES, "write"),
-            _validated_order(read, READ_TIER_NAMES, "read"))
 
 
 class Engine:
@@ -159,66 +104,43 @@ class Engine:
     side-by-side::
 
         fast = Engine()
-        exact = Engine(tier0=False, tier1=False, cache_size=0)
+        exact = Engine(tier_order=(), read_tier_order=(), cache_size=0)
 
     Args:
-        tier0: Enable the exact-decimal fast path.
-        tier1: Enable the Grisu3 fast path.
-        tier_order: Explicit write-side tier order, a sequence over
-            :data:`WRITE_TIER_NAMES` (``"tier0"``, ``"grisu3"``,
-            ``"schubfach"``).  The exact tier is always the implicit
-            final backstop, so ``()`` means exact-only.  Overrides the
-            ``tier0``/``tier1`` flags (which express the default order
-            ``("tier0", "grisu3")`` and its subsets); unknown or
-            duplicate names raise :class:`RangeError`.  Every order
-            produces byte-identical output — only speed and stats
-            attribution differ — so the memo needs no per-order keying.
-        read_tier_order: Same for the read side, over
-            :data:`repro.engine.reader.READ_TIER_NAMES` (``"tier0"``,
-            ``"window"``, ``"lemire"``); handed to :attr:`reader` when
-            it is built.  None keeps the reader's default.
         cache_size: Max entries in the result memo (0 disables it).
         fixed_tier1: Enable the counted-digit fast path for the
             fixed-format conversions (:meth:`counted_digits`,
             :meth:`fixed_digits`).
         strict: Guard-rail policy for unexpected fast-tier exceptions.
             False (production default): any non-:class:`ReproError`
-            raised inside a tier-0/tier-1 region falls back to the
-            exact tier-2 path and counts a ``tier_faults`` — a fast
-            path is an optimization and never an excuse to crash.
-            True (CI): re-raise, so injected faults and genuine tier
-            bugs surface loudly.
+            raised inside a tier-0/Schubfach region falls back to the
+            exact path and counts a ``tier_faults`` — a fast path is an
+            optimization and never an excuse to crash.  True (CI):
+            re-raise, so injected faults and genuine lane bugs surface
+            loudly.
         snapshot: Optional warm-start source — a path to a snapshot
             file or a :class:`repro.engine.snapshot.Snapshot` — whose
             tables, memo rows and hot-values dictionary are restored at
             construction.  A rejected snapshot (corrupt, stale, foreign
             format set) counts one ``snapshot_faults`` and the engine
             starts cold; it never raises and never yields wrong bytes.
+        tier_order: The exact-only switch for shortest conversions:
+            None (default) runs the one route (tier 0, Schubfach,
+            exact); ``()`` sends every conversion to the exact tier.
+            Any other value raises :class:`RangeError`.
+        read_tier_order: The same switch for :attr:`reader`.
     """
 
-    def __init__(self, tier0: bool = True, tier1: bool = True,
-                 cache_size: int = 8192, fixed_tier1: bool = True,
+    def __init__(self, cache_size: int = 8192, fixed_tier1: bool = True,
                  strict: bool = False, snapshot=None,
                  tier_order: Optional[Iterable[str]] = None,
                  read_tier_order: Optional[Iterable[str]] = None):
         if cache_size < 0:
             raise RangeError("cache_size must be >= 0")
-        if tier_order is None:
-            order = ((("tier0",) if tier0 else ())
-                     + (("grisu3",) if tier1 else ()))
-        else:
-            order = _validated_order(tier_order, WRITE_TIER_NAMES, "write")
-        #: The configured write-side lane order (exact tier implicit).
-        self.tier_order = order
-        # Derived flags, kept because the batch paths (and buffer.py on
-        # the read side) branch on them directly.
-        self.tier0 = "tier0" in order
-        self.tier1 = "grisu3" in order
-        if read_tier_order is not None:
-            read_tier_order = _validated_order(read_tier_order,
-                                               READ_TIER_NAMES, "read")
-        #: Read-side order handed to :attr:`reader` (None = its default).
-        self.read_tier_order = read_tier_order
+        #: True when every shortest conversion goes to the exact tier.
+        self.exact_only = exact_only_order(tier_order)
+        self._read_exact_only = exact_only_order(read_tier_order,
+                                                 "read_tier_order")
         self.fixed_tier1 = fixed_tier1
         self.strict = strict
         self.cache_size = cache_size
@@ -302,8 +224,6 @@ class Engine:
 
     def _reset_stats_locked(self) -> None:
         self._tier0_hits = 0
-        self._tier1_hits = 0
-        self._tier1_bailouts = 0
         self._tier2_calls = 0
         self._schubfach_hits = 0
         self._fixed_tier1_hits = 0
@@ -323,9 +243,9 @@ class Engine:
     def stats(self) -> dict:
         """Counters since the last :meth:`reset_stats`.
 
-        Keys: ``tier0_hits``, ``tier1_hits``, ``tier1_bailouts``,
-        ``tier2_calls``, ``schubfach_hits`` (the shortest/free-format
-        tiers); ``bail_rate`` (derived, ``{"write": ..., "read": ...}``
+        Keys: ``tier0_hits``, ``schubfach_hits``, ``tier2_calls`` (the
+        shortest/free-format route: tier 0, Schubfach, exact);
+        ``bail_rate`` (derived, ``{"write": ..., "read": ...}``
         — per direction, the fraction of tier-routed conversions the
         exact tier resolved, 0.0 when none ran);
         ``fixed_tier1_hits``, ``fixed_tier1_bailouts``,
@@ -363,14 +283,12 @@ class Engine:
         # fraction of tier-routed conversions the exact tier had to
         # resolve.  Memo/hot hits and the fixed tiers are excluded —
         # they never reach the exact shortest path.
-        write_den = (self._tier0_hits + self._tier1_hits
-                     + self._schubfach_hits + self._tier2_calls)
+        write_den = (self._tier0_hits + self._schubfach_hits
+                     + self._tier2_calls)
         read_den = (out["read_tier0_hits"] + out["read_tier1_hits"]
-                    + out["read_lemire_hits"] + out["read_tier2_calls"])
+                    + out["read_tier2_calls"])
         out.update({
             "tier0_hits": self._tier0_hits,
-            "tier1_hits": self._tier1_hits,
-            "tier1_bailouts": self._tier1_bailouts,
             "tier2_calls": self._tier2_calls,
             "schubfach_hits": self._schubfach_hits,
             "fixed_tier1_hits": self._fixed_tier1_hits,
@@ -382,8 +300,8 @@ class Engine:
             "cache_misses": self._cache_misses,
             "hot_hits": self._hot_hits,
             "snapshot_faults": self._snapshot_faults,
-            "conversions": (self._tier0_hits + self._tier1_hits
-                            + self._schubfach_hits + self._tier2_calls
+            "conversions": (self._tier0_hits + self._schubfach_hits
+                            + self._tier2_calls
                             + fixed + self._cache_hits + self._hot_hits),
             "cache_entries": len(self._cache),
             "bail_rate": {
@@ -454,21 +372,14 @@ class Engine:
             hit = self._plane_probe(f, e, ctx)
             if hit is not None:
                 return hit
-        tier1_ok = (self.tier1 and tables.grisu_ok
-                    and (mode is ReaderMode.NEAREST_EVEN
-                         or mode is ReaderMode.NEAREST_UNKNOWN))
-        result, tier, bailed, faulted = self._convert(
-            f, e, fmt, base, mode, tie, tables, tier1_ok, v)
+        result, tier, faulted = self._convert(f, e, fmt, base, mode, tie,
+                                              tables, v)
         with self._lock:
             if faulted:
                 self._tier_faults += 1
-            if bailed:
-                self._tier1_bailouts += 1
             if tier == 0:
                 self._tier0_hits += 1
             elif tier == 1:
-                self._tier1_hits += 1
-            elif tier == 3:
                 self._schubfach_hits += 1
             else:
                 self._tier2_calls += 1
@@ -478,69 +389,49 @@ class Engine:
 
     def _convert(self, f: int, e: int, fmt: FloatFormat, base: int,
                  mode: ReaderMode, tie: TieBreak, tables: FormatTables,
-                 tier1_ok: bool, v: Optional[Flonum] = None
-                 ) -> Tuple[Tuple[int, str], int, bool, bool]:
-        """One uncached conversion: the configured lanes, then exact.
+                 v: Optional[Flonum] = None
+                 ) -> Tuple[Tuple[int, str], int, bool]:
+        """One uncached conversion: tier 0, then Schubfach, then exact.
 
         Counter-free (callers attribute the result under the engine
-        lock): returns ``((k, body), tier, tier1_bailed, tier_faulted)``
-        with tier codes 0 = tier0, 1 = grisu3, 3 = schubfach, 2 = exact.
-        The fast-tier region is guard-railed: anything unexpected it
-        raises (a :class:`ReproError` is a deliberate signal and passes
-        through) falls back to the exact path with ``tier_faulted``
-        set, unless :attr:`strict`.
+        lock): returns ``((k, body), tier, tier_faulted)`` with tier
+        codes 0 = tier 0, 1 = Schubfach, 2 = exact.  The fast-lane
+        region is guard-railed: anything unexpected it raises (a
+        :class:`ReproError` is a deliberate signal and passes through)
+        falls back to the exact path with ``tier_faulted`` set, unless
+        :attr:`strict`.  :meth:`_format_many_fast` inlines the same
+        route for its batch loop.
         """
-        bailed = False
         faulted = False
-        if base == 10 and tables.radix == 2:
+        if not self.exact_only and base == 10 and tables.radix == 2:
             try:
-                for lane in self.tier_order:
-                    if lane == "tier0":
-                        if _faults._PLAN is not None:
-                            _faults._PLAN.fire("engine.tier0")
-                        t0 = tier0_digits(f, e, tables.hidden_limit,
-                                          tables.min_e,
-                                          tables.mantissa_limit,
-                                          tables.max_e, mode)
-                        if t0 is not None:
-                            acc, _nd, k = t0
-                            return (k, str(acc)), 0, bailed, False
-                    elif lane == "grisu3":
-                        if not tier1_ok:
-                            continue
-                        if _faults._PLAN is not None:
-                            _faults._PLAN.fire("engine.tier1")
-                        t1 = tier1_digits(f, e, tables.hidden_limit,
-                                          tables.min_e, tables.grisu_powers,
-                                          tables.grisu_e_min)
-                        if t1 is not None:
-                            acc, nd, k = t1
-                            body = str(acc)
-                            if len(body) == nd:  # RoundWeed never borrows;
-                                return (k, body), 1, bailed, False  # belt
-                        bailed = True  # and braces anyway
-                    elif (tables.grisu_ok
-                          and (mode is ReaderMode.NEAREST_EVEN
-                               or mode is ReaderMode.NEAREST_UNKNOWN)):
-                        # The Schubfach lane: same format/mode gate as
-                        # Grisu (falling through on other modes is
-                        # gating, not bailing), but once it runs it
-                        # decides every finite value — no bail path.
-                        if _faults._PLAN is not None:
-                            _faults._PLAN.fire("engine.schubfach")
-                        if not tables.schub_ready:
-                            tables.ensure_schub()
-                        k, body = schubfach_digits(
-                            f, e, tables,
-                            mode is ReaderMode.NEAREST_EVEN and not f & 1,
-                            tie)
-                        return (k, body), 3, bailed, False
+                plan = _faults._PLAN
+                if plan is not None:
+                    plan.fire("engine.tier0")
+                t0 = tier0_digits(f, e, tables.hidden_limit, tables.min_e,
+                                  tables.mantissa_limit, tables.max_e, mode)
+                if t0 is not None:
+                    acc, _nd, k = t0
+                    return (k, str(acc)), 0, False
+                if (tables.grisu_ok
+                        and (mode is ReaderMode.NEAREST_EVEN
+                             or mode is ReaderMode.NEAREST_UNKNOWN)):
+                    # Falling through on other modes is gating, not
+                    # bailing: once the lane runs it decides every
+                    # finite value.
+                    if plan is not None:
+                        plan.fire("engine.schubfach")
+                    if not tables.schub_ready:
+                        tables.ensure_schub()
+                    return schubfach_digits(
+                        f, e, tables,
+                        mode is ReaderMode.NEAREST_EVEN and not f & 1,
+                        tie), 1, False
             except ReproError:
                 raise
             except Exception:
                 if self.strict:
                     raise
-                bailed = False
                 faulted = True
         if v is None:
             v = Flonum.finite(0, f, e, fmt)
@@ -548,8 +439,7 @@ class Engine:
         sv = adjust_for_mode(v, r, s, m_plus, m_minus, mode)
         res = shortest_digits_scaled(sv, v, base, tie, tables.scale)
         return (res.k,
-                "".join(_DIGIT_CHARS[d] for d in res.digits)), 2, bailed, \
-            faulted
+                "".join(_DIGIT_CHARS[d] for d in res.digits)), 2, faulted
 
     # ------------------------------------------------------------------
     # Public conversions
@@ -879,6 +769,10 @@ class Engine:
         batch).  New conversions land in a batch-local ``pending`` dict
         — intra-batch duplicates are served from it without touching
         the shared memo — and are installed in one tail-capped pass.
+
+        The route is :meth:`_convert`'s, inlined: tier 0 (pre-filtered
+        on ``e``), then Schubfach under the same gates, guard rail and
+        fault sites, then the exact tier.
         """
         fmt = BINARY64
         tables = tables_for(fmt, 10)
@@ -886,20 +780,15 @@ class Engine:
         min_e = tables.min_e
         mantissa_limit = tables.mantissa_limit
         max_e = tables.max_e
-        grisu_powers = tables.grisu_powers
-        grisu_e_min = tables.grisu_e_min
-        use_tier0 = self.tier0
+        use_tier0 = not self.exact_only
         mirrored = mode.mirrored()
-        use_tier1 = (self.tier1 and tables.grisu_ok
-                     and mode in _TIER1_MODES)
-        use_tier1_mirrored = (self.tier1 and tables.grisu_ok
-                              and mirrored in _TIER1_MODES)
-        # The inlined tier block below encodes the default lane order;
-        # any other order (schubfach present, or tiers reordered) routes
-        # each miss through the generic ``_convert`` instead — memo,
-        # render and flush stay batched either way.
-        inline_tiers = self.tier_order in (
-            ("tier0", "grisu3"), ("tier0",), ("grisu3",), ())
+        lanes_ok = use_tier0 and tables.grisu_ok
+        use_schub = lanes_ok and mode in _NEAREST_MODES
+        use_schub_mirrored = lanes_ok and mirrored in _NEAREST_MODES
+        if use_schub or use_schub_mirrored:
+            tables.ensure_schub()
+        even_pos = mode is ReaderMode.NEAREST_EVEN
+        even_neg = mirrored is ReaderMode.NEAREST_EVEN
         cache = self._cache if self.cache_size else None
         lock = self._lock
         ctx_pos = self._ctx_id(fmt, 10, mode, tie)
@@ -913,8 +802,8 @@ class Engine:
         fresh: dict = {}
         plan = _faults._PLAN
         strict = self.strict
-        c_hits = c_misses = t0_hits = t1_hits = t1_bails = t2_calls = 0
-        t_faults = hot_hits = snap_faults = schub_hits = 0
+        c_hits = c_misses = t0_hits = schub_hits = t2_calls = 0
+        t_faults = hot_hits = snap_faults = 0
         out: List[str] = []
         append = out.append
         for x in xs:
@@ -930,14 +819,16 @@ class Engine:
                     sign = "-"
                     ax = -x
                     vmode = mirrored
-                    tier1_ok = use_tier1_mirrored
+                    schub_ok = use_schub_mirrored
+                    even_mode = even_neg
                     ctx = ctx_neg
                     plane = plane_neg
                 else:
                     sign = ""
                     ax = x
                     vmode = mode
-                    tier1_ok = use_tier1
+                    schub_ok = use_schub
+                    even_mode = even_pos
                     ctx = ctx_pos
                     plane = plane_pos
                 if ax == _INF:
@@ -986,24 +877,7 @@ class Engine:
                     kb = None
                 if kb is not None:
                     hot_hits += 1
-            if kb is None and not inline_tiers:
-                kb, tier_c, b_, f_ = self._convert(
-                    f, e, fmt, 10, vmode, tie, tables, tier1_ok, None)
-                if b_:
-                    t1_bails += 1
-                if f_:
-                    t_faults += 1
-                if tier_c == 0:
-                    t0_hits += 1
-                elif tier_c == 1:
-                    t1_hits += 1
-                elif tier_c == 3:
-                    schub_hits += 1
-                else:
-                    t2_calls += 1
-                if cache is not None:
-                    pending[key] = fresh[key] = kb
-            elif kb is None:
+            if kb is None:
                 try:
                     # Pre-filter: tier 0 only ever accepts values with
                     # e >= -76 (integers and short exact decimals); skip
@@ -1013,27 +887,16 @@ class Engine:
                             plan.fire("engine.tier0")
                         t0 = tier0_digits(f, e, hidden_limit, min_e,
                                           mantissa_limit, max_e, vmode)
-                    else:
-                        t0 = None
-                    if t0 is not None:
-                        t0_hits += 1
-                        acc, _nd, k = t0
-                        kb = (k, str(acc))
-                    else:
-                        kb = None
-                        if tier1_ok:
-                            if plan is not None:
-                                plan.fire("engine.tier1")
-                            t1 = tier1_digits(f, e, hidden_limit, min_e,
-                                              grisu_powers, grisu_e_min)
-                            if t1 is not None:
-                                acc, nd, k = t1
-                                body = str(acc)
-                                if len(body) == nd:
-                                    t1_hits += 1
-                                    kb = (k, body)
-                            if kb is None:
-                                t1_bails += 1
+                        if t0 is not None:
+                            t0_hits += 1
+                            acc, _nd, k = t0
+                            kb = (k, str(acc))
+                    if kb is None and schub_ok:
+                        if plan is not None:
+                            plan.fire("engine.schubfach")
+                        kb = schubfach_digits(f, e, tables,
+                                              even_mode and not f & 1, tie)
+                        schub_hits += 1
                 except ReproError:
                     raise
                 except Exception:
@@ -1074,8 +937,6 @@ class Engine:
             self._cache_hits += c_hits
             self._cache_misses += c_misses
             self._tier0_hits += t0_hits
-            self._tier1_hits += t1_hits
-            self._tier1_bailouts += t1_bails
             self._tier2_calls += t2_calls
             self._schubfach_hits += schub_hits
             self._tier_faults += t_faults
@@ -1114,7 +975,7 @@ class Engine:
                     r = ReadEngine(
                         cache_size=self.cache_size,
                         strict=self.strict,
-                        tier_order=self.read_tier_order,
+                        tier_order=() if self._read_exact_only else None,
                         _shared_cache=self._cache,
                         _shared_lock=self._lock)
                     self._reader = r

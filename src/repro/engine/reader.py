@@ -34,12 +34,6 @@ Tiers, tried in order for finite nonzero literals:
 * **Tier 2** — the exact :func:`repro.reader.exact.round_rational`
   (always correct, never declines), fed the *untruncated* significand.
 
-A fourth, optional lane — the Eisel–Lemire-style 128-bit product of
-:mod:`repro.engine.lemire`, selected as ``"lemire"`` in
-``tier_order=`` — resolves every untruncated literal outright (no
-fallback; see docs/contenders.md).  The default order stays
-``("tier0", "window")``; the contenders bench arbitrates.
-
 The fast tiers run only for base-10 literals into radix-2 formats with
 ``precision <= READ_MAX_PRECISION`` under the two nearest reader modes
 (``NEAREST_EVEN``/``NEAREST_UNKNOWN``, which read identically); every
@@ -67,13 +61,11 @@ from repro.reader.exact import clamp_extreme, round_rational
 from repro.reader.parse import ParsedNumber, _scan_decimal, parse_decimal
 from repro.reader.truncated import truncate_significand
 
-from repro.engine.lemire import OVERFLOW as _LEMIRE_OVERFLOW
-from repro.engine.lemire import lemire_parse
 from repro.engine.memo import LruMemo
 from repro.engine.tables import FormatTables, tables_for
 
 __all__ = ["ReadEngine", "ReadResult", "default_read_engine", "read_many",
-           "READ_STAT_KEYS", "READ_TIER_NAMES", "READ_TRUNCATION_DIGITS"]
+           "READ_STAT_KEYS", "READ_TRUNCATION_DIGITS"]
 
 #: Modes the fast tiers serve (they read identically; every other mode
 #: routes straight to the exact tier, which handles all of them).
@@ -135,31 +127,22 @@ def _decimal_digits(d: int) -> int:
 #: ever built and schema tests can assert nothing drifts.
 READ_STAT_KEYS = frozenset({
     "read_tier0_hits", "read_tier1_hits", "read_tier1_bailouts",
-    "read_tier2_calls", "read_lemire_hits", "read_specials",
+    "read_tier2_calls", "read_specials",
     "read_cache_hits", "read_cache_misses", "read_conversions",
     "read_tier_faults", "read_snapshot_faults",
 })
 
-#: Selectable read-side tier names for ``ReadEngine(tier_order=...)``:
-#: the exact-power window + magnitude clamps (``"tier0"``), the
-#: truncated/interval certification (``"window"``) and the
-#: Eisel–Lemire 128-bit product lane (``"lemire"``).  The exact
-#: rational tier is not in the list — it is the implicit, always-
-#: present backstop at the end of every order.
-READ_TIER_NAMES = ("tier0", "window", "lemire")
 
-
-def _validated_read_order(order) -> tuple:
-    names = tuple(order)
-    seen = set()
-    for name in names:
-        if name not in READ_TIER_NAMES:
-            raise RangeError(f"unknown read tier {name!r}; known: "
-                             f"{', '.join(READ_TIER_NAMES)}")
-        if name in seen:
-            raise RangeError(f"duplicate read tier {name!r} in tier order")
-        seen.add(name)
-    return names
+def exact_only_order(order, name: str = "tier_order") -> bool:
+    """The engines' exact-only switch: ``None`` (the one route) gives
+    False, ``()`` (exact tier only) gives True, and anything else raises
+    :class:`RangeError` — there is no lane order to choose."""
+    if order is None:
+        return False
+    if isinstance(order, (tuple, list)) and not order:
+        return True
+    raise RangeError(f"{name} must be None (the one route) or () "
+                     f"(exact tier only), got {order!r}")
 
 
 @dataclass(frozen=True)
@@ -167,7 +150,7 @@ class ReadResult:
     """A conversion plus which tier resolved it (for attribution)."""
 
     value: Flonum
-    tier: str  # 'tier0'|'tier1'|'lemire'|'tier2'|'special'|'memo'
+    tier: str  # 'tier0'|'tier1'|'tier2'|'special'|'memo'
 
 
 def _round_nearest(n: int, e2: int, sticky: bool, min_e: int, max_e: int,
@@ -215,19 +198,6 @@ class ReadEngine:
     so read and write conversions compete for one LRU budget).
 
     Args:
-        tier0: Enable the exact-power fast path (and the magnitude
-            clamps that ride on its tables).
-        tier1: Enable the truncated/interval path.
-        tier_order: Explicit lane order, a sequence over
-            :data:`READ_TIER_NAMES` (``"tier0"``, ``"window"``,
-            ``"lemire"``).  The exact rational tier is always the
-            implicit final backstop, so ``()`` means exact-only.
-            Overrides the ``tier0``/``tier1`` flags (which express the
-            default order ``("tier0", "window")`` and its subsets);
-            unknown or duplicate names raise :class:`RangeError`.
-            Every order produces bit-identical values — only speed and
-            stats attribution differ — so the memo needs no per-order
-            keying.
         cache_size: Max entries in the result memo (0 disables it).
         strict: False (default): an unexpected non-:class:`ReproError`
             raised inside a fast tier falls back to the exact tier and
@@ -238,27 +208,21 @@ class ReadEngine:
             rejected snapshot counts one ``read_snapshot_faults`` and
             the reader starts cold — never an exception, never wrong
             bits.
+        tier_order: The exact-only switch: None (default) runs the one
+            route (tier 0, window, exact); ``()`` reads every literal
+            with the exact tier.  Any other value raises
+            :class:`RangeError`.
     """
 
-    def __init__(self, tier0: bool = True, tier1: bool = True,
-                 cache_size: int = 8192, strict: bool = False,
+    def __init__(self, cache_size: int = 8192, strict: bool = False,
                  _shared_cache: Optional[LruMemo] = None,
                  _shared_lock: Optional[threading.Lock] = None,
                  snapshot=None,
                  tier_order: Optional[Iterable[str]] = None):
         if cache_size < 0:
             raise RangeError("cache_size must be >= 0")
-        if tier_order is None:
-            order = ((("tier0",) if tier0 else ())
-                     + (("window",) if tier1 else ()))
-        else:
-            order = _validated_read_order(tier_order)
-        #: The configured lane order (exact tier implicit at the end).
-        self.tier_order = order
-        # Derived flags, kept because buffer.py's classify partitioning
-        # (and the batch paths) branch on them directly.
-        self.tier0 = "tier0" in order
-        self.tier1 = "window" in order
+        #: True when every literal goes to the exact tier.
+        self.exact_only = exact_only_order(tier_order)
         self.strict = strict
         self.cache_size = cache_size
         # OrderedDict-backed LRU (O(1) eviction at steady state, where
@@ -307,7 +271,6 @@ class ReadEngine:
         self._tier1_hits = 0
         self._tier1_bailouts = 0
         self._tier2_calls = 0
-        self._lemire_hits = 0
         self._specials = 0
         self._tier_faults = 0
         self._cache_hits = 0
@@ -320,7 +283,6 @@ class ReadEngine:
         Keys are exactly :data:`READ_STAT_KEYS`: ``read_tier0_hits``
         (exact-power window and magnitude clamps), ``read_tier1_hits`` /
         ``read_tier1_bailouts`` (the interval tier),
-        ``read_lemire_hits`` (the no-fallback 128-bit product lane),
         ``read_tier2_calls`` (exact fallback), ``read_specials``
         (nan/inf/zero literals), ``read_cache_hits`` /
         ``read_cache_misses`` (the memo) and ``read_conversions``
@@ -340,15 +302,14 @@ class ReadEngine:
             "read_tier1_hits": self._tier1_hits,
             "read_tier1_bailouts": self._tier1_bailouts,
             "read_tier2_calls": self._tier2_calls,
-            "read_lemire_hits": self._lemire_hits,
             "read_specials": self._specials,
             "read_tier_faults": self._tier_faults,
             "read_cache_hits": self._cache_hits,
             "read_cache_misses": self._cache_misses,
             "read_snapshot_faults": self._snapshot_faults,
             "read_conversions": (self._tier0_hits + self._tier1_hits
-                                 + self._lemire_hits + self._tier2_calls
-                                 + self._specials + self._cache_hits),
+                                 + self._tier2_calls + self._specials
+                                 + self._cache_hits),
         }
 
     def clear_cache(self) -> None:
@@ -428,7 +389,7 @@ class ReadEngine:
                  mode: ReaderMode, tables: FormatTables
                  ) -> Tuple[Flonum, str, bool, bool]:
         """Route one finite literal ``(-1)**sign * d * 10**q`` through
-        the configured lanes (:attr:`tier_order`), then the exact tier:
+        tier 0, the window tier, then the exact tier:
         ``(value, tier, tier1_bailed, tier_faulted)``.
 
         The fast-tier region is guard-railed: an unexpected exception
@@ -468,7 +429,7 @@ class ReadEngine:
             return Flonum.zero(fmt, sign), "special", False, False
         bailed = False
         faulted = False
-        if (self.tier_order and tables.read_fast_ok
+        if (not self.exact_only and tables.read_fast_ok
                 and (mode is ReaderMode.NEAREST_EVEN
                      or mode is ReaderMode.NEAREST_UNKNOWN)):
           try:
@@ -489,10 +450,7 @@ class ReadEngine:
             if mag <= tables.read_zero_exp10:
                 return Flonum.zero(fmt, sign), "tier0", False, False
             mantissa_limit = tables.mantissa_limit
-            for lane in self.tier_order:
-              if lane == "tier0":
-                if sticky or d19 >= mantissa_limit:
-                    continue
+            if not sticky and d19 < mantissa_limit:
                 if _faults._PLAN is not None:
                     _faults._PLAN.fire("reader.tier0")
                 if tables.read_host_float:
@@ -508,93 +466,68 @@ class ReadEngine:
                             m, ex = _frexp(fast)
                             return (Flonum._finite_trusted(
                                 sign, int(m * 9007199254740992.0),
-                                ex - 53, fmt), "tier0", bailed, False)
+                                ex - 53, fmt), "tier0", False, False)
                 else:
                     v = self._tier0(d19, q19, sign, tables, fmt)
                     if v is not None:
-                        return v, "tier0", bailed, False
-              elif lane == "window":
-                if _faults._PLAN is not None:
-                    _faults._PLAN.fire("reader.tier1")
-                parts = _POW10_PARTS.get(q19)
-                if parts is None:
-                    parts = _pow10_parts(q19)
-                pf2, e2, exact = parts
-                min_e = tables.min_e
-                max_e = tables.max_e
-                prec = tables.precision
-                if exact:
-                    lo = d19 * pf2
-                    w = (pf2 if sticky else 0)
+                        return v, "tier0", False, False
+            if _faults._PLAN is not None:
+                _faults._PLAN.fire("reader.tier1")
+            parts = _POW10_PARTS.get(q19)
+            if parts is None:
+                parts = _pow10_parts(q19)
+            pf2, e2, exact = parts
+            min_e = tables.min_e
+            max_e = tables.max_e
+            prec = tables.precision
+            if exact:
+                lo = d19 * pf2
+                w = (pf2 if sticky else 0)
+            else:
+                lo = d19 * (pf2 - 1)
+                w = (d19 << 1) + (pf2 + 1 if sticky else 0)
+            t = lo.bit_length() + e2 - prec
+            if t < min_e:
+                t = min_e
+            shift = t - e2
+            if shift > 0:
+                half = 1 << (shift - 1)
+                cut = lo & ((half << 1) - 1)
+                cw = cut + w
+                f = lo >> shift
+                if cw < half:
+                    pass  # whole interval rounds down, tie-free
+                elif cut > half and cw < (half << 1):
+                    f += 1  # whole interval rounds up, tie-free
+                    if f == mantissa_limit:
+                        f >>= 1
+                        t += 1
                 else:
-                    lo = d19 * (pf2 - 1)
-                    w = (d19 << 1) + (pf2 + 1 if sticky else 0)
-                t = lo.bit_length() + e2 - prec
-                if t < min_e:
-                    t = min_e
-                shift = t - e2
-                if shift > 0:
-                    half = 1 << (shift - 1)
-                    cut = lo & ((half << 1) - 1)
-                    cw = cut + w
-                    f = lo >> shift
-                    if cw < half:
-                        pass  # whole interval rounds down, tie-free
-                    elif cut > half and cw < (half << 1):
-                        f += 1  # whole interval rounds up, tie-free
-                        if f == mantissa_limit:
-                            f >>= 1
-                            t += 1
-                    else:
-                        f = -1  # a boundary is inside: certify exactly
-                    if f >= 0:
-                        if t > max_e:
-                            return (Flonum.infinity(fmt, sign), "tier1",
-                                    bailed, False)
-                        if f == 0:
-                            return (Flonum.zero(fmt, sign), "tier1",
-                                    bailed, False)
-                        return (Flonum._finite_trusted(sign, f, t, fmt),
-                                "tier1", bailed, False)
-                if shift <= 0 or f < 0:
-                    r = _round_nearest(lo, e2, False, min_e, max_e, prec,
-                                       mantissa_limit)
-                    if w and r != _round_nearest(lo + w, e2, False, min_e,
-                                                 max_e, prec,
-                                                 mantissa_limit):
-                        r = None
-                    if r is not None:
-                        if r is _OVERFLOW:
-                            return (Flonum.infinity(fmt, sign), "tier1",
-                                    bailed, False)
-                        f, t = r
-                        if f == 0:
-                            return (Flonum.zero(fmt, sign), "tier1",
-                                    bailed, False)
-                        return (Flonum._finite_trusted(sign, f, t, fmt),
-                                "tier1", bailed, False)
-                    bailed = True
-              elif not sticky:
-                # The Lemire lane: gated on the untruncated significand
-                # (d19 has < 20 digits whenever sticky is clear); once
-                # it runs it decides outright — no bail path, the exact
-                # tier is never consulted.
-                if _faults._PLAN is not None:
-                    _faults._PLAN.fire("reader.lemire")
-                if not tables.lemire_ready:
-                    tables.ensure_lemire()
-                r = lemire_parse(d19, q19, tables)
-                if r is None:  # pragma: no cover - clamps gate q
-                    continue
-                if r is _LEMIRE_OVERFLOW:
-                    return (Flonum.infinity(fmt, sign), "lemire",
-                            bailed, False)
-                f, t = r
-                if f == 0:
-                    return (Flonum.zero(fmt, sign), "lemire",
-                            bailed, False)
-                return (Flonum._finite_trusted(sign, f, t, fmt),
-                        "lemire", bailed, False)
+                    f = -1  # a boundary is inside: certify exactly
+                if f >= 0:
+                    if t > max_e:
+                        return (Flonum.infinity(fmt, sign), "tier1",
+                                False, False)
+                    if f == 0:
+                        return Flonum.zero(fmt, sign), "tier1", False, False
+                    return (Flonum._finite_trusted(sign, f, t, fmt),
+                            "tier1", False, False)
+            if shift <= 0 or f < 0:
+                r = _round_nearest(lo, e2, False, min_e, max_e, prec,
+                                   mantissa_limit)
+                if w and r != _round_nearest(lo + w, e2, False, min_e,
+                                             max_e, prec, mantissa_limit):
+                    r = None
+                if r is not None:
+                    if r is _OVERFLOW:
+                        return (Flonum.infinity(fmt, sign), "tier1",
+                                False, False)
+                    f, t = r
+                    if f == 0:
+                        return Flonum.zero(fmt, sign), "tier1", False, False
+                    return (Flonum._finite_trusted(sign, f, t, fmt),
+                            "tier1", False, False)
+                bailed = True
           except ReproError:
             raise
           except Exception:
@@ -633,8 +566,6 @@ class ReadEngine:
             self._tier0_hits += 1
         elif tier == "tier1":
             self._tier1_hits += 1
-        elif tier == "lemire":
-            self._lemire_hits += 1
         elif tier == "tier2":
             self._tier2_calls += 1
         else:
@@ -768,7 +699,7 @@ class ReadEngine:
         memoize = fresh.append
         memo_on = bool(self.cache_size)
         new_misses = 0
-        t0 = t1 = t1b = t2 = sp = lm = tf = 0
+        t0 = t1 = t1b = t2 = sp = tf = 0
         for i in misses:
             s = stripped[i]
             scanned = scan(s)
@@ -786,8 +717,6 @@ class ReadEngine:
                 t0 += 1
             elif tier == "tier1":
                 t1 += 1
-            elif tier == "lemire":
-                lm += 1
             elif tier == "tier2":
                 t2 += 1
             else:
@@ -802,7 +731,6 @@ class ReadEngine:
                 self._tier1_hits += t1
                 self._tier1_bailouts += t1b
                 self._tier2_calls += t2
-                self._lemire_hits += lm
                 self._specials += sp
                 self._tier_faults += tf
                 self._cache_misses += new_misses

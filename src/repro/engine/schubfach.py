@@ -1,6 +1,6 @@
 """Schubfach-style shortest-form writer: certified digits, no bail path.
 
-The Grisu3 tier (:mod:`repro.engine.tier1`) certifies its output with a
+Grisu3 (:mod:`repro.fastpath.grisu`) certifies its output with a
 64-bit error band and *bails* on the ~0.5–1% of values where the band
 straddles a decision boundary.  Adams' Ryū and Giulietti's Schubfach
 showed the bail path is unnecessary: with a wide enough fixed-point
@@ -36,8 +36,10 @@ The shape of the computation, for ``v = f * 2**e`` positive finite:
 
 Output is the engine currency ``(k, body)`` — byte-identical to the
 exact Burger–Dybvig tier for every finite input, enforced by the
-``repro.verify --contenders`` battery and the hypothesis round-trip
-suite (see docs/contenders.md).
+``repro.verify --contenders`` battery, the binade-boundary and
+all-of-binary16 tests and the hypothesis round-trip suite (see
+docs/contenders.md).  It is the engine's only shortest-write lane after
+tier 0.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def schubfach_digits(f: int, e: int, tables: FormatTables, even: bool,
     finite positive input resolves here.
 
     The caller is responsible for :meth:`FormatTables.ensure_schub` and
-    the mode gate (nearest modes only, like the Grisu tier).
+    the mode gate (nearest modes only).
     """
     entry = tables.schub_powers[e - tables.schub_e_min]
     cb = f << 2

@@ -12,7 +12,10 @@ search for its cached power of ten on every conversion.  A
   format, as a flat list (O(1) indexed, no hashing, never evicts);
 * ``grisu_powers`` — for radix-2 formats with ``precision <= 62``, the
   correctly rounded 64-bit power of ten for *every normalized binary
-  exponent* the format can produce, so Tier 1 is a single list index;
+  exponent* the format can produce, so the counted fixed-format lane
+  is a single list index;
+* ``schub_powers`` — built on first use by :meth:`ensure_schub`: the
+  128-bit power of ten per binary exponent the Schubfach lane needs;
 * the estimator constant ``log_ratio(radix, base)`` and the boundary
   constants (``hidden_limit``, ``min_e``, ``max_e``) as plain attributes.
 
@@ -36,8 +39,9 @@ from repro.floats.model import Flonum
 
 __all__ = ["FormatTables", "tables_for", "clear_tables", "install_tables"]
 
-#: Widest significand the 64-bit Grisu tier can certify (matches
-#: :func:`repro.fastpath.grisu.grisu_shortest`).
+#: Widest significand the 64-bit Grisu-style lanes can certify (matches
+#: :func:`repro.fastpath.grisu.grisu_shortest`); also the gate of the
+#: Schubfach table.
 GRISU_MAX_PRECISION = 62
 
 #: Widest significand the read engine's fast tiers serve.  The interval
@@ -104,10 +108,8 @@ def _pow10_128(n: int) -> Tuple[int, int, bool]:
     ``a = floor(log2 10**n)`` and ``g = ceil(10**n * 2**(127 - a))``, so
     ``10**n = (g - d) * 2**(a - 127)`` with ``d in [0, 1)``; ``exact``
     means ``d == 0`` (only possible for ``0 <= n <= 38``, where the
-    integer ``10**n`` fits 128 bits unshifted).  This is the shared
-    primitive behind both contender tables: the Schubfach writer stores
-    ``_pow10_128(-k)`` per binary exponent and the Eisel–Lemire reader
-    stores ``_pow10_128(q)`` per decimal exponent.
+    integer ``10**n`` fits 128 bits unshifted).  The Schubfach writer
+    stores ``_pow10_128(-k)`` per binary exponent.
     """
     if n >= 0:
         m = 10**n
@@ -133,8 +135,6 @@ class FormatTables:
         "read_fast_ok", "read_host_float", "read_max_pow10", "read_pow5",
         "read_inf_exp10", "read_zero_exp10",
         "schub_ready", "schub_e_min", "schub_powers",
-        "lemire_ready", "lemire_q_min", "lemire_powers",
-        "lemire_max_digits",
     )
 
     def __init__(self, fmt: FloatFormat, base: int,
@@ -163,7 +163,8 @@ class FormatTables:
             powers.append(acc)
             acc *= base
         self.powers = powers
-        # Tier-1 eligibility and its per-binary-exponent power list.
+        # Fast-lane eligibility and the counted lane's per-binary-
+        # exponent power list.
         self.grisu_ok = (base == 10 and fmt.radix == 2
                          and fmt.precision <= GRISU_MAX_PRECISION)
         if self.grisu_ok:
@@ -184,16 +185,12 @@ class FormatTables:
         self.read_zero_exp10 = 0
         if self.read_fast_ok:
             self._build_read_tables()
-        # Contender-lane tables (Schubfach writer / Eisel–Lemire reader)
-        # build lazily on first use of those lanes — the default tier
-        # orders never touch them, so cold start stays unchanged.
+        # The Schubfach table builds lazily on the first shortest
+        # conversion routed to the lane, so read-only and fixed-format
+        # users never pay for it.
         self.schub_ready = False
         self.schub_e_min = 0
         self.schub_powers: List[tuple] = []
-        self.lemire_ready = False
-        self.lemire_q_min = 0
-        self.lemire_powers: List[Tuple[int, int, bool]] = []
-        self.lemire_max_digits = 0
 
     def _build_read_tables(self) -> None:
         """Exact-power tables and decimal-magnitude clamps for reading.
@@ -269,8 +266,7 @@ class FormatTables:
         compares candidates against.
 
         Lazy and lock-guarded: the first conversion routed to the
-        Schubfach lane pays the build (a few ms for binary64); engines
-        that never select the lane never build it.
+        Schubfach lane pays the build (milliseconds for binary64).
         """
         if self.schub_ready:
             return
@@ -299,38 +295,6 @@ class FormatTables:
             self.schub_e_min = self.min_e
             self.schub_powers = table
             self.schub_ready = True
-
-    def ensure_lemire(self) -> None:
-        """Build (once) the Eisel–Lemire 128-bit power-of-ten table.
-
-        One ``(g, a, exact) = _pow10_128(q)`` triple per decimal
-        exponent ``q`` the lane can meet after truncation and the
-        magnitude clamps (``[read_zero_exp10 - 21, read_inf_exp10 + 2]``
-        — the clamps bound ``q + digits(d)`` and the lane only serves
-        ``d`` of at most 19 digits, so the margin is generous), plus
-        ``lemire_max_digits``, the per-format certified digit count
-        (17/9/5 for binary64/32/16): inputs within it are proven by
-        Mushtak–Lemire never to need the exact-rescue comparison.
-
-        Lazy and lock-guarded, like :meth:`ensure_schub`.
-        """
-        if self.lemire_ready:
-            return
-        if not self.read_fast_ok:
-            raise RangeError(
-                f"lemire tier serves base-10 radix-2 formats with "
-                f"precision <= {READ_MAX_PRECISION}, not "
-                f"{self.fmt.name} base {self.base}")
-        with _TABLE_LOCK:
-            if self.lemire_ready:
-                return
-            q_min = self.read_zero_exp10 - 21
-            q_max = self.read_inf_exp10 + 2
-            self.lemire_q_min = q_min
-            self.lemire_powers = [_pow10_128(q)
-                                  for q in range(q_min, q_max + 1)]
-            self.lemire_max_digits = self.fmt.decimal_digits_to_distinguish()
-            self.lemire_ready = True
 
     def grisu_state(self) -> Tuple[int, List[Tuple[int, int, int]]]:
         """The expensive-to-build portion of the tables, as plain data.

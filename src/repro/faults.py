@@ -23,7 +23,8 @@ site                      fires inside
 ========================  ============================================
 ``engine.tier0``          :class:`~repro.engine.engine.Engine` exact-
                           decimal fast path
-``engine.tier1``          the Grisu3 fast path
+``engine.schubfach``      the Schubfach shortest-write lane (scalar
+                          and ``format_many`` batch paths)
 ``engine.counted``        the counted/fixed fast path
 ``reader.tier0``          the read engine's exact-power window
 ``reader.tier1``          the read engine's interval certification
@@ -63,13 +64,17 @@ one load per conversion, which the bulk bench gates confirm is noise::
     assert plan.fired["pool.format_shard"] == 1
 
 Forked pool workers inherit the armed plan, so call-site specs keep
-firing inside worker engines too; their healings come back in the
-per-shard ``tier_faults`` stats deltas (the plan's own ``fired``
-counters only track decisions made in the arming process).
+firing inside worker engines too.  Their healings come back in the
+per-shard ``tier_faults`` stats deltas, and each shard also reports
+the worker's call-site firings (:meth:`FaultPlan.take_call_firings`),
+which the parent folds into the armed plan (:meth:`FaultPlan.absorb`)
+— so :meth:`FaultPlan.spec_fired` accounts for every spec, wherever it
+fired (a worker that crashes loses its unreported firings).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import threading
 from contextlib import contextmanager
@@ -81,7 +86,7 @@ __all__ = ["FaultPlan", "FaultSpec", "InjectedFault", "arm", "disarm",
 
 #: Call sites: evaluated in-process, ``raise`` kind only.
 CALL_SITES = frozenset({
-    "engine.tier0", "engine.tier1", "engine.counted",
+    "engine.tier0", "engine.schubfach", "engine.counted",
     "reader.tier0", "reader.tier1",
 })
 
@@ -89,6 +94,10 @@ CALL_SITES = frozenset({
 POOL_SITES = frozenset({"pool.format_shard", "pool.read_shard"})
 
 _POOL_KINDS = frozenset({"crash", "stall", "corrupt", "raise"})
+
+#: Plan tokens: a forked copy keeps its parent's token, so a worker's
+#: firing report is folded only into the plan it was forked from.
+_TOKENS = itertools.count(1)
 
 
 class InjectedFault(Exception):
@@ -165,10 +174,12 @@ class FaultPlan:
         for j, spec in enumerate(self.specs):
             self._by_site.setdefault(spec.site, []).append((j, spec))
         self._spec_fired = [0] * len(self.specs)
+        self._reported = [0] * len(self.specs)
         self._calls: Dict[str, int] = {}
         #: site -> number of faults this plan has fired (in this
-        #: process; forked workers count on their own copies).
+        #: process, plus the call-site firings pool workers reported).
         self.fired: Dict[str, int] = {}
+        self.token = next(_TOKENS)
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -229,8 +240,38 @@ class FaultPlan:
                 return spec
         return None
 
+    def spec_fired(self) -> List[int]:
+        """Firings per spec, in :attr:`specs` order (this process plus
+        every absorbed worker report)."""
+        with self._lock:
+            return list(self._spec_fired)
+
+    def take_call_firings(self) -> Dict[int, int]:
+        """Call-site firings since the last take, by spec index — what
+        a forked pool worker reports back with each shard.  A worker
+        takes once at start-up and discards the result, so firings it
+        inherited from its parent are never reported twice."""
+        with self._lock:
+            out = {}
+            for j, spec in enumerate(self.specs):
+                n = self._spec_fired[j] - self._reported[j]
+                if n and spec.site in CALL_SITES:
+                    out[j] = n
+                    self._reported[j] = self._spec_fired[j]
+            return out
+
+    def absorb(self, firings: Dict[int, int]) -> None:
+        """Fold a worker's :meth:`take_call_firings` report into this
+        plan's accounting (:attr:`fired` and :meth:`spec_fired`)."""
+        with self._lock:
+            for j, n in firings.items():
+                self._spec_fired[j] += n
+                site = self.specs[j].site
+                self.fired[site] = self.fired.get(site, 0) + n
+
     def total_fired(self) -> int:
-        """Faults fired so far, across every site (this process)."""
+        """Faults fired so far, across every site (this process plus
+        every absorbed worker report)."""
         with self._lock:
             return sum(self.fired.values())
 
@@ -281,6 +322,6 @@ def smoke_plan(seed: int = 0) -> FaultPlan:
     return FaultPlan([
         FaultSpec("pool.format_shard", "crash", shard=1),
         FaultSpec("pool.read_shard", "corrupt", shard=0),
-        FaultSpec("engine.tier1", "raise", rate=0.02, limit=32),
-        FaultSpec("reader.tier1", "raise", rate=0.02, limit=32),
+        FaultSpec("engine.schubfach", "raise", rate=0.1, limit=32),
+        FaultSpec("reader.tier1", "raise", rate=0.1, limit=32),
     ], seed=seed)

@@ -30,14 +30,12 @@ state machines are testable without sleeping:
 ``TrafficObserver``
     Samples request corpus shape on the admission path: bit-pattern
     duplication factor, specials fraction, digit-length histogram for
-    read planes.  Two consumers: (a) tier-ordering selection — the
-    observed corpus class maps to the bench-arbitrated winner from the
-    contender races (see ``docs/contenders.md``); (b) live snapshot
-    rotation — the hottest observed bit patterns are rebuilt into a
-    warm-start snapshot via :mod:`repro.engine.snapshot`'s torn-write
-    safe save.  Both consumers may only *skip work, never change
-    bytes*: every tier ordering is byte-identical by the contender
-    gates, and a rotated snapshot only pre-seeds caches.
+    read planes.  Two consumers: the HEALTH opcode's corpus summary,
+    and live snapshot rotation — the hottest observed bit patterns are
+    rebuilt into a warm-start snapshot via
+    :mod:`repro.engine.snapshot`'s torn-write safe save.  Rotation may
+    only *skip work, never change bytes*: a rotated snapshot only
+    pre-seeds caches.
 
 Everything here is pure bookkeeping — no I/O, no threads of its own —
 so the daemon stays the single owner of sockets and executors.
@@ -47,7 +45,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.errors import (DeadlineExceededError, PoolBrokenError,
                           ServeOverloadError, ShardError)
@@ -299,24 +297,6 @@ class AdmissionController:
             }
 
 
-# Bench-arbitrated per-corpus winners from the contender races (PR 9,
-# ``BENCH_engine.json`` ``contenders`` section / docs/contenders.md).
-# Every ordering is byte-identical by the contender gates, so selection
-# is purely a latency decision.
-_WRITE_ORDER_BY_CORPUS: Dict[str, Tuple[str, ...]] = {
-    "flat": ("schubfach",),             # schubfach_only wins flat
-    "zipf": ("tier0", "grisu3"),        # grisu3_first wins dup-heavy
-    "specials": ("tier0", "schubfach"),  # schubfach_first wins specials
-}
-#: lemire_only won the certified-read race; tier0 stays in front on
-#: dup-heavy corpora where the memo hit rate pays for the probe.
-_READ_ORDER_BY_CORPUS: Dict[str, Tuple[str, ...]] = {
-    "flat": ("lemire",),
-    "zipf": ("tier0", "lemire"),
-    "specials": ("tier0", "lemire"),
-}
-
-
 class TrafficObserver:
     """Samples corpus shape from the admission path.
 
@@ -389,7 +369,7 @@ class TrafficObserver:
             self._rows_since_rotation += len(tokens)
 
     # ------------------------------------------------------------------
-    # Classification and tier selection
+    # Classification
     # ------------------------------------------------------------------
 
     def classify(self) -> str:
@@ -411,13 +391,6 @@ class TrafficObserver:
 
     def _bit_rows_locked(self) -> int:
         return sum(n for c in self._counts.values() for n in c.values())
-
-    def tier_orders(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-        """``(write_order, read_order)`` for the observed corpus —
-        the bench-arbitrated winner, byte-identical by construction."""
-        corpus = self.classify()
-        return (_WRITE_ORDER_BY_CORPUS[corpus],
-                _READ_ORDER_BY_CORPUS[corpus])
 
     # ------------------------------------------------------------------
     # Hot keys for snapshot rotation

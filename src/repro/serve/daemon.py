@@ -212,11 +212,6 @@ class ReproDaemon:
             plane included).  A rejected snapshot counts
             ``snapshot_faults`` in :meth:`pool_stats` and serving
             starts cold — response bytes are identical either way.
-        tiers: Optional ``(write_order, read_order)`` pair of engine
-            lane orders (see :func:`repro.engine.split_tier_names`);
-            every conversion engine the daemon builds — the shared
-            thread-kind engine and every pool worker — routes through
-            these lanes.  Response bytes are identical for every order.
         breaker_threshold: Consecutive infrastructure failures
             (``ShardError``/``PoolBrokenError``/deadline) that trip a
             per-pool circuit breaker (0: breakers disabled).  While
@@ -227,19 +222,14 @@ class ReproDaemon:
         slo_target_ms: p99 latency target driving AIMD admission
             (None: static caps only).  The adaptive window can only
             shrink below ``max_inflight_bytes``, never grow past it.
-        adaptive_tiers: Let the traffic observer pick the
-            bench-arbitrated engine tier ordering for the observed
-            corpus when building new pools (byte-identical by the
-            contender gates; ignored when explicit ``tiers`` are
-            given).
         rotate_snapshot / rotate_every: Rebuild the warm-start
             snapshot at ``rotate_snapshot`` from live hot keys after
             every ``rotate_every`` observed rows (0: disabled).  The
             save is atomic (temp + rename) and rotation only pre-seeds
             caches — output bytes never change.
         observe_stride: Sample every Nth request's corpus shape
-            (0: observer off; forced to 1 when adaptation or rotation
-            needs samples).
+            (0: observer off; forced to 1 when rotation needs
+            samples).
         hedge / hedge_min / hedge_under_faults: Hedged shard dispatch
             in every pool (see :class:`BulkPool`); ``hedge_under_faults``
             lets hedges race scripted fault plans (dedicated chaos
@@ -262,10 +252,9 @@ class ReproDaemon:
                  mode: ReaderMode = ReaderMode.NEAREST_EVEN,
                  tie: TieBreak = TieBreak.UP,
                  drain_timeout: float = 10.0, dedup: bool = True,
-                 workers: int = 4, snapshot=None, tiers=None,
+                 workers: int = 4, snapshot=None,
                  breaker_threshold: int = 0, breaker_reset: float = 1.0,
                  slo_target_ms: Optional[float] = None,
-                 adaptive_tiers: bool = False,
                  rotate_snapshot=None, rotate_every: int = 0,
                  observe_stride: int = 16,
                  hedge: bool = False, hedge_min: float = 0.05,
@@ -316,9 +305,6 @@ class ReproDaemon:
         self._workers = concurrent.futures.ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve")
         self.snapshot = snapshot
-        if tiers is not None:
-            tiers = (tuple(tiers[0]), tuple(tiers[1]))
-        self.tiers = tiers
         # --- control plane ------------------------------------------
         self.breaker_threshold = int(breaker_threshold)  # 0: disabled
         self.breaker_reset = float(breaker_reset)
@@ -328,12 +314,11 @@ class ReproDaemon:
         self._controller = None if slo_target_ms is None else \
             AdmissionController(target_p99_ms=slo_target_ms,
                                 ceiling_bytes=max_inflight_bytes)
-        self.adaptive_tiers = bool(adaptive_tiers)
         self.rotate_snapshot = rotate_snapshot
         self.rotate_every = int(rotate_every)
         self.observe_stride = int(observe_stride)
-        if (adaptive_tiers or rotate_every) and not self.observe_stride:
-            self.observe_stride = 1  # adaptation needs samples
+        if rotate_every and not self.observe_stride:
+            self.observe_stride = 1  # rotation needs samples
         self._observer = TrafficObserver()
         self._rotation: Optional[concurrent.futures.Future] = None
         self.hedge = bool(hedge)
@@ -346,10 +331,7 @@ class ReproDaemon:
             # Warm once at construction: every thread pool shares this
             # engine, so the snapshot is applied exactly once here
             # rather than per (format, delimiter) pool.
-            kwargs = ({} if tiers is None
-                      else {"tier_order": tiers[0],
-                            "read_tier_order": tiers[1]})
-            self._engine = Engine(snapshot=snapshot, **kwargs)
+            self._engine = Engine(snapshot=snapshot)
         self._stats: Dict[str, int] = dict.fromkeys(SERVE_STAT_KEYS, 0)
 
     # ------------------------------------------------------------------
@@ -715,29 +697,16 @@ class ReproDaemon:
         with self._pools_lock:
             pool = self._pools.get(key)
             if pool is None:
-                tiers = self.tiers
-                engine = self._engine
-                if self.adaptive_tiers and self.tiers is None:
-                    # Bench-arbitrated ordering for the observed corpus
-                    # (docs/contenders.md).  Every ordering is
-                    # byte-identical, so adaptation only skips work.
-                    tiers = self._observer.tier_orders()
-                    if self.kind == "thread":
-                        from repro.engine.engine import Engine
-
-                        engine = Engine(snapshot=self.snapshot,
-                                        tier_order=tiers[0],
-                                        read_tier_order=tiers[1])
                 pool = self._pools[key] = BulkPool(
                     jobs=self.jobs, kind=self.kind,
                     fmt=STANDARD_FORMATS[fmt_name], mode=self.mode,
                     tie=self.tie, dedup=self.dedup, delimiter=delimiter,
-                    engine=engine, deadline=self.deadline,
+                    engine=self._engine, deadline=self.deadline,
                     budget=self.budget, retries=self.retries,
                     on_error=self.on_error,
                     snapshot=(self.snapshot if self.kind == "process"
                               else None),
-                    tiers=tiers, hedge=self.hedge,
+                    hedge=self.hedge,
                     hedge_min=self.hedge_min,
                     hedge_with_faults=self.hedge_under_faults)
             return pool
@@ -933,11 +902,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="warm-start snapshot (built by "
                              "tools/warm_snapshot.py); a rejected file "
                              "degrades to a cold start")
-    parser.add_argument("--tiers", default=None, metavar="LANES",
-                        help="comma-separated engine lane order (write "
-                             "lanes tier0/grisu3/schubfach, read lanes "
-                             "tier0/window/lemire); response bytes are "
-                             "identical for every order")
     parser.add_argument("--breaker-threshold", type=int, default=0,
                         metavar="N",
                         help="consecutive pool failures that trip a "
@@ -950,10 +914,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         metavar="MS",
                         help="p99 target for AIMD adaptive admission "
                              "(unset: static caps only)")
-    parser.add_argument("--adaptive-tiers", action="store_true",
-                        help="select the bench-arbitrated engine tier "
-                             "ordering for the observed corpus "
-                             "(byte-identical)")
     parser.add_argument("--rotate-snapshot", default=None, metavar="PATH",
                         help="rebuild the warm-start snapshot here from "
                              "live hot keys")
@@ -970,26 +930,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "worker (first CRC-valid answer wins)")
     args = parser.parse_args(argv)
 
-    tiers = None
-    if args.tiers is not None:
-        from repro.engine import split_tier_names
-
-        try:
-            tiers = split_tier_names(args.tiers.split(","))
-        except ReproError as exc:
-            parser.error(str(exc))
-
     daemon = ReproDaemon(
         host=args.host, port=args.port, jobs=args.jobs, kind=args.kind,
         batch_window=args.batch_window, deadline=args.deadline,
         budget=args.budget,
         max_inflight_bytes=int(args.max_inflight_mb * (1 << 20)),
         max_inflight_requests=args.max_inflight_requests,
-        snapshot=args.snapshot, tiers=tiers,
+        snapshot=args.snapshot,
         breaker_threshold=args.breaker_threshold,
         breaker_reset=args.breaker_reset,
         slo_target_ms=args.slo_target_ms,
-        adaptive_tiers=args.adaptive_tiers,
         rotate_snapshot=args.rotate_snapshot,
         rotate_every=args.rotate_every,
         observe_stride=args.observe_stride, hedge=args.hedge)

@@ -144,11 +144,6 @@ _IS_POOL_WORKER = False
 #: "plane_bytes": bytes-or-None}``, or None for a cold pool.
 _WORKER_WARM = None
 
-#: Tier-order directions shipped by the parent through the initializer:
-#: a ``(write_order, read_order)`` pair (each a tuple of lane names or
-#: None for the default), or None for default routing.
-_WORKER_TIERS = None
-
 #: Worker-side snapshot faults not yet reported to the parent (the
 #: worker engine's counters are reset per shard, so construction-time
 #: faults are carried here and folded into the next shard's delta).
@@ -168,14 +163,6 @@ class _CorruptShard(Exception):
     """
 
 
-def _tier_kwargs(tiers) -> dict:
-    """Engine constructor kwargs for a ``(write_order, read_order)``
-    pair (or None: default routing)."""
-    if tiers is None:
-        return {}
-    return {"tier_order": tiers[0], "read_tier_order": tiers[1]}
-
-
 def _worker_engine():
     global _WORKER_ENGINE
     if _WORKER_ENGINE is None:
@@ -183,7 +170,7 @@ def _worker_engine():
 
         warm = _WORKER_WARM
         if warm is None:
-            _WORKER_ENGINE = Engine(**_tier_kwargs(_WORKER_TIERS))
+            _WORKER_ENGINE = Engine()
         else:
             _WORKER_ENGINE = _build_warm_engine(warm)
     return _WORKER_ENGINE
@@ -234,8 +221,7 @@ def _build_warm_engine(warm):
     global _WORKER_WARM_FAULTS, _WORKER_SHM
     from repro.engine.engine import Engine
 
-    eng = Engine(snapshot=warm.get("snapshot"),
-                 **_tier_kwargs(_WORKER_TIERS))
+    eng = Engine(snapshot=warm.get("snapshot"))
     faults = eng.stats()["snapshot_faults"]
     plane = None
     shm_name = warm.get("plane_shm")
@@ -275,32 +261,33 @@ def _consume_warm_faults() -> int:
     return n
 
 
-def _init_worker(fmt_names, warm=None, tiers=None) -> None:
+def _init_worker(fmt_names, warm=None) -> None:
     """Process-pool initializer: build the engine, warm the tables
-    (from the parent's snapshot and tier-order directions when
-    given)."""
-    global _IS_POOL_WORKER, _WORKER_WARM, _WORKER_TIERS
+    (from the parent's snapshot when given)."""
+    global _IS_POOL_WORKER, _WORKER_WARM
     from repro.engine.tables import tables_for
 
     _IS_POOL_WORKER = True
     _WORKER_WARM = warm
-    _WORKER_TIERS = tiers
+    if _faults._PLAN is not None:
+        # Firings inherited at fork are the parent's to count: start
+        # this worker's reports from zero.
+        _faults._PLAN.take_call_firings()
     eng = _worker_engine()
     for name in fmt_names:
         tables_for(STANDARD_FORMATS[name], 10)
     del eng
 
 
-def _shard_engine(eng, tiers=None):
+def _shard_engine(eng):
     """The engine one shard attempt converts with, plus whether its
     stats should be reported as a delta.
 
     ``eng`` travels in the payload for thread pools (shared engine,
     live stats — no delta).  Process workers use their per-interpreter
-    engine (built with the initializer's tier-order directions);
-    in-parent execution (serial rung, degraded process pools) builds a
-    private engine — honoring the payload's ``tiers`` — so concurrent
-    shards never tear each other's counter deltas.
+    engine; in-parent execution (serial rung, degraded process pools)
+    builds a private engine so concurrent shards never tear each
+    other's counter deltas.
     """
     if eng is not None:
         return eng, False
@@ -310,19 +297,25 @@ def _shard_engine(eng, tiers=None):
         return eng, True
     from repro.engine.engine import Engine
 
-    return Engine(**_tier_kwargs(tiers)), True
+    return Engine(), True
 
 
 def _shard_delta(eng, delta: bool) -> dict:
     """The stats delta a shard reports to the parent: the per-shard
     engine counters plus any not-yet-reported worker warm-up faults
-    (reported exactly once per worker)."""
+    (reported exactly once per worker) and, in a process worker under
+    an armed plan, its call-site firings for the parent's accounting."""
     if not delta:
         return {}
     out = eng.stats()
     warm = _consume_warm_faults()
     if warm:
         out["snapshot_faults"] = out.get("snapshot_faults", 0) + warm
+    plan = _faults._PLAN
+    if plan is not None and _IS_POOL_WORKER:
+        fired = plan.take_call_firings()
+        if fired:
+            out["fault_fired"] = (plan.token, fired)
     return out
 
 
@@ -357,10 +350,10 @@ def _format_shard(payload) -> tuple:
     pre-terminated byte rows joined once — no per-row string list
     between the engine and the wire.
     """
-    fmt_name, raw, mode, tie, dedup, delim, eng, tiers, fault = payload
+    fmt_name, raw, mode, tie, dedup, delim, eng, fault = payload
     _apply_pre_fault(fault)
     fmt = STANDARD_FORMATS[fmt_name]
-    eng, delta = _shard_engine(eng, tiers)
+    eng, delta = _shard_engine(eng)
     body = format_buffer(raw, fmt, delimiter=delim, mode=mode, tie=tie,
                          engine=eng, dedup=dedup)
     crc = zlib.crc32(body)
@@ -376,10 +369,10 @@ def _read_shard(payload) -> tuple:
     — no per-row ``str`` or ``Flonum`` is ever materialized in the
     worker.
     """
-    fmt_name, raw, mode, dedup, delim, eng, tiers, fault = payload
+    fmt_name, raw, mode, dedup, delim, eng, fault = payload
     _apply_pre_fault(fault)
     fmt = STANDARD_FORMATS[fmt_name]
-    eng, delta = _shard_engine(eng, tiers)
+    eng, delta = _shard_engine(eng)
     bits = parse_buffer(raw, fmt, delimiter=delim, mode=mode,
                         engine=eng, dedup=dedup)
     body = pack_bits(bits, fmt)
@@ -439,15 +432,6 @@ class BulkPool:
             stale, torn mid-rewrite) count ``snapshot_faults`` in
             :meth:`stats` and the affected processes run cold — output
             bytes are identical either way.
-        tiers: Optional ``(write_order, read_order)`` pair of engine
-            lane orders (each a sequence of tier names or None for the
-            default — see
-            :data:`~repro.engine.engine.WRITE_TIER_NAMES` /
-            :data:`~repro.engine.reader.READ_TIER_NAMES`).  Applied to
-            the shared thread-pool engine, shipped to every process
-            worker, and honored by the in-parent degradation rungs;
-            ignored when an explicit ``engine`` is handed in.  Unknown
-            names raise :class:`RangeError` at construction.
     """
 
     def __init__(self, jobs: Optional[int] = None, kind: str = "process",
@@ -460,7 +444,7 @@ class BulkPool:
                  budget: Optional[float] = None,
                  retries: int = 2, backoff: float = 0.05,
                  on_error: str = "degrade", max_rebuilds: int = 2,
-                 snapshot=None, tiers=None, hedge: bool = False,
+                 snapshot=None, hedge: bool = False,
                  hedge_min: float = 0.05, hedge_multiplier: float = 2.0,
                  hedge_with_faults: bool = False):
         if kind not in ("process", "thread"):
@@ -527,21 +511,10 @@ class BulkPool:
         #: Guards the executor handle, both counter dicts and the
         #: ladder level — calls may run concurrently from many threads.
         self._lock = threading.Lock()
-        if tiers is not None:
-            w, r = tiers
-            tiers = (tuple(w) if w is not None else None,
-                     tuple(r) if r is not None else None)
-            # Validate eagerly so a bad lane name fails here, in the
-            # parent, instead of inside every worker.
-            from repro.engine.engine import Engine
-
-            Engine(cache_size=0, **_tier_kwargs(tiers))
-        self.tiers = tiers
         if kind == "thread":
             from repro.engine.engine import Engine
 
-            self._engine = (engine if engine is not None
-                            else Engine(**_tier_kwargs(tiers)))
+            self._engine = engine if engine is not None else Engine()
         else:
             self._engine = None
             # Warm the per-format tables before any fork so workers
@@ -630,7 +603,7 @@ class BulkPool:
                         ctx = multiprocessing.get_context()
                     self._executor = PipeExecutor(
                         self.jobs, ctx, _init_worker,
-                        ((self.fmt.name,), self._warm, self.tiers))
+                        ((self.fmt.name,), self._warm))
             return self._executor
 
     def _abandon_executor(self, ex) -> None:
@@ -691,6 +664,11 @@ class BulkPool:
             self._fstats[key] += n
 
     def _merge_stats(self, delta: dict) -> None:
+        fired = delta.pop("fault_fired", None)
+        if fired is not None:
+            plan = _faults._PLAN
+            if plan is not None and plan.token == fired[0]:
+                plan.absorb(fired[1])
         with self._lock:
             acc = self._stats
             for k, v in delta.items():
@@ -1043,12 +1021,11 @@ class BulkPool:
         pools pack bytes and let workers use their own engines."""
         if self.kind == "thread":
             return [(self.fmt.name, bits[a:b], self.mode, self.tie,
-                     self.dedup, self.delimiter, self._engine, self.tiers,
-                     None)
+                     self.dedup, self.delimiter, self._engine, None)
                     for a, b in spans]
         return [(self.fmt.name, pack_bits(bits[a:b], self.fmt),
                  self.mode, self.tie, self.dedup, self.delimiter,
-                 None, self.tiers, None)
+                 None, None)
                 for a, b in spans]
 
     def format_bulk(self, data) -> bytes:
@@ -1087,7 +1064,7 @@ class BulkPool:
                          plane[starts[a]:(starts[b] if b < len(starts)
                                           else end)],
                          self.mode, self.dedup, self.delimiter, eng,
-                         self.tiers, None)
+                         None)
                         for a, b in spans]
         else:
             texts = data if isinstance(data, list) else list(data)
@@ -1099,7 +1076,7 @@ class BulkPool:
             payloads = [(self.fmt.name,
                          (d.join(texts[a:b]) + d).encode("ascii"),
                          self.mode, self.dedup, self.delimiter, eng,
-                         self.tiers, None)
+                         None)
                         for a, b in spans]
         itemsize = _itemsize(self.fmt)
         bits: List[int] = []

@@ -1,12 +1,12 @@
-"""Contender lanes: the Schubfach writer and the Lemire reader.
+"""The Schubfach writer: the default route's only lane after tier 0.
 
-The tentpole guarantees are differential and absolute: the Schubfach
-lane must be byte-identical to the exact Burger–Dybvig writer on every
-finite input *without a bail path*, and the Lemire lane must resolve
-every in-certification-range literal without ever consulting the exact
-rational reader.  The tier router that hosts them gets its own edge
-cases here (empty orders, unknown names, single-lane orders), plus the
-``bail_rate`` stats summary the router reports.
+The guarantees are differential and absolute: the lane must be
+byte-identical to the exact Burger–Dybvig writer on every finite input
+*without a bail path*, so the default engine never consults the exact
+tier on a nearest-mode shortest conversion.  The engines' one switch
+(``tier_order=None`` for the route, ``()`` for exact-only, anything
+else rejected) gets its own edge cases here, plus the ``bail_rate``
+stats summary the engine reports.
 """
 
 import pytest
@@ -15,17 +15,12 @@ from hypothesis import given, settings
 from helpers import positive_flonums
 from repro.core.dragon import shortest_digits
 from repro.core.rounding import ReaderMode, TieBreak
-from repro.engine import (
-    READ_TIER_NAMES,
-    WRITE_TIER_NAMES,
-    Engine,
-    ReadEngine,
-    split_tier_names,
-)
+from repro.engine import Engine, ReadEngine
 from repro.engine.schubfach import schubfach_digits
 from repro.engine.tables import tables_for
-from repro.errors import RangeError, ReproError
+from repro.errors import RangeError
 from repro.floats.formats import BINARY16, BINARY32, BINARY64
+from repro.floats.model import Flonum
 from repro.reader.exact import read_decimal
 from repro.workloads.corpus import (
     decimal_ties,
@@ -83,8 +78,6 @@ class TestSchubfachDigits:
     def test_extreme_denormals_and_limits(self):
         t = tables_for(BINARY64, 10)
         t.ensure_schub()
-        from repro.floats.model import Flonum
-
         edges = [
             Flonum.finite(0, 1, BINARY64.min_e, BINARY64),
             Flonum.finite(0, 10, BINARY64.min_e, BINARY64),
@@ -110,33 +103,14 @@ class TestSchubfachDigits:
                                 TieBreak.UP) == exact_text(v)
 
 
-class TestSplitTierNames:
-    def test_directions(self):
-        assert split_tier_names(["tier0", "grisu3", "window"]) == \
-            (("tier0", "grisu3"), ("tier0", "window"))
-        assert split_tier_names(["schubfach", "lemire"]) == \
-            (("schubfach",), ("lemire",))
-
-    def test_empty_and_blank_entries(self):
-        assert split_tier_names([]) == ((), ())
-        assert split_tier_names(["", "schubfach", ""]) == \
-            (("schubfach",), ())
-
-    def test_unknown_name_is_typed(self):
-        with pytest.raises(RangeError):
-            split_tier_names(["tier0", "ryu"])
-        with pytest.raises(ReproError):  # RangeError is a ReproError
-            split_tier_names(["ryu"])
-
-    def test_known_names_are_pinned(self):
-        assert WRITE_TIER_NAMES == ("tier0", "grisu3", "schubfach")
-        assert READ_TIER_NAMES == ("tier0", "window", "lemire")
-
-
 class TestTierRouterEdges:
     def test_unknown_write_lane_raises(self):
+        # There is no lane order to choose: any order but () is
+        # rejected, including the names of the route's own lanes.
         with pytest.raises(RangeError):
             Engine(tier_order=("tier0", "ryu"))
+        with pytest.raises(RangeError):
+            Engine(tier_order=("tier0", "schubfach"))
 
     def test_unknown_read_lane_raises(self):
         with pytest.raises(RangeError):
@@ -148,7 +122,7 @@ class TestTierRouterEdges:
         with pytest.raises(RangeError):
             Engine(tier_order=("schubfach", "schubfach"))
         with pytest.raises(RangeError):
-            ReadEngine(tier_order=("lemire", "lemire"))
+            ReadEngine(tier_order=("window", "window"))
 
     def test_empty_order_is_exact_only(self):
         eng = Engine(tier_order=(), cache_size=0)
@@ -157,8 +131,7 @@ class TestTierRouterEdges:
         assert eng.format_many(vals) == base.format_many(vals)
         s = eng.stats()
         assert s["tier2_calls"] == s["conversions"] == len(vals)
-        assert s["tier0_hits"] == s["tier1_hits"] == 0
-        assert s["schubfach_hits"] == 0
+        assert s["tier0_hits"] == s["schubfach_hits"] == 0
 
     def test_empty_read_order_is_exact_only(self):
         eng = ReadEngine(tier_order=(), cache_size=0)
@@ -166,68 +139,25 @@ class TestTierRouterEdges:
         for txt in texts:
             assert eng.read(txt) == read_decimal(txt, BINARY64, NE)
         s = eng.stats()
-        assert s["read_tier2_calls"] == len(texts)
-        assert s["read_lemire_hits"] == 0
-
-    @pytest.mark.parametrize("order", [("tier0",), ("grisu3",),
-                                       ("schubfach",),
-                                       ("schubfach", "grisu3")])
-    def test_single_and_reordered_lanes_byte_identical(self, order):
-        eng = Engine(tier_order=order, cache_size=0)
-        base = Engine(tier_order=(), cache_size=0)
-        vals = [v.to_float() for v in corpus64()]
-        assert eng.format_many(vals) == base.format_many(vals)
+        assert s["read_tier2_calls"] == s["read_conversions"] == len(texts)
 
     @given(positive_flonums())
     @settings(max_examples=200)
     def test_schubfach_only_random_byte_identical(self, v):
-        eng = Engine(tier_order=("schubfach",), cache_size=0)
+        # The default route: tier 0, then Schubfach for everything else.
+        eng = Engine(cache_size=0)
         base = Engine(tier_order=(), cache_size=0)
         assert eng.format(v) == base.format(v)
+        assert eng.stats()["tier2_calls"] == 0
 
     def test_schubfach_only_never_bails(self):
-        eng = Engine(tier_order=("schubfach",), cache_size=0)
+        eng = Engine(cache_size=0)
         vals = [v.to_float() for v in corpus64()]
         eng.format_many(vals)
         s = eng.stats()
         assert s["tier2_calls"] == 0
-        assert s["schubfach_hits"] == s["conversions"]
-
-    def test_lemire_only_reader_identity(self):
-        eng = ReadEngine(tier_order=("lemire",), cache_size=0)
-        texts = ["0.1", "1.5", "6.02214076e23", "2.2250738585072014e-308",
-                 "1.7976931348623157e308", "9007199254740993",
-                 "123456789.123456789", "5e-324"]
-        texts += [repr(v.to_float())
-                  for v in uniform_random(200, seed=17)]
-        for txt in texts:
-            assert eng.read(txt) == read_decimal(txt, BINARY64, NE), txt
-        s = eng.stats()
-        assert s["read_tier2_calls"] == 0
-        assert s["read_lemire_hits"] > 0
-
-    def test_lemire_lane_handles_past_certified_digits(self):
-        # 18 and 19 significant digits exceed binary64's certified
-        # bound (17) but are still untruncated, so the lane resolves
-        # them (the exact-midpoint comparison covers what the proof
-        # window alone does not) — and still correctly.
-        eng = ReadEngine(tier_order=("lemire",), cache_size=0)
-        for txt in ("1.234567890123456789", "874.5678901234567895e-3"):
-            assert eng.read(txt) == read_decimal(txt, BINARY64, NE)
-        s = eng.stats()
-        assert s["read_lemire_hits"] == 2
-        assert s["read_tier2_calls"] == 0
-
-    def test_lemire_lane_defers_truncated_literals(self):
-        # 21 significant digits truncate to a sticky 19-digit prefix;
-        # the lane must not fire on sticky input, and with no other
-        # lane in the order the conversion falls through to tier 2.
-        eng = ReadEngine(tier_order=("lemire",), cache_size=0)
-        txt = "1.23456789012345678901"
-        assert eng.read(txt) == read_decimal(txt, BINARY64, NE)
-        s = eng.stats()
-        assert s["read_tier2_calls"] == 1
-        assert s["read_lemire_hits"] == 0
+        assert s["schubfach_hits"] > 0
+        assert s["tier0_hits"] + s["schubfach_hits"] == s["conversions"]
 
 
 class TestBailRate:
@@ -239,10 +169,9 @@ class TestBailRate:
         eng.format_many(vals)
         eng.read_many([repr(x) for x in vals])
         s = eng.stats()
-        wd = (s["tier0_hits"] + s["tier1_hits"] + s["schubfach_hits"]
-              + s["tier2_calls"])
+        wd = s["tier0_hits"] + s["schubfach_hits"] + s["tier2_calls"]
         rd = (s["read_tier0_hits"] + s["read_tier1_hits"]
-              + s["read_lemire_hits"] + s["read_tier2_calls"])
+              + s["read_tier2_calls"])
         assert s["bail_rate"]["write"] == pytest.approx(
             s["tier2_calls"] / wd)
         assert s["bail_rate"]["read"] == pytest.approx(
@@ -258,6 +187,59 @@ class TestBailRate:
         assert eng.stats()["bail_rate"]["write"] == 1.0
 
     def test_schubfach_only_rate_is_zero(self):
-        eng = Engine(tier_order=("schubfach",), cache_size=0)
+        # The default route never bails: 0.1 goes to Schubfach, the
+        # short exact values to tier 0.
+        eng = Engine(cache_size=0)
         eng.format_many([0.1, 1.5, 2.5])
-        assert eng.stats()["bail_rate"]["write"] == 0.0
+        s = eng.stats()
+        assert s["schubfach_hits"] >= 1
+        assert s["bail_rate"]["write"] == 0.0
+
+
+def _binade_edges(fmt):
+    """Every biased exponent with stored significands 0 (the irregular
+    gap below a power of two), 1 (the row start) and all-ones (the row
+    end), both signs — the Schubfach table's row boundaries."""
+    width = fmt.mantissa_field_width
+    sign_bit = fmt.total_bits - 1
+    out = []
+    for be in range(fmt.max_biased_exponent):
+        for m in (0, 1, (1 << width) - 1):
+            for sign in (0, 1):
+                out.append(Flonum.from_bits(
+                    (sign << sign_bit) | (be << width) | m, fmt))
+    return out
+
+
+class TestRouteBoundaryCorpus:
+    """The inlined batch route (``format_many``) equals the scalar route
+    (``format``) and the exact oracle at every binade edge, and neither
+    ever reaches the exact tier."""
+
+    @pytest.mark.parametrize("mode", [NE, ReaderMode.NEAREST_UNKNOWN])
+    def test_binary64_every_binade_edge(self, mode):
+        values = _binade_edges(BINARY64)
+        floats = [v.to_float() for v in values]
+        want = Engine(tier_order=(), cache_size=0).format_many(
+            floats, mode=mode)
+        many = Engine(cache_size=0)
+        scalar = Engine(cache_size=0)
+        assert many.format_many(floats, mode=mode) == want
+        assert [scalar.format(x, mode=mode) for x in floats] == want
+        for eng in (many, scalar):
+            s = eng.stats()
+            assert s["tier2_calls"] == 0
+            assert s["tier0_hits"] + s["schubfach_hits"] == \
+                s["conversions"] == len(values) - 2  # minus the zeros
+
+    @pytest.mark.parametrize("mode", [NE, ReaderMode.NEAREST_UNKNOWN])
+    def test_binary32_every_binade_edge(self, mode):
+        values = _binade_edges(BINARY32)
+        want = Engine(tier_order=(), cache_size=0).format_many(
+            values, mode=mode, fmt=BINARY32)
+        eng = Engine(cache_size=0)
+        assert eng.format_many(values, mode=mode, fmt=BINARY32) == want
+        s = eng.stats()
+        assert s["tier2_calls"] == 0
+        assert s["tier0_hits"] + s["schubfach_hits"] == \
+            s["conversions"] == len(values) - 2

@@ -129,10 +129,10 @@ class TestStatsAndCache:
     def test_tier_counters(self):
         eng = Engine()
         eng.format(3.0)  # tier 0
-        eng.format(3.141592653589793)  # tier 1 (grisu-certifiable)
+        eng.format(3.141592653589793)  # Schubfach
         s = eng.stats()
         assert s["tier0_hits"] == 1
-        assert s["tier1_hits"] == 1
+        assert s["schubfach_hits"] == 1
         assert s["conversions"] == 2
         eng.reset_stats()
         assert eng.stats()["conversions"] == 0
@@ -169,18 +169,22 @@ class TestStatsAndCache:
         assert s["cache_entries"] == 0
 
     def test_tier2_only_engine(self):
-        eng = Engine(tier0=False, tier1=False, cache_size=0)
+        eng = Engine(tier_order=(), cache_size=0)
         floats = [v.to_float() for v in uniform_random(50, seed=31)]
         assert eng.format_many(floats) == [exact(x) for x in floats]
         s = eng.stats()
         assert s["tier2_calls"] == s["conversions"] == 50
-        assert s["tier0_hits"] == s["tier1_hits"] == 0
+        assert s["tier0_hits"] == s["schubfach_hits"] == 0
 
     def test_directed_modes_bypass_tier1(self):
+        # Schubfach covers the nearest modes only: directed modes go
+        # from tier 0 straight to the exact tier.
         eng = Engine()
         floats = [v.to_float() for v in uniform_random(30, seed=41)]
-        eng.format_many(floats, mode=ReaderMode.TOWARD_ZERO)
-        assert eng.stats()["tier1_hits"] == 0
+        got = eng.format_many(floats, mode=ReaderMode.TOWARD_ZERO)
+        assert got == Engine(tier_order=()).format_many(
+            floats, mode=ReaderMode.TOWARD_ZERO)
+        assert eng.stats()["schubfach_hits"] == 0
 
     def test_negative_cache_size_rejected(self):
         with pytest.raises(RangeError):

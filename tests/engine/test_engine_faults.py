@@ -13,7 +13,10 @@ from repro.workloads.corpus import uniform_random
 
 VALUES = [v for v in uniform_random(300, seed=17, signed=True)
           if v.is_finite and not v.is_zero]
-ORACLE = Engine()
+#: The same values as host floats: format_many's inlined batch loop
+#: only takes floats (Flonums go through the scalar route).
+FLOATS = [v.to_float() for v in VALUES]
+ORACLE = Engine(tier_order=(), cache_size=0)
 WANT = [ORACLE.format(v, fmt=BINARY64) for v in VALUES]
 
 
@@ -24,7 +27,7 @@ def _disarmed():
 
 
 class TestFormatGuardRails:
-    @pytest.mark.parametrize("site", ["engine.tier0", "engine.tier1"])
+    @pytest.mark.parametrize("site", ["engine.tier0", "engine.schubfach"])
     def test_tier_fault_heals_byte_identically(self, site):
         eng = Engine()
         plan = faults.FaultPlan(
@@ -39,13 +42,50 @@ class TestFormatGuardRails:
     def test_batch_path_heals(self):
         eng = Engine()
         plan = faults.FaultPlan(
-            [faults.FaultSpec("engine.tier1", rate=0.2, limit=None)],
+            [faults.FaultSpec("engine.schubfach", rate=0.2, limit=None)],
             seed=5)
         with faults.armed(plan):
-            got = eng.format_many(VALUES, fmt=BINARY64)
+            got = eng.format_many(FLOATS)
         assert got == WANT
-        assert eng.stats()["tier_faults"] == \
-            plan.fired.get("engine.tier1", 0)
+        fired = plan.fired.get("engine.schubfach", 0)
+        assert fired > 0
+        s = eng.stats()
+        assert s["tier_faults"] == fired
+        # Each healed fault is one exact-tier conversion, nothing else.
+        assert s["tier2_calls"] == fired
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_schubfach_site_fires_and_heals(self, batch):
+        eng = Engine(cache_size=0)
+        plan = faults.FaultPlan(
+            [faults.FaultSpec("engine.schubfach", "raise", rate=0.5)],
+            seed=11)
+        with faults.armed(plan):
+            if batch:
+                got = eng.format_many(FLOATS)
+            else:
+                got = [eng.format(x) for x in FLOATS]
+        assert got == WANT
+        assert plan.spec_fired() == [1]  # limit=1 by default
+        assert eng.stats()["tier_faults"] == 1
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_schubfach_site_strict_reraises(self, batch):
+        eng = Engine(strict=True)
+        plan = faults.FaultPlan(
+            [faults.FaultSpec("engine.schubfach", at=(0,))])
+        with faults.armed(plan):
+            with pytest.raises(faults.InjectedFault):
+                if batch:
+                    eng.format_many(FLOATS)
+                else:
+                    for x in FLOATS:
+                        eng.format(x)
+        assert plan.fired == {"engine.schubfach": 1}
+
+    def test_retired_grisu_site_is_unknown(self):
+        with pytest.raises(ValueError):
+            faults.FaultSpec("engine.tier1")
 
     def test_counted_path_heals(self):
         eng = Engine()
@@ -65,7 +105,7 @@ class TestFormatGuardRails:
         eng = Engine(strict=True)
         plan = faults.FaultPlan(
             [faults.FaultSpec("engine.tier0", at=(0,)),
-             faults.FaultSpec("engine.tier1", at=(0,))])
+             faults.FaultSpec("engine.schubfach", at=(0,))])
         with faults.armed(plan):
             with pytest.raises(faults.InjectedFault):
                 for v in VALUES:
@@ -134,12 +174,13 @@ class TestFaultPlanDeterminism:
         def run(seed):
             eng = Engine()
             plan = faults.FaultPlan(
-                [faults.FaultSpec("engine.tier1", rate=0.15, limit=None)],
+                [faults.FaultSpec("engine.schubfach", rate=0.15,
+                                  limit=None)],
                 seed=seed)
             with faults.armed(plan):
                 for v in VALUES:
                     eng.format(v, fmt=BINARY64)
-            return plan.fired.get("engine.tier1", 0)
+            return plan.fired.get("engine.schubfach", 0)
 
         assert run(21) == run(21)
 

@@ -84,7 +84,7 @@ class TestTierRouting:
             assert _same(r.value, read_decimal("3.14", fmt))
 
     def test_disabled_tiers_fall_through(self):
-        eng = ReadEngine(tier0=False, tier1=False, cache_size=0)
+        eng = ReadEngine(tier_order=(), cache_size=0)
         for text in ("1.5", "1e23", "5e-324"):
             r = eng.read_result(text)
             assert r.tier == "tier2"
@@ -285,7 +285,7 @@ class TestStatsSchema:
     def test_read_stat_keys_pinned(self):
         assert READ_STAT_KEYS == frozenset({
             "read_tier0_hits", "read_tier1_hits", "read_tier1_bailouts",
-            "read_tier2_calls", "read_lemire_hits", "read_specials",
+            "read_tier2_calls", "read_specials",
             "read_cache_hits", "read_cache_misses", "read_conversions",
             "read_tier_faults", "read_snapshot_faults",
         })
@@ -305,8 +305,8 @@ class TestStatsSchema:
         assert s["read_conversions"] == 6
         assert s["read_conversions"] == (
             s["read_tier0_hits"] + s["read_tier1_hits"]
-            + s["read_lemire_hits"] + s["read_tier2_calls"]
-            + s["read_specials"] + s["read_cache_hits"])
+            + s["read_tier2_calls"] + s["read_specials"]
+            + s["read_cache_hits"])
 
     def test_engine_stats_include_read_keys_before_reader_built(self):
         eng = Engine()

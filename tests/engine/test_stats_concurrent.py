@@ -100,7 +100,7 @@ class TestConcurrentStats:
         bad = []
 
         def check(s):
-            parts = (s["tier0_hits"] + s["tier1_hits"] + s["tier2_calls"]
+            parts = (s["tier0_hits"] + s["schubfach_hits"] + s["tier2_calls"]
                      + s["fixed_conversions"] + s["cache_hits"])
             if parts != s["conversions"] or any(
                     v < 0 for v in s.values()

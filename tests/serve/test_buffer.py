@@ -15,6 +15,7 @@ from repro.engine.buffer import (
     split_rows,
 )
 from repro.core.api import format_shortest
+from repro.core.rounding import ReaderMode, TieBreak
 from repro.engine.bulk import format_column, ingest_bits, pack_bits
 from repro.errors import DecodeError, ParseError, RangeError
 from repro.floats.formats import BINARY16, BINARY32, BINARY64, BINARY128
@@ -250,3 +251,27 @@ class TestBinary16Total:
         oracle = "".join(format_shortest(v, engine=None) + "\n"
                          for _, v in finite_and_inf)
         assert plane == oracle.encode("ascii")
+
+    @pytest.mark.parametrize("mode", [ReaderMode.NEAREST_EVEN,
+                                      ReaderMode.NEAREST_UNKNOWN])
+    @pytest.mark.parametrize("tie", [TieBreak.UP, TieBreak.DOWN])
+    def test_default_write_route_matches_exact_every_pattern(
+            self, column, mode, tie):
+        # Every finite non-zero pattern through the default route
+        # (tier 0, then Schubfach): byte-identical to the exact tier and
+        # never reaching it.  A nearest mode mirrors to itself, so the
+        # oracle of -v is "-" + the oracle of v.
+        finite = [v for _, v in column[0] if v.is_finite and not v.is_zero]
+        assert len(finite) == 2 * (31 * 1024 - 1)
+        exact = Engine(tier_order=(), cache_size=0)
+        want = {(v.f, v.e): exact.format(v, mode=mode, tie=tie,
+                                         fmt=BINARY16)
+                for v in finite if not v.sign}
+        eng = Engine(cache_size=0)  # memo off: every pattern is routed
+        for v in finite:
+            got = eng.format(v, mode=mode, tie=tie, fmt=BINARY16)
+            expect = want[v.f, v.e]
+            assert got == ("-" + expect if v.sign else expect), v
+        s = eng.stats()
+        assert s["tier2_calls"] == 0
+        assert s["tier0_hits"] + s["schubfach_hits"] == len(finite)

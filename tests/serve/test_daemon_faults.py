@@ -80,7 +80,7 @@ class TestHealing:
     def test_tier_raises_heal_in_thread_workers(self):
         plan = faults.FaultPlan([
             faults.FaultSpec("engine.tier0", at=(0, 3, 7)),
-            faults.FaultSpec("engine.tier1", at=(1, 4)),
+            faults.FaultSpec("engine.schubfach", at=(1, 4)),
         ])
         with serving(jobs=2, kind="thread", batch_window=0.0) as d:
             with ServeClient(d.host, d.port) as c:
@@ -88,6 +88,8 @@ class TestHealing:
                     assert c.format(PACKED) == PLANE
             stats = d.pool_stats()
         assert stats.get("tier_faults", 0) >= 1
+        # Every spec fired, the write lane's included.
+        assert all(plan.spec_fired())
 
     def test_mixed_plan_under_sustained_traffic(self):
         plan = faults.FaultPlan([

@@ -141,6 +141,24 @@ class TestHealing:
                 assert pool.read_bulk(WANT) == want_bits
         assert plan.fired["pool.read_shard"] == 1
 
+    def test_worker_lane_firings_are_reported_to_the_plan(self):
+        # Call sites fire inside the forked workers; each shard reports
+        # its worker's firings back, so the arming plan accounts for
+        # every spec and every firing is a counted healing.
+        plan = faults.FaultPlan([
+            faults.FaultSpec("engine.schubfach", rate=0.1, limit=None),
+            faults.FaultSpec("engine.tier0", rate=0.1, limit=None),
+        ], seed=3)
+        with BulkPool(jobs=2, shards_per_job=2) as pool:
+            with faults.armed(plan):
+                assert pool.format_bulk(CORPUS) == WANT
+            stats = pool.stats()
+        fired = plan.spec_fired()
+        assert all(fired)
+        assert plan.fired == {"engine.schubfach": fired[0],
+                              "engine.tier0": fired[1]}
+        assert stats["tier_faults"] == sum(fired)
+
     def test_thread_pool_injected_raise_heals(self):
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "raise", shard=1)])

@@ -118,15 +118,8 @@ BENCH_SCHEMA = {
     },
     "contenders": {
         "corpus": ("kind", "n", "seed", "audit_n", "mix"),
-        "orderings": ("grisu3_first", "schubfach_first",
-                      "schubfach_only"),
-        "read_orderings": ("window_first", "lemire_first",
-                           "lemire_only"),
-        "us_per_value": ("flat", "zipf", "specials", "read_certified"),
+        "us_per_value": ("flat", "zipf", "specials"),
         "bail_rate": ("flat", "zipf", "specials"),
-        "read_tier2_calls": ("window_first", "lemire_first",
-                             "lemire_only"),
-        "winners": ("flat", "zipf", "specials", "read_certified"),
         "mismatches": int,
         "mismatch_samples": list,
         "stats": dict,
@@ -269,33 +262,22 @@ def _check_warm_gates(warm: dict, quick: bool) -> int:
 
 
 def _check_contenders_gates(c: dict, quick: bool) -> int:
-    """Acceptance gates for the contender-lanes section.
+    """Acceptance gates for the default-route section.
 
-    All gates here are correctness claims, not timing claims, so they
-    apply on ``--quick`` too: every ordering must be byte-identical to
-    the exact order, the schubfach orderings must never bail to the
-    exact writer (the lane has no bail path), and the lemire orderings
-    must never consult the exact rational reader on the certified-digit
-    corpus.  Which ordering *wins* is recorded per corpus, never gated —
-    tier ordering is a measured decision.
+    Both gates are correctness claims, not timing claims, so they apply
+    on ``--quick`` too: the default engine must be byte-identical to
+    the exact tier, and it must never bail to it (write bail rate 0 on
+    the flat, zipf and specials corpora — Schubfach has no bail path).
     """
     status = 0
     if c["mismatches"]:
-        print("FAIL: a contender ordering mismatches the exact order",
+        print("FAIL: the default route mismatches the exact tier",
               file=sys.stderr)
         status = 1
-    for mix, rates in c["bail_rate"].items():
-        for name in ("schubfach_first", "schubfach_only"):
-            if rates[name] != 0.0:
-                print(f"FAIL: {name} bailed on the {mix} corpus "
-                      f"(bail rate {rates[name]:.4f}, expected 0)",
-                      file=sys.stderr)
-                status = 1
-    for name in ("lemire_first", "lemire_only"):
-        if c["read_tier2_calls"][name]:
-            print(f"FAIL: {name} consulted the exact reader "
-                  f"{c['read_tier2_calls'][name]} times on the "
-                  "certified-digit corpus (expected 0)", file=sys.stderr)
+    for mix, rate in c["bail_rate"].items():
+        if rate != 0.0:
+            print(f"FAIL: the default route bailed on the {mix} corpus "
+                  f"(bail rate {rate:.4f}, expected 0)", file=sys.stderr)
             status = 1
     return status
 
@@ -346,12 +328,11 @@ def main(argv=None) -> int:
                              "latency — and print it to stdout; the "
                              "default output file is not touched")
     parser.add_argument("--contenders", action="store_true",
-                        help="run only the contender-lanes bench — "
-                             "grisu3-first vs schubfach-first vs "
-                             "schubfach-only orderings (and the reader "
-                             "lanes) raced per corpus — and print it to "
-                             "stdout; the default output file is not "
-                             "touched")
+                        help="run only the default-route bench — tier "
+                             "0 then Schubfach against the exact tier on "
+                             "the flat, zipf and specials corpora — and "
+                             "print it to stdout; the default output "
+                             "file is not touched")
     parser.add_argument("-o", "--output", default=None,
                         help="output path (default BENCH_engine.json next "
                              "to the repo root; '-' for stdout only)")
@@ -365,7 +346,7 @@ def main(argv=None) -> int:
 
         c = _run_contenders_bench(n=n, seed=args.seed, repeats=repeats)
         print(json.dumps(c, indent=2, sort_keys=True))
-        print(f"contenders: winners {c['winners']}, "
+        print(f"contenders: bail rates {c['bail_rate']}, "
               f"mismatches: {c['mismatches']}", file=sys.stderr)
         return _check_contenders_gates(c, quick=args.quick)
 
@@ -473,7 +454,7 @@ def main(argv=None) -> int:
               f"first-10k {warm['speedup']['first_10k']:.2f}x, "
               f"mismatches: {warm['mismatches']}")
         cont = result["contenders"]
-        print(f"contenders: winners {cont['winners']}, "
+        print(f"contenders: bail rates {cont['bail_rate']}, "
               f"mismatches: {cont['mismatches']}")
 
     if result["mismatches"]:
