@@ -249,10 +249,13 @@ def _serial_engine(engine, snapshot):
 def _format_bits(eng, bits: List[int], fmt: FloatFormat, mode: ReaderMode,
                  tie: TieBreak, options: Optional[NotationOptions]
                  ) -> List[str]:
-    """Format a list of bit patterns through the scalar engine."""
-    if fmt is BINARY64 and (options is None or options is DEFAULT_OPTIONS):
-        return eng.format_many(floats_from_bits64(bits), mode=mode, tie=tie)
+    """Format a list of bit patterns through the scalar engine (its
+    batch loop under the default options)."""
     from_bits = Flonum.from_bits
+    if options is None or options is DEFAULT_OPTIONS:
+        xs = (floats_from_bits64(bits) if fmt is BINARY64
+              else [from_bits(b, fmt) for b in bits])
+        return eng.format_many(xs, mode=mode, tie=tie, fmt=fmt)
     fm = eng.format
     return [fm(from_bits(b, fmt), mode=mode, tie=tie, options=options,
                fmt=fmt) for b in bits]

@@ -29,10 +29,11 @@ Two representation choices carry the throughput:
   digits into one integer and let ``str()`` render it at C speed;
   :func:`repro.format.notation.render_shortest_parts` accepts the
   string form directly, so no per-digit tuple is built on the hot path;
-* for binary64 floats the ``(f, e)`` decomposition comes straight from
-  ``math.frexp`` — a :class:`Flonum` is only constructed on the rare
-  exact-tier fallback.  (``frexp`` yields the canonical components for
-  every normal value; subnormals are re-clamped to ``min_e``.)
+* :meth:`Engine.format_many` runs every Schubfach format (binary16/32/
+  64) through one inlined batch loop with one memo lock per batch; for
+  binary64 floats its ``(f, e)`` decomposition comes straight from
+  ``math.frexp`` (canonical for every normal value; subnormals are
+  re-clamped to ``min_e``), so no :class:`Flonum` is built.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from repro.engine.reader import (READ_STAT_KEYS, ReadEngine, ReadResult,
                                  exact_only_order)
 from repro.engine.schubfach import schubfach_digits
 from repro.engine.tables import FormatTables, tables_for
-from repro.engine.tier0 import tier0_digits
+from repro.engine.tier0 import _MAX_NEG_E, tier0_digits
 
 __all__ = ["Engine", "default_engine", "format_many", "STAT_KEYS"]
 
@@ -740,42 +741,46 @@ class Engine:
 
         Semantically ``[self.format(x, ...) for x in xs]`` but with the
         routing state hoisted out of the loop and — for the default
-        rendering options on binary64 — inlined decomposition and
-        rendering, together worth roughly another 2x on uniform random
-        doubles.
+        rendering options in base 10 on every format the Schubfach lane
+        serves (binary16/32/64) — inlined decomposition and rendering,
+        together worth roughly another 2x on uniform random doubles.
 
         Batch discipline: an empty batch touches no shared state (and
-        no lock); a memo-disabled engine runs the whole loop lock-free
-        and flushes its counters under one final acquisition; a batch
-        larger than the memo installs only the entries sequential calls
-        would have left behind instead of churning the whole LRU.
+        no lock); the batch loop runs lock-free and takes one final
+        acquisition for its counters and memo updates; a batch larger
+        than the memo installs only the entries sequential calls would
+        have left behind instead of churning the whole LRU.
         """
         if not isinstance(xs, list):
             xs = list(xs)
         if not xs:
             return []
         opts = options or DEFAULT_OPTIONS
-        if base == 10 and fmt is BINARY64 and opts is DEFAULT_OPTIONS:
-            return self._format_many_fast(xs, mode, tie)
+        if (base == 10 and opts is DEFAULT_OPTIONS
+                and (fmt is BINARY64 or tables_for(fmt, 10).grisu_ok)):
+            return self._format_many_fast(xs, mode, tie, fmt)
         return [self.format(x, base, mode, tie, opts, fmt) for x in xs]
 
     def _format_many_fast(self, xs: List[Number], mode: ReaderMode,
-                          tie: TieBreak) -> List[str]:
-        """Decimal binary64 batch loop, default options, all state hoisted.
+                          tie: TieBreak, fmt: FloatFormat) -> List[str]:
+        """Decimal batch loop, default options, all state hoisted.
 
-        Counters accumulate in locals and flush under one lock at the
-        end (so a concurrent :meth:`stats` never sees a torn mid-batch
-        snapshot, and a memo-disabled engine takes exactly one lock per
-        batch).  New conversions land in a batch-local ``pending`` dict
-        — intra-batch duplicates are served from it without touching
-        the shared memo — and are installed in one tail-capped pass.
+        Host floats (``fmt is BINARY64`` only) decompose by ``frexp``,
+        Flonums of ``fmt`` from their attributes; anything else takes
+        :meth:`format`.  Memo probes are lock-free ``get`` calls and
+        counters accumulate in locals; one final lock flushes the
+        counters (a concurrent :meth:`stats` never sees a torn batch),
+        moves the batch's memo hits still present to the recent end in
+        probe order, then installs its new conversions in one
+        tail-capped pass.  New conversions land in a batch-local
+        ``pending`` dict first: intra-batch repeats skip the memo.
 
         The route is :meth:`_convert`'s, inlined: tier 0 (pre-filtered
         on ``e``), then Schubfach under the same gates, guard rail and
         fault sites, then the exact tier.
         """
-        fmt = BINARY64
         tables = tables_for(fmt, 10)
+        host = fmt is BINARY64
         hidden_limit = tables.hidden_limit
         min_e = tables.min_e
         mantissa_limit = tables.mantissa_limit
@@ -797,8 +802,10 @@ class Engine:
         plane_pos = self._planes.get(ctx_pos) if self._planes else None
         plane_neg = self._planes.get(ctx_neg) if self._planes else None
         # Every key the batch touched (hits too, for intra-batch
-        # repeats) and, separately, its misses: only those get installed.
+        # repeats) and, separately, its memo hits in probe order and its
+        # misses: the flush bumps the one and installs the other.
         pending: Optional[dict] = {} if cache is not None else None
+        hits: list = []
         fresh: dict = {}
         plan = _faults._PLAN
         strict = self.strict
@@ -807,32 +814,18 @@ class Engine:
         out: List[str] = []
         append = out.append
         for x in xs:
-            # --- decompose (inline Flonum.from_float for plain floats) ---
-            if type(x) is float:
+            # --- decompose (inline Flonum.from_float for host floats) ---
+            if host and type(x) is float:
                 if x != x:
                     append("nan")
                     continue
                 if x == 0.0:
                     append("-0" if copysign(1.0, x) < 0.0 else "0")
                     continue
-                if x < 0.0:
-                    sign = "-"
-                    ax = -x
-                    vmode = mirrored
-                    schub_ok = use_schub_mirrored
-                    even_mode = even_neg
-                    ctx = ctx_neg
-                    plane = plane_neg
-                else:
-                    sign = ""
-                    ax = x
-                    vmode = mode
-                    schub_ok = use_schub
-                    even_mode = even_pos
-                    ctx = ctx_pos
-                    plane = plane_pos
+                neg = x < 0.0
+                ax = -x if neg else x
                 if ax == _INF:
-                    append(sign + "inf")
+                    append("-inf" if neg else "inf")
                     continue
                 m, ex = frexp(ax)
                 f = int(m * _TWO_P53)
@@ -840,22 +833,46 @@ class Engine:
                 if e < -1074:
                     f >>= -1074 - e
                     e = -1074
+            elif type(x) is Flonum and x.fmt is fmt:
+                neg = x.sign
+                if not x.is_finite:
+                    append(special_text(x.is_nan, neg))
+                    continue
+                f = x.f
+                if not f:
+                    append("-0" if neg else "0")
+                    continue
+                e = x.e
             else:
-                # Ints, Flonums (possibly of another format): full route.
+                # Ints, Flonums of another format: full route.
                 append(self.format(x, 10, mode, tie, None, fmt))
                 continue
+            if neg:
+                sign = "-"
+                vmode = mirrored
+                schub_ok = use_schub_mirrored
+                even_mode = even_neg
+                ctx = ctx_neg
+                plane = plane_neg
+            else:
+                sign = ""
+                vmode = mode
+                schub_ok = use_schub
+                even_mode = even_pos
+                ctx = ctx_pos
+                plane = plane_pos
             # --- route ---
             kb = None
             key = (f, e, ctx)
             if cache is not None:
                 kb = pending.get(key)
                 if kb is None:
-                    with lock:
-                        kb = cache.hit(key)
+                    kb = cache.get(key)
                     if kb is not None:
-                        # Bumped now; intra-batch repeats are served
-                        # from the batch-local dict, lock-free.
+                        # Bumped at the flush; intra-batch repeats are
+                        # served from the batch-local dict.
                         pending[key] = kb
+                        hits.append(key)
                 if kb is not None:
                     c_hits += 1
                 else:
@@ -880,9 +897,9 @@ class Engine:
             if kb is None:
                 try:
                     # Pre-filter: tier 0 only ever accepts values with
-                    # e >= -76 (integers and short exact decimals); skip
-                    # the call for everything else.
-                    if use_tier0 and e >= -76:
+                    # e >= -_MAX_NEG_E (integers and short exact
+                    # decimals); skip the call for everything else.
+                    if use_tier0 and e >= -_MAX_NEG_E:
                         if plan is not None:
                             plan.fire("engine.tier0")
                         t0 = tier0_digits(f, e, hidden_limit, min_e,
@@ -942,6 +959,9 @@ class Engine:
             self._tier_faults += t_faults
             self._hot_hits += hot_hits
             self._snapshot_faults += snap_faults
+            for key in hits:
+                if key in cache:  # another batch may have evicted it
+                    cache.move_to_end(key)
             if fresh:
                 if len(pending) > cache.capacity:
                     # Oversized batch: only its last ``capacity`` keys

@@ -7,7 +7,10 @@ steady state finding the oldest key meant scanning that prefix on
 every eviction.
 
 Not thread-safe: callers hold the owning engine's lock around every
-call.
+mutation and every bumping read.  The one lock-free read is the write
+batch loop's probe, a plain ``get``: under the GIL it is a single
+C-level ``OrderedDict`` lookup on int/str tuple keys, it changes
+nothing, and the batch bumps its hits later under the lock.
 """
 
 from collections import OrderedDict
@@ -45,6 +48,6 @@ class LruMemo(OrderedDict):
         if n > self.capacity:
             items = list(items)[n - self.capacity:]
         self.update(items)
-        while len(self) > self.capacity:
+        for _ in range(len(self) - self.capacity):
             self.popitem(last=False)
         return min(n, self.capacity)

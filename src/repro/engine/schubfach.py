@@ -21,13 +21,18 @@ The shape of the computation, for ``v = f * 2**e`` positive finite:
 * Scale by ``10**-k`` with ``k = floor(log10 L)`` for the interval
   length ``L``, so the scaled interval has length in ``[1, 10)``: it
   always contains an integer and at most one multiple of ten.
-* Every comparison of a candidate integer ``n`` against a scaled
-  quantity ``c * 2**(e-2) * 10**-k`` goes through the table's ceiling
-  significand ``g`` (``10**-k = (g - d) * 2**(a-127)``, ``d in [0,1)``):
-  ``n << sh`` versus ``c * g`` decides all but a width-``c`` ambiguity
-  band, and anything landing in the band — which Schubfach's paper
-  proves empty for these formats, a proof this module does not lean on
-  — is settled by one exact big-integer comparison.  No path bails.
+* Compute three decimal images per value, in round-to-odd form
+  ``2*floor(x) + (x is not an integer)`` of ``x = c * 2**(e-2+j) *
+  10**-k``: the endpoints ``cbl``/``cbr`` at ``j = 0`` and ``cb`` at
+  ``j = 2`` (so the midpoint test stays integral).  An integer ``n`` is
+  at or above ``x`` iff ``2n >= image`` and at or below it iff ``2n <=
+  image``, so every decision is a plain integer compare.  Each image is
+  one product with the table's ceiling significand ``g`` (``10**-k =
+  (g - d) * 2**(a-127)``, ``d in [0,1)``), exact unless its dropped
+  bits fall below the error ``c*d < c``.  That band holds every integer
+  ``x`` and, but for Schubfach's proof (which this module does not
+  lean on), non-integers very near one; it goes to an exact big-integer
+  ``divmod``.  No path bails.
 * Prefer the (at most one) multiple of ten inside the interval —
   stripping its trailing zeros gives the shorter form — else pick
   between ``s = floor(v * 10**-k)`` and ``s + 1`` by membership,
@@ -53,25 +58,40 @@ from repro.engine.tables import FormatTables
 __all__ = ["schubfach_digits"]
 
 
-def _cmp_exact(n: int, c: int, e: int, k: int) -> int:
-    """Exact sign of ``n - c * 2**(e-2) * 10**-k`` (the rescue path).
+def _image_exact(c: int, e: int, k: int, j: int) -> int:
+    """Exact ``2*floor(x) + (x is not an integer)`` for ``x = c *
+    2**(e-2+j) * 10**-k`` (the rescue path).
 
-    Reached only when the 128-bit comparison is inconclusive — the
-    candidate lies within ``c`` ulps of the scaled boundary — which the
-    Schubfach paper shows cannot happen for binary16/32/64.  Keeping the
-    rescue makes the lane unconditionally correct without reproducing
-    that proof: still no bail path, just one big-integer comparison.
+    Reached when the 128-bit product cannot settle ``floor(x)``: for an
+    integer ``x`` (the product overshoots it by less than ``c``) and,
+    were it not for the Schubfach paper's proof, for a non-integer
+    within that distance of one.  The rescue keeps the lane correct
+    without that proof: still no bail path, one big-integer division.
     """
-    lhs, rhs = n, c
-    if e >= 2:
-        rhs <<= e - 2
+    num, den, b = c, 1, e - 2 + j
+    if b >= 0:
+        num <<= b
     else:
-        lhs <<= 2 - e
+        den <<= -b
     if k >= 0:
-        lhs *= 10**k
+        den *= 10**k
     else:
-        rhs *= 10**-k
-    return (lhs > rhs) - (lhs < rhs)
+        num *= 10**-k
+    q, r = divmod(num, den)
+    return (q << 1) | (r != 0)
+
+
+def _image(c: int, g: int, s: int, exact: bool, e: int, k: int,
+           j: int) -> int:
+    """Round-to-odd image of ``c * 2**(e-2+j) * 10**-k`` from one
+    product (``s = sh - j``): ``c * g`` exceeds the scaled value by
+    ``c*d``, so its dropped bits ``r`` mark an inexact value unless they
+    fall below ``c``, where the exact rescue decides."""
+    p = c * g
+    r = p & ((1 << s) - 1)
+    if exact or r >= c:
+        return ((p >> s) << 1) | (r != 0)
+    return _image_exact(c, e, k, j)
 
 
 def schubfach_digits(f: int, e: int, tables: FormatTables, even: bool,
@@ -96,67 +116,48 @@ def schubfach_digits(f: int, e: int, tables: FormatTables, even: bool,
     else:
         k, g, sh, exact = entry[0], entry[1], entry[2], entry[3]
         cbl = cb - 2
-    cbr = cb + 2
-
-    def cmp(n: int, c: int) -> int:
-        # sign(n - c * 2**(e-2) * 10**-k): the ceiling table gives
-        # c*g = (scaled c + c*d) << sh with d in [0, 1), so n<<sh above
-        # c*g is surely above, at most c below it is surely below, and
-        # the band between goes to the exact rescue.
-        scaled_n = n << sh
-        p = c * g
-        if scaled_n > p:
-            return 1
-        if scaled_n == p:
-            return 0 if exact else 1
-        if scaled_n <= p - c:
-            return -1
-        return _cmp_exact(n, c, e, k)
-
-    def in_interval(n: int) -> bool:
-        lo = cmp(n, cbl)
-        if not (lo >= 0 if even else lo > 0):
-            return False
-        hi = cmp(n, cbr)
-        return hi <= 0 if even else hi < 0
-
-    # s = floor(v * 10**-k); the shifted ceiling product overshoots by
-    # at most one, corrected with a single comparison.
-    s = (cb * g) >> sh
-    if cmp(s, cb) > 0:
-        s -= 1
+    # The three images: integer n is inside the interval iff
+    # lo <= 2n <= hi (a closed bound admits the endpoint itself, an
+    # open one needs 2n strictly past its image).
+    lo = _image(cbl, g, sh, exact, e, k, 0)
+    hi = _image(cb + 2, g, sh, exact, e, k, 0)
+    x4 = _image(cb, g, sh - 2, exact, e, k, 2)
+    if not even:
+        lo += 1
+        hi -= 1
+    # s = floor(v * 10**-k) = floor(4v * 10**-k) >> 2.
+    s = x4 >> 3
     # First try the coarser grid: at most one multiple of ten fits in
     # the interval (length < 10), and it must be adjacent to s.  This
     # check always runs — proximity alone would pick the wrong digits
     # for tiny denormals (e.g. binary64 f=10, e=-1074: the interval
     # contains 50 but 49 is nearer), so there is no `s >= 100` shortcut.
     s10 = s - s % 10
-    if in_interval(s10):
+    if lo <= s10 << 1 <= hi:
         text = str(s10)
         return k + len(text), text.rstrip("0")
-    t10 = s10 + 10
-    if in_interval(t10):
-        text = str(t10)
+    if lo <= (s10 + 10) << 1 <= hi:
+        text = str(s10 + 10)
         return k + len(text), text.rstrip("0")
     # Unit grid: choose between s and s+1 by membership, then proximity
-    # (cmp of s + t against 2*cb is the midpoint test), then the tie
-    # strategy.  Neither being a multiple of ten here (they would have
-    # been caught above), the tie cannot carry past digit nine.
-    t = s + 1
-    if in_interval(s):
-        if in_interval(t):
-            rnd = cmp(s + t, cb << 1)
-            if rnd > 0:
+    # (the image of 4v against 4s + 2, i.e. 8s + 4, is the midpoint
+    # test), then the tie strategy.  Neither being a multiple of ten
+    # here (they would have been caught above), the tie cannot carry
+    # past digit nine.
+    if lo <= s << 1 <= hi:
+        if (s + 1) << 1 <= hi:
+            mid = (s << 3) + 4
+            if x4 < mid:
                 c = s
-            elif rnd < 0:
-                c = t
+            elif x4 > mid:
+                c = s + 1
             else:
                 d = s % 10
-                c = s if tie.choose(d) == d else t
+                c = s if tie.choose(d) == d else s + 1
         else:
             c = s
-    elif in_interval(t):
-        c = t
+    elif lo <= (s + 1) << 1 <= hi:
+        c = s + 1
     else:  # pragma: no cover - interval length >= 1 contains an integer
         raise AssertionError("schubfach: no candidate in rounding interval")
     text = str(c)

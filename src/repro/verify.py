@@ -585,36 +585,43 @@ def verify_contenders(fmt: FloatFormat = BINARY64, n: int = 50000,
     ``n`` sampled values plus the denormal/boundary/decimal-tie/torture
     corpora go through a memo-less default engine twice — one value at
     a time (:meth:`Engine.format`, the scalar route) and as one batch
-    (:meth:`Engine.format_many`, the inlined batch loop for binary64)
-    — under both nearest reader modes, and every output must be
-    byte-identical to an exact-only engine's.  The route has no bail
-    path, so the exact tier must never run (``tier2_calls == 0``) and
-    tier 0 plus Schubfach must account for every conversion.
+    (:meth:`Engine.format_many`, the inlined batch loop) — under both
+    nearest reader modes, and every output must be byte-identical to an
+    exact-only engine's.  A memo-on leg repeats the batch on an engine
+    whose memo holds it all: the warm pass (lock-free probes, bumps and
+    installs at the flush) must convert nothing and match too.  The
+    route has no bail path, so the exact tier must never run
+    (``tier2_calls == 0``) and tier 0, Schubfach and the memo must
+    account for every conversion.
     """
     report = VerificationReport(format_name=f"{fmt.name} contenders")
     exact = Engine(tier_order=(), cache_size=0)
     values = sample_values(fmt, n, seed)
     values += (denormals(fmt) + power_boundaries(fmt)
                + decimal_ties(fmt) + torture_floats(fmt))
-    # format_many's inlined loop takes host floats; other formats (and
-    # Flonums) go through the scalar route inside it.
+    # format_many decomposes host floats for binary64 and Flonums of
+    # the batch's format otherwise.
     batch = ([v.to_float() for v in values] if fmt == BINARY64
              else values)
     for mode in (ReaderMode.NEAREST_EVEN, ReaderMode.NEAREST_UNKNOWN):
         want = [exact.format(v, mode=mode, fmt=fmt) for v in values]
-        for path in ("scalar", "format_many"):
-            eng = Engine(cache_size=0)
+        for path in ("scalar", "format_many", "format_many+memo"):
+            eng = Engine(cache_size=len(values) if "memo" in path else 0)
             if path == "scalar":
-                got = [eng.format(v, mode=mode, fmt=fmt) for v in values]
+                runs = [[eng.format(v, mode=mode, fmt=fmt) for v in values]]
             else:
-                got = eng.format_many(batch, mode=mode, fmt=fmt)
+                runs = [eng.format_many(batch, mode=mode, fmt=fmt)]
+                cold = eng.stats()
+                if eng.cache_size:
+                    runs.append(eng.format_many(batch, mode=mode, fmt=fmt))
             tag = f"route/{path}"
-            for v, g, w in zip(values, got, want):
-                report.checked += 1
-                report.check(tag)
-                if g != w:
-                    report.record(tag, v, f"{mode.name}: {g!r} != exact "
-                                          f"{w!r}")
+            for got in runs:
+                for v, g, w in zip(values, got, want):
+                    report.checked += 1
+                    report.check(tag)
+                    if g != w:
+                        report.record(tag, v, f"{mode.name}: {g!r} != "
+                                              f"exact {w!r}")
             stats = eng.stats()
             report.check("route/no-bail")
             if stats["tier2_calls"]:
@@ -623,10 +630,16 @@ def verify_contenders(fmt: FloatFormat = BINARY64, n: int = 50000,
                               f" exact-tier consultations")
             report.check("route/coverage")
             lanes = stats["tier0_hits"] + stats["schubfach_hits"]
-            if lanes != stats["conversions"]:
+            if lanes + stats["cache_hits"] != stats["conversions"]:
                 report.record("route/coverage", values[0],
-                              f"{path} {mode.name}: lanes resolved {lanes}"
-                              f" of {stats['conversions']} conversions")
+                              f"{path} {mode.name}: lanes and memo "
+                              f"resolved {lanes + stats['cache_hits']} of "
+                              f"{stats['conversions']} conversions")
+            if eng.cache_size and lanes != (cold["tier0_hits"]
+                                            + cold["schubfach_hits"]):
+                report.record("route/coverage", values[0],
+                              f"{path} {mode.name}: the warm pass "
+                              f"converted values the memo holds")
     return report
 
 

@@ -14,14 +14,23 @@ The contracts under test:
   pending set and counted as cache hits;
 * the memo's recency order after any mix of scalar and batch calls in
   both directions is pinned exactly, and survives a snapshot round
-  trip per direction.
+  trip per direction;
+* a memo-enabled batch also takes exactly one acquisition: probes are
+  lock-free and the hits are bumped at the flush;
+* the batch loop serves binary32/16 batches too, equal to the scalar
+  route element by element and in every counter.
 """
 
 import math
 import random
 
+import pytest
+
+from repro.core.rounding import ReaderMode
 from repro.engine import Engine, ReadEngine
 from repro.engine.snapshot import build_snapshot
+from repro.floats.formats import BINARY16, BINARY32, BINARY64
+from repro.floats.model import Flonum
 
 
 class CountingLock:
@@ -111,6 +120,59 @@ class TestMemoDisabled:
         memo = Engine(cache_size=4096)
         vals = _vals(500, seed=9)
         assert plain.format_many(vals) == memo.format_many(vals)
+
+
+class TestMemoEnabled:
+    def test_format_many_single_acquisition(self):
+        eng = Engine(cache_size=64)
+        vals = _vals(40)
+        eng.format_many(vals[:20])  # interns the contexts, warms the memo
+        proxy = _count_locks(eng)
+        eng.format_many(vals)  # 20 hits, 20 misses
+        assert proxy.acquisitions == 1
+        s = eng.stats()
+        assert s["cache_hits"] == 20 and s["cache_entries"] == 40
+
+
+def _mixed_batch(fmt):
+    """Specials, signed zeros, subnormals, binary64 Flonums, ints,
+    normals and repeats, all formatted as ``fmt``."""
+    width = fmt.total_bits
+    sign = 1 << (width - 1)
+    top = (1 << fmt.mantissa_field_width) - 1
+    rng = random.Random(width)
+    normals = [Flonum.from_bits(rng.getrandbits(width), fmt)
+               for _ in range(300)]
+    batch = [Flonum.nan(fmt), Flonum.infinity(fmt, 0),
+             Flonum.infinity(fmt, 1),
+             Flonum.from_bits(0, fmt), Flonum.from_bits(sign, fmt),
+             Flonum.from_bits(1, fmt), Flonum.from_bits(top, fmt),
+             Flonum.from_bits(sign | 1, fmt),
+             Flonum.from_float(0.1, BINARY64),
+             Flonum.from_float(-2.5, BINARY64),
+             7, -12, 0, 1 << 10]
+    return batch + normals + normals[:50] + batch[:8]
+
+
+class TestNarrowFormatBatches:
+    @pytest.mark.parametrize("fmt", [BINARY32, BINARY16])
+    @pytest.mark.parametrize("cache_size", [0, 8192])
+    @pytest.mark.parametrize("mode", [ReaderMode.NEAREST_EVEN,
+                                      ReaderMode.NEAREST_UNKNOWN,
+                                      ReaderMode.TOWARD_ZERO])
+    def test_mixed_batch_matches_scalar_route(self, fmt, cache_size, mode):
+        batch = _mixed_batch(fmt)
+        many = Engine(cache_size=cache_size)
+        scalar = Engine(cache_size=cache_size)
+        got = many.format_many(batch, mode=mode, fmt=fmt)
+        want = [scalar.format(x, mode=mode, fmt=fmt) for x in batch]
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g == w, (i, batch[i])
+        assert len(got) == len(want)
+        assert many.stats() == scalar.stats()
+        # Same entries; the batch installs its own conversions at the
+        # flush, after the ones the scalar fallback made in-loop.
+        assert dict(many._cache) == dict(scalar._cache)
 
 
 class TestOversizedBatches:
@@ -217,3 +279,12 @@ class TestRecencyOrder:
         small = Engine(cache_size=2,
                        snapshot=build_snapshot(["binary64"], engine=eng))
         assert [_label(k) for k in small._cache] == ["r5.25", "r4.25"]
+        # A below-capacity batch mixing hits and misses: the hits move
+        # to the recent end in probe order (5.5 before the older 1.5),
+        # then the misses install.
+        eng.format_many([5.5])
+        assert [_label(k) for k in eng._cache] == [
+            "r5.25", "w1.5", "r4.25", "w5.5"]
+        eng.format_many([7.5, 5.5, 1.5])
+        assert [_label(k) for k in eng._cache] == [
+            "r4.25", "w5.5", "w1.5", "w7.5"]

@@ -9,6 +9,9 @@ else rejected) gets its own edge cases here, plus the ``bail_rate``
 stats summary the engine reports.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 
@@ -16,8 +19,9 @@ from helpers import positive_flonums
 from repro.core.dragon import shortest_digits
 from repro.core.rounding import ReaderMode, TieBreak
 from repro.engine import Engine, ReadEngine
-from repro.engine.schubfach import schubfach_digits
-from repro.engine.tables import tables_for
+from repro.engine import schubfach as schubfach_mod
+from repro.engine.schubfach import _image, schubfach_digits
+from repro.engine.tables import _floor_log10_pow2, _pow10_128, tables_for
 from repro.errors import RangeError
 from repro.floats.formats import BINARY16, BINARY32, BINARY64
 from repro.floats.model import Flonum
@@ -243,3 +247,96 @@ class TestRouteBoundaryCorpus:
         assert s["tier2_calls"] == 0
         assert s["tier0_hits"] + s["schubfach_hits"] == \
             s["conversions"] == len(values) - 2
+
+
+def _fraction_image(c, e, k, j):
+    """``2*floor(x) + (x is not an integer)`` of ``c*2**(e-2+j)*10**-k``,
+    in exact rational arithmetic."""
+    x = Fraction(c) * Fraction(2) ** (e - 2 + j) / Fraction(10) ** k
+    return 2 * (x.numerator // x.denominator) + (x.denominator != 1)
+
+
+def _entry(k, e, bits):
+    """``(k, g, sh, exact)`` like a Schubfach table entry, with ``g`` the
+    ``bits``-wide ceiling significand of ``10**-k`` (128 is the real
+    table's width)."""
+    _g, a, _exact = _pow10_128(-k)
+    scaled = Fraction(10) ** -k * Fraction(2) ** (bits - 1 - a)
+    g = -(-scaled.numerator // scaled.denominator)
+    return (k, g, bits + 1 - a - e, scaled.denominator == 1)
+
+
+class _Tables64:
+    """A :class:`FormatTables` stand-in whose Schubfach significands are
+    exact 64-bit ceilings: the ceiling error ``c*d`` then reaches the
+    product's dropped bits on many values, so the exact rescue runs."""
+
+    def __init__(self, fmt):
+        real = tables_for(fmt, 10)
+        real.ensure_schub()
+        self.hidden_limit = real.hidden_limit
+        self.min_e = real.min_e
+        self.schub_e_min = real.schub_e_min
+        self.schub_powers = [
+            _entry(row[0], e, 64) + _entry(row[4], e, 64)
+            for e, row in enumerate(real.schub_powers, real.schub_e_min)]
+
+
+class TestImageRescue:
+    """The round-to-odd images and the exact rescue behind them: the
+    rescue is reachable, and the lane stays exact when it runs."""
+
+    @pytest.mark.parametrize("bits", [128, 64])
+    def test_image_matches_fraction(self, bits):
+        rng = random.Random(bits)
+        for _ in range(1500):
+            e = rng.randint(-1100, 1000)
+            k = _floor_log10_pow2(1, e) + rng.randint(-2, 2)
+            j = rng.choice((0, 2))
+            c = rng.randint(1, 1 << 56)
+            _k, g, sh, exact = _entry(k, e, bits)
+            assert _image(c, g, sh - j, exact, e, k, j) == \
+                _fraction_image(c, e, k, j), (c, e, k, j)
+
+    def test_band_cases_match_fraction(self):
+        # Search each random (e, k, j) for a c whose 64-bit product
+        # lands in the band (dropped bits below c, inexact table): the
+        # shifted product alone cannot settle floor(x) there.
+        rng = random.Random(7)
+        found = 0
+        for _ in range(200):
+            e = rng.randint(-1100, 1000)
+            k = _floor_log10_pow2(1, e) + rng.randint(-1, 1)
+            j = rng.choice((0, 2))
+            _k, g, sh, exact = _entry(k, e, 64)
+            if exact:
+                continue
+            s = sh - j
+            c = rng.randint(1 << 54, 1 << 56)
+            while (c * g) & ((1 << s) - 1) >= c:
+                c += 1
+            found += 1
+            assert _image(c, g, s, exact, e, k, j) == \
+                _fraction_image(c, e, k, j), (c, e, k, j)
+        assert found > 150
+
+    def test_lane_with_rescue_matches_exact(self, monkeypatch):
+        # The route-boundary corpus (every binary64 binade edge) through
+        # the lane on the 64-bit stand-in: byte-identical to the exact
+        # tier, with the rescue deciding many images.
+        calls = []
+        real = schubfach_mod._image_exact
+
+        def spy(c, e, k, j):
+            calls.append((c, e, k, j))
+            return real(c, e, k, j)
+
+        monkeypatch.setattr(schubfach_mod, "_image_exact", spy)
+        tables = _Tables64(BINARY64)
+        values = [v for v in _binade_edges(BINARY64)
+                  if not v.sign and v.is_finite and not v.is_zero]
+        for v in values:
+            even = not (v.f & 1)
+            assert schubfach_digits(v.f, v.e, tables, even,
+                                    TieBreak.UP) == exact_text(v), v
+        assert len(calls) > 10

@@ -208,3 +208,40 @@ class TestStatsAndCache:
         for got in results.values():
             assert got == expected
         assert eng.stats()["cache_entries"] <= 64
+        # Four writers on overlapping windows and one reader, all on a
+        # 64-entry memo: lock-free probes race the other batches'
+        # flushes (bumps of entries evicted meanwhile, installs past
+        # capacity) and must never change a byte.
+        eng = Engine(cache_size=64)
+        floats = [v.to_float() for v in uniform_random(240, seed=52)]
+        expected = [exact(x) for x in floats]
+        texts = [repr(x) for x in floats]
+        results = {}
+
+        def write(tid):
+            lo = 30 * tid
+            got = []
+            for _ in range(20):
+                for start in range(lo, lo + 120, 20):
+                    got.append((start,
+                                eng.format_many(floats[start:start + 40])))
+            results[tid] = got
+
+        def read():
+            results["read"] = [eng.read_many(texts[i:i + 50])
+                               for _ in range(4)
+                               for i in range(0, 240, 10)]
+
+        threads = [threading.Thread(target=write, args=(i,))
+                   for i in range(4)]
+        threads.append(threading.Thread(target=read))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for tid in range(4):
+            for start, got in results[tid]:
+                assert got == expected[start:start + 40]
+        for i, got in zip(list(range(0, 240, 10)) * 4, results["read"]):
+            assert [v.to_float() for v in got] == floats[i:i + 50]
+        assert eng.stats()["cache_entries"] <= 64

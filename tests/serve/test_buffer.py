@@ -263,10 +263,7 @@ class TestBinary16Total:
         # oracle of -v is "-" + the oracle of v.
         finite = [v for _, v in column[0] if v.is_finite and not v.is_zero]
         assert len(finite) == 2 * (31 * 1024 - 1)
-        exact = Engine(tier_order=(), cache_size=0)
-        want = {(v.f, v.e): exact.format(v, mode=mode, tie=tie,
-                                         fmt=BINARY16)
-                for v in finite if not v.sign}
+        want = self._exact_positive(finite, mode, tie)
         eng = Engine(cache_size=0)  # memo off: every pattern is routed
         for v in finite:
             got = eng.format(v, mode=mode, tie=tie, fmt=BINARY16)
@@ -275,3 +272,47 @@ class TestBinary16Total:
         s = eng.stats()
         assert s["tier2_calls"] == 0
         assert s["tier0_hits"] + s["schubfach_hits"] == len(finite)
+
+    _exact_cache: dict = {}
+
+    @classmethod
+    def _exact_positive(cls, finite, mode, tie):
+        """The exact tier's text for every positive finite pattern,
+        keyed by ``(f, e)`` (built once per mode and tie)."""
+        want = cls._exact_cache.get((mode, tie))
+        if want is None:
+            exact = Engine(tier_order=(), cache_size=0)
+            want = cls._exact_cache[mode, tie] = {
+                (v.f, v.e): exact.format(v, mode=mode, tie=tie,
+                                         fmt=BINARY16)
+                for v in finite if not v.sign}
+        return want
+
+    @pytest.mark.parametrize("mode", [ReaderMode.NEAREST_EVEN,
+                                      ReaderMode.NEAREST_UNKNOWN])
+    @pytest.mark.parametrize("tie", [TieBreak.UP, TieBreak.DOWN])
+    def test_format_many_matches_exact_every_pattern(self, column, mode,
+                                                     tie):
+        # Every pattern (NaNs, infinities and zeros too) as one
+        # format_many batch, memo off and on: the batch loop must equal
+        # the exact tier and never reach it.
+        values = [Flonum.from_bits(b, BINARY16) for b in range(1 << 16)]
+        finite = [v for v in values if v.is_finite and not v.is_zero]
+        positive = self._exact_positive(finite, mode, tie)
+        exact = Engine(tier_order=(), cache_size=0)
+        want = []
+        for v in values:
+            if v.is_finite and not v.is_zero:
+                text = positive[v.f, v.e]
+                want.append("-" + text if v.sign else text)
+            else:
+                want.append(exact.format(v, mode=mode, tie=tie,
+                                         fmt=BINARY16))
+        for cache_size in (0, 8192):
+            eng = Engine(cache_size=cache_size)
+            assert eng.format_many(values, mode=mode, tie=tie,
+                                   fmt=BINARY16) == want
+            s = eng.stats()
+            assert s["tier2_calls"] == 0
+            assert s["tier0_hits"] + s["schubfach_hits"] \
+                + s["cache_hits"] == len(finite)
