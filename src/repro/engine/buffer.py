@@ -10,18 +10,12 @@ delimited byte *planes* instead, in the style of Lemire's
 
 * :func:`split_plane` — a delimited splitter that reports token
   *offsets and lengths* (``array`` / numpy-through-buffer-protocol when
-  available) so shard boundaries and classification never materialize
-  per-row strings;
-* :func:`classify_tokens` — a vectorized classify sweep (sign, digit
-  purity, digit count, exact-power window) that partitions a column of
-  byte tokens into per-tier sub-batches in one pass, with a
-  pure-python fallback when numpy is absent;
-* :func:`parse_buffer` — tokenize, dedup on *bytes* tokens, scan each
-  distinct token with a bytes-level :func:`_scan_decimal` equivalent,
-  convert the host-window sub-batch with one ``array('d')`` pass and
-  everything else through :meth:`ReadEngine._convert` directly —
-  pow-table lookups and the stats-lock acquisition hoisted out of the
-  per-value loop, and never a per-row ``str`` or ``Flonum``;
+  available) so shard boundaries never materialize per-row strings;
+* :func:`parse_buffer` — tokenize, dedup on *bytes* tokens, decode the
+  distinct ones to text in one pass and run them through the read
+  engine's batch loop for bit patterns — the same loop, lanes and memo
+  as :meth:`~repro.engine.reader.ReadEngine.read_many`, but never a
+  per-row ``str`` or ``Flonum``;
 * :func:`format_buffer` — the mirror image: dedup bit patterns, format
   each distinct value once, and emit pre-terminated byte rows straight
   into one payload (optionally a :class:`~repro.serve.DelimitedWriter`
@@ -38,45 +32,27 @@ from __future__ import annotations
 from array import array
 from typing import List, Optional, Tuple, Union
 
-from repro import faults as _faults
 from repro.core.rounding import ReaderMode, TieBreak
 from repro.engine.bulk import (
     _format_bits,
     _itemsize,
     ingest_bits,
 )
-from repro.engine.reader import (
-    _HOST_POW10_MAX,
-    _HOST_POW10_MIN,
-    _NEAREST,
-    ReadEngine,
-)
-from repro.engine.tables import tables_for
+from repro.engine.reader import ReadEngine
 from repro.errors import DecodeError, ParseError, RangeError
 from repro.floats.formats import BINARY64, FloatFormat
 from repro.floats.model import Flonum
 from repro.format.notation import NotationOptions
-from repro.reader.bellerophon import _try_fast
-from repro.reader.parse import parse_decimal
 
 try:  # optional: reached through the buffer protocol only
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised where numpy is absent
     _np = None
 
-__all__ = ["split_plane", "split_rows", "classify_tokens",
-           "parse_buffer", "format_buffer"]
+__all__ = ["split_plane", "split_rows", "parse_buffer", "format_buffer"]
 
 #: numpy dtype name per unsigned itemsize (the vectorized dedup leg).
 _NP_UINT_BY_SIZE = {2: "uint16", 4: "uint32", 8: "uint64"}
-
-#: Tier codes :func:`classify_tokens` assigns.
-TIER_FAST = 0    #: host/exact-power window candidate (sub-batchable)
-TIER_CONVERT = 1  #: finite literal for the interval/exact tiers
-TIER_SLOW = 2    #: specials, malformed, oversized — full parser
-
-#: ASCII digit byte lookup (the classify sweep's purity test).
-_DIGITS = frozenset(b"0123456789")
 
 
 def _plane_bytes(data) -> bytes:
@@ -123,7 +99,7 @@ def split_plane(data, delimiter: Union[bytes, str] = b"\n"
 
     No per-row object is materialized — the result is the normalized
     plane plus two index arrays (``array('q')``), which is what shard
-    splitting and classification consume.  One trailing terminator is
+    splitting consumes.  One trailing terminator is
     allowed (no phantom empty row); a trailing *unterminated* token is
     still a token.  CRLF and other multi-byte delimiters are handled;
     non-bytes input raises :class:`DecodeError`.
@@ -195,142 +171,6 @@ def split_rows(data, delimiter: Union[bytes, str] = b"\n") -> List[str]:
         raise DecodeError(f"non-ASCII payload: {exc}") from None
 
 
-def _scan_token(tok: bytes):
-    """Bytes-level :func:`repro.reader.parse._scan_decimal` equivalent.
-
-    Same acceptance and the same normalized ``(sign, digits, exponent)``
-    fields, over a bytes token — ``bytes.isdigit`` is ASCII-only, so no
-    ``isascii`` gate is needed.  Returns None for anything the full
-    parser must see (specials, ``#`` marks, malformed, oversized).
-    """
-    body = tok
-    c = tok[:1]
-    if c == b"-":
-        sign = 1
-        body = tok[1:]
-    else:
-        sign = 0
-        if c == b"+":
-            body = tok[1:]
-    mant, sep, exp_part = body.partition(b"e")
-    if not sep:
-        mant, sep, exp_part = body.partition(b"E")
-    if sep:
-        ec = exp_part[:1]
-        if ec == b"-":
-            exp_part = exp_part[1:]
-            if not exp_part.isdigit():
-                return None
-            exponent = -int(exp_part)
-        else:
-            if ec == b"+":
-                exp_part = exp_part[1:]
-            if not exp_part.isdigit():
-                return None
-            exponent = int(exp_part)
-    else:
-        exponent = 0
-    int_part, _, frac_part = mant.partition(b".")
-    if int_part and not int_part.isdigit():
-        return None
-    if frac_part:
-        if not frac_part.isdigit():
-            return None
-        exponent -= len(frac_part)
-        digits_str = int_part + frac_part
-    else:
-        digits_str = int_part
-    if not digits_str or len(digits_str) > 4000:
-        return None
-    digits = int(digits_str)
-    if digits:
-        while digits % 10 == 0:
-            digits //= 10
-            exponent += 1
-    else:
-        exponent = 0
-    return sign, digits, exponent
-
-
-def _plain_digit_mask(tokens: List[bytes]) -> Optional[list]:
-    """Vectorized purity test: which tokens are bare ASCII digit runs.
-
-    Builds one terminated plane from the tokens and runs a 256-entry
-    lookup table plus a segmented reduction over a zero-copy view —
-    the numpy-through-buffer-protocol leg of the classify pass.  The
-    mask only *routes* tokens to the cheap ``int()`` scan; a token it
-    marks scans identically through :func:`_scan_token`, so the result
-    cannot depend on this pass.  None when numpy is absent or the
-    batch is too small to matter.
-    """
-    if _np is None or len(tokens) < 512:
-        return None
-    plane = b"\n".join(tokens) + b"\n"
-    arr = _np.frombuffer(plane, dtype=_np.uint8)
-    lut = _np.ones(256, dtype=bool)
-    lut[ord("0"):ord("9") + 1] = False  # True marks a non-digit byte
-    starts = _np.empty(len(tokens), dtype=_np.int64)
-    starts[0] = 0
-    lens = _np.fromiter(map(len, tokens), dtype=_np.int64,
-                        count=len(tokens))
-    _np.cumsum(lens[:-1] + 1, out=starts[1:])
-    # Each segment spans the token plus its terminator, so a pure digit
-    # run counts exactly one non-digit byte (the terminator itself).
-    bad = _np.add.reduceat(lut[arr], starts)
-    return ((bad == 1) & (lens >= 1) & (lens <= 19)).tolist()
-
-
-def classify_tokens(tokens: List[bytes], fmt: FloatFormat = BINARY64,
-                    tables=None) -> Tuple[list, array]:
-    """One sweep over a token column: ``(scans, tiers)``.
-
-    ``scans[i]`` is the normalized ``(sign, digits, exponent)`` triple
-    (or None for tokens only the full parser can judge) and
-    ``tiers[i]`` the sub-batch the token belongs to: :data:`TIER_FAST`
-    for significands that fit the format inside its exact-power window
-    (digit count and window test against
-    :class:`~repro.engine.tables.FormatTables`), :data:`TIER_CONVERT`
-    for other finite literals, :data:`TIER_SLOW` for specials and
-    malformed input.  The digit-purity/sign pre-pass is vectorized
-    through the buffer protocol when numpy is available
-    (:func:`_plain_digit_mask`); the fallback runs the same sweep in
-    pure python with identical results.
-    """
-    if tables is None:
-        tables = tables_for(fmt, 10)
-    if tables.read_host_float:
-        win_lo, win_hi = _HOST_POW10_MIN, _HOST_POW10_MAX
-    else:
-        win_lo, win_hi = -tables.read_max_pow10, tables.read_max_pow10
-    mantissa_limit = tables.mantissa_limit
-    scans: list = []
-    append = scans.append
-    tiers = array("b", bytes(len(tokens)))
-    plain = _plain_digit_mask(tokens)
-    scan = _scan_token
-    for i, tok in enumerate(tokens):
-        if plain is not None and plain[i]:
-            # Vector-classified digit run: sign 0, exponent 0, with the
-            # scanner's trailing-zero normalization replicated.
-            d = int(tok)
-            q = 0
-            if d:
-                while d % 10 == 0:
-                    d //= 10
-                    q += 1
-            sc = (0, d, q)
-        else:
-            sc = scan(tok)
-        append(sc)
-        if sc is None:
-            tiers[i] = TIER_SLOW
-        elif sc[1] < mantissa_limit and win_lo <= sc[2] <= win_hi:
-            tiers[i] = TIER_FAST
-        else:
-            tiers[i] = TIER_CONVERT
-    return scans, tiers
-
-
 def _reader_of(engine) -> ReadEngine:
     if engine is None:
         from repro.engine.reader import default_read_engine
@@ -341,98 +181,17 @@ def _reader_of(engine) -> ReadEngine:
     return engine.reader  # an Engine: its attached read engine
 
 
-def _parse_tokens(uniques: List[bytes], fmt: FloatFormat,
-                  mode: ReaderMode, reader: ReadEngine) -> List[int]:
-    """Bit patterns of distinct byte tokens, per-tier sub-batched.
-
-    The hot core of :func:`parse_buffer`.  Tables, the window test and
-    the conversion entry point are hoisted out of the loop; the memo is
-    deliberately skipped (the caller's dedup already collapses the
-    batch, and memo traffic per token is exactly the churn this path
-    removes); stats are tallied locally and flushed under one lock.
-
-    The :data:`TIER_FAST` sub-batch for host-float formats (binary64)
-    runs Clinger's exact-power multiply per token but converts the
-    accumulated results to bit patterns with *one* ``array('d')``
-    buffer cast for the whole sub-batch — no per-value Flonum, no
-    per-value ``to_bits``.  Everything else funnels through
-    :meth:`ReadEngine._convert`, the same counter-free core the scalar
-    reader uses, so results are bit-identical by construction.
-    """
-    tables = reader._context(fmt, mode)[1]
-    scans, tiers = classify_tokens(uniques, fmt, tables)
-    out = [0] * len(uniques)
-    sign_shift = fmt.total_bits - 1
-    # The inline host sub-batch replicates _convert's tier-0 outcome
-    # exactly; it must stand aside whenever _convert would behave
-    # differently: an exact-only reader, non-nearest mode, no
-    # host-float tables, or an armed fault plan (whose tier sites fire
-    # inside _convert).
-    host_batch = (tables.read_host_float and tables.read_fast_ok
-                  and not reader.exact_only
-                  and mode in _NEAREST
-                  and _faults._PLAN is None)
-    convert = reader._convert
-    to_parsed = reader._convert_parsed
-    host_f: List[float] = []
-    host_sign: List[int] = []
-    host_idx: List[int] = []
-    t0 = t1 = t1b = t2 = sp = tf = 0
-    for i, sc in enumerate(scans):
-        if sc is None:
-            tok = uniques[i]
-            try:
-                text = tok.decode("ascii")
-            except UnicodeDecodeError:
-                raise ParseError(
-                    f"non-ASCII literal: {tok[:32]!r}") from None
-            value, tier, bailed, faulted = to_parsed(
-                parse_decimal(text), fmt, mode, tables)
-        else:
-            sign, d, q = sc
-            if d == 0:
-                out[i] = sign << sign_shift
-                sp += 1
-                continue
-            if host_batch and tiers[i] == TIER_FAST:
-                fast = _try_fast(d, q)
-                if fast is not None:
-                    host_idx.append(i)
-                    host_sign.append(sign)
-                    host_f.append(fast)
-                    t0 += 1
-                    continue
-            value, tier, bailed, faulted = convert(sign, d, q, fmt,
-                                                   mode, tables)
-        if bailed:
-            t1b += 1
-        if faulted:
-            tf += 1
-        if tier == "tier0":
-            t0 += 1
-        elif tier == "tier1":
-            t1 += 1
-        elif tier == "tier2":
-            t2 += 1
-        else:
-            sp += 1
-        out[i] = value.to_bits()
-    if host_f:
-        # One buffer cast converts the whole sub-batch of host-float
-        # results to bit patterns; the sign is OR-ed in afterwards
-        # (_try_fast works on magnitudes, exactly like _convert).
-        host_bits = array("Q")
-        host_bits.frombytes(array("d", host_f).tobytes())
-        for i, s, b in zip(host_idx, host_sign, host_bits):
-            out[i] = b | (s << 63)
-    with reader._lock:
-        reader._tier0_hits += t0
-        reader._tier1_hits += t1
-        reader._tier1_bailouts += t1b
-        reader._tier2_calls += t2
-        reader._specials += sp
-        reader._tier_faults += tf
-    return out
+def _ascii_texts(tokens: List[bytes]) -> List[str]:
+    """Byte tokens as ``str``, decoded in one pass over the batch; a
+    non-ASCII token raises :class:`ParseError`."""
+    try:
+        texts = b"\n".join(tokens).decode("ascii").split("\n")
+    except UnicodeDecodeError:
+        bad = next(t for t in tokens if not t.isascii())
+        raise ParseError(f"non-ASCII literal: {bad[:32]!r}") from None
+    if len(texts) != len(tokens):  # a token holds the joiner itself
+        texts = [t.decode("ascii") for t in tokens]
+    return texts
 
 
 def parse_buffer(data, fmt: FloatFormat = BINARY64, *,
@@ -442,18 +201,19 @@ def parse_buffer(data, fmt: FloatFormat = BINARY64, *,
     """Parse a whole delimited byte plane without per-row strings.
 
     The read mirror of :func:`format_buffer`: tokenize with one C-level
-    split (tokens stay ``bytes``), dedup on the byte tokens, classify
-    and convert only the distinct ones (:func:`_parse_tokens`), and fan
-    the bit patterns back out in row order.  ``out="bits"`` (default)
-    returns bit-pattern ints — the columnar form — ``out="flonums"``
-    the :class:`Flonum` values.
+    split (tokens stay ``bytes``), dedup on the byte tokens, decode only
+    the distinct ones and convert them through the read engine's batch
+    loop for bit patterns, and fan those back out in row order.
+    ``out="bits"`` (default) returns bit-pattern ints — the columnar
+    form — ``out="flonums"`` the :class:`Flonum` values.
 
-    Results are bit-identical to the scalar
-    :meth:`~repro.engine.reader.ReadEngine.read_many` on the same rows
-    (the ``--buffer`` verify battery enforces it); malformed rows raise
-    the same :class:`ParseError`.  The engine memo is not consulted:
-    within a plane the dedup pass replaces it, and skipping the probe
-    per row is a large part of the speedup.
+    The batch loop is :meth:`~repro.engine.reader.ReadEngine.read_many`'s:
+    the same lanes, counters and memo, so a plane's distinct tokens
+    are served from (and installed into) the memo that ``read_many``
+    and, through :attr:`Engine.reader`, the write side share.  Results
+    are bit-identical to ``read_many`` on the same rows (the
+    ``--buffer`` verify battery enforces it); malformed rows raise the
+    same :class:`ParseError`.
     """
     if out not in ("bits", "flonums"):
         raise RangeError(f"out must be 'bits' or 'flonums', got {out!r}")
@@ -462,19 +222,17 @@ def parse_buffer(data, fmt: FloatFormat = BINARY64, *,
     if not tokens:
         return []
     stripped = [t.strip() for t in tokens]
-    if dedup:
-        interned = dict.fromkeys(stripped)
-        uniques = list(interned)
-        for t, b in zip(uniques,
-                        _parse_tokens(uniques, fmt, mode, reader)):
-            interned[t] = b
-        bits = list(map(interned.__getitem__, stripped))
-    else:
-        bits = _parse_tokens(stripped, fmt, mode, reader)
-    if out == "bits":
-        return bits
-    from_bits = Flonum.from_bits
-    return [from_bits(b, fmt) for b in bits]
+    interned = dict.fromkeys(stripped) if dedup else None
+    uniques = list(interned) if dedup else stripped
+    values = reader._read_batch(_ascii_texts(uniques), fmt, mode,
+                                False)[0]
+    if out == "flonums":
+        from_bits = Flonum.from_bits
+        values = [from_bits(b, fmt) for b in values]
+    if not dedup:
+        return values
+    interned.update(zip(uniques, values))
+    return list(map(interned.__getitem__, stripped))
 
 
 def format_buffer(data, fmt: FloatFormat = BINARY64, *,

@@ -7,10 +7,12 @@ steady state finding the oldest key meant scanning that prefix on
 every eviction.
 
 Not thread-safe: callers hold the owning engine's lock around every
-mutation and every bumping read.  The one lock-free read is the write
-batch loop's probe, a plain ``get``: under the GIL it is a single
-C-level ``OrderedDict`` lookup on int/str tuple keys, it changes
-nothing, and the batch bumps its hits later under the lock.
+mutation and every bumping read.  The two lock-free readers are the
+batch loops' probes — the write side's ``Engine._format_many_fast``
+and the read side's ``ReadEngine._read_batch`` — each a plain ``get``:
+under the GIL it is a single C-level ``OrderedDict`` lookup on int/str
+tuple keys, it changes nothing, and the batch bumps its hits later
+under the lock.
 """
 
 from collections import OrderedDict

@@ -55,6 +55,7 @@ from repro.core.rounding import ReaderMode, TieBreak
 from repro.errors import ReproError, SnapshotError
 from repro.floats.formats import STANDARD_FORMATS, FloatFormat
 from repro.floats.model import Flonum
+from repro.engine.reader import _bits_layout
 from repro.engine.tables import (
     GRISU_MAX_PRECISION,
     FormatTables,
@@ -109,7 +110,8 @@ class Snapshot:
         tables: ``{name: {"fingerprint", "grisu_e_min", "grisu_powers"}}``.
         write_memo: ``[name, mode, tie, f, e, k, body]`` rows (shortest
             results; recency order, oldest first).
-        read_memo: ``[name, mode, text, kind, sign, f, e, tier]`` rows.
+        read_memo: ``[name, mode, text, kind, sign, f, e, tier]`` rows
+            (``tier`` is written as ``"memo"`` and ignored on load).
         hot: same row shape as ``write_memo`` — the never-evicted
             hot-values dictionary.
         meta: free-form provenance (corpus parameters, counts).
@@ -328,19 +330,22 @@ def _capture_memo(engine, names: List[str], base: int
         reader = engine._reader
         read_rev: Dict[int, tuple] = {}
         if reader is not None:
-            for (fmt_id, mode), (ctx_id, tabs) in reader._contexts.items():
+            for ctx_id, tabs, _, mode in reader._contexts.values():
                 name = fmt_names.get(id(tabs.fmt))
                 if name is not None:
-                    read_rev[ctx_id] = (name, mode)
+                    read_rev[ctx_id] = (name, mode, tabs.fmt)
         for key, val in engine._cache.items():
             if len(key) == 2 and isinstance(key[0], str):
-                # Read entry: (text, read_ctx) -> (Flonum, tier).
+                # Read entry: (text, read_ctx) -> (bits, Flonum or
+                # None); formats without an encoding memoize no bits.
                 text, ctx = key
                 got = read_rev.get(ctx)
                 if got is None:
                     continue
-                name, mode = got
-                flonum, tier = val
+                name, mode, fmt = got
+                bits, flonum = val
+                if bits is not None:
+                    flonum = Flonum.from_bits(bits, fmt)
                 if flonum.is_nan:
                     kind, sign, f, e = _KIND_NAN, 0, 0, 0
                 elif flonum.is_infinite:
@@ -349,7 +354,7 @@ def _capture_memo(engine, names: List[str], base: int
                     kind, sign, f, e = (_KIND_FINITE, flonum.sign,
                                         flonum.f, flonum.e)
                 read_rows.append([name, mode.value, text, kind, sign,
-                                  f, e, tier])
+                                  f, e, "memo"])
                 continue
             if len(key) != 3:
                 continue  # fixed-format entries (4-tuple keys)
@@ -430,6 +435,15 @@ def _decode_flonum(kind: str, sign: int, f: int, e: int,
     raise SnapshotError(f"unknown flonum kind {kind!r} in read memo")
 
 
+def _decode_read_row(name, mode, text, kind, sign, f, e) -> tuple:
+    """One read-memo row as ``(fmt, mode, text, (bits, Flonum))``; the
+    tier column is ignored (older snapshots carry real tier names)."""
+    fmt = _resolve_format(name)
+    value = _decode_flonum(kind, int(sign), f, e, fmt)
+    bits = value.to_bits() if fmt.has_encoding else None
+    return fmt, _decode_mode(mode), str(text), (bits, value)
+
+
 def apply_snapshot(engine, snap: Snapshot) -> dict:
     """Warm an :class:`~repro.engine.engine.Engine` from a snapshot.
 
@@ -475,13 +489,11 @@ def apply_snapshot(engine, snap: Snapshot) -> dict:
     decoded_r = []
     for row in snap.read_memo:
         try:
-            name, mode, text, kind, sign, f, e, tier = row
+            name, mode, text, kind, sign, f, e, _tier = row
         except Exception as exc:
             raise SnapshotError(f"malformed read-memo row: {row!r}") from exc
-        fmt = _resolve_format(name)
-        value = _decode_flonum(kind, int(sign), f, e, fmt)
-        decoded_r.append((fmt, _decode_mode(mode), str(text),
-                          (value, str(tier))))
+        decoded_r.append(_decode_read_row(name, mode, text, kind, sign,
+                                          f, e))
     counts = {"formats": len(snap.formats), "write": 0, "read": 0, "hot": 0}
     ctxs: dict = {}
 
@@ -515,13 +527,10 @@ def apply_read_snapshot(reader, snap: Snapshot) -> dict:
     decoded = []
     for row in snap.read_memo:
         try:
-            name, mode, text, kind, sign, f, e, tier = row
+            name, mode, text, kind, sign, f, e, _tier = row
         except Exception as exc:
             raise SnapshotError(f"malformed read-memo row: {row!r}") from exc
-        fmt = _resolve_format(name)
-        value = _decode_flonum(kind, int(sign), f, e, fmt)
-        decoded.append((fmt, _decode_mode(mode), str(text),
-                        (value, str(tier))))
+        decoded.append(_decode_read_row(name, mode, text, kind, sign, f, e))
     count = _install_read_rows(reader, decoded) if reader.cache_size else 0
     return {"formats": len(snap.formats), "write": 0, "read": count,
             "hot": 0}
@@ -555,23 +564,13 @@ _VAL_K = struct.Struct("<i")
 
 def bits_encoder(fmt: FloatFormat):
     """Closure mapping canonical positive finite ``(f, e)`` to the
-    format's bit pattern — the plane's key function, inlined for the
-    probe path (must agree with
-    :func:`repro.floats.decompose.encode_components`)."""
-    hidden = fmt.hidden_limit
-    shift = fmt.mantissa_field_width
-    boff = fmt.bias + fmt.precision - 1
-    explicit = fmt.explicit_leading_bit
-    if explicit:
-        def to_bits(f: int, e: int) -> int:
-            if f >= hidden:
-                return ((e + boff) << shift) | f
-            return f
-    else:
-        def to_bits(f: int, e: int) -> int:
-            if f >= hidden:
-                return ((e + boff) << shift) | (f - hidden)
-            return f
+    format's bit pattern — the plane's key function, built from the
+    read batch loop's encoder constants
+    (:func:`repro.engine.reader._bits_layout`)."""
+    hidden, shift, offset = _bits_layout(fmt)[:3]
+
+    def to_bits(f: int, e: int) -> int:
+        return (e << shift) + f + offset if f >= hidden else f
     return to_bits
 
 

@@ -174,13 +174,18 @@ class Flonum:
 
     @classmethod
     def from_bits(cls, bits: int, fmt: FloatFormat) -> "Flonum":
-        """Decode a raw bit pattern of the format."""
+        """Decode a raw bit pattern of the format.
+
+        ``split_bits`` range-checks the pattern and ``decode_fields``
+        classifies it (rejecting x87 unnormals), so the finite fields
+        are canonical by construction: no second validation.
+        """
         fcls, sign, f, e = decode_fields(*split_bits(bits, fmt), fmt)
         if fcls is FloatClass.NAN:
             return cls.nan(fmt)
         if fcls is FloatClass.INFINITE:
             return cls.infinity(fmt, sign)
-        return cls.finite(sign, f, e, fmt)
+        return cls._finite_trusted(sign, f, e, fmt)
 
     @classmethod
     def from_int(cls, n: int, fmt: FloatFormat = BINARY64) -> "Flonum":

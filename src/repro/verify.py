@@ -844,9 +844,9 @@ def verify_buffer(fmt: FloatFormat = BINARY64, n: int = 50000,
     """Byte/bit-identity of the byte-plane pipeline
     (:mod:`repro.engine.buffer`) against the scalar engines.
 
-    The pipeline never materializes per-row strings — tokens stay
-    ``bytes``, classification is one vectorized sweep, conversions run
-    in per-tier sub-batches — but must reproduce the scalar results
+    The pipeline never materializes per-row ``Flonum`` objects — tokens
+    stay ``bytes`` until the distinct ones are decoded, and conversions
+    come back as bit patterns — but must reproduce the scalar results
     exactly.  Oracles and legs:
 
     * **emit** — :func:`~repro.engine.buffer.format_buffer` on the
@@ -858,7 +858,10 @@ def verify_buffer(fmt: FloatFormat = BINARY64, n: int = 50000,
       :meth:`ReadEngine.read_result` per row, with *per-tier mismatch
       attribution*: each row's check is tagged by the tier the scalar
       reader resolved it with (``buffer/parse/tier0`` …), so a
-      divergence localizes to the sub-batch that produced it;
+      divergence localizes to the lane that produced it.  The plane is
+      parsed twice through one engine whose memo holds it whole: the
+      second pass (``buffer/parse-memo/…``) must be served entirely by
+      the memo, once per distinct row;
     * **split** — :func:`~repro.engine.buffer.split_plane` /
       :func:`~repro.engine.buffer.split_rows` edge cases: trailing
       terminator, unterminated trailing token, CRLF and multi-byte
@@ -907,23 +910,35 @@ def verify_buffer(fmt: FloatFormat = BINARY64, n: int = 50000,
     if got != ("\r\n".join(scalar) + "\r\n").encode("ascii"):
         report.record("buffer/format-crlf", values[0], "payload differs")
 
-    # --- parse legs, tier-attributed -----------------------------------
+    # --- parse legs, tier-attributed; the second pass through the same
+    #     engine is served by its memo -----------------------------------
     oracle = ReadEngine(cache_size=0)  # memo off: true tier per row
     results = [oracle.read_result(t, fmt) for t in scalar]
     want_bits = [r.value.to_bits() for r in results]
-    got_bits = parse_buffer(want_payload, fmt)
-    if len(got_bits) != len(want_bits):
-        report.check("buffer/parse")
-        report.record("buffer/parse", values[0],
-                      f"row count {len(got_bits)} != {len(want_bits)}")
-    else:
+    reader = ReadEngine(cache_size=len(values))  # holds the whole plane
+    for leg in ("buffer/parse", "buffer/parse-memo"):
+        reader.reset_stats()
+        got_bits = parse_buffer(want_payload, fmt, engine=reader)
+        if len(got_bits) != len(want_bits):
+            report.check(leg)
+            report.record(leg, values[0],
+                          f"row count {len(got_bits)} != {len(want_bits)}")
+            continue
         for i, (g, w, r) in enumerate(zip(got_bits, want_bits, results)):
-            tag = f"buffer/parse/{r.tier}"
+            tag = f"{leg}/{r.tier}"
             report.check(tag)
             if g != w:
                 report.record(tag, values[i],
                               f"row {i} ({scalar[i]!r}): "
                               f"{g:#x} != {w:#x}")
+    report.check("buffer/parse-memo")
+    stats = reader.stats()
+    if (stats["read_cache_hits"] != len(set(scalar))
+            or stats["read_conversions"] != stats["read_cache_hits"]):
+        report.record("buffer/parse-memo", values[0],
+                      f"second pass: {stats['read_cache_hits']} memo hits "
+                      f"of {stats['read_conversions']} conversions, "
+                      f"{len(set(scalar))} distinct rows")
     _compare_rows(report, "buffer/parse-nodedup",
                   parse_buffer(want_payload, fmt, dedup=False),
                   want_bits, values)

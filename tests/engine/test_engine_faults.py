@@ -5,10 +5,12 @@ back to the exact tier (counted in ``tier_faults``), byte-identically;
 import pytest
 
 from repro import faults
+from repro.engine.buffer import parse_buffer
 from repro.engine.engine import Engine
 from repro.engine.reader import ReadEngine
 from repro.errors import ParseError
 from repro.floats.formats import BINARY64
+from repro.reader.exact import read_decimal
 from repro.workloads.corpus import uniform_random
 
 VALUES = [v for v in uniform_random(300, seed=17, signed=True)
@@ -167,6 +169,39 @@ class TestReaderGuardRails:
             with pytest.raises(ParseError):
                 eng.read("not-a-number", BINARY64)
         assert eng.stats()["read_tier_faults"] == 0
+
+
+class TestBytePlaneFaults:
+    """``parse_buffer`` runs the scalar readers' batch loop, so an armed
+    plan fires its read sites there too."""
+
+    #: WANT's full-precision literals reach the window tier; the short
+    #: ones tier 0.
+    TEXTS = WANT + ["1.5", "-0.25", "123", "7e22", "3.0e-5", "65504"]
+    PLANE = ("\n".join(TEXTS) + "\n").encode("ascii")
+
+    def test_read_sites_fire_and_heal(self):
+        want = [read_decimal(t).to_bits() for t in self.TEXTS]
+        reader = ReadEngine()
+        plan = faults.FaultPlan(
+            [faults.FaultSpec("reader.tier0", rate=0.3, limit=None),
+             faults.FaultSpec("reader.tier1", rate=0.3, limit=None)],
+            seed=21)
+        with faults.armed(plan):
+            got = parse_buffer(self.PLANE, BINARY64, engine=reader)
+        assert got == want
+        assert plan.fired.get("reader.tier0", 0) > 0
+        assert plan.fired.get("reader.tier1", 0) > 0
+        assert reader.stats()["read_tier_faults"] == \
+            sum(plan.fired.values())
+
+    @pytest.mark.parametrize("site", ["reader.tier0", "reader.tier1"])
+    def test_strict_reraises(self, site):
+        reader = ReadEngine(strict=True)
+        plan = faults.FaultPlan([faults.FaultSpec(site, at=(0,))])
+        with faults.armed(plan):
+            with pytest.raises(faults.InjectedFault):
+                parse_buffer(self.PLANE, BINARY64, engine=reader)
 
 
 class TestFaultPlanDeterminism:

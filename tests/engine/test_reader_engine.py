@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from repro.core.rounding import ReaderMode
 from repro.engine import READ_STAT_KEYS, STAT_KEYS, Engine, ReadEngine
+from repro.engine.buffer import parse_buffer
 from repro.engine.reader import _decimal_digits, read_many
-from repro.errors import ParseError, RangeError
+from repro.errors import FormatError, ParseError, RangeError
 from repro.floats.formats import (
     BINARY16,
     BINARY32,
     BINARY64,
     BINARY128,
+    DECIMAL64,
     X87_80,
 )
 from repro.floats.model import Flonum
@@ -387,3 +389,79 @@ class TestEngineIntegration:
             t.join()
         assert not errors, errors[:5]
         assert len(eng._cache) <= 64
+
+
+#: CORPUS after the readers' strip, each text once: every lane code
+#: (tier 0, window, window bail, specials) appears.
+DISTINCT = list(dict.fromkeys(t.strip() for t in CORPUS)) + [
+    "1.00000000000000011102230246251565404e0"]  # bails the window
+
+#: Counters both surfaces must agree on, per lane code.
+LANE_KEYS = ("read_tier0_hits", "read_tier1_hits", "read_tier1_bailouts",
+             "read_tier2_calls", "read_specials", "read_tier_faults",
+             "read_cache_misses", "read_conversions")
+
+
+def _plane(texts) -> bytes:
+    return ("\n".join(texts) + "\n").encode("ascii")
+
+
+class TestOneMemoTwoSurfaces:
+    """``parse_buffer`` and ``read_many`` run one batch loop over one
+    memo: either surface's entries serve the other."""
+
+    def test_parse_buffer_then_read_many(self):
+        eng = Engine()
+        bits = parse_buffer(_plane(DISTINCT), engine=eng)
+        eng.reset_stats()
+        flos = eng.read_many(DISTINCT)
+        stats = eng.stats()
+        assert stats["read_cache_hits"] == len(DISTINCT)
+        assert stats["read_cache_misses"] == 0
+        assert [v.to_bits() for v in flos] == bits
+        cold = ReadEngine(cache_size=0).read_many(DISTINCT)
+        assert all(_same(a, b) for a, b in zip(flos, cold))
+
+    def test_read_many_then_parse_buffer(self):
+        eng = Engine()
+        flos = eng.read_many(DISTINCT)
+        eng.reset_stats()
+        bits = parse_buffer(_plane(DISTINCT), engine=eng)
+        stats = eng.stats()
+        assert stats["read_cache_hits"] == len(DISTINCT)
+        assert stats["read_cache_misses"] == 0
+        assert bits == [v.to_bits() for v in flos]
+
+    def test_lane_counters_agree(self):
+        buf = ReadEngine()
+        parse_buffer(_plane(DISTINCT), engine=buf)
+        many = ReadEngine()
+        many.read_many(DISTINCT)
+        got = {k: buf.stats()[k] for k in LANE_KEYS}
+        assert got == {k: many.stats()[k] for k in LANE_KEYS}
+        for key in ("read_tier0_hits", "read_tier1_hits",
+                    "read_tier1_bailouts", "read_tier2_calls",
+                    "read_specials"):
+            assert got[key] > 0, key
+
+    def test_memo_off_and_exact_only_match_exact_reader(self):
+        want = [read_decimal(t).to_bits() for t in DISTINCT]
+        for reader in (ReadEngine(cache_size=0), ReadEngine(tier_order=())):
+            assert parse_buffer(_plane(DISTINCT), engine=reader) == want
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    def test_bits_encoder_every_format(self, fmt):
+        # The loop's inline encoder against Flonum.to_bits: subnormals,
+        # normals, zeros, infinities and NaN, x87's explicit bit kept.
+        want = [read_decimal(t, fmt).to_bits() for t in DISTINCT]
+        assert parse_buffer(_plane(DISTINCT), fmt,
+                            engine=ReadEngine()) == want
+
+    def test_format_without_encoding_memoizes_flonums(self):
+        eng = ReadEngine()
+        first = eng.read_many(DISTINCT, DECIMAL64)
+        again = eng.read_many(DISTINCT, DECIMAL64)
+        assert all(_same(a, b) for a, b in zip(first, again))
+        assert eng.stats()["read_cache_hits"] == len(DISTINCT)
+        with pytest.raises(FormatError):
+            parse_buffer(_plane(DISTINCT), DECIMAL64, engine=eng)

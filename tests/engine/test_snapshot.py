@@ -15,7 +15,8 @@ import struct
 import pytest
 
 from repro.core.rounding import ReaderMode, TieBreak
-from repro.engine import Engine
+from repro.engine import Engine, ReadEngine
+from repro.engine.buffer import parse_buffer
 from repro.engine.snapshot import (
     _HEADER,
     SNAPSHOT_VERSION,
@@ -34,6 +35,7 @@ from repro.engine.snapshot import (
 from repro.errors import SnapshotError
 from repro.floats.formats import BINARY32, BINARY64, FloatFormat
 from repro.floats.model import Flonum
+from repro.reader.exact import read_decimal
 from repro.workloads.corpus import uniform_random
 
 CORPUS = [v.to_float() for v in uniform_random(120, seed=7, signed=True)] \
@@ -245,6 +247,68 @@ class TestRestore:
         rows = hot_entries(flos)
         assert len(rows) == 1  # sign dropped, duplicate dropped
         assert rows[0][0] == "binary64"
+
+
+#: Read-memo rows as the ``(Flonum, tier)`` memo wrote them, before
+#: read entries held bit patterns: real tier names in the last column.
+TIERED_ROWS = [
+    ["binary64", "nearest-even", "1.5", "f", 0, 6755399441055744, -52,
+     "tier0"],
+    ["binary64", "nearest-even", "0.1", "f", 0, 7205759403792794, -56,
+     "tier0"],
+    ["binary64", "nearest-even", "9007199254740993", "f", 0,
+     4503599627370496, 1, "tier1"],
+    ["binary64", "nearest-even", "-0", "f", 1, 0, -1074, "special"],
+    ["binary64", "nearest-even", "nan", "n", 0, 0, 0, "special"],
+    ["binary64", "nearest-even", "-inf", "i", 1, 0, 0, "special"],
+    ["binary64", "nearest-even", "1e400", "i", 0, 0, 0, "tier0"],
+    ["binary64", "nearest-even", "5e-324", "f", 0, 1, -1074, "tier1"],
+    ["binary32", "nearest-even", "3.25", "f", 0, 13631488, -22, "tier0"],
+    ["binary32", "nearest-even", "1e39", "i", 0, 0, 0, "tier0"],
+]
+
+
+def _plane(texts) -> bytes:
+    return ("\n".join(texts) + "\n").encode("ascii")
+
+
+class TestReadMemoSurfaces:
+    def test_parse_buffer_entries_round_trip(self):
+        donor = Engine()
+        texts = donor.format_many(CORPUS)
+        half = len(texts) // 2
+        parse_buffer(_plane(texts[:half]), engine=donor)  # bits only
+        donor.read_many(texts[half:])  # bits and Flonum
+        snap = snapshot_from_bytes(snapshot_to_bytes(
+            build_snapshot(["binary64"], engine=donor)))
+        distinct = set(texts)
+        assert len(snap.read_memo) == len(distinct)
+        assert {row[7] for row in snap.read_memo} == {"memo"}
+        want = [read_decimal(t).to_bits() for t in texts]
+        warm = Engine(snapshot=snap)
+        assert warm.snapshot_restored["read"] == len(distinct)
+        warm.reset_stats()
+        assert parse_buffer(_plane(texts), engine=warm) == want
+        assert [v.to_bits() for v in warm.read_many(texts)] == want
+        stats = warm.stats()
+        assert stats["read_cache_misses"] == 0
+        assert stats["read_cache_hits"] == len(distinct) + len(texts)
+
+    def test_tiered_rows_still_load(self):
+        snap = snapshot_from_bytes(snapshot_to_bytes(
+            Snapshot(read_memo=TIERED_ROWS)))
+        by_fmt = {"binary64": BINARY64, "binary32": BINARY32}
+        for warm in (Engine(snapshot=snap), ReadEngine(snapshot=snap)):
+            assert warm.snapshot_restored["read"] == len(TIERED_ROWS)
+            for name, _mode, text, *_ in TIERED_ROWS:
+                fmt = by_fmt[name]
+                want = read_decimal(text, fmt)
+                got = warm.read_result(text, fmt)
+                assert got.tier == "memo", text
+                assert got.value.to_bits() == want.to_bits(), text
+                assert parse_buffer(_plane([text]), fmt,
+                                    engine=warm) == [want.to_bits()]
+            assert warm.stats()["read_cache_misses"] == 0
 
 
 class TestHotPlane:

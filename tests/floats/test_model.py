@@ -12,7 +12,8 @@ from repro.errors import (
     NotRepresentableError,
     RangeError,
 )
-from repro.floats.formats import BINARY16, BINARY32, BINARY64
+from repro.floats.decompose import FloatClass, decode_fields, split_bits
+from repro.floats.formats import BINARY16, BINARY32, BINARY64, X87_80
 from repro.floats.model import Flonum, FlonumKind
 
 
@@ -70,6 +71,56 @@ class TestConstruction:
         v = Flonum.from_float(1.0)
         with pytest.raises(AttributeError):
             v.f = 3
+
+
+def _fields(v: Flonum) -> tuple:
+    return (v.kind, v.sign, v.f, v.e, v.fmt)
+
+
+def _decoded_by_finite(bits: int, fmt) -> Flonum:
+    """``from_bits`` the validating way: classify, then ``finite``."""
+    fcls, sign, f, e = decode_fields(*split_bits(bits, fmt), fmt)
+    if fcls is FloatClass.NAN:
+        return Flonum.nan(fmt)
+    if fcls is FloatClass.INFINITE:
+        return Flonum.infinity(fmt, sign)
+    return Flonum.finite(sign, f, e, fmt)
+
+
+class TestFromBits:
+    """``from_bits`` builds finite values without re-validating: the
+    decoded fields must be exactly what ``Flonum.finite`` accepts."""
+
+    def test_every_binary16_pattern(self):
+        for bits in range(1 << 16):
+            assert _fields(Flonum.from_bits(bits, BINARY16)) == \
+                _fields(_decoded_by_finite(bits, BINARY16)), hex(bits)
+
+    @pytest.mark.parametrize("fmt", [BINARY32, BINARY64])
+    def test_binade_edges(self, fmt):
+        width = fmt.mantissa_field_width
+        top = fmt.max_biased_exponent
+        mants = {0, 1, 2, 1 << (width - 1), (1 << width) - 2,
+                 (1 << width) - 1}
+        for sign in (0, 1):
+            for biased in (0, 1, 2, top // 2, top - 2, top - 1, top):
+                for m in mants:
+                    bits = (sign << (fmt.total_bits - 1)) \
+                        | (biased << width) | m
+                    got = Flonum.from_bits(bits, fmt)
+                    assert _fields(got) == \
+                        _fields(_decoded_by_finite(bits, fmt)), hex(bits)
+                    if not got.is_nan:
+                        assert got.to_bits() == bits
+
+    def test_rejections_kept(self):
+        with pytest.raises(DecodeError):
+            Flonum.from_bits(1 << 64, BINARY64)
+        with pytest.raises(DecodeError):
+            Flonum.from_bits(-1, BINARY16)
+        # An x87 unnormal: normal exponent, integer bit clear.
+        with pytest.raises(DecodeError):
+            Flonum.from_bits((0x3FFF << 64) | 1, X87_80)
 
 
 class TestFromRaw:

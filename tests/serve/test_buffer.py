@@ -1,4 +1,4 @@
-"""The byte-plane pipeline: split/classify/parse/format over whole
+"""The byte-plane pipeline: split/parse/format over whole
 delimited buffers, byte- and bit-compared against the row-at-a-time
 path."""
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.engine import Engine, ReadEngine
 from repro.engine.buffer import (
-    classify_tokens,
     format_buffer,
     parse_buffer,
     split_plane,
@@ -148,21 +147,24 @@ class TestParseBuffer:
         payload, _ = row_payload(bits, fmt)
         assert parse_buffer(payload, fmt) == bits
 
+    def test_non_ascii_token_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="non-ASCII"):
+            parse_buffer(b"1.5\n2.5\n\xc3\xa9\n")
+
+    def test_token_holding_a_newline_stays_one_token(self):
+        # With another delimiter a newline is token content, not a
+        # row break: "2\n5" is one malformed literal.
+        assert parse_buffer(b"1.5|2.5|", delimiter=b"|") \
+            == parse_buffer(b"1.5\n2.5\n")
+        with pytest.raises(ParseError):
+            parse_buffer(b"1.5|2\n5|", delimiter=b"|")
+
     def test_stats_flushed_to_reader(self):
         reader = ReadEngine()
         parse_buffer(b"1.5\nnan\n1e300\n", engine=reader)
         stats = reader.stats()
         assert stats["read_specials"] == 1
         assert stats["read_conversions"] == 3  # specials count too
-
-
-class TestClassify:
-    def test_partitions_by_host_window(self):
-        toks = [b"1.5", b"1e300", b"nan", b"123456789012345678901e2"]
-        scans, tiers = classify_tokens(toks)
-        assert scans[2] is None          # special: no scan
-        assert tiers[0] == 0             # in the host-float window
-        assert tiers[1] != 0             # exponent outside the window
 
 
 class TestFormatBuffer:
@@ -247,7 +249,12 @@ class TestBinary16Total:
         bits = [b for b, _ in finite_and_inf]
         plane = format_buffer(pack_bits(bits, BINARY16), BINARY16,
                               engine=Engine())
-        assert parse_buffer(plane, BINARY16, engine=Engine()) == bits
+        # A memo that holds the whole plane: the second pass is all hits.
+        reader = Engine(cache_size=1 << 17)
+        assert parse_buffer(plane, BINARY16, engine=reader) == bits
+        reader.reset_stats()
+        assert parse_buffer(plane, BINARY16, engine=reader) == bits
+        assert reader.stats()["read_cache_hits"] == len(bits)
         oracle = "".join(format_shortest(v, engine=None) + "\n"
                          for _, v in finite_and_inf)
         assert plane == oracle.encode("ascii")
