@@ -265,8 +265,10 @@ class Flonum:
         """Encode to the raw bit pattern of the format."""
         fmt = self.fmt
         if self.is_nan:
-            # Canonical quiet NaN: exponent all ones, top mantissa bit set.
-            quiet = 1 << (fmt.mantissa_field_width - 1)
+            # Canonical quiet NaN: exponent all ones, top fraction bit
+            # set.  The fraction's top bit sits just below the leading
+            # bit, which x87 stores and the hidden-bit formats do not.
+            quiet = 1 << (fmt.precision - 2)
             if fmt.explicit_leading_bit:
                 quiet |= 1 << (fmt.precision - 1)
             return join_bits(0, fmt.max_biased_exponent, quiet, fmt)

@@ -181,10 +181,13 @@ class ReproDaemon:
     Args:
         host / port: Listen address (``port=0`` picks a free port,
             published as :attr:`port` after :meth:`start`).
-        jobs / kind: The per-key :class:`BulkPool` geometry —
-            ``kind="thread"`` shares one engine (memo-hot traffic),
-            ``"process"`` forks per-worker engines (exact-heavy
-            traffic, and the ladder's top rung for chaos runs).
+        jobs / kind: The per-key :class:`BulkPool` geometry for
+            batches of at least :data:`repro.serve.pool.INLINE_ROWS`
+            rows — ``kind="thread"`` shares the daemon's engine
+            (memo-hot traffic), ``"process"`` forks per-worker engines
+            (exact-heavy traffic, and the ladder's top rung for chaos
+            runs).  Smaller batches convert inline on the daemon's one
+            engine, whatever the kind.
         batch_window: Seconds a micro-batch waits for company before
             flushing (0: coalesce only requests arriving in the same
             loop turn).
@@ -205,13 +208,13 @@ class ReproDaemon:
         drain_timeout: Seconds :meth:`close` waits for in-flight
             responses before tearing down anyway.
         snapshot: Optional warm-start source (path or
-            :class:`repro.engine.snapshot.Snapshot`).  ``kind="thread"``
-            warms the shared engine once at construction;
-            ``kind="process"`` ships it to every lazily built
-            :class:`BulkPool` so workers fork warm (shared-memory hot
-            plane included).  A rejected snapshot counts
-            ``snapshot_faults`` in :meth:`pool_stats` and serving
-            starts cold — response bytes are identical either way.
+            :class:`repro.engine.snapshot.Snapshot`).  It warms the
+            daemon's engine once at construction; ``kind="process"``
+            also ships it to every lazily built :class:`BulkPool` so
+            workers fork warm (shared-memory hot plane included).  A
+            rejected snapshot counts ``snapshot_faults`` in
+            :meth:`pool_stats` and serving starts cold — response bytes
+            are identical either way.
         breaker_threshold: Consecutive infrastructure failures
             (``ShardError``/``PoolBrokenError``/deadline) that trip a
             per-pool circuit breaker (0: breakers disabled).  While
@@ -324,14 +327,13 @@ class ReproDaemon:
         self.hedge = bool(hedge)
         self.hedge_min = float(hedge_min)
         self.hedge_under_faults = bool(hedge_under_faults)
-        self._engine = None
-        if kind == "thread":
-            from repro.engine.engine import Engine
+        from repro.engine.engine import Engine
 
-            # Warm once at construction: every thread pool shares this
-            # engine, so the snapshot is applied exactly once here
-            # rather than per (format, delimiter) pool.
-            self._engine = Engine(snapshot=snapshot)
+        # Warm once at construction: every pool converts inline (and on
+        # its in-parent rungs) on this one engine, so the snapshot is
+        # applied exactly once here rather than per (format, delimiter)
+        # pool.  Process workers still get the snapshot from their pool.
+        self._engine = Engine(snapshot=snapshot)
         self._stats: Dict[str, int] = dict.fromkeys(SERVE_STAT_KEYS, 0)
 
     # ------------------------------------------------------------------
@@ -821,16 +823,19 @@ class ReproDaemon:
         return out
 
     def pool_stats(self) -> Dict[str, int]:
-        """Engine + recovery counters summed across every live pool."""
-        out: Dict[str, int] = {}
+        """Engine + recovery counters across every live pool (empty
+        before the first pool): the engine the pools share counted
+        once, plus each pool's worker deltas and recovery counters."""
         with self._pools_lock:
             pools = list(self._pools.values())
+        if not pools:
+            return {}
+        # Derived ratios (``bail_rate``) don't sum; consumers recompute
+        # them from the merged counters.
+        out = {k: v for k, v in self._engine.stats().items()
+               if not isinstance(v, dict)}
         for pool in pools:
-            for k, v in pool.stats().items():
-                if isinstance(v, dict):
-                    # Derived ratios (``bail_rate``) don't sum; consumers
-                    # recompute them from the merged counters.
-                    continue
+            for k, v in pool._own_stats().items():
                 out[k] = out.get(k, 0) + v
         return out
 

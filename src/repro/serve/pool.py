@@ -1,9 +1,16 @@
 """Sharded multi-worker bulk pipelines over the tiered engines.
 
-A :class:`BulkPool` cuts a column into shards, runs them in parallel
-and merges the results in input order:
+A :class:`BulkPool` routes every call by its row count.  A call with
+fewer than :data:`INLINE_ROWS` rows converts *inline*: one
+:func:`~repro.engine.buffer.format_buffer` or
+:func:`~repro.engine.buffer.parse_buffer` in the calling thread, on the
+pool's one parent engine.  A free-format conversion costs microseconds,
+so such a call finishes before it could be cut into shards, shipped to
+a worker and merged back.  Only calls at or above the threshold cut the
+column into shards, run them in parallel and merge the results in
+input order, on the executor of the current rung:
 
-* ``kind="thread"`` shares one engine across a
+* ``kind="thread"`` shares the parent engine across a
   :class:`~concurrent.futures.ThreadPoolExecutor` — right for memo-hot
   / fast-tier-dominated traffic, where conversions spend little time
   holding the engine lock and the batch APIs only take it twice per
@@ -31,8 +38,20 @@ so workers resolve the canonical
 :data:`~repro.floats.formats.STANDARD_FORMATS` instances — engine fast
 paths key on format identity.
 
+The threshold is a module constant, not a knob (no argument, flag or
+environment variable sets it).  It was measured on memo-cold columns,
+where every row is a new value: the inline route against two worker
+processes (``docs/benchmarks.md``).  A memo hit only makes the inline
+route cheaper, so the cold crossover is the bound for every hit rate.
+
 Fault tolerance
 ---------------
+
+Everything below concerns sharded calls.  An inline call has no shard,
+transport, checksum or executor, so the ``pool.*`` fault sites,
+deadlines, budgets, retries and hedging do not apply to it; the
+engine's own fault sites and guard rails still do, and a
+:class:`~repro.errors.ReproError` propagates as from a shard.
 
 Workers die, shards stall, payloads get mangled in transit.  The pool
 treats every such failure as an input with a defined outcome — either
@@ -64,10 +83,11 @@ outcome.  The machinery, all of it exercised deterministically by
 * **Degradation ladder** — when a level keeps failing, the pool steps
   down ``process → thread → serial`` (``degradations``) and retries
   there with a fresh attempt budget; the serial rung runs in-process
-  and cannot crash-loop.  A call that fails on a rung a concurrent
-  call already left retries on the current rung instead of stepping
-  down again.  ``on_error="raise"`` disables the ladder and
-  surfaces the first exhausted shard instead:
+  and cannot crash-loop.  Both lower rungs convert on the parent
+  engine, so a degraded pool keeps its memo.  A call that fails on a
+  rung a concurrent call already left retries on the current rung
+  instead of stepping down again.  ``on_error="raise"`` disables the
+  ladder and surfaces the first exhausted shard instead:
   :class:`~repro.errors.DeadlineExceededError` for deadline causes,
   :class:`~repro.errors.ShardError` (shard index, attempt count, cause
   chain) for everything else.
@@ -77,8 +97,9 @@ Deterministic data errors are not faults: a shard raising a
 propagates immediately — retrying it cannot change the outcome.
 
 Results are merged by concatenating delimiter-terminated payloads;
-:meth:`BulkPool.stats` sums the per-shard engine counter deltas and
-folds in the recovery counters (``shard_retries``, ``shard_failures``,
+:meth:`BulkPool.stats` adds the parent engine's live counters to the
+per-shard engine counter deltas the workers report and folds in the
+recovery counters (``shard_retries``, ``shard_failures``,
 ``deadline_hits``, ``pool_rebuilds``, ``degradations``,
 ``corrupt_shards``), every mutation under one lock so concurrent
 callers read exact totals.
@@ -105,6 +126,7 @@ from repro.engine.bulk import (
     ingest_bits,
     pack_bits,
 )
+from repro.engine.engine import Engine
 from repro.errors import (
     DeadlineExceededError,
     PoolBrokenError,
@@ -116,7 +138,7 @@ from repro.floats.formats import BINARY64, FloatFormat, STANDARD_FORMATS
 from repro.floats.model import Flonum
 from repro.serve.workers import PipeExecutor
 
-__all__ = ["BulkPool", "FAULT_STAT_KEYS"]
+__all__ = ["BulkPool", "FAULT_STAT_KEYS", "INLINE_ROWS"]
 
 #: Recovery counters :meth:`BulkPool.stats` always includes.
 #: ``snapshot_faults`` also exists as an engine counter; the pool folds
@@ -126,6 +148,13 @@ __all__ = ["BulkPool", "FAULT_STAT_KEYS"]
 FAULT_STAT_KEYS = ("shard_retries", "shard_failures", "deadline_hits",
                    "pool_rebuilds", "degradations", "corrupt_shards",
                    "snapshot_faults", "hedges", "hedge_wins")
+
+#: Calls with fewer rows convert inline on the parent engine; calls
+#: with at least this many shard to the current rung's executor.  On a
+#: memo-cold column the inline route was no slower than a two-worker
+#: process pool up to 384 rows, and slower on reads at 512
+#: (``docs/benchmarks.md``); memo hits only make inline cheaper.
+INLINE_ROWS = 512
 
 #: The degradation ladder, most to least parallel.
 _LADDER = ("process", "thread", "serial")
@@ -166,8 +195,6 @@ class _CorruptShard(Exception):
 def _worker_engine():
     global _WORKER_ENGINE
     if _WORKER_ENGINE is None:
-        from repro.engine.engine import Engine
-
         warm = _WORKER_WARM
         if warm is None:
             _WORKER_ENGINE = Engine()
@@ -219,8 +246,6 @@ def _build_warm_engine(warm):
     bytes.
     """
     global _WORKER_WARM_FAULTS, _WORKER_SHM
-    from repro.engine.engine import Engine
-
     eng = Engine(snapshot=warm.get("snapshot"))
     faults = eng.stats()["snapshot_faults"]
     plane = None
@@ -283,21 +308,17 @@ def _shard_engine(eng):
     """The engine one shard attempt converts with, plus whether its
     stats should be reported as a delta.
 
-    ``eng`` travels in the payload for thread pools (shared engine,
-    live stats — no delta).  Process workers use their per-interpreter
-    engine; in-parent execution (serial rung, degraded process pools)
-    builds a private engine so concurrent shards never tear each
-    other's counter deltas.
+    In-parent execution (the thread and serial rungs, of either pool
+    kind) finds the pool's parent engine in the payload: live stats,
+    no delta.  Process workers get ``None`` and use their
+    per-interpreter engine, reset per shard so its counters are the
+    shard's delta.
     """
     if eng is not None:
         return eng, False
-    if _IS_POOL_WORKER:
-        eng = _worker_engine()
-        eng.reset_stats()
-        return eng, True
-    from repro.engine.engine import Engine
-
-    return Engine(), True
+    eng = _worker_engine()
+    eng.reset_stats()
+    return eng, True
 
 
 def _shard_delta(eng, delta: bool) -> dict:
@@ -396,10 +417,14 @@ def _chunk_slices(n: int, shards: int) -> List[tuple]:
 class BulkPool:
     """An order-preserving, fault-tolerant sharded format/read pipeline.
 
+    Calls with fewer than :data:`INLINE_ROWS` rows convert inline on
+    the parent engine; ``deadline`` and ``budget`` cannot interrupt
+    them, just as they cannot interrupt a shard on the serial rung.
+
     Args:
         jobs: Worker count (default: ``os.cpu_count()``).
         kind: ``"process"`` (per-worker engines, fork-first) or
-            ``"thread"`` (one shared engine).
+            ``"thread"`` (the parent engine, shared).
         fmt: The column's float format — must be a standard
             byte-encoded format (it travels by name).
         mode / tie: Reader assumption and tie strategy for formatting.
@@ -407,6 +432,9 @@ class BulkPool:
         delimiter: Row terminator for bulk payloads.
         shards_per_job: Shards dispatched per worker (smaller shards
             smooth stragglers; each shard pays one transport).
+        engine: The parent engine (default: a new
+            :class:`~repro.engine.engine.Engine`).  Inline calls, the
+            thread rung and the serial rung convert on it.
         deadline: Seconds one shard attempt may take, measured from its
             dispatch round (None: unbounded).  A miss abandons the
             attempt and retries.
@@ -431,7 +459,9 @@ class BulkPool:
             so no process starts cold.  Rejected snapshots (corrupt,
             stale, torn mid-rewrite) count ``snapshot_faults`` in
             :meth:`stats` and the affected processes run cold — output
-            bytes are identical either way.
+            bytes are identical either way.  It warms the parent engine
+            only when the pool built that engine: a caller passing
+            ``engine`` warms it itself.
     """
 
     def __init__(self, jobs: Optional[int] = None, kind: str = "process",
@@ -511,12 +541,10 @@ class BulkPool:
         #: Guards the executor handle, both counter dicts and the
         #: ladder level — calls may run concurrently from many threads.
         self._lock = threading.Lock()
-        if kind == "thread":
-            from repro.engine.engine import Engine
-
-            self._engine = engine if engine is not None else Engine()
-        else:
-            self._engine = None
+        #: The parent engine: inline calls and every in-parent rung
+        #: convert on it.
+        self._engine = engine if engine is not None else Engine()
+        if kind == "process":
             # Warm the per-format tables before any fork so workers
             # inherit the precomputed powers copy-on-write.
             from repro.engine.tables import tables_for
@@ -527,14 +555,15 @@ class BulkPool:
         self._warm: Optional[dict] = None
         self._shm = None
         if snapshot is not None:
-            self._setup_warm(snapshot)
+            self._setup_warm(snapshot, warm_engine=engine is None)
 
-    def _setup_warm(self, snapshot) -> None:
+    def _setup_warm(self, snapshot, warm_engine: bool) -> None:
         """Validate the snapshot once in the parent and stage the warm
-        fabric: tables restored pre-fork (inherited copy-on-write), the
-        hot plane published to a shared-memory segment (with an
-        in-initargs byte copy as the degradation path), and the
-        snapshot itself shipped so each worker restores its own memo.
+        fabric: the parent engine warmed (when ``warm_engine``), tables
+        restored pre-fork (inherited copy-on-write), the hot plane
+        published to a shared-memory segment (with an in-initargs byte
+        copy as the degradation path), and the snapshot itself shipped
+        so each worker restores its own memo.
 
         A snapshot that fails validation counts one parent-side
         ``snapshot_faults`` and the whole pool runs cold — never an
@@ -554,8 +583,7 @@ class BulkPool:
             with self._lock:
                 self._fstats["snapshot_faults"] += 1
             return
-        if self.kind == "thread":
-            # One shared engine: warm it directly, no transport needed.
+        if warm_engine:
             try:
                 _snapshot_mod.apply_snapshot(self._engine, snap)
                 if plane_bytes is not None:
@@ -564,7 +592,8 @@ class BulkPool:
             except SnapshotError:
                 with self._lock:
                     self._fstats["snapshot_faults"] += 1
-            return
+        if self.kind == "thread":
+            return  # no workers to ship it to
         warm = {"snapshot": snapshot, "plane_shm": None,
                 "plane_bytes": plane_bytes}
         if plane_bytes is not None:
@@ -688,17 +717,17 @@ class BulkPool:
                     shard=None, elapsed=elapsed, limit=self.budget)
 
     def _tagged(self, payload: tuple, shard: int, attempt: int,
-                site: str) -> tuple:
-        """Payload with its injected-fault tag (usually None) filled in;
-        the decision is made here, in the parent, so firing is
-        deterministic and accounted for where recovery happens."""
+                site: str, eng) -> tuple:
+        """Payload with its engine slot (the parent engine in-parent,
+        None for a worker) and its injected-fault tag (usually None)
+        filled in; the fault decision is made here, in the parent, so
+        firing is deterministic and accounted for where recovery
+        happens."""
         plan = _faults._PLAN
-        if plan is None:
-            return payload
-        spec = plan.pool_action(site, shard, attempt, self._level)
-        if spec is None:
-            return payload
-        return payload[:-1] + ((spec.kind, spec.stall),)
+        spec = None if plan is None \
+            else plan.pool_action(site, shard, attempt, self._level)
+        tag = None if spec is None else (spec.kind, spec.stall)
+        return payload[:-2] + (eng, tag)
 
     def _degrade(self, pool) -> None:
         """Abandon ``pool`` and step one rung down the ladder — unless a
@@ -752,9 +781,12 @@ class BulkPool:
             return max(self.hedge_min, self.hedge_multiplier * xs[k])
         return self.hedge_min
 
-    def _await_shard(self, pool, fn, payload: tuple, shard: int, fut,
+    def _await_shard(self, pool, fn, clean: tuple, shard: int, fut,
                      timeout: Optional[float], dispatched: float) -> tuple:
         """One shard attempt's raw ``(body, delta, crc)`` result.
+
+        ``clean`` is the shard's payload with no fault tag: what a
+        hedge leg dispatches.
 
         With hedging enabled (and no armed fault plan, unless
         ``hedge_with_faults``), a shard that exceeds the hedge
@@ -786,7 +818,7 @@ class BulkPool:
         try:
             # Untagged duplicate: a hedge leg never consumes a fault
             # plan's scripted decisions.
-            hfut = pool.submit(fn, payload[:-1] + (None,))
+            hfut = pool.submit(fn, clean)
         except Exception:
             # Executor refused (broken/shutting down): fall back to the
             # plain wait and let the caller classify the outcome.
@@ -842,12 +874,14 @@ class BulkPool:
 
     def _run_serial(self, fn, payloads, site, results, pending, attempts,
                     start) -> List[tuple]:
-        """One serial round over ``pending``: ``(shard, cause)`` failures."""
+        """One serial round over ``pending`` on the parent engine:
+        ``(shard, cause)`` failures."""
         failed = []
         for i in pending:
             self._check_budget(start)
             try:
-                got = fn(self._tagged(payloads[i], i, attempts[i], site))
+                got = fn(self._tagged(payloads[i], i, attempts[i], site,
+                                      self._engine))
                 results[i] = self._verify_crc(got, i)
             except ReproError:
                 raise  # deterministic data error: retrying cannot help
@@ -862,12 +896,15 @@ class BulkPool:
                       attempts, start) -> List[tuple]:
         """One executor round over ``pending``: ``(shard, cause)``
         failures.  Detects broken pools and missed deadlines; either
-        abandons the executor so the next round starts clean."""
+        abandons the executor so the next round starts clean.  Thread
+        executors convert on the parent engine, worker processes on
+        their own."""
+        eng = None if isinstance(pool, PipeExecutor) else self._engine
         futs = []
         for i in pending:
             try:
                 fut = pool.submit(fn, self._tagged(payloads[i], i,
-                                                   attempts[i], site))
+                                                   attempts[i], site, eng))
             except RuntimeError as exc:
                 # A concurrent call broke, abandoned or closed this
                 # executor (BrokenExecutor is a RuntimeError too): a
@@ -894,8 +931,9 @@ class BulkPool:
                 timeout = remaining if timeout is None \
                     else min(timeout, remaining)
             try:
-                got = self._await_shard(pool, fn, payloads[i], i, fut,
-                                        timeout, dispatched)
+                got = self._await_shard(pool, fn,
+                                        payloads[i][:-2] + (eng, None), i,
+                                        fut, timeout, dispatched)
                 results[i] = self._verify_crc(got, i)
             except concurrent.futures.TimeoutError:
                 fut.cancel()
@@ -1016,23 +1054,23 @@ class BulkPool:
     # ------------------------------------------------------------------
 
     def _payloads(self, spans, bits) -> List[tuple]:
-        """Shard payloads for :func:`_format_shard`.  Thread pools pass
-        bit-pattern slices and the shared engine by reference; process
-        pools pack bytes and let workers use their own engines."""
+        """Shard payloads for :func:`_format_shard`, engine and fault
+        slots left for :meth:`_tagged`.  Thread pools pass bit-pattern
+        slices; process pools pack bytes for the pipe."""
         if self.kind == "thread":
-            return [(self.fmt.name, bits[a:b], self.mode, self.tie,
-                     self.dedup, self.delimiter, self._engine, None)
-                    for a, b in spans]
-        return [(self.fmt.name, pack_bits(bits[a:b], self.fmt),
-                 self.mode, self.tie, self.dedup, self.delimiter,
-                 None, None)
-                for a, b in spans]
+            raws = [bits[a:b] for a, b in spans]
+        else:
+            raws = [pack_bits(bits[a:b], self.fmt) for a, b in spans]
+        return [(self.fmt.name, raw, self.mode, self.tie, self.dedup,
+                 self.delimiter, None, None) for raw in raws]
 
     def format_bulk(self, data) -> bytes:
         """Serialize a column to delimiter-terminated ASCII bytes."""
         bits = ingest_bits(data, self.fmt)
-        if not bits:
-            return b""
+        if len(bits) < INLINE_ROWS:
+            return format_buffer(bits, self.fmt, delimiter=self.delimiter,
+                                 mode=self.mode, tie=self.tie,
+                                 engine=self._engine, dedup=self.dedup)
         spans = _chunk_slices(len(bits), self.jobs * self.shards_per_job)
         payloads = self._payloads(spans, bits)
         return b"".join(self._run_shards(_format_shard, payloads,
@@ -1048,41 +1086,39 @@ class BulkPool:
         if out not in ("bits", "flonums"):
             raise RangeError(f"out must be 'bits' or 'flonums', "
                              f"got {out!r}")
-        eng = self._engine if self.kind == "thread" else None
         if isinstance(data, (bytes, bytearray, memoryview, str)):
             # Byte planes ship as byte planes: one offsets pass finds
             # the token boundaries, and each shard payload is a *slice*
             # of the original plane cut on a boundary — no row strings,
             # no re-join, no re-encode.
             plane, starts, _lengths = split_plane(data, self.delimiter)
-            if not starts:
-                return []
-            spans = _chunk_slices(len(starts),
-                                  self.jobs * self.shards_per_job)
-            end = len(plane)
-            payloads = [(self.fmt.name,
-                         plane[starts[a]:(starts[b] if b < len(starts)
-                                          else end)],
-                         self.mode, self.dedup, self.delimiter, eng,
-                         None)
-                        for a, b in spans]
+            rows = len(starts)
+
+            def cut(a: int, b: int) -> bytes:
+                return plane[starts[a]:(starts[b] if b < rows
+                                        else len(plane))]
         else:
             texts = data if isinstance(data, list) else list(data)
-            if not texts:
-                return []
+            rows = len(texts)
             d = self.delimiter.decode("ascii")
-            spans = _chunk_slices(len(texts),
-                                  self.jobs * self.shards_per_job)
-            payloads = [(self.fmt.name,
-                         (d.join(texts[a:b]) + d).encode("ascii"),
-                         self.mode, self.dedup, self.delimiter, eng,
-                         None)
-                        for a, b in spans]
-        itemsize = _itemsize(self.fmt)
-        bits: List[int] = []
-        for packed in self._run_shards(_read_shard, payloads,
-                                       "pool.read_shard"):
-            bits.extend(_bits_from_bytes(packed, itemsize))
+
+            def cut(a: int, b: int) -> bytes:
+                return (d.join(texts[a:b]) + d).encode("ascii")
+        if not rows:
+            return []
+        if rows < INLINE_ROWS:
+            bits = parse_buffer(cut(0, rows), self.fmt,
+                                delimiter=self.delimiter, mode=self.mode,
+                                engine=self._engine, dedup=self.dedup)
+        else:
+            spans = _chunk_slices(rows, self.jobs * self.shards_per_job)
+            payloads = [(self.fmt.name, cut(a, b), self.mode, self.dedup,
+                         self.delimiter, None, None) for a, b in spans]
+            itemsize = _itemsize(self.fmt)
+            bits = []
+            for packed in self._run_shards(_read_shard, payloads,
+                                           "pool.read_shard"):
+                bits.extend(_bits_from_bytes(packed, itemsize))
         if out == "bits":
             return bits
         from_bits = Flonum.from_bits
@@ -1096,32 +1132,34 @@ class BulkPool:
         with self._lock:
             return self._level
 
-    def stats(self) -> dict:
-        """Merged engine counters across every shard so far, plus the
-        recovery counters (:data:`FAULT_STAT_KEYS`).
-
-        For process pools this sums the per-shard deltas the workers
-        report (``cache_entries`` therefore totals entries across
-        worker memos); for thread pools it is the shared engine's live
-        :meth:`~repro.engine.engine.Engine.stats`.  Every counter
-        mutation happens under the pool lock, so totals are exact even
-        with calls running concurrently.
-
-        Recovery counters are folded *additively*: ``snapshot_faults``
-        exists on both sides (engine-level rejections reported in shard
-        deltas, parent-side rejections in the pool's own tally) and the
-        merge must never let one overwrite the other.
-        """
-        if self.kind == "thread":
-            out = dict(self._engine.stats())
-            with self._lock:
-                for k, v in self._fstats.items():
-                    out[k] = out.get(k, 0) + v
-                for k, v in self._stats.items():  # degraded-rung deltas
-                    out[k] = out.get(k, 0) + v
-            return out
+    def _own_stats(self) -> dict:
+        """The worker deltas plus the recovery counters: everything in
+        :meth:`stats` except the parent engine's live counters (a daemon
+        whose pools share one engine counts that engine once)."""
         with self._lock:
             out = dict(self._stats)
             for k, v in self._fstats.items():
                 out[k] = out.get(k, 0) + v
+        return out
+
+    def stats(self) -> dict:
+        """Engine counters for every conversion so far, plus the
+        recovery counters (:data:`FAULT_STAT_KEYS`).
+
+        Each conversion is counted once: inline calls and the thread
+        and serial rungs in the parent engine's live
+        :meth:`~repro.engine.engine.Engine.stats`, process shards in the
+        per-shard deltas the workers report (``cache_entries`` therefore
+        totals entries across the parent's and the workers' memos).
+        Every pool counter mutation happens under the pool lock, so
+        totals are exact even with calls running concurrently.
+
+        Recovery counters are folded *additively*: ``snapshot_faults``
+        exists on both sides (engine-level rejections, parent-side
+        rejections in the pool's own tally) and the merge must never
+        let one overwrite the other.
+        """
+        out = dict(self._engine.stats())
+        for k, v in self._own_stats().items():
+            out[k] = out.get(k, 0) + v
         return out

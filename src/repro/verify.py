@@ -475,6 +475,31 @@ def roundtrip_values(fmt: FloatFormat, n: int, seed: int = 0
     return out[:n]
 
 
+def sample_with_specials(fmt: FloatFormat, n: int, seed: int = 0,
+                   min_rows: int = 0) -> List[Flonum]:
+    """:func:`roundtrip_values` plus NaN and both infinities, repeated
+    until the sample has at least ``min_rows`` rows.  The pool
+    batteries ask for :data:`repro.serve.pool.INLINE_ROWS`, so their
+    calls shard to the rung under test instead of converting inline
+    whatever ``n`` is."""
+    values = roundtrip_values(fmt, n, seed)
+    values += [Flonum.nan(fmt), Flonum.infinity(fmt, 0),
+               Flonum.infinity(fmt, 1)]
+    return values * -(-min_rows // len(values)) if min_rows else values
+
+
+def _chunk_spans(count: int, chunk: int = 2048) -> List[Tuple[int, int]]:
+    """``(start, stop)`` spans of ``chunk`` rows over ``count`` rows; a
+    remainder below :data:`repro.serve.pool.INLINE_ROWS` joins the span
+    before it, so every span shards to the pool's rung."""
+    from repro.serve.pool import INLINE_ROWS
+
+    spans = [(a, min(a + chunk, count)) for a in range(0, count, chunk)]
+    if len(spans) > 1 and spans[-1][1] - spans[-1][0] < INLINE_ROWS:
+        spans[-2:] = [(spans[-2][0], count)]
+    return spans
+
+
 def _roundtrip_literals(fmt: FloatFormat, n: int, seed: int) -> List[str]:
     """Random decimal literals for the parse→print→parse leg.
 
@@ -687,13 +712,11 @@ def verify_bulk(fmt: FloatFormat = BINARY64, n: int = 50000, seed: int = 0,
     """
     from repro.serve import (BulkPool, format_bulk, format_column,
                              pack_bits, read_bulk)
+    from repro.serve.pool import INLINE_ROWS
 
     report = VerificationReport(format_name=f"{fmt.name} bulk")
     eng = Engine()
-    values = roundtrip_values(fmt, n, seed)
-    values.append(Flonum.nan(fmt))
-    values.append(Flonum.infinity(fmt, 0))
-    values.append(Flonum.infinity(fmt, 1))
+    values = sample_with_specials(fmt, n, seed, min_rows=INLINE_ROWS)
     report.checked = len(values)
     bits = [v.to_bits() for v in values]
     packed = pack_bits(bits, fmt)
@@ -761,12 +784,10 @@ def verify_warm(fmt: FloatFormat = BINARY64, n: int = 50000, seed: int = 0,
     from repro.engine.snapshot import (build_snapshot, hot_entries,
                                        save_snapshot)
     from repro.serve import BulkPool, pack_bits
+    from repro.serve.pool import INLINE_ROWS
 
     report = VerificationReport(format_name=f"{fmt.name} warm")
-    values = roundtrip_values(fmt, n, seed)
-    values.append(Flonum.nan(fmt))
-    values.append(Flonum.infinity(fmt, 0))
-    values.append(Flonum.infinity(fmt, 1))
+    values = sample_with_specials(fmt, n, seed, min_rows=INLINE_ROWS)
     report.checked = len(values)
     packed = pack_bits([v.to_bits() for v in values], fmt)
 
@@ -879,10 +900,7 @@ def verify_buffer(fmt: FloatFormat = BINARY64, n: int = 50000,
 
     report = VerificationReport(format_name=f"{fmt.name} buffer")
     eng = Engine()
-    values = roundtrip_values(fmt, n, seed)
-    values.append(Flonum.nan(fmt))
-    values.append(Flonum.infinity(fmt, 0))
-    values.append(Flonum.infinity(fmt, 1))
+    values = sample_with_specials(fmt, n, seed)
     report.checked = len(values)
     bits = [v.to_bits() for v in values]
     packed = pack_bits(bits, fmt)
@@ -1041,13 +1059,11 @@ def verify_chaos(fmt: FloatFormat = BINARY64, n: int = 50000, seed: int = 0,
     from repro.errors import (DeadlineExceededError, ReproError,
                               ShardError)
     from repro.serve import BulkPool, pack_bits
+    from repro.serve.pool import INLINE_ROWS
 
     report = VerificationReport(format_name=f"{fmt.name} chaos")
     eng = Engine()
-    values = roundtrip_values(fmt, n, seed)
-    values.append(Flonum.nan(fmt))
-    values.append(Flonum.infinity(fmt, 0))
-    values.append(Flonum.infinity(fmt, 1))
+    values = sample_with_specials(fmt, n, seed, min_rows=INLINE_ROWS)
     report.checked = len(values)
     bits = [v.to_bits() for v in values]
     packed = pack_bits(bits, fmt)
@@ -1200,13 +1216,11 @@ def verify_serve(fmt: FloatFormat = BINARY64, n: int = 50000,
                               ReproError)
     from repro.serve import pack_bits, protocol, serving
     from repro.serve.client import ServeClient
+    from repro.serve.pool import INLINE_ROWS
 
     report = VerificationReport(format_name=f"{fmt.name} serve")
     eng = Engine()
-    values = roundtrip_values(fmt, n, seed)
-    values.append(Flonum.nan(fmt))
-    values.append(Flonum.infinity(fmt, 0))
-    values.append(Flonum.infinity(fmt, 1))
+    values = sample_with_specials(fmt, n, seed, min_rows=INLINE_ROWS)
     report.checked = len(values)
     bits = [v.to_bits() for v in values]
     packed = pack_bits(bits, fmt)
@@ -1214,9 +1228,7 @@ def verify_serve(fmt: FloatFormat = BINARY64, n: int = 50000,
     scalar = [eng.format(v, fmt=fmt) for v in values]
     want_bits = [v.to_bits() for v in eng.read_many(scalar, fmt)]
 
-    chunk = 2048
-    spans = [(a, min(a + chunk, len(values)))
-             for a in range(0, len(values), chunk)]
+    spans = _chunk_spans(len(values))
 
     def plane_of(a: int, b: int) -> bytes:
         return ("\n".join(scalar[a:b]) + "\n").encode("ascii")
@@ -1369,23 +1381,18 @@ def verify_control(fmt: FloatFormat = BINARY64, n: int = 50000,
     from repro.serve.client import ServeClient
     from repro.serve.control import (AdmissionController, CircuitBreaker,
                                      ADMIT, CANARY, SHED)
-    from repro.serve.pool import BulkPool
+    from repro.serve.pool import INLINE_ROWS, BulkPool
 
     report = VerificationReport(format_name=f"{fmt.name} control")
     eng = Engine()
-    values = roundtrip_values(fmt, n, seed)
-    values.append(Flonum.nan(fmt))
-    values.append(Flonum.infinity(fmt, 0))
-    values.append(Flonum.infinity(fmt, 1))
+    values = sample_with_specials(fmt, n, seed, min_rows=INLINE_ROWS)
     report.checked = len(values)
     bits = [v.to_bits() for v in values]
     packed = pack_bits(bits, fmt)
     itemsize = len(packed) // len(bits)
     scalar = [eng.format(v, fmt=fmt) for v in values]
 
-    chunk = 2048
-    spans = [(a, min(a + chunk, len(values)))
-             for a in range(0, len(values), chunk)]
+    spans = _chunk_spans(len(values))
 
     def plane_of(a: int, b: int) -> bytes:
         return ("\n".join(scalar[a:b]) + "\n").encode("ascii")
@@ -1452,7 +1459,7 @@ def verify_control(fmt: FloatFormat = BINARY64, n: int = 50000,
                  on_error="raise", retries=0, breaker_threshold=3,
                  breaker_reset=1.0, clock=lambda: now[0]) as daemon:
         with ServeClient(daemon.host, daemon.port) as client:
-            span = packed[:64 * itemsize]
+            span = packed[:INLINE_ROWS * itemsize]
             with faults.armed(plan):
                 for i in range(3):
                     report.check(tag)
@@ -1485,7 +1492,7 @@ def verify_control(fmt: FloatFormat = BINARY64, n: int = 50000,
             report.check(tag)
             try:
                 got = client.format(span, fmt.name)
-                if got != plane_of(0, 64):
+                if got != plane_of(0, INLINE_ROWS):
                     report.record(tag, values[0],
                                   "canary response differs from oracle")
             except ReproError as exc:
@@ -1545,7 +1552,7 @@ def verify_control(fmt: FloatFormat = BINARY64, n: int = 50000,
     plan = faults.FaultPlan([faults.FaultSpec(
         "pool.format_shard", "stall", shard=0, attempt=0, stall=0.8)],
         seed)
-    span = packed[:256 * itemsize]
+    span = packed[:INLINE_ROWS * itemsize]
     try:
         with BulkPool(jobs=2, kind="thread", fmt=fmt, deadline=5.0,
                       hedge=True, hedge_min=0.05,
@@ -1553,7 +1560,7 @@ def verify_control(fmt: FloatFormat = BINARY64, n: int = 50000,
             with faults.armed(plan):
                 got = pool.format_bulk(span)
             stats = pool.stats()
-        if got != plane_of(0, 256):
+        if got != plane_of(0, INLINE_ROWS):
             report.record(tag, values[0], "hedged plane differs")
         if stats["hedges"] < 1 or stats["hedge_wins"] < 1:
             report.record(tag, values[0],

@@ -13,7 +13,14 @@ from repro.errors import (
     RangeError,
 )
 from repro.floats.decompose import FloatClass, decode_fields, split_bits
-from repro.floats.formats import BINARY16, BINARY32, BINARY64, X87_80
+from repro.engine.buffer import parse_buffer
+from repro.floats.formats import (
+    BINARY16,
+    BINARY32,
+    BINARY64,
+    STANDARD_FORMATS,
+    X87_80,
+)
 from repro.floats.model import Flonum, FlonumKind
 
 
@@ -121,6 +128,29 @@ class TestFromBits:
         # An x87 unnormal: normal exponent, integer bit clear.
         with pytest.raises(DecodeError):
             Flonum.from_bits((0x3FFF << 64) | 1, X87_80)
+
+
+ENCODED_FORMATS = [f for f in STANDARD_FORMATS.values() if f.has_encoding]
+
+
+class TestNanEncoding:
+    """The canonical NaN pattern sets the top *fraction* bit: on x87,
+    whose leading bit is stored, that is one below the integer bit."""
+
+    @pytest.mark.parametrize("fmt", ENCODED_FORMATS, ids=lambda f: f.name)
+    def test_nan_pattern_decodes_to_nan_not_infinity(self, fmt):
+        nan = Flonum.nan(fmt).to_bits()
+        assert nan != Flonum.infinity(fmt).to_bits()
+        assert Flonum.from_bits(nan, fmt).is_nan
+
+    @pytest.mark.parametrize("fmt", ENCODED_FORMATS, ids=lambda f: f.name)
+    def test_parse_buffer_yields_nan(self, fmt):
+        [bits] = parse_buffer(b"nan\n", fmt)
+        assert bits == Flonum.nan(fmt).to_bits()
+        assert Flonum.from_bits(bits, fmt).is_nan
+
+    def test_x87_quiet_nan_pattern(self):
+        assert Flonum.nan(X87_80).to_bits() == 0x7FFFC000000000000000
 
 
 class TestFromRaw:

@@ -40,10 +40,15 @@ from repro.serve.control import (
     TrafficObserver,
 )
 from repro.serve.daemon import serving
+from repro.serve.pool import INLINE_ROWS
 
 VALUES = [1.5, 2.5, 3.0, -0.0, 5e-324, 1e308]
 PACKED = pack_bits(ingest_bits(VALUES, BINARY64), BINARY64)
 PLANE = format_bulk(PACKED, BINARY64, engine=Engine())
+# Tests aimed at a pool rung send at least INLINE_ROWS rows, so the
+# call shards (smaller calls convert inline, where no pool site fires).
+WIDE_PACKED = PACKED * -(-INLINE_ROWS // len(VALUES))
+WIDE_PLANE = PLANE * -(-INLINE_ROWS // len(VALUES))
 
 
 class FakeClock:
@@ -324,9 +329,9 @@ class TestHedgedDispatch:
         with BulkPool(jobs=2, kind="thread", hedge=True,
                       hedge_min=0.05, hedge_with_faults=True) as pool:
             with faults.armed(plan):
-                got = pool.format_bulk(PACKED)
+                got = pool.format_bulk(WIDE_PACKED)
             stats = pool.stats()
-        assert got == PLANE
+        assert got == WIDE_PLANE
         assert stats["hedges"] >= 1
         assert stats["hedge_wins"] >= 1
 
@@ -338,9 +343,9 @@ class TestHedgedDispatch:
         with BulkPool(jobs=2, kind="thread", hedge=True,
                       hedge_min=0.01) as pool:
             with faults.armed(plan):
-                got = pool.format_bulk(PACKED)
+                got = pool.format_bulk(WIDE_PACKED)
             stats = pool.stats()
-        assert got == PLANE
+        assert got == WIDE_PLANE
         assert stats["hedges"] == 0
         assert stats["shard_retries"] == 1
 
@@ -371,14 +376,14 @@ class TestDaemonControl:
                         # travels in the message.
                         with pytest.raises(ReproError,
                                            match="ShardError"):
-                            c.format(PACKED)
+                            c.format(WIDE_PACKED)
                     with pytest.raises(ServeOverloadError,
                                        match="circuit breaker open"):
-                        c.format(PACKED)
+                        c.format(WIDE_PACKED)
                 # Plan disarmed, clock past the backoff: the canary
                 # request heals the key byte-identically.
                 clock.advance(1.5)
-                assert c.format(PACKED) == PLANE
+                assert c.format(WIDE_PACKED) == WIDE_PLANE
             stats = d.stats()
         assert stats["breaker_trips"] == 1
         assert stats["breaker_sheds"] >= 1

@@ -18,9 +18,14 @@ from repro.errors import ReproError, ShardError
 from repro.floats.formats import BINARY64
 from repro.serve.client import ServeClient
 from repro.serve.daemon import serving
+from repro.serve.pool import INLINE_ROWS
 from repro.workloads.corpus import uniform_random
 
-VALUES = [v.to_float() for v in uniform_random(300, seed=23, signed=True)] \
+# At least INLINE_ROWS rows per request, so every batch shards to the
+# pool's rung (smaller batches convert inline, out of the pool sites'
+# reach).
+VALUES = [v.to_float()
+          for v in uniform_random(INLINE_ROWS, seed=23, signed=True)] \
     + [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324]
 PACKED = pack_bits(ingest_bits(VALUES, BINARY64), BINARY64)
 PLANE = format_bulk(PACKED, BINARY64, engine=Engine())

@@ -1,5 +1,7 @@
 """Sharded pools: ordering, byte identity, stats merging, validation."""
 
+import concurrent.futures
+import multiprocessing
 import sys
 import threading
 
@@ -10,6 +12,8 @@ from repro.engine.bulk import format_bulk, ingest_bits, read_bulk
 from repro.errors import RangeError
 from repro.floats.formats import BINARY32, BINARY64, FloatFormat
 from repro.serve import BulkPool
+from repro.serve.pool import INLINE_ROWS
+from repro.serve.workers import PipeExecutor
 from repro.workloads.corpus import duplicated_random, uniform_random
 
 CORPUS = [v.to_float() for v in uniform_random(600, seed=21, signed=True)] \
@@ -34,7 +38,7 @@ class TestProcessPool:
         assert [v.to_bits() for v in flonums] == bits
 
     def test_stats_sum_worker_deltas(self):
-        xs = duplicated_random(400, 50, seed=6)
+        xs = duplicated_random(INLINE_ROWS, 50, seed=6)
         with BulkPool(jobs=2, shards_per_job=1) as pool:
             pool.format_bulk(xs)
             stats = pool.stats()
@@ -54,7 +58,7 @@ class TestProcessPool:
             assert pool.format_column([0.1, -0.0]) == ["0.1", "-0"]
 
     def test_narrow_format_pool(self):
-        bits = list(range(0, 60000, 1000))
+        bits = list(range(0, 1000 * INLINE_ROWS, 1000))
         with BulkPool(jobs=2, fmt=BINARY32) as pool:
             got = pool.format_bulk(bits)
         assert got == format_bulk(bits, BINARY32, engine=Engine())
@@ -63,7 +67,8 @@ class TestProcessPool:
         # More calling threads than workers or cores, each with its own
         # column, all multiplexed over the same worker pipes: every
         # reply must reach the future of the shard that asked for it.
-        columns = [[v.to_float() for v in uniform_random(120, seed=s)]
+        columns = [[v.to_float()
+                    for v in uniform_random(INLINE_ROWS, seed=s)]
                    for s in range(8)]
         wants = [scalar_payload(c) for c in columns]
         errors = []
@@ -88,6 +93,41 @@ class TestProcessPool:
         assert errors == []
 
 
+    def test_concurrent_inline_calls_get_their_own_bytes(self):
+        # Below INLINE_ROWS every calling thread converts on the one
+        # parent engine at once: its memo and counters must not mix
+        # one call's rows into another's.
+        columns = [[v.to_float()
+                    for v in uniform_random(INLINE_ROWS - 1, seed=s)]
+                   for s in range(8)]
+        wants = [scalar_payload(c) for c in columns]
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with BulkPool(jobs=2) as pool:
+                def calls(k):
+                    for _ in range(5):
+                        if pool.format_bulk(columns[k]) != wants[k]:
+                            errors.append(k)
+
+                threads = [threading.Thread(target=calls, args=(k,))
+                           for k in range(len(columns))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                stats = pool.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        # Each call converts each of its distinct values once; a lost
+        # counter update would break the exact total.
+        assert stats["conversions"] == 5 * sum(
+            len(set(ingest_bits(c, BINARY64))) for c in columns)
+
+
 class TestThreadPool:
     def test_shares_one_engine_and_matches_scalar(self):
         eng = Engine()
@@ -98,6 +138,64 @@ class TestThreadPool:
             assert pool.stats()["conversions"] == eng.stats()["conversions"]
             payload = scalar_payload(CORPUS)
             assert pool.read_bulk(payload) == ingest_bits(CORPUS, BINARY64)
+
+
+class TestRouting:
+    """Fewer than INLINE_ROWS rows convert inline on the parent engine;
+    INLINE_ROWS rows shard to the rung's executor.  Either way the
+    bytes are the exact-only engine's."""
+
+    COLUMN = [v.to_float()
+              for v in uniform_random(INLINE_ROWS, seed=31, signed=True)]
+
+    @pytest.mark.parametrize("kind", ["process", "thread"])
+    @pytest.mark.parametrize("rows", [INLINE_ROWS - 1, INLINE_ROWS])
+    def test_route_by_row_count(self, kind, rows):
+        xs = self.COLUMN[:rows]
+        exact = Engine(tier_order=(), read_tier_order=(), cache_size=0)
+        want = format_bulk(xs, engine=exact)
+        want_bits = read_bulk(want, engine=exact)
+        assert want_bits == ingest_bits(xs, BINARY64)
+        texts = want.decode("ascii").split("\n")[:-1]
+        with BulkPool(jobs=2, kind=kind) as pool:
+            assert pool.format_bulk(xs) == want
+            assert pool.read_bulk(want) == want_bits
+            assert pool.read_bulk(texts) == want_bits
+            flonums = pool.read_bulk(want, out="flonums")
+            assert [v.to_bits() for v in flonums] == want_bits
+            children = multiprocessing.active_children()
+            executor = pool._executor
+            parent = pool._engine.stats()
+            stats = pool.stats()
+        if rows < INLINE_ROWS:
+            assert children == []
+            assert executor is None
+        elif kind == "process":
+            assert len(children) == 2
+            assert isinstance(executor, PipeExecutor)
+        else:
+            assert isinstance(executor,
+                              concurrent.futures.ThreadPoolExecutor)
+        on_parent = rows < INLINE_ROWS or kind == "thread"
+        # Each conversion counted once: on the parent engine, or in the
+        # worker deltas and never on the parent.
+        assert (parent["conversions"] > 0) == on_parent
+        assert (parent["read_conversions"] > 0) == on_parent
+        assert stats["conversions"] >= rows
+        assert stats["read_conversions"] >= rows
+        if on_parent:
+            assert stats["conversions"] == parent["conversions"]
+            assert stats["read_conversions"] == parent["read_conversions"]
+
+    def test_inline_repeat_is_served_from_the_parent_memo(self):
+        xs = self.COLUMN[:INLINE_ROWS - 1]
+        with BulkPool(jobs=2) as pool:
+            first = pool.format_bulk(xs)
+            misses = pool.stats()["cache_misses"]
+            assert pool.format_bulk(xs) == first
+            stats = pool.stats()
+        assert stats["cache_misses"] == misses
+        assert stats["cache_hits"] >= len(set(xs))
 
 
 class TestValidation:
@@ -128,10 +226,10 @@ class TestValidation:
 
 class TestEntryPointSharding:
     def test_format_bulk_jobs_flag_matches_inline(self):
-        xs = CORPUS[:200]
+        xs = CORPUS[:INLINE_ROWS]
         assert format_bulk(xs, jobs=2) == scalar_payload(xs)
 
     def test_read_bulk_jobs_flag_matches_inline(self):
-        payload = scalar_payload(CORPUS[:200])
+        payload = scalar_payload(CORPUS[:INLINE_ROWS])
         assert read_bulk(payload, jobs=2) == read_bulk(
             payload, engine=Engine())

@@ -15,7 +15,7 @@ import pytest
 
 from repro import faults
 from repro.engine import Engine
-from repro.engine.bulk import format_bulk
+from repro.engine.bulk import format_bulk, ingest_bits
 from repro.errors import (
     DeadlineExceededError,
     ParseError,
@@ -23,11 +23,15 @@ from repro.errors import (
     ReproError,
     ShardError,
 )
+from repro.floats.formats import BINARY64
 from repro.serve import BulkPool
-from repro.serve.pool import FAULT_STAT_KEYS
+from repro.serve.pool import FAULT_STAT_KEYS, INLINE_ROWS
 from repro.workloads.corpus import uniform_random
 
-CORPUS = [v.to_float() for v in uniform_random(400, seed=11, signed=True)] \
+# At least INLINE_ROWS rows, so every call shards and each test stays
+# on the rung it targets (smaller calls convert inline).
+CORPUS = [v.to_float()
+          for v in uniform_random(INLINE_ROWS, seed=11, signed=True)] \
     + [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324]
 
 WANT = format_bulk(CORPUS, engine=Engine())
@@ -227,6 +231,61 @@ class TestDegradationLadder:
                     pool.format_bulk(CORPUS)
 
 
+class TestDegradedRungs:
+    def test_serial_rung_converts_on_the_parent_engine(self):
+        # Every process attempt crashes and every thread attempt
+        # raises, so the call ends on the serial rung.  That rung
+        # converts on the parent engine: a repeat is served from its
+        # memo, and stats() counts each conversion once.
+        plan = faults.FaultPlan([
+            faults.FaultSpec("pool.format_shard", "crash", attempt=None,
+                             level="process", limit=None),
+            faults.FaultSpec("pool.format_shard", "raise", attempt=None,
+                             level="thread", limit=None)])
+        with BulkPool(jobs=2, retries=0, max_rebuilds=0) as pool:
+            with faults.armed(plan):
+                assert pool.format_bulk(CORPUS) == WANT
+            assert pool.level == "serial"
+            first = pool.stats()
+            assert pool.format_bulk(CORPUS) == WANT
+            stats = pool.stats()
+            parent = pool._engine.stats()
+        assert all(plan.spec_fired())
+        assert stats["degradations"] == 2
+        assert first["conversions"] > 0
+        assert stats["conversions"] == parent["conversions"] \
+            == 2 * first["conversions"]
+        assert stats["cache_misses"] == first["cache_misses"]
+        assert stats["cache_hits"] - first["cache_hits"] \
+            == first["conversions"]
+
+
+class TestInlineRoute:
+    def test_armed_pool_plan_never_fires_on_an_inline_call(self):
+        # An inline call has no shard: crash specs on every dispatch of
+        # both pool sites never fire, no worker starts and the parent
+        # survives.
+        small = CORPUS[:INLINE_ROWS - 1]
+        plan = faults.FaultPlan([
+            faults.FaultSpec("pool.format_shard", "crash", attempt=None,
+                             limit=None),
+            faults.FaultSpec("pool.read_shard", "crash", attempt=None,
+                             limit=None)])
+        with BulkPool(jobs=2) as pool:
+            with faults.armed(plan):
+                payload = pool.format_bulk(small)
+                bits = pool.read_bulk(payload)
+            assert multiprocessing.active_children() == []
+            level = pool.level
+            stats = pool.stats()
+        assert payload == format_bulk(small, engine=Engine())
+        assert bits == ingest_bits(small, BINARY64)
+        assert plan.spec_fired() == [0, 0]
+        assert level == "process"
+        for key in FAULT_STAT_KEYS:
+            assert stats[key] == 0
+
+
 class TestTypedErrors:
     def test_deadline_error_carries_shard_attribution(self):
         plan = faults.FaultPlan([
@@ -258,7 +317,8 @@ class TestTypedErrors:
         for kind in ("thread", "process"):
             with BulkPool(jobs=2, kind=kind, retries=2) as pool:
                 with pytest.raises(ParseError):
-                    pool.read_bulk(["1.5", "not-a-number", "2.5"])
+                    pool.read_bulk(["1.5", "not-a-number"]
+                                   + ["2.5"] * INLINE_ROWS)
                 stats = pool.stats()
             assert stats["shard_retries"] == 0
             assert stats["pool_rebuilds"] == 0
@@ -284,8 +344,9 @@ class TestLifecycle:
         code = textwrap.dedent("""
             import multiprocessing, time
             from repro.serve import BulkPool
+            from repro.serve.pool import INLINE_ROWS
             pool = BulkPool(jobs=2)
-            pool.format_bulk([1.5, 2.5, 3.5, 4.5])
+            pool.format_bulk([1.5, 2.5, 3.5, 4.5] * INLINE_ROWS)
             print(*(p.pid for p in multiprocessing.active_children()),
                   flush=True)
             time.sleep(60)
@@ -303,7 +364,7 @@ class TestLifecycle:
 
     def test_close_is_idempotent(self):
         pool = BulkPool(jobs=2, kind="thread")
-        pool.format_bulk([1.5, 2.5])
+        pool.format_bulk(CORPUS)
         pool.close()
         pool.close()
         pool.close()

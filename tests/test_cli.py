@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import build_parser, run
+from repro.serve.pool import INLINE_ROWS
 
 
 def _run(*argv):
@@ -237,7 +238,9 @@ class TestBulk:
         assert lines[0].startswith("error: ParseError:")
 
     def test_chaos_seed_output_byte_identical(self):
-        vals = [f"{i}.{i}e{i % 40}" for i in range(1, 60)]
+        # At least INLINE_ROWS literals, so the pool shards and the
+        # smoke plan's pool specs reach the workers.
+        vals = [f"{i}.{i}e{i % 40}" for i in range(1, INLINE_ROWS + 1)]
         status, lines = _run("--bulk", "--jobs", "2", "--chaos-seed", "5",
                              *vals)
         assert status == 0

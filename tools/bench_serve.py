@@ -15,10 +15,14 @@ Two legs land in the JSON:
 
 * **baseline** — fault-free traffic; gates on p50/p95/p99 latency,
   throughput, zero typed errors and zero byte mismatches;
-* **chaos** (skipped by ``--no-chaos``) — the same open-loop traffic
-  with a :class:`~repro.faults.FaultPlan` armed that crashes, stalls
-  and corrupts pool shards mid-flight (one guaranteed crash plus
-  rate-drawn faults).  Gates: at least one fault fired, recovery
+* **chaos** (skipped by ``--no-chaos``) — open-loop traffic with a
+  :class:`~repro.faults.FaultPlan` armed that crashes, stalls and
+  corrupts pool shards mid-flight (one guaranteed crash plus
+  rate-drawn faults).  Its requests carry at least
+  :data:`~repro.serve.pool.INLINE_ROWS` rows, so every one shards to
+  the pool's rung (smaller batches convert inline, where no pool fault
+  site fires); the rate shrinks to keep the baseline's rows per
+  second.  Gates: at least one fault fired, recovery
   counters account for every fired fault, zero byte mismatches, and
   p99 degradation stays within the documented bound
   (``chaos p99 <= max(P99_RATIO_BOUND x baseline p99,
@@ -64,6 +68,7 @@ from repro.errors import ReproError  # noqa: E402
 from repro.floats.formats import STANDARD_FORMATS  # noqa: E402
 from repro.serve.client import AsyncServeClient  # noqa: E402
 from repro.serve.daemon import serving  # noqa: E402
+from repro.serve.pool import INLINE_ROWS  # noqa: E402
 from repro.workloads.corpus import zipf_random  # noqa: E402
 
 #: Chaos p99 may be at most this multiple of the baseline p99 ...
@@ -446,6 +451,15 @@ def main(argv=None) -> int:
         args.formats, args.rows, args.distinct, args.zipf_s, args.seed,
         templates_per_fmt=4 if args.quick else 16)
 
+    # The fault legs target the pool's rung: requests of at least
+    # INLINE_ROWS rows, at the baseline's rows per second.
+    chaos_rows = max(args.rows, INLINE_ROWS)
+    chaos_rate = rate * args.rows / chaos_rows
+    chaos_templates = templates if chaos_rows == args.rows \
+        else build_templates(args.formats, chaos_rows, args.distinct,
+                             args.zipf_s, args.seed,
+                             templates_per_fmt=4 if args.quick else 16)
+
     result = {
         "generated_by": "tools/bench_serve.py",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -455,7 +469,8 @@ def main(argv=None) -> int:
             "rows_per_request": args.rows, "formats": args.formats,
             "zipf_s": args.zipf_s, "distinct": args.distinct,
             "seed": args.seed, "jobs": args.jobs, "kind": args.kind,
-            "quick": args.quick,
+            "quick": args.quick, "chaos_rows_per_request": chaos_rows,
+            "chaos_rate": chaos_rate,
         },
         "gates": {"p99_ratio_bound": P99_RATIO_BOUND,
                   "p99_abs_floor_ms": P99_ABS_FLOOR_MS,
@@ -471,7 +486,8 @@ def main(argv=None) -> int:
 
     if not args.no_chaos:
         plan = chaos_plan(args.seed)
-        chaos = run_leg(templates, rate=rate, duration=duration,
+        chaos = run_leg(chaos_templates, rate=chaos_rate,
+                        duration=duration,
                         connections=args.connections, seed=args.seed + 1,
                         jobs=args.jobs, kind=args.kind, plan=plan)
         with plan._lock:
@@ -491,7 +507,8 @@ def main(argv=None) -> int:
         # The controlled leg: the same fault plan (fresh instance, same
         # seed and arrival schedule) with the control plane armed.
         cplan = chaos_plan(args.seed)
-        ctl = run_leg(templates, rate=rate, duration=duration,
+        ctl = run_leg(chaos_templates, rate=chaos_rate,
+                      duration=duration,
                       connections=args.connections, seed=args.seed + 1,
                       jobs=args.jobs, kind=args.kind, plan=cplan,
                       breaker_threshold=8, slo_target_ms=60.0,
