@@ -22,10 +22,10 @@ test-fast:
 test-slow:
 	$(PY) -m pytest tests/ -m slow
 
-# The differential verification battery with a fresh random seed — what
-# the nightly CI fuzz job runs; the seed is printed for reproduction.
-# The second invocation runs the decimal→binary round-trip battery, the
-# third the bulk serving-layer byte-identity battery.
+# Every repro.verify battery, each with a fresh random seed (printed for
+# reproduction): the default per-value battery, then one run per flag.
+# Each flag is a table of rows over one corpus and the exact oracle; the
+# flag → rows table is in docs/testing.md.
 fuzz:
 	$(PY) -m repro.verify --n 300 --seed fresh
 	$(PY) -m repro.verify --roundtrip --n 300 --seed fresh

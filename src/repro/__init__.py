@@ -108,13 +108,20 @@ from repro.serve import (
     split_plane,
     split_rows,
 )
-from repro.verify import (
-    VerificationReport,
-    verify_chaos,
-    verify_format,
-    verify_serve,
-    verify_warm,
-)
+
+#: Loaded on first use (PEP 562), so ``python -m repro.verify`` runs a
+#: module the package has not imported yet.
+_VERIFY_EXPORTS = frozenset({"VerificationReport", "verify_format",
+                             "verify_chaos", "verify_serve", "verify_warm"})
+
+
+def __getattr__(name):
+    if name in _VERIFY_EXPORTS:
+        from repro import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+
 
 __version__ = "1.0.0"
 

@@ -1,64 +1,84 @@
-"""Self-verification battery: cross-check every engine against the others.
+"""Self-verification harness: every surface against one exact oracle.
 
-A downstream adopter's smoke test: run N sampled values of a format
-through all the independent implementations in this package (and the
-host, for binary64) and report any disagreement.  Used by
-``examples/self_check.py``, the test suite and the nightly CI fuzz job
-(``python -m repro.verify``); the design principle is the reproduction's
-own — every component is validated by at least one *independently
-constructed* oracle.
+A downstream adopter's smoke test and the nightly fuzz entry point
+(``python -m repro.verify``).  The paper's claim is byte identity with
+the exact algorithm, so the exact tier and Clinger's exact reader are
+the oracle behind every surface.  A battery is a table of *rows* over
+one *corpus*:
 
-The battery is tier-aware: every check is tagged with the conversion
-path it exercises (``free/tier0``, ``fixed/engine-counted``, ...) and the
-report carries per-tier check and mismatch counts, so a regression in
-one tier of the engine is visible as that tier's counter, not just a
-flat failure.  Oracles per path:
+* the **corpus** (:class:`Corpus`, once per ``(fmt, n, seed)``)
+  holds the signed sample with NaN and both infinities, its bits and
+  packed column, and the oracle columns: the lines of
+  ``Engine(tier_order=(), cache_size=0)``, their payload, the bits
+  :func:`repro.reader.exact.read_decimal` reads back, and the read lane
+  a memo-less default :class:`~repro.engine.reader.ReadEngine` resolves
+  each line with;
+* a **row** (:class:`Row`) is a tag, a surface call and the oracle
+  column it must equal, optionally on a :class:`Rig` — a pool, daemon
+  or engine opened once per battery, with an optional fault plan armed
+  around its rows and an audit of its counters after them;
+* one loop (:func:`run_rows`) runs the rows and compares whole columns
+  (:func:`_compare_rows`).  A mismatch is tagged ``<row>/<lane>``.
 
-=====================  =================================================
-path                   independent oracles
-=====================  =================================================
-free (shortest)        Section-2 rational spec, limb bignum port,
-                       Grisu3 self-certification, host ``repr``
-fixed (paper, ``#``)   Section-4 rational spec (``fixed_digits_rational``)
-fixed (counted/printf) exact integer division *and* a Fraction
-                       re-implementation here, host ``%``-formatting
-readers                round-trip through Bellerophon / Algorithm R /
-                       the tiered read engine
-round trip             print→parse→print byte identity and
-                       parse→print→parse bit identity per read tier,
-                       host ``float()`` as the binary64 oracle
-                       (``python -m repro.verify --roundtrip``)
-buffer                 the byte-plane pipeline
-                       (``parse_buffer``/``format_buffer``) against the
-                       scalar engines, byte/bit-identical with per-tier
-                       mismatch attribution
-                       (``python -m repro.verify --buffer``)
-chaos                  the bulk byte-identity battery replayed under
-                       injected worker crashes, shard stalls, payload
-                       corruption and fast-tier raises — outputs must
-                       stay byte-identical to the fault-free run, every
-                       fault must be accounted for in ``stats()``, and
-                       only typed ``ReproError`` subclasses may escape
-                       (``python -m repro.verify --chaos``)
-=====================  =================================================
+Checks that are not a column comparison (typed errors, the strict
+engine, fault accounting) run once per battery.  The flags, each a
+table of rows:
+
+============  ==========================================  ================
+flag          surfaces (rows)                             oracle
+============  ==========================================  ================
+(none)        per value: exact shortest, limb port,       rational specs
+              Grisu3, engine tiers, counted/paper fixed,  (§2, §4),
+              readers, scheme/hex/truncated surfaces,     ``Fraction``
+              host ``repr``/``%``/``float``               counted oracle
+--roundtrip   print→parse→print and parse→print→parse     the sample,
+              through the default engine, per read tier   host ``float``
+--contenders  ``Engine.format``, ``format_many`` with     exact tier
+              memo off and on (cold and warm), both
+              nearest modes; no exact-tier call
+--bulk        ``format_column`` ×3, ``format_bulk``,      exact tier,
+              ``read_bulk``, ``read_many``, a process     exact reader
+              and a thread ``BulkPool``
+--buffer      ``format_buffer`` ×5, ``parse_buffer`` ×5,  exact tier,
+              scalar ``read_result``; the memo pass       exact reader
+--warm        snapshot-warmed ``Engine`` and pool, a      exact tier,
+              pool on a corrupt snapshot file             exact reader
+--chaos       process ``BulkPool`` under five fault       exact tier,
+              plans; typed errors, strict engine          exact reader
+--serve       daemon wire on thread and process pools:    exact tier,
+              format, read, a pipelined burst; typed      exact reader
+              errors
+--control     controlled process daemon under three       exact tier
+              fault plans, a hedged thread pool, live
+              snapshot rotation
+============  ==========================================  ================
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import os
 import random
+import tempfile
+import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import (Any, Callable, ContextManager, Dict, List, Optional,
+                    Sequence, Tuple)
 
+from repro import faults
 from repro.baselines.naive_fixed import exact_fixed_digits, fixed_digits_loop
 from repro.core.backends import shortest_digits_bignat
 from repro.core.dragon import shortest_digits
 from repro.core.rational import shortest_digits_rational
 from repro.core.rounding import ReaderMode, TieBreak
-from repro.engine import Engine, tables_for
+from repro.engine import Engine, ReadEngine, tables_for
 from repro.engine.tier0 import tier0_digits
+from repro.errors import ReproError
 from repro.fastpath import counted_fixed, grisu_shortest
 from repro.floats.formats import BINARY64, FloatFormat
 from repro.floats.model import Flonum
@@ -66,7 +86,12 @@ from repro.format.printf import format_printf
 from repro.format.repr_shortest import py_repr
 from repro.reader.algorithm_r import algorithm_r
 from repro.reader.bellerophon import bellerophon
-from repro.reader.exact import read_fraction
+from repro.reader.exact import read_decimal, read_fraction
+from repro.serve import (BulkPool, DelimitedWriter, bits_from_buffer,
+                         format_buffer, format_bulk, format_column,
+                         pack_bits, parse_buffer, read_bulk, serving)
+from repro.serve.client import ServeClient
+from repro.serve.pool import INLINE_ROWS
 from repro.workloads.corpus import (
     decimal_ties,
     denormals,
@@ -74,8 +99,9 @@ from repro.workloads.corpus import (
     torture_floats,
 )
 
-__all__ = ["VerificationReport", "verify_format", "verify_roundtrip",
-           "verify_bulk", "verify_buffer", "verify_chaos", "verify_warm",
+__all__ = ["VerificationReport", "Corpus", "Harness", "Row", "Rig",
+           "run_rows", "verify_format", "verify_roundtrip", "verify_bulk",
+           "verify_buffer", "verify_chaos", "verify_serve", "verify_warm",
            "verify_contenders", "verify_control", "sample_values",
            "roundtrip_values", "counted_digits_rational", "main"]
 
@@ -89,7 +115,11 @@ _POSITION_PROBES = (-6, -1, 0, 2)
 
 @dataclass
 class VerificationReport:
-    """Aggregate outcome of one verification run."""
+    """Aggregate outcome of one verification run.
+
+    ``checked`` counts sampled values, each once, however many rows a
+    pool call repeats it in.
+    """
 
     format_name: str
     checked: int = 0
@@ -101,13 +131,19 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.mismatches
 
-    def check(self, tier: str) -> None:
-        """Count one comparison against the named conversion path."""
-        self.tier_checks[tier] = self.tier_checks.get(tier, 0) + 1
+    def check(self, tier: str, count: int = 1) -> None:
+        """Count comparisons against the named conversion path."""
+        self.tier_checks[tier] = self.tier_checks.get(tier, 0) + count
 
     def record(self, kind: str, v: Flonum, detail: str = "") -> None:
         self.mismatches.append(f"{kind}: {v!r} {detail}".strip())
         self.tier_mismatches[kind] = self.tier_mismatches.get(kind, 0) + 1
+
+    def expect(self, tag: str, ok: bool, v: Flonum, detail: str) -> None:
+        """One check that records ``detail`` unless ``ok``."""
+        self.check(tag)
+        if not ok:
+            self.record(tag, v, detail)
 
     def summary(self) -> str:
         status = "OK" if self.ok else f"{len(self.mismatches)} MISMATCHES"
@@ -117,15 +153,11 @@ class VerificationReport:
     def tier_summary(self) -> str:
         """Per-tier check/mismatch table, one line per conversion path."""
         lines = [self.summary()]
-        for tier in sorted(self.tier_checks):
+        for tier in sorted(set(self.tier_checks) | set(self.tier_mismatches)):
             bad = self.tier_mismatches.get(tier, 0)
             status = "ok" if not bad else f"{bad} MISMATCHES"
-            lines.append(f"  {tier:<24} {self.tier_checks[tier]:>7} checks"
-                         f"  {status}")
-        stray = set(self.tier_mismatches) - set(self.tier_checks)
-        for tier in sorted(stray):  # pragma: no cover - defensive
-            lines.append(f"  {tier:<24} {'?':>7} checks"
-                         f"  {self.tier_mismatches[tier]} MISMATCHES")
+            checks = self.tier_checks.get(tier, "?")
+            lines.append(f"  {tier:<30} {checks:>7} checks  {status}")
         return "\n".join(lines)
 
 
@@ -215,27 +247,8 @@ def counted_digits_rational(v: Flonum, position: Optional[int] = None,
 
 
 # ----------------------------------------------------------------------
-# The battery
+# The per-value oracles of the default battery
 # ----------------------------------------------------------------------
-
-def verify_format(fmt: FloatFormat = BINARY64, n: int = 200,
-                  seed: int = 0) -> VerificationReport:
-    """Cross-validate all engines on ``n`` sampled values of ``fmt``."""
-    report = VerificationReport(format_name=fmt.name)
-    host_checks = fmt is BINARY64 or fmt == BINARY64
-    engine = Engine()  # all tiers enabled; memo exercised across values
-    for v in sample_values(fmt, n, seed):
-        report.checked += 1
-        _check_shortest_engines(v, report)
-        _check_shortest_tiers(v, engine, report)
-        _check_fixed_engines(v, report)
-        _check_fixed_tiers(v, engine, report)
-        _check_readers(v, engine, report)
-        _check_surfaces(v, report)
-        if host_checks:
-            _check_host_oracles(v, engine, report)
-    return report
-
 
 def _check_shortest_engines(v: Flonum, report: VerificationReport) -> None:
     spec = shortest_digits_rational(v, mode=ReaderMode.NEAREST_EVEN)
@@ -422,8 +435,9 @@ def _check_host_oracles(v: Flonum, engine: Engine,
         report.record("reader/bellerophon", v, f"{got!r}")
 
 
+
 # ----------------------------------------------------------------------
-# The round-trip battery: print↔parse conformance through the engines
+# Samples
 # ----------------------------------------------------------------------
 
 def _same_datum(a: Flonum, b: Flonum) -> bool:
@@ -475,31 +489,6 @@ def roundtrip_values(fmt: FloatFormat, n: int, seed: int = 0
     return out[:n]
 
 
-def sample_with_specials(fmt: FloatFormat, n: int, seed: int = 0,
-                   min_rows: int = 0) -> List[Flonum]:
-    """:func:`roundtrip_values` plus NaN and both infinities, repeated
-    until the sample has at least ``min_rows`` rows.  The pool
-    batteries ask for :data:`repro.serve.pool.INLINE_ROWS`, so their
-    calls shard to the rung under test instead of converting inline
-    whatever ``n`` is."""
-    values = roundtrip_values(fmt, n, seed)
-    values += [Flonum.nan(fmt), Flonum.infinity(fmt, 0),
-               Flonum.infinity(fmt, 1)]
-    return values * -(-min_rows // len(values)) if min_rows else values
-
-
-def _chunk_spans(count: int, chunk: int = 2048) -> List[Tuple[int, int]]:
-    """``(start, stop)`` spans of ``chunk`` rows over ``count`` rows; a
-    remainder below :data:`repro.serve.pool.INLINE_ROWS` joins the span
-    before it, so every span shards to the pool's rung."""
-    from repro.serve.pool import INLINE_ROWS
-
-    spans = [(a, min(a + chunk, count)) for a in range(0, count, chunk)]
-    if len(spans) > 1 and spans[-1][1] - spans[-1][0] < INLINE_ROWS:
-        spans[-2:] = [(spans[-2][0], count)]
-    return spans
-
-
 def _roundtrip_literals(fmt: FloatFormat, n: int, seed: int) -> List[str]:
     """Random decimal literals for the parse→print→parse leg.
 
@@ -539,30 +528,336 @@ def _roundtrip_literals(fmt: FloatFormat, n: int, seed: int) -> List[str]:
     return lits
 
 
-def verify_roundtrip(fmt: FloatFormat = BINARY64, n: int = 50000,
-                     seed: int = 0,
-                     engine: Optional[Engine] = None) -> VerificationReport:
+def _signed_sample(fmt: FloatFormat, n: int, seed: int) -> List[Flonum]:
+    """:func:`roundtrip_values` plus NaN and both infinities."""
+    return roundtrip_values(fmt, n, seed) + [
+        Flonum.nan(fmt), Flonum.infinity(fmt, 0), Flonum.infinity(fmt, 1)]
+
+
+def _route_sample(fmt: FloatFormat, n: int, seed: int) -> List[Flonum]:
+    """:func:`sample_values` plus the denormal, binade-boundary,
+    decimal-tie and torture corpora: the write route's case splits."""
+    return (sample_values(fmt, n, seed) + denormals(fmt)
+            + power_boundaries(fmt) + decimal_ties(fmt)
+            + torture_floats(fmt))
+
+
+# ----------------------------------------------------------------------
+# The corpus: one sample and one exact oracle per battery
+# ----------------------------------------------------------------------
+
+class Corpus:
+    """One battery's inputs and the exact answers every row is held to,
+    built once per ``(fmt, n, seed)`` (and reader ``mode``).
+
+    ``sample`` holds ``sample(fmt, n, seed)`` — by default the signed
+    round-trip sample with NaN and both infinities — once each;
+    ``values`` repeats it until it has ``min_rows`` rows, so a pool call
+    shards to the rung under test instead of converting inline.  The
+    oracle columns follow ``values`` row for row and are built on first
+    use, once per distinct input:
+
+    * ``lines`` — the exact tier's shortest text under ``mode``;
+    * ``payload`` — the lines as one ``\\n``-terminated plane;
+    * ``want_bits`` — the exact reader's bits for each line;
+    * ``lanes`` — the lane a memo-less default read engine resolves
+      each line with, which tags every mismatch.
+    """
+
+    def __init__(self, fmt: FloatFormat, n: int, seed: int = 0, *,
+                 sample: Callable = _signed_sample,
+                 mode: ReaderMode = ReaderMode.NEAREST_EVEN,
+                 min_rows: int = INLINE_ROWS):
+        self.fmt = fmt
+        self.mode = mode
+        self.sample = sample = sample(fmt, n, seed)
+        self.values = (sample * -(-min_rows // len(sample))
+                       if len(sample) < min_rows else list(sample))
+        self.bits = [v.to_bits() for v in self.values]
+
+    @functools.cached_property
+    def lines(self) -> List[str]:
+        exact = Engine(tier_order=(), cache_size=0)
+        texts: Dict[int, str] = {}
+        for b, v in zip(self.bits, self.values):
+            if b not in texts:
+                texts[b] = exact.format(v, mode=self.mode, fmt=self.fmt)
+        return [texts[b] for b in self.bits]
+
+    @functools.cached_property
+    def want_bits(self) -> List[int]:
+        read = {t: read_decimal(t, self.fmt).to_bits()
+                for t in dict.fromkeys(self.lines)}
+        return [read[t] for t in self.lines]
+
+    @functools.cached_property
+    def lanes(self) -> List[str]:
+        reader = ReadEngine(cache_size=0)
+        lane = {t: reader.read_result(t, self.fmt).tier
+                for t in dict.fromkeys(self.lines)}
+        return [lane[t] for t in self.lines]
+
+    @functools.cached_property
+    def packed(self) -> bytes:
+        return pack_bits(self.bits, self.fmt)
+
+    @property
+    def itemsize(self) -> int:
+        return len(self.packed) // len(self.bits)
+
+    def plane(self, start: int = 0, stop: Optional[int] = None,
+              delimiter: str = "\n") -> bytes:
+        """Oracle lines ``start:stop`` as one terminated plane."""
+        rows = self.lines[start:stop]
+        return (delimiter.join(rows) + delimiter).encode("ascii")
+
+    @functools.cached_property
+    def payload(self) -> bytes:
+        return self.plane()
+
+    def spans(self) -> List[Tuple[int, int]]:
+        """``(start, stop)`` spans of 2048-row wire requests; a
+        remainder below :data:`~repro.serve.pool.INLINE_ROWS` joins the
+        span before it, so every request shards to the pool's rung."""
+        count = len(self.values)
+        spans = [(a, min(a + 2048, count)) for a in range(0, count, 2048)]
+        if len(spans) > 1 and spans[-1][1] - spans[-1][0] < INLINE_ROWS:
+            spans[-2:] = [(spans[-2][0], count)]
+        return spans
+
+
+# ----------------------------------------------------------------------
+# Rows, rigs and the loop that runs them
+# ----------------------------------------------------------------------
+
+def _lines(c: Corpus):
+    return c.lines, c.lanes
+
+
+def _bits(c: Corpus):
+    return c.want_bits, c.lanes
+
+
+def _sampled(c: Corpus):
+    return c.bits, c.lanes
+
+
+@dataclass
+class Harness:
+    """What one battery run hands its rigs and fixed checks."""
+
+    corpus: Corpus
+    seed: int
+    jobs: int
+    tmp: str
+    engine: Optional[Engine] = None
+    cache: Dict[str, Any] = field(default_factory=dict)
+
+
+@dataclass(frozen=True, eq=False)
+class Rig:
+    """What a group of rows runs on — a pool, a daemon or an engine —
+    opened once per battery.  ``plan(seed)`` builds the fault plan
+    armed around the rig's rows; ``audit(report, harness, rig, plan)``
+    checks the rig's counters after them."""
+
+    open: Callable[[Harness], ContextManager]
+    plan: Optional[Callable[[int], "faults.FaultPlan"]] = None
+    audit: Optional[Callable] = None
+
+
+#: The rig of rows that need none: their surfaces get None.
+_NO_RIG = Rig(lambda h: contextlib.nullcontext())
+
+
+@dataclass(frozen=True)
+class Row:
+    """One surface call, compared as a whole column with ``oracle``
+    (``corpus -> (want, lanes)``).  The surface gets the corpus and
+    its rig's opened object."""
+
+    tag: str
+    surface: Callable[[Corpus, Any], Sequence]
+    oracle: Callable[[Corpus], Tuple[Sequence, Sequence[str]]] = _lines
+    rig: Rig = _NO_RIG
+
+
+def _compare_rows(report: VerificationReport, tag: str, got, want,
+                  values, lanes: Optional[Sequence[str]] = None) -> None:
+    """Check one whole column; report the first divergence.
+
+    With ``lanes``, the rows are also counted per read lane
+    (``<tag>/<lane>``) and the mismatch is tagged with the lane of the
+    first diverging row.
+    """
+    report.check(tag)
+    if lanes is not None:
+        for lane, count in Counter(lanes).items():
+            report.check(f"{tag}/{lane}", count)
+    if got == want:
+        return
+    i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+             min(len(got), len(want)))
+    if len(got) != len(want):
+        detail = f"row count {len(got)} != {len(want)}, first " \
+                 f"divergence at row {i}"
+    else:
+        detail = f"row {i}: {got[i]!r} != {want[i]!r}"
+    where = f"{tag}/{lanes[i]}" if lanes is not None and i < len(lanes) \
+        else tag
+    report.record(where, values[min(i, len(values) - 1)], detail)
+
+
+def _rows(payload: bytes, delimiter: bytes = b"\n") -> List[str]:
+    """A delimited payload's rows; a missing final terminator marks the
+    last row, so a comparison with the oracle lines catches it."""
+    rows = payload.decode("latin-1").split(delimiter.decode("latin-1"))
+    tail = rows.pop()
+    if tail:
+        rows.append(tail + " <unterminated>")
+    return rows
+
+
+def _run_row(report: VerificationReport, c: Corpus, row: Row,
+             obj: Any) -> None:
+    try:
+        got = row.surface(c, obj)
+    except Exception as exc:
+        kind = "typed error" if isinstance(exc, ReproError) \
+            else "untyped escape"
+        report.expect(row.tag, False, c.values[0], f"{kind}: {exc!r}")
+        return
+    want, lanes = row.oracle(c)
+    _compare_rows(report, row.tag, got, want, c.values, lanes)
+
+
+def run_rows(report: VerificationReport, h: Harness,
+             rows: Sequence[Row]) -> None:
+    """Run ``rows`` over ``h.corpus``: each rig is opened once, its
+    plan armed around its rows, and audited after them."""
+    groups: Dict[Rig, List[Row]] = {}
+    for row in rows:
+        groups.setdefault(row.rig, []).append(row)
+    for rig, members in groups.items():
+        plan = rig.plan(h.seed) if rig.plan else None
+        try:
+            with rig.open(h) as obj:
+                with faults.armed(plan):
+                    for row in members:
+                        _run_row(report, h.corpus, row, obj)
+                if rig.audit:
+                    rig.audit(report, h, obj, plan)
+        except Exception as exc:
+            report.expect(members[0].tag, False, h.corpus.values[0],
+                          f"rig failed: {exc!r}")
+
+
+# ----------------------------------------------------------------------
+# Surfaces shared by several batteries
+# ----------------------------------------------------------------------
+
+def _scalar(eng: Engine, c: Corpus) -> List[str]:
+    """The scalar surface: one :meth:`Engine.format` call per row."""
+    return [eng.format(v, mode=c.mode, fmt=c.fmt) for v in c.values]
+
+
+def _pool_format(c: Corpus, pool) -> List[str]:
+    return _rows(pool.format_bulk(c.packed))
+
+
+def _pool_read(c: Corpus, pool) -> List[int]:
+    return pool.read_bulk(c.payload)
+
+
+def _pool(jobs: Optional[int] = None, **kw
+          ) -> Callable[[Harness], ContextManager]:
+    """A rig opener for a :class:`BulkPool` of the battery's format
+    (``jobs`` defaults to the battery's)."""
+    return lambda h: BulkPool(jobs=jobs or h.jobs, fmt=h.corpus.fmt, **kw)
+
+
+@contextlib.contextmanager
+def _daemon(h: Harness, **kw):
+    """A loopback daemon and one client connection to it."""
+    with serving(**kw) as daemon:
+        with ServeClient(daemon.host, daemon.port) as client:
+            yield SimpleNamespace(daemon=daemon, client=client)
+
+
+def _wire_format(c: Corpus, rig) -> List[str]:
+    got: List[str] = []
+    for a, b in c.spans():
+        got += _rows(rig.client.format(
+            c.packed[a * c.itemsize:b * c.itemsize], c.fmt.name))
+    return got
+
+
+def _wire_read(c: Corpus, rig) -> List[int]:
+    got: List[int] = []
+    for a, b in c.spans():
+        got += bits_from_buffer(rig.client.read(c.plane(a, b), c.fmt.name),
+                                c.fmt)
+    return got
+
+
+def _wire_pipeline(c: Corpus, rig) -> List:
+    """Every span as a format frame then a read frame, pipelined on one
+    connection: responses must come back in request order."""
+    from repro.serve import protocol
+
+    frames = []
+    for a, b in c.spans():
+        frames.append(protocol.encode_request(
+            protocol.OP_FORMAT, c.packed[a * c.itemsize:b * c.itemsize],
+            c.fmt.name, b"\n"))
+        frames.append(protocol.encode_request(
+            protocol.OP_READ, c.plane(a, b), c.fmt.name, b"\n"))
+    got: List = []
+    for i, (status, payload) in enumerate(rig.client.pipeline(frames)):
+        if status != protocol.STATUS_OK:
+            got.append(f"status {status}")
+        elif i % 2 == 0:
+            got += _rows(payload)
+        else:
+            got += bits_from_buffer(payload, c.fmt)
+    return got
+
+
+def _pipelined(c: Corpus):
+    want: List = []
+    lanes: List[str] = []
+    for a, b in c.spans():
+        want += c.lines[a:b] + c.want_bits[a:b]
+        lanes += c.lanes[a:b] * 2
+    return want, lanes
+
+
+# ----------------------------------------------------------------------
+# The round-trip battery: print↔parse conformance through the engines
+# ----------------------------------------------------------------------
+
+def _check_roundtrip(report: VerificationReport, h: Harness) -> None:
     """The paper's information-preservation contract, both directions.
 
-    Leg A (``n`` flonums): ``print → parse → print``.  The shortest
-    output of each sampled value must read back bit-identically through
-    the tiered read engine (checks tagged per resolving tier, so a
-    regression localizes), and re-printing the parsed value must
-    reproduce the text byte for byte.  For binary64 the host's
-    ``float()`` serves as an independent read oracle on the same text.
+    Leg A (the sample): ``print → parse → print``.  The shortest output
+    of each value must read back bit-identically through the tiered
+    read engine (checks tagged per resolving tier, so a regression
+    localizes), and re-printing the parsed value must reproduce the
+    text byte for byte.  For binary64 the host's ``float()`` serves as
+    an independent read oracle on the same text.
 
-    Leg B (``n`` literals): ``parse → print → parse``.  An arbitrary
-    literal reads to some flonum; printing that flonum and reading the
-    output must land on the same bits (tagged by the *first* parse's
-    tier).  The host oracle applies on binary64 again, this time on the
-    arbitrary literal — exercising the interval and exact tiers against
-    an implementation that shares no code with this package.
+    Leg B (as many random literals): ``parse → print → parse``.  An
+    arbitrary literal reads to some flonum; printing that flonum and
+    reading the output must land on the same bits (tagged by the
+    *first* parse's tier).  The host oracle applies on binary64 again,
+    this time on the arbitrary literal — exercising the interval and
+    exact tiers against an implementation that shares no code with
+    this package.
     """
-    report = VerificationReport(format_name=f"{fmt.name} round-trip")
-    eng = engine if engine is not None else Engine()
-    host = fmt is BINARY64 or fmt == BINARY64
-    for v in roundtrip_values(fmt, n, seed):
-        report.checked += 1
+    fmt = h.corpus.fmt
+    eng = h.engine if h.engine is not None else Engine()
+    host = fmt == BINARY64
+    for v in h.corpus.sample:
         text = eng.format(v, fmt=fmt)
         got = eng.read_result(text, fmt)
         report.check(f"print-parse/{got.tier}")
@@ -570,1064 +865,692 @@ def verify_roundtrip(fmt: FloatFormat = BINARY64, n: int = 50000,
             report.record(f"print-parse/{got.tier}", v,
                           f"{text!r} -> {got.value!r}")
             continue
-        report.check("print-parse-print")
         again = eng.format(got.value, fmt=fmt)
-        if again != text:
-            report.record("print-parse-print", v,
-                          f"{text!r} reprints as {again!r}")
+        report.expect("print-parse-print", again == text, v,
+                      f"{text!r} reprints as {again!r}")
         if host:
-            report.check("host-float")
-            if not _same_datum(Flonum.from_float(float(text)), v):
-                report.record("host-float", v,
-                              f"host reads {text!r} as {float(text)!r}")
-    for lit in _roundtrip_literals(fmt, n, seed):
-        report.checked += 1
+            report.expect("host-float",
+                          _same_datum(Flonum.from_float(float(text)), v),
+                          v, f"host reads {text!r} as {float(text)!r}")
+    literals = _roundtrip_literals(fmt, len(h.corpus.sample), h.seed)
+    report.checked += len(literals)
+    for lit in literals:
         first = eng.read_result(lit, fmt)
         text = eng.format(first.value, fmt=fmt)
         second = eng.read_result(text, fmt)
-        report.check(f"parse-print-parse/{first.tier}")
-        if not _same_datum(first.value, second.value):
-            report.record(f"parse-print-parse/{first.tier}", first.value,
-                          f"{lit!r} -> {text!r} -> {second.value!r}")
+        report.expect(f"parse-print-parse/{first.tier}",
+                      _same_datum(first.value, second.value), first.value,
+                      f"{lit!r} -> {text!r} -> {second.value!r}")
         if host:
-            report.check("host-float")
-            if not _same_datum(Flonum.from_float(float(lit)), first.value):
-                report.record("host-float", first.value,
-                              f"host reads {lit!r} as {float(lit)!r}")
-    return report
+            report.expect("host-float", _same_datum(
+                Flonum.from_float(float(lit)), first.value), first.value,
+                f"host reads {lit!r} as {float(lit)!r}")
 
 
 # ----------------------------------------------------------------------
-# The contenders battery: the default write route, certified
-# differentially
+# The contenders battery: the default write route against the exact tier
 # ----------------------------------------------------------------------
 
-def verify_contenders(fmt: FloatFormat = BINARY64, n: int = 50000,
-                      seed: int = 0) -> VerificationReport:
-    """Certify the default write route (tier 0, then Schubfach) against
-    the exact tier.
+def _route_batch(c: Corpus) -> List:
+    """``format_many``'s input: host floats for binary64, Flonums of
+    the batch's format otherwise."""
+    return [v.to_float() for v in c.values] if c.fmt == BINARY64 \
+        else c.values
 
-    ``n`` sampled values plus the denormal/boundary/decimal-tie/torture
-    corpora go through a memo-less default engine twice — one value at
-    a time (:meth:`Engine.format`, the scalar route) and as one batch
-    (:meth:`Engine.format_many`, the inlined batch loop) — under both
-    nearest reader modes, and every output must be byte-identical to an
-    exact-only engine's.  A memo-on leg repeats the batch on an engine
-    whose memo holds it all: the warm pass (lock-free probes, bumps and
-    installs at the flush) must convert nothing and match too.  The
-    route has no bail path, so the exact tier must never run
-    (``tier2_calls == 0``) and tier 0, Schubfach and the memo must
-    account for every conversion.
-    """
-    report = VerificationReport(format_name=f"{fmt.name} contenders")
-    exact = Engine(tier_order=(), cache_size=0)
-    values = sample_values(fmt, n, seed)
-    values += (denormals(fmt) + power_boundaries(fmt)
-               + decimal_ties(fmt) + torture_floats(fmt))
-    # format_many decomposes host floats for binary64 and Flonums of
-    # the batch's format otherwise.
-    batch = ([v.to_float() for v in values] if fmt == BINARY64
-             else values)
-    for mode in (ReaderMode.NEAREST_EVEN, ReaderMode.NEAREST_UNKNOWN):
-        want = [exact.format(v, mode=mode, fmt=fmt) for v in values]
-        for path in ("scalar", "format_many", "format_many+memo"):
-            eng = Engine(cache_size=len(values) if "memo" in path else 0)
-            if path == "scalar":
-                runs = [[eng.format(v, mode=mode, fmt=fmt) for v in values]]
-            else:
-                runs = [eng.format_many(batch, mode=mode, fmt=fmt)]
-                cold = eng.stats()
-                if eng.cache_size:
-                    runs.append(eng.format_many(batch, mode=mode, fmt=fmt))
-            tag = f"route/{path}"
-            for got in runs:
-                for v, g, w in zip(values, got, want):
-                    report.checked += 1
-                    report.check(tag)
-                    if g != w:
-                        report.record(tag, v, f"{mode.name}: {g!r} != "
-                                              f"exact {w!r}")
-            stats = eng.stats()
-            report.check("route/no-bail")
-            if stats["tier2_calls"]:
-                report.record("route/no-bail", values[0],
-                              f"{path} {mode.name}: {stats['tier2_calls']}"
-                              f" exact-tier consultations")
-            report.check("route/coverage")
-            lanes = stats["tier0_hits"] + stats["schubfach_hits"]
-            if lanes + stats["cache_hits"] != stats["conversions"]:
-                report.record("route/coverage", values[0],
-                              f"{path} {mode.name}: lanes and memo "
-                              f"resolved {lanes + stats['cache_hits']} of "
-                              f"{stats['conversions']} conversions")
-            if eng.cache_size and lanes != (cold["tier0_hits"]
-                                            + cold["schubfach_hits"]):
-                report.record("route/coverage", values[0],
-                              f"{path} {mode.name}: the warm pass "
-                              f"converted values the memo holds")
-    return report
+
+def _route_audit(report: VerificationReport, h: Harness, rig,
+                 plan) -> None:
+    """The route has no bail path: the exact tier never runs, and tier
+    0, Schubfach and the memo account for every conversion.  A warm
+    pass converts nothing."""
+    stats = rig.eng.stats()
+    v0 = h.corpus.values[0]
+    mode = h.corpus.mode.name
+    report.expect("route/no-bail", not stats["tier2_calls"], v0,
+                  f"{rig.path} {mode}: {stats['tier2_calls']} exact-tier "
+                  f"consultations")
+    lanes = stats["tier0_hits"] + stats["schubfach_hits"]
+    report.expect("route/coverage",
+                  lanes + stats["cache_hits"] == stats["conversions"], v0,
+                  f"{rig.path} {mode}: lanes and memo resolved "
+                  f"{lanes + stats['cache_hits']} of "
+                  f"{stats['conversions']} conversions")
+    if rig.cold is not None and lanes != (rig.cold["tier0_hits"]
+                                          + rig.cold["schubfach_hits"]):
+        report.record("route/coverage", v0,
+                      f"{rig.path} {mode}: the warm pass converted "
+                      f"values the memo holds")
+
+
+def _route_engine(path: str, memo: bool = False) -> Rig:
+    def open_(h: Harness):
+        size = len(h.corpus.values) if memo else 0
+        return contextlib.nullcontext(SimpleNamespace(
+            eng=Engine(cache_size=size), path=path, cold=None))
+    return Rig(open_, audit=_route_audit)
+
+
+def _many(c: Corpus, rig) -> List[str]:
+    return rig.eng.format_many(_route_batch(c), mode=c.mode, fmt=c.fmt)
+
+
+def _cold_pass(c: Corpus, rig) -> List[str]:
+    got = _many(c, rig)
+    rig.cold = rig.eng.stats()
+    return got
+
+
+_SCALAR_ROUTE = _route_engine("scalar")
+_BATCH_ROUTE = _route_engine("format_many")
+_MEMO_ROUTE = _route_engine("format_many+memo", memo=True)
+
+_CONTENDER_ROWS = (
+    Row("route/scalar", lambda c, rig: _scalar(rig.eng, c),
+        rig=_SCALAR_ROUTE),
+    Row("route/format_many", _many, rig=_BATCH_ROUTE),
+    Row("route/format_many+memo", _cold_pass, rig=_MEMO_ROUTE),
+    Row("route/format_many+memo", _many, rig=_MEMO_ROUTE),
+)
 
 
 # ----------------------------------------------------------------------
-# The bulk battery: the serving layer against the scalar engine
+# The bulk and buffer batteries: columnar and byte-plane surfaces
 # ----------------------------------------------------------------------
 
-def _compare_rows(report: VerificationReport, tag: str, got, want,
-                  values) -> None:
-    """Tag one whole-column comparison; report the first divergence."""
-    report.check(tag)
-    if got == want:
-        return
-    if len(got) != len(want):
-        report.record(tag, values[0],
-                      f"row count {len(got)} != {len(want)}")
-        return
-    for i, (g, w) in enumerate(zip(got, want)):
-        if g != w:
-            report.record(tag, values[i], f"row {i}: {g!r} != {w!r}")
-            return
+_PROCESS_POOL = Rig(_pool())
+_THREAD_POOL = Rig(_pool(kind="thread"))
+
+_BULK_ROWS = (
+    Row("bulk/column-dedup",
+        lambda c, _: format_column(c.bits, c.fmt, engine=Engine())),
+    Row("bulk/column-nodedup", lambda c, _: format_column(
+        c.bits, c.fmt, engine=Engine(), dedup=False)),
+    Row("bulk/column-packed",
+        lambda c, _: format_column(c.packed, c.fmt, engine=Engine())),
+    Row("bulk/writer",
+        lambda c, _: _rows(format_bulk(c.bits, c.fmt, engine=Engine()))),
+    Row("bulk/pool-format", _pool_format, rig=_PROCESS_POOL),
+    Row("bulk/pool-read", _pool_read, _bits, rig=_PROCESS_POOL),
+    Row("bulk/thread-format", _pool_format, rig=_THREAD_POOL),
+    Row("bulk/thread-read", _pool_read, _bits, rig=_THREAD_POOL),
+    Row("bulk/read",
+        lambda c, _: read_bulk(c.payload, c.fmt, engine=Engine()), _bits),
+    Row("bulk/read-roundtrip", lambda c, _: [
+        v.to_bits() for v in Engine().read_many(c.lines, c.fmt)], _sampled),
+)
 
 
-def verify_bulk(fmt: FloatFormat = BINARY64, n: int = 50000, seed: int = 0,
-                jobs: int = 2) -> VerificationReport:
-    """Byte-identity of the bulk serving layer against the scalar engine.
+def _memo_pass(c: Corpus, reader: ReadEngine) -> List[int]:
+    reader.reset_stats()
+    return parse_buffer(c.payload, c.fmt, engine=reader)
 
-    The bulk layer (:mod:`repro.serve`) reorders work — columnar
-    ingestion, dedup interning, shard split/merge — but must never
-    change a single output byte.  This battery formats the signed
-    round-trip sample (:func:`roundtrip_values` plus NaN and both
-    infinities) once through the scalar :meth:`Engine.format` path as
-    the oracle, then checks every bulk route against it:
 
-    * :func:`repro.serve.format_column` with interning on and off, fed
-      bit patterns *and* the packed byte column (the zero-copy path);
-    * :func:`repro.serve.format_bulk` payload bytes against the joined
-      scalar rows (the :class:`~repro.serve.DelimitedWriter` leg);
-    * a process :class:`~repro.serve.BulkPool` (``jobs`` workers) on
-      the same packed column — shard split, per-worker engines and
-      order-preserving merge;
-    * :func:`repro.serve.read_bulk` of the payload against the scalar
-      :meth:`ReadEngine.read_many` bits (and, transitively, the
-      original bits — the sample round-trips by construction).
-    """
-    from repro.serve import (BulkPool, format_bulk, format_column,
-                             pack_bits, read_bulk)
-    from repro.serve.pool import INLINE_ROWS
+def _memo_audit(report: VerificationReport, h: Harness,
+                reader: ReadEngine, plan) -> None:
+    """The second parse through one engine is served by its memo, once
+    per distinct row."""
+    stats = reader.stats()
+    distinct = len(set(h.corpus.lines))
+    report.expect("buffer/parse-memo",
+                  stats["read_cache_hits"] == distinct
+                  and stats["read_conversions"] == distinct,
+                  h.corpus.values[0],
+                  f"second pass: {stats['read_cache_hits']} memo hits "
+                  f"of {stats['read_conversions']} conversions, "
+                  f"{distinct} distinct rows")
 
-    report = VerificationReport(format_name=f"{fmt.name} bulk")
-    eng = Engine()
-    values = sample_with_specials(fmt, n, seed, min_rows=INLINE_ROWS)
-    report.checked = len(values)
-    bits = [v.to_bits() for v in values]
-    packed = pack_bits(bits, fmt)
-    scalar = [eng.format(v, fmt=fmt) for v in values]
 
-    _compare_rows(report, "bulk/column-dedup",
-                  format_column(bits, fmt, engine=eng), scalar, values)
-    _compare_rows(report, "bulk/column-nodedup",
-                  format_column(bits, fmt, engine=eng, dedup=False),
-                  scalar, values)
-    _compare_rows(report, "bulk/column-packed",
-                  format_column(packed, fmt, engine=eng), scalar, values)
+_MEMO_READER = Rig(lambda h: contextlib.nullcontext(
+    ReadEngine(cache_size=len(h.corpus.values))), audit=_memo_audit)
 
-    payload = format_bulk(bits, fmt, engine=eng)
-    want_payload = ("\n".join(scalar) + "\n").encode("ascii")
-    report.check("bulk/writer")
-    if payload != want_payload:
-        report.record("bulk/writer", values[0],
-                      f"payload differs ({len(payload)} vs "
-                      f"{len(want_payload)} bytes)")
 
-    with BulkPool(jobs=jobs, fmt=fmt) as pool:
-        pool_payload = pool.format_bulk(packed)
-        report.check("bulk/pool-format")
-        if pool_payload != want_payload:
-            report.record("bulk/pool-format", values[0],
-                          f"pool payload differs ({len(pool_payload)} vs "
-                          f"{len(want_payload)} bytes)")
-        _compare_rows(report, "bulk/pool-read",
-                      pool.read_bulk(payload), bits, values)
+def _scalar_reads(c: Corpus, _) -> List[int]:
+    """The scalar read surface: one memo-less ``read_result`` per row."""
+    reader = ReadEngine(cache_size=0)
+    return [reader.read_result(t, c.fmt).value.to_bits() for t in c.lines]
 
-    want_bits = [v.to_bits() for v in eng.read_many(scalar, fmt)]
-    _compare_rows(report, "bulk/read",
-                  read_bulk(payload, fmt, engine=eng), want_bits, values)
-    _compare_rows(report, "bulk/read-roundtrip", want_bits, bits, values)
-    return report
+
+def _emit(bits_in: bool = False, delimiter: bytes = b"\n", **kw):
+    """A ``format_buffer`` row on a fresh default engine."""
+    return lambda c, _: _rows(format_buffer(
+        c.bits if bits_in else c.packed, c.fmt, engine=Engine(),
+        delimiter=delimiter, **kw), delimiter)
+
+
+_BUFFER_ROWS = (
+    Row("buffer/format-packed", _emit()),
+    Row("buffer/format-bits", _emit(bits_in=True)),
+    Row("buffer/format-nodedup", _emit(dedup=False)),
+    Row("buffer/format-writer", lambda c, _: _rows(format_buffer(
+        c.packed, c.fmt, engine=Engine(), writer=DelimitedWriter(b"\n")))),
+    Row("buffer/format-crlf", _emit(delimiter=b"\r\n")),
+    Row("buffer/parse", _memo_pass, _bits, rig=_MEMO_READER),
+    Row("buffer/parse-memo", _memo_pass, _bits, rig=_MEMO_READER),
+    Row("buffer/parse-nodedup", lambda c, _: parse_buffer(
+        c.payload, c.fmt, engine=ReadEngine(), dedup=False), _bits),
+    Row("buffer/parse-flonums", lambda c, _: [v.to_bits() for v in (
+        parse_buffer(c.payload, c.fmt, engine=ReadEngine(),
+                     out="flonums"))], _bits),
+    Row("buffer/parse-crlf", lambda c, _: parse_buffer(
+        c.plane(delimiter="\r\n"), c.fmt, engine=ReadEngine(),
+        delimiter=b"\r\n"), _bits),
+    Row("buffer/parse-roundtrip", _scalar_reads, _sampled),
+)
 
 
 # ----------------------------------------------------------------------
-# The warm battery: snapshot-warmed pools against cold ones
+# The warm battery: snapshot-warmed engines and pools
 # ----------------------------------------------------------------------
 
-def verify_warm(fmt: FloatFormat = BINARY64, n: int = 50000, seed: int = 0,
-                jobs: int = 2) -> VerificationReport:
-    """Byte-identity of the warm-start fabric against cold execution.
-
-    A snapshot (tables + memo + hot dictionary) may only skip work —
-    it must never change a single output byte, and a rejected snapshot
-    must degrade to a cold start, counted, never served.  Legs:
-
-    * **warm engine** — ``Engine(snapshot=...)`` output against a cold
-      engine's over the signed round-trip sample plus specials, with a
-      clean restore (``snapshot_faults == 0``);
-    * **warm pool** — a ``jobs``-worker process :class:`BulkPool` warmed
-      from the snapshot *file* (container decode, shared-memory hot
-      plane, worker re-load all on the path) against the cold pool's
-      payload, format and read directions;
-    * **corrupt fallback** — the same pool pointed at a bit-flipped
-      copy of the file: output still byte-identical, and the rejection
-      visible as ``snapshot_faults >= 1`` in :meth:`BulkPool.stats`.
-    """
-    import collections
-    import tempfile
-
+def _snapshot_files(h: Harness) -> Tuple[Any, str, str]:
+    """The battery's snapshot, built once: a donor default engine plays
+    the corpus and the head of its frequency distribution becomes the
+    hot dictionary.  Saved to a file and to a copy with one payload
+    byte flipped mid-file."""
     from repro.engine.snapshot import (build_snapshot, hot_entries,
                                        save_snapshot)
-    from repro.serve import BulkPool, pack_bits
-    from repro.serve.pool import INLINE_ROWS
 
-    report = VerificationReport(format_name=f"{fmt.name} warm")
-    values = sample_with_specials(fmt, n, seed, min_rows=INLINE_ROWS)
-    report.checked = len(values)
-    packed = pack_bits([v.to_bits() for v in values], fmt)
-
-    # The donor plays the sample, the head of its frequency
-    # distribution becomes the hot dictionary (tools/warm_snapshot.py's
-    # recipe, inlined so the battery is self-contained).
-    donor = Engine()
-    scalar = [donor.format(v, fmt=fmt) for v in values]
-    head = [v for v, _ in collections.Counter(
-        v for v in values if v.is_finite and not v.is_zero
-    ).most_common(512)]
-    snap = build_snapshot([fmt.name], engine=donor,
-                          hot=hot_entries(head, engine=donor))
-
-    # Warm engine vs cold scalar rows.
-    warm_eng = Engine(snapshot=snap)
-    _compare_rows(report, "warm/engine",
-                  [warm_eng.format(v, fmt=fmt) for v in values],
-                  scalar, values)
-    report.check("warm/engine-clean-restore")
-    if warm_eng.stats()["snapshot_faults"]:
-        report.record("warm/engine-clean-restore", values[0],
-                      "the battery's own snapshot was rejected")
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "warm.snap")
+    if "snapshot" not in h.cache:
+        c = h.corpus
+        donor = Engine()
+        _scalar(donor, c)
+        head = [v for v, _ in Counter(
+            v for v in c.values if v.is_finite and not v.is_zero
+        ).most_common(512)]
+        snap = build_snapshot([c.fmt.name], engine=donor,
+                              hot=hot_entries(head, engine=donor))
+        path = os.path.join(h.tmp, "warm.snap")
         save_snapshot(snap, path)
-        with BulkPool(jobs=jobs, fmt=fmt) as cold:
-            want_payload = cold.format_bulk(packed)
-        with BulkPool(jobs=jobs, fmt=fmt, snapshot=path) as warm:
-            got_payload = warm.format_bulk(packed)
-            report.check("warm/pool-format")
-            if got_payload != want_payload:
-                report.record("warm/pool-format", values[0],
-                              f"payload differs ({len(got_payload)} vs "
-                              f"{len(want_payload)} bytes)")
-            _compare_rows(report, "warm/pool-read",
-                          warm.read_bulk(want_payload),
-                          [v.to_bits() for v in
-                           donor.read_many(scalar, fmt)], values)
-            stats = warm.stats()
-            report.check("warm/pool-clean-restore")
-            if stats["snapshot_faults"]:
-                report.record("warm/pool-clean-restore", values[0],
-                              f"{stats['snapshot_faults']} snapshot "
-                              f"faults on a valid file")
-
-        # Corrupt fallback: flip one payload byte mid-file.  The pool
-        # must serve identical bytes cold and count the rejection.
         with open(path, "rb") as fh:
             blob = bytearray(fh.read())
         blob[len(blob) // 2] ^= 0x40
-        bad = os.path.join(tmp, "corrupt.snap")
+        bad = os.path.join(h.tmp, "corrupt.snap")
         with open(bad, "wb") as fh:
             fh.write(bytes(blob))
-        with BulkPool(jobs=jobs, fmt=fmt, snapshot=bad) as pool:
-            got_payload = pool.format_bulk(packed)
-            report.check("warm/corrupt-fallback")
-            if got_payload != want_payload:
-                report.record("warm/corrupt-fallback", values[0],
-                              "corrupt snapshot changed output bytes")
-            report.check("warm/corrupt-counted")
-            if not pool.stats()["snapshot_faults"]:
-                report.record("warm/corrupt-counted", values[0],
-                              "corrupt snapshot was not counted")
-    return report
+        h.cache["snapshot"] = (snap, path, bad)
+    return h.cache["snapshot"]
+
+
+def _restored(tag: str, clean: bool):
+    """An audit of ``snapshot_faults``: none on a valid snapshot, at
+    least one on the corrupt file."""
+    def audit(report, h, obj, plan):
+        faults_seen = obj.stats()["snapshot_faults"]
+        report.expect(tag, (faults_seen == 0) if clean else faults_seen > 0,
+                      h.corpus.values[0],
+                      f"{faults_seen} snapshot faults" if clean
+                      else "corrupt snapshot was not counted")
+    return audit
+
+
+_WARM_ENGINE = Rig(lambda h: contextlib.nullcontext(
+    Engine(snapshot=_snapshot_files(h)[0])),
+    audit=_restored("warm/engine-clean-restore", clean=True))
+_WARM_POOL = Rig(lambda h: BulkPool(jobs=h.jobs, fmt=h.corpus.fmt,
+                                    snapshot=_snapshot_files(h)[1]),
+                 audit=_restored("warm/pool-clean-restore", clean=True))
+_CORRUPT_POOL = Rig(lambda h: BulkPool(jobs=h.jobs, fmt=h.corpus.fmt,
+                                       snapshot=_snapshot_files(h)[2]),
+                    audit=_restored("warm/corrupt-counted", clean=False))
+
+_WARM_ROWS = (
+    Row("warm/engine", lambda c, eng: _scalar(eng, c), rig=_WARM_ENGINE),
+    Row("warm/pool-format", _pool_format, rig=_WARM_POOL),
+    Row("warm/pool-read", _pool_read, _bits, rig=_WARM_POOL),
+    Row("warm/corrupt-fallback", _pool_format, rig=_CORRUPT_POOL),
+)
 
 
 # ----------------------------------------------------------------------
-# The buffer battery: the byte-plane pipeline against the scalar engines
+# The chaos battery: pool byte identity under injected faults
 # ----------------------------------------------------------------------
 
-def verify_buffer(fmt: FloatFormat = BINARY64, n: int = 50000,
-                  seed: int = 0) -> VerificationReport:
-    """Byte/bit-identity of the byte-plane pipeline
-    (:mod:`repro.engine.buffer`) against the scalar engines.
+def _chaos_plans() -> Dict[str, Tuple[Callable, Dict]]:
+    """The named fault plans, each ``(seed -> fresh plan, pool
+    kwargs)`` (plans are stateful)."""
+    FaultPlan, FaultSpec = faults.FaultPlan, faults.FaultSpec
+    return {
+        "crash": (lambda seed: FaultPlan([
+            FaultSpec("pool.format_shard", "crash", shard=1),
+            FaultSpec("pool.read_shard", "crash", shard=2),
+        ], seed), {}),
+        "stall": (lambda seed: FaultPlan([
+            FaultSpec("pool.format_shard", "stall", shard=0, stall=0.8),
+            FaultSpec("pool.read_shard", "stall", shard=1, stall=0.8),
+        ], seed), {"deadline": 0.3}),
+        "corrupt": (lambda seed: FaultPlan([
+            FaultSpec("pool.format_shard", "corrupt", shard=2),
+            FaultSpec("pool.read_shard", "corrupt", shard=0),
+        ], seed), {}),
+        # Every spec must fire even on a few hundred values (a worker
+        # may see only ~40 calls of a site); the limit bounds the
+        # healing cost on large corpora.
+        "tier-raise": (lambda seed: FaultPlan([
+            FaultSpec("engine.tier0", rate=0.2, limit=64),
+            FaultSpec("engine.schubfach", rate=0.2, limit=64),
+            FaultSpec("reader.tier0", rate=0.2, limit=64),
+            FaultSpec("reader.tier1", rate=0.2, limit=64),
+        ], seed), {}),
+        "mixed": (faults.smoke_plan, {}),
+    }
 
-    The pipeline never materializes per-row ``Flonum`` objects — tokens
-    stay ``bytes`` until the distinct ones are decoded, and conversions
-    come back as bit patterns — but must reproduce the scalar results
-    exactly.  Oracles and legs:
 
-    * **emit** — :func:`~repro.engine.buffer.format_buffer` on the
-      packed column (and the bit list, with dedup off, into a prepared
-      :class:`~repro.serve.DelimitedWriter`, and with a CRLF delimiter)
-      against the joined scalar :meth:`Engine.format` rows;
-    * **parse** — :func:`~repro.engine.buffer.parse_buffer` of the
-      payload against a memo-free scalar
-      :meth:`ReadEngine.read_result` per row, with *per-tier mismatch
-      attribution*: each row's check is tagged by the tier the scalar
-      reader resolved it with (``buffer/parse/tier0`` …), so a
-      divergence localizes to the lane that produced it.  The plane is
-      parsed twice through one engine whose memo holds it whole: the
-      second pass (``buffer/parse-memo/…``) must be served entirely by
-      the memo, once per distinct row;
-    * **split** — :func:`~repro.engine.buffer.split_plane` /
-      :func:`~repro.engine.buffer.split_rows` edge cases: trailing
-      terminator, unterminated trailing token, CRLF and multi-byte
-      delimiters, empty plane, non-bytes input.
+def _chaos_accounting(report: VerificationReport, h: Harness, pool,
+                      plan, name: str) -> None:
+    """Every injected fault is visible afterwards — pool faults in the
+    recovery counters, in-worker lane faults in the healing counters —
+    and every spec of the plan fired."""
+    stats = pool.stats()
+    v0 = h.corpus.values[0]
+    with plan._lock:
+        pool_fired = sum(plan.fired.get(s, 0) for s in faults.POOL_SITES)
+        call_fired = sum(plan.fired.get(s, 0) for s in faults.CALL_SITES)
+    recovered = (stats["shard_failures"] + stats["corrupt_shards"]
+                 + stats["deadline_hits"])
+    healed = stats.get("tier_faults", 0) + stats.get("read_tier_faults", 0)
+    report.check("chaos/accounting")
+    if pool_fired and recovered < pool_fired:
+        report.record("chaos/accounting", v0,
+                      f"{name}: {pool_fired} pool faults fired but only "
+                      f"{recovered} recoveries counted")
+    if healed < call_fired:
+        report.record("chaos/accounting", v0,
+                      f"{name}: {call_fired} lane faults fired but only "
+                      f"{healed} healings counted")
+    for spec, fired in zip(plan.specs, plan.spec_fired()):
+        if not fired:
+            report.record("chaos/accounting", v0,
+                          f"{name}: {spec.site} spec never fired "
+                          f"(dead chaos spec)")
 
-    The sample is the signed round-trip population
-    (:func:`roundtrip_values`: denormals, rail-hugging powers, both
-    zeros) plus NaN and both infinities.
-    """
-    from repro.engine.buffer import (format_buffer, parse_buffer,
-                                     split_plane, split_rows)
-    from repro.engine.reader import ReadEngine
-    from repro.errors import DecodeError
-    from repro.serve import DelimitedWriter, pack_bits
 
-    report = VerificationReport(format_name=f"{fmt.name} buffer")
-    eng = Engine()
-    values = sample_with_specials(fmt, n, seed)
-    report.checked = len(values)
-    bits = [v.to_bits() for v in values]
-    packed = pack_bits(bits, fmt)
-    scalar = [eng.format(v, fmt=fmt) for v in values]
-    want_payload = ("\n".join(scalar) + "\n").encode("ascii")
+def _chaos_rows() -> Tuple[Row, ...]:
+    rows: List[Row] = []
+    for name, (plan, pool_kw) in _chaos_plans().items():
+        rig = Rig(_pool(**pool_kw), plan=plan, audit=functools.partial(
+            _chaos_accounting, name=name))
+        rows += [Row(f"chaos/{name}", _pool_format, rig=rig),
+                 Row(f"chaos/{name}-read", _pool_read, _bits, rig=rig)]
+    return tuple(rows)
 
-    # --- emit legs -----------------------------------------------------
-    for tag, got in (
-            ("buffer/format-packed",
-             format_buffer(packed, fmt, engine=eng)),
-            ("buffer/format-bits",
-             format_buffer(bits, fmt, engine=eng)),
-            ("buffer/format-nodedup",
-             format_buffer(packed, fmt, engine=eng, dedup=False)),
-            ("buffer/format-writer",
-             format_buffer(packed, fmt, engine=eng,
-                           writer=DelimitedWriter(b"\n")))):
-        report.check(tag)
-        if got != want_payload:
-            report.record(tag, values[0],
-                          f"payload differs ({len(got)} vs "
-                          f"{len(want_payload)} bytes)")
-    report.check("buffer/format-crlf")
-    got = format_buffer(packed, fmt, engine=eng, delimiter=b"\r\n")
-    if got != ("\r\n".join(scalar) + "\r\n").encode("ascii"):
-        report.record("buffer/format-crlf", values[0], "payload differs")
 
-    # --- parse legs, tier-attributed; the second pass through the same
-    #     engine is served by its memo -----------------------------------
-    oracle = ReadEngine(cache_size=0)  # memo off: true tier per row
-    results = [oracle.read_result(t, fmt) for t in scalar]
-    want_bits = [r.value.to_bits() for r in results]
-    reader = ReadEngine(cache_size=len(values))  # holds the whole plane
-    for leg in ("buffer/parse", "buffer/parse-memo"):
-        reader.reset_stats()
-        got_bits = parse_buffer(want_payload, fmt, engine=reader)
-        if len(got_bits) != len(want_bits):
-            report.check(leg)
-            report.record(leg, values[0],
-                          f"row count {len(got_bits)} != {len(want_bits)}")
-            continue
-        for i, (g, w, r) in enumerate(zip(got_bits, want_bits, results)):
-            tag = f"{leg}/{r.tier}"
-            report.check(tag)
-            if g != w:
-                report.record(tag, values[i],
-                              f"row {i} ({scalar[i]!r}): "
-                              f"{g:#x} != {w:#x}")
-    report.check("buffer/parse-memo")
-    stats = reader.stats()
-    if (stats["read_cache_hits"] != len(set(scalar))
-            or stats["read_conversions"] != stats["read_cache_hits"]):
-        report.record("buffer/parse-memo", values[0],
-                      f"second pass: {stats['read_cache_hits']} memo hits "
-                      f"of {stats['read_conversions']} conversions, "
-                      f"{len(set(scalar))} distinct rows")
-    _compare_rows(report, "buffer/parse-nodedup",
-                  parse_buffer(want_payload, fmt, dedup=False),
-                  want_bits, values)
-    _compare_rows(report, "buffer/parse-flonums",
-                  [v.to_bits() for v in parse_buffer(want_payload, fmt,
-                                                     out="flonums")],
-                  want_bits, values)
-    crlf = ("\r\n".join(scalar) + "\r\n").encode("ascii")
-    _compare_rows(report, "buffer/parse-crlf",
-                  parse_buffer(crlf, fmt, delimiter=b"\r\n"),
-                  want_bits, values)
-    _compare_rows(report, "buffer/parse-roundtrip", want_bits, bits,
-                  values)
-
-    # --- splitter edge cases -------------------------------------------
-    report.check("buffer/split")
-    head = scalar[:3]
-    cases = []
-    for delim in ("\n", "\r\n", "||"):
-        body = delim.join(head)
-        cases.append((body + delim, delim, head))       # terminated
-        cases.append((body, delim, head))               # unterminated tail
-    cases.append(("", "\n", []))                        # empty plane
-    for text, delim, want_rows in cases:
-        plane, starts, lengths = split_plane(text.encode("ascii"), delim)
-        rows = [plane[s:s + w].decode("ascii")
-                for s, w in zip(starts, lengths)]
-        if rows != want_rows or split_rows(text, delim) != want_rows:
-            report.record("buffer/split", values[0],
-                          f"{text!r} split on {delim!r}: {rows!r}")
+def _raises(report: VerificationReport, tag: str, v0: Flonum, call,
+            wanted, check=None) -> None:
+    """One typed-error check: ``call()`` must raise ``wanted`` (and
+    pass ``check(exc)``, which returns a complaint or None)."""
+    report.check(tag)
     try:
-        split_rows(object())
-        report.record("buffer/split", values[0],
-                      "non-bytes input did not raise DecodeError")
-    except DecodeError:
-        pass
+        call()
+    except wanted as exc:
+        complaint = check(exc) if check else None
+        if complaint:
+            report.record(tag, v0, complaint)
     except Exception as exc:
-        report.record("buffer/split", values[0],
-                      f"non-bytes input raised {exc!r}, not DecodeError")
-    return report
+        report.record(tag, v0, f"wrong error type: {exc!r}")
+    else:
+        report.record(tag, v0, f"no {wanted.__name__} raised")
 
 
-# ----------------------------------------------------------------------
-# The chaos battery: bulk byte-identity under injected faults
-# ----------------------------------------------------------------------
+def _check_typed_errors(report: VerificationReport, h: Harness) -> None:
+    """Unrecoverable pool failures surface as the documented typed
+    errors, with shard attribution; a strict engine re-raises an
+    injected lane fault instead of healing it."""
+    from repro.errors import DeadlineExceededError, ShardError
 
-def _chaos_plans(seed: int):
-    """The named fault plans the chaos battery replays, one fresh
-    :class:`~repro.faults.FaultPlan` per call (plans are stateful)."""
-    from repro.faults import FaultPlan, FaultSpec, smoke_plan
+    c = h.corpus
+    v0 = c.values[0]
 
-    yield "crash", FaultPlan([
-        FaultSpec("pool.format_shard", "crash", shard=1),
-        FaultSpec("pool.read_shard", "crash", shard=2),
-    ], seed), {}
-    yield "stall", FaultPlan([
-        FaultSpec("pool.format_shard", "stall", shard=0, stall=0.8),
-        FaultSpec("pool.read_shard", "stall", shard=1, stall=0.8),
-    ], seed), {"deadline": 0.3}
-    yield "corrupt", FaultPlan([
-        FaultSpec("pool.format_shard", "corrupt", shard=2),
-        FaultSpec("pool.read_shard", "corrupt", shard=0),
-    ], seed), {}
-    # Every spec must fire even on a few hundred values (a worker may
-    # see only ~40 calls of a site); the limit bounds the healing cost
-    # on large corpora.
-    yield "tier-raise", FaultPlan([
-        FaultSpec("engine.tier0", rate=0.2, limit=64),
-        FaultSpec("engine.schubfach", rate=0.2, limit=64),
-        FaultSpec("reader.tier0", rate=0.2, limit=64),
-        FaultSpec("reader.tier1", rate=0.2, limit=64),
-    ], seed), {}
-    yield "mixed", smoke_plan(seed), {}
-
-
-def verify_chaos(fmt: FloatFormat = BINARY64, n: int = 50000, seed: int = 0,
-                 jobs: int = 2) -> VerificationReport:
-    """The bulk byte-identity battery replayed under injected faults.
-
-    For each named fault plan (worker crash, shard stall past its
-    deadline, payload corruption in transit, fast tiers raising
-    mid-certification, and a mixed plan), format and re-read the signed
-    round-trip sample through a process :class:`~repro.serve.BulkPool`
-    with the plan armed, and enforce the three fault-tolerance
-    contracts:
-
-    * **byte identity** — both directions must match the fault-free
-      scalar oracle exactly; a fault may cost retries, never a byte;
-    * **accounting** — every injected fault is visible afterwards:
-      parent-side pool faults in the recovery counters
-      (``shard_failures``/``deadline_hits``/``corrupt_shards``),
-      in-worker tier faults in the merged ``tier_faults`` /
-      ``read_tier_faults`` engine counters;
-    * **typed errors only** — when a failure is made unrecoverable
-      (persistent faults under ``on_error="raise"``, an exhausted
-      ``budget``, a strict engine), what escapes is the documented
-      :class:`~repro.errors.ReproError` subclass and nothing else.
-    """
-    from repro import faults
-    from repro.errors import (DeadlineExceededError, ReproError,
-                              ShardError)
-    from repro.serve import BulkPool, pack_bits
-    from repro.serve.pool import INLINE_ROWS
-
-    report = VerificationReport(format_name=f"{fmt.name} chaos")
-    eng = Engine()
-    values = sample_with_specials(fmt, n, seed, min_rows=INLINE_ROWS)
-    report.checked = len(values)
-    bits = [v.to_bits() for v in values]
-    packed = pack_bits(bits, fmt)
-    scalar = [eng.format(v, fmt=fmt) for v in values]
-    want_payload = ("\n".join(scalar) + "\n").encode("ascii")
-    want_bits = [v.to_bits() for v in eng.read_many(scalar, fmt)]
-
-    for name, plan, pool_kw in _chaos_plans(seed):
-        tag = f"chaos/{name}"
-        stats = None
-        try:
-            with BulkPool(jobs=jobs, fmt=fmt, **pool_kw) as pool:
-                with faults.armed(plan):
-                    got_payload = pool.format_bulk(packed)
-                    got_bits = pool.read_bulk(want_payload)
-                stats = pool.stats()
-        except ReproError as exc:
-            report.check(tag)
-            report.record(tag, values[0], f"did not heal: {exc!r}")
-            continue
-        except Exception as exc:  # the cardinal sin: an untyped escape
-            report.check(tag)
-            report.record(tag, values[0],
-                          f"non-ReproError escaped: {exc!r}")
-            continue
-        report.check(tag)
-        if got_payload != want_payload:
-            report.record(tag, values[0],
-                          f"format payload differs ({len(got_payload)} "
-                          f"vs {len(want_payload)} bytes)")
-        _compare_rows(report, f"{tag}-read", got_bits, want_bits, values)
-        # Accounting: every injected fault is visible somewhere, and
-        # every spec of the plan fired (workers report their call-site
-        # firings back with their shards).
-        report.check("chaos/accounting")
-        with plan._lock:
-            pool_fired = sum(plan.fired.get(s, 0) for s in faults.POOL_SITES)
-            call_fired = sum(plan.fired.get(s, 0) for s in faults.CALL_SITES)
-        recovered = (stats["shard_failures"] + stats["corrupt_shards"]
-                     + stats["deadline_hits"])
-        healed = (stats.get("tier_faults", 0)
-                  + stats.get("read_tier_faults", 0))
-        if pool_fired and recovered < pool_fired:
-            report.record("chaos/accounting", values[0],
-                          f"{name}: {pool_fired} pool faults fired but "
-                          f"only {recovered} recoveries counted")
-        if healed < call_fired:
-            report.record("chaos/accounting", values[0],
-                          f"{name}: {call_fired} lane faults fired but "
-                          f"only {healed} healings counted")
-        for spec, fired in zip(plan.specs, plan.spec_fired()):
-            if not fired:
-                report.record("chaos/accounting", values[0],
-                              f"{name}: {spec.site} spec never fired "
-                              f"(dead chaos spec)")
-
-    # Unrecoverable failures surface as the documented typed errors.
-    report.check("chaos/typed-shard-error")
-    plan = faults.FaultPlan([faults.FaultSpec(
-        "pool.format_shard", "raise", shard=0, attempt=None, limit=None)],
-        seed)
-    try:
-        with BulkPool(jobs=jobs, fmt=fmt, kind="thread", on_error="raise",
-                      retries=1) as pool:
+    def persistent_fault():
+        plan = faults.FaultPlan([faults.FaultSpec(
+            "pool.format_shard", "raise", shard=0, attempt=None,
+            limit=None)], h.seed)
+        with BulkPool(jobs=h.jobs, fmt=c.fmt, kind="thread",
+                      on_error="raise", retries=1) as pool:
             with faults.armed(plan):
-                pool.format_bulk(packed)
-        report.record("chaos/typed-shard-error", values[0],
-                      "persistent shard fault did not raise")
-    except ShardError as exc:
-        if exc.shard != 0 or exc.attempts < 2:
-            report.record("chaos/typed-shard-error", values[0],
-                          f"bad attribution: shard={exc.shard} "
-                          f"attempts={exc.attempts}")
-    except Exception as exc:
-        report.record("chaos/typed-shard-error", values[0],
-                      f"wrong error type: {exc!r}")
+                pool.format_bulk(c.packed)
 
-    report.check("chaos/typed-deadline")
-    plan = faults.FaultPlan([faults.FaultSpec(
-        "pool.format_shard", "stall", attempt=None, stall=0.4,
-        limit=None)], seed)
-    try:
-        with BulkPool(jobs=jobs, fmt=fmt, budget=0.5) as pool:
+    _raises(report, "chaos/typed-shard-error", v0, persistent_fault,
+            ShardError, lambda exc: None if (
+                exc.shard == 0 and exc.attempts >= 2) else
+            f"bad attribution: shard={exc.shard} attempts={exc.attempts}")
+
+    def exhausted_budget():
+        plan = faults.FaultPlan([faults.FaultSpec(
+            "pool.format_shard", "stall", attempt=None, stall=0.4,
+            limit=None)], h.seed)
+        with BulkPool(jobs=h.jobs, fmt=c.fmt, budget=0.5) as pool:
             with faults.armed(plan):
-                pool.format_bulk(packed)
-        report.record("chaos/typed-deadline", values[0],
-                      "exhausted budget did not raise")
-    except DeadlineExceededError:
-        pass
-    except Exception as exc:
-        report.record("chaos/typed-deadline", values[0],
-                      f"wrong error type: {exc!r}")
+                pool.format_bulk(c.packed)
 
-    # Strict mode re-raises the injected fault instead of healing.
-    report.check("chaos/strict")
-    strict_eng = Engine(strict=True)
-    plan = faults.FaultPlan([
-        faults.FaultSpec("engine.tier0", at=(0,)),
-        faults.FaultSpec("engine.schubfach", at=(0,)),
-    ], seed)
-    raised = False
-    try:
+    _raises(report, "chaos/typed-deadline", v0, exhausted_budget,
+            DeadlineExceededError)
+
+    def strict_engine():
+        strict = Engine(strict=True)
+        plan = faults.FaultPlan([
+            faults.FaultSpec("engine.tier0", at=(0,)),
+            faults.FaultSpec("engine.schubfach", at=(0,)),
+        ], h.seed)
         with faults.armed(plan):
-            for v in values[:64]:
+            for v in c.values[:64]:
                 if v.is_finite and not v.is_zero:
-                    strict_eng.format(v, fmt=fmt)
-    except faults.InjectedFault:
-        raised = True
-    except Exception as exc:
-        report.record("chaos/strict", values[0],
-                      f"strict engine raised {exc!r} instead of the "
-                      f"injected fault")
-        raised = True
-    if not raised:
-        report.record("chaos/strict", values[0],
-                      "strict engine healed an injected fault")
-    return report
+                    strict.format(v, fmt=c.fmt)
+
+    _raises(report, "chaos/strict", v0, strict_engine, faults.InjectedFault)
 
 
 # ----------------------------------------------------------------------
-# The serve battery: the wire against the scalar engine
+# The serve battery: the daemon wire
 # ----------------------------------------------------------------------
 
-def verify_serve(fmt: FloatFormat = BINARY64, n: int = 50000,
-                 seed: int = 0, jobs: int = 2) -> VerificationReport:
-    """Byte-identity of the serving daemon's wire against the scalar
-    engine — the source paper's guarantee re-proven at the protocol
-    boundary.
+def _wire_errors(report: VerificationReport, h: Harness, rig,
+                 plan) -> None:
+    """A garbage literal, a misaligned format payload and an unknown
+    format name each come back as the documented typed error, and the
+    connection keeps serving."""
+    from repro.errors import DecodeError, ParseError, ProtocolError
+    from repro.serve import protocol
 
-    Boots one loopback :class:`~repro.serve.daemon.ReproDaemon` and
-    drives the signed round-trip sample (plus NaN and both infinities)
-    through it in ~2048-row requests:
+    c = h.corpus
+    v0 = c.values[0]
+    with ServeClient(rig.daemon.host, rig.daemon.port) as client:
+        _raises(report, "serve/errors-parse", v0, lambda: client.read(
+            b"1.5\nnot a number\n", c.fmt.name), ParseError)
+        _raises(report, "serve/errors-align", v0, lambda: client.format(
+            b"\x00" * (c.itemsize + 1), c.fmt.name), DecodeError)
+        _raises(report, "serve/errors-format", v0, lambda: client.send_raw(
+            protocol.encode_request(protocol.OP_FORMAT, b"", "bogus!",
+                                    b"\n")) or client._response(),
+            ProtocolError)
+        try:
+            alive = client.format(c.packed[:8 * c.itemsize], c.fmt.name)
+        except Exception as exc:
+            alive = f"connection died after typed errors: {exc!r}"
+        report.expect("serve/errors-alive", alive == c.plane(0, 8), v0,
+                      f"post-error response: {alive!r}")
 
-    * **serve/format** — packed bit patterns over the wire; every
-      response plane must equal the scalar :meth:`Engine.format` rows
-      joined with the delimiter, byte for byte;
-    * **serve/read** — the scalar plane back over the wire; every
-      response must equal the packed scalar
-      :meth:`ReadEngine.read_many` bits;
-    * **serve/pipeline** — a pre-encoded burst of mixed format/read
-      frames on one connection; responses must come back in FIFO
-      request order with the same byte identity (this is the leg that
-      exercises micro-batch coalescing and split-back);
-    * **serve/errors** — a garbage literal, a misaligned format
-      payload and an unknown format name must each come back as the
-      documented typed :class:`~repro.errors.ReproError` response with
-      the connection still serving afterwards.
-    """
-    from repro.errors import (DecodeError, ParseError, ProtocolError,
-                              ReproError)
-    from repro.serve import pack_bits, protocol, serving
-    from repro.serve.client import ServeClient
-    from repro.serve.pool import INLINE_ROWS
 
-    report = VerificationReport(format_name=f"{fmt.name} serve")
-    eng = Engine()
-    values = sample_with_specials(fmt, n, seed, min_rows=INLINE_ROWS)
-    report.checked = len(values)
-    bits = [v.to_bits() for v in values]
-    packed = pack_bits(bits, fmt)
-    itemsize = len(packed) // len(bits)
-    scalar = [eng.format(v, fmt=fmt) for v in values]
-    want_bits = [v.to_bits() for v in eng.read_many(scalar, fmt)]
+_THREAD_WIRE = Rig(lambda h: _daemon(h, jobs=h.jobs, kind="thread",
+                                     batch_window=0.001),
+                   audit=_wire_errors)
+_PROCESS_WIRE = Rig(lambda h: _daemon(h, jobs=h.jobs, kind="process",
+                                      batch_window=0.001))
 
-    spans = _chunk_spans(len(values))
-
-    def plane_of(a: int, b: int) -> bytes:
-        return ("\n".join(scalar[a:b]) + "\n").encode("ascii")
-
-    def bits_of(a: int, b: int) -> bytes:
-        return pack_bits(want_bits[a:b], fmt)
-
-    with serving(jobs=jobs, kind="thread", batch_window=0.001) as daemon:
-        with ServeClient(daemon.host, daemon.port) as client:
-            for a, b in spans:
-                tag = "serve/format"
-                try:
-                    got = client.format(packed[a * itemsize:b * itemsize],
-                                        fmt.name)
-                except ReproError as exc:
-                    report.check(tag)
-                    report.record(tag, values[a], f"typed error: {exc!r}")
-                    continue
-                _compare_rows(report, tag, got.split(b"\n")[:-1],
-                              plane_of(a, b).split(b"\n")[:-1],
-                              values[a:b])
-            for a, b in spans:
-                tag = "serve/read"
-                try:
-                    got = client.read(plane_of(a, b), fmt.name)
-                except ReproError as exc:
-                    report.check(tag)
-                    report.record(tag, values[a], f"typed error: {exc!r}")
-                    continue
-                report.check(tag)
-                if got != bits_of(a, b):
-                    report.record(tag, values[a],
-                                  f"packed bits differ ({len(got)} vs "
-                                  f"{len(bits_of(a, b))} bytes)")
-
-            # Pipelined mixed burst: FIFO identity through coalescing.
-            burst = spans[:8]
-            frames = []
-            want = []
-            for a, b in burst:
-                frames.append(protocol.encode_request(
-                    protocol.OP_FORMAT, packed[a * itemsize:b * itemsize],
-                    fmt.name, b"\n"))
-                want.append(plane_of(a, b))
-                frames.append(protocol.encode_request(
-                    protocol.OP_READ, plane_of(a, b), fmt.name, b"\n"))
-                want.append(bits_of(a, b))
-            try:
-                responses = client.pipeline(frames)
-            except ReproError as exc:
-                report.check("serve/pipeline")
-                report.record("serve/pipeline", values[0],
-                              f"burst failed: {exc!r}")
-            else:
-                for i, ((status, payload), w) in enumerate(
-                        zip(responses, want)):
-                    report.check("serve/pipeline")
-                    if status != protocol.STATUS_OK or payload != w:
-                        report.record("serve/pipeline", values[0],
-                                      f"response {i}: status={status}, "
-                                      f"{len(payload)} vs {len(w)} bytes")
-
-        # Typed-error legs on a fresh connection; it must keep serving.
-        with ServeClient(daemon.host, daemon.port) as client:
-            for tag, call, wanted in (
-                ("serve/errors-parse",
-                 lambda: client.read(b"1.5\nnot a number\n", fmt.name),
-                 ParseError),
-                ("serve/errors-align",
-                 lambda: client.format(b"\x00" * (itemsize + 1), fmt.name),
-                 DecodeError),
-                ("serve/errors-format",
-                 lambda: client.send_raw(protocol.encode_request(
-                     protocol.OP_FORMAT, b"", "bogus!", b"\n"))
-                 or client._response(),
-                 ProtocolError),
-            ):
-                report.check(tag)
-                try:
-                    call()
-                    report.record(tag, values[0], "no error response")
-                except wanted:
-                    pass
-                except Exception as exc:
-                    report.record(tag, values[0],
-                                  f"wrong error type: {exc!r}")
-            report.check("serve/errors-alive")
-            try:
-                if client.format(packed[:8 * itemsize], fmt.name) \
-                        != plane_of(0, 8):
-                    report.record("serve/errors-alive", values[0],
-                                  "post-error response differs")
-            except Exception as exc:
-                report.record("serve/errors-alive", values[0],
-                              f"connection died after typed errors: "
-                              f"{exc!r}")
-    return report
+_SERVE_ROWS = (
+    Row("serve/format", _wire_format, rig=_THREAD_WIRE),
+    Row("serve/read", _wire_read, _bits, rig=_THREAD_WIRE),
+    Row("serve/pipeline", _wire_pipeline, _pipelined, rig=_THREAD_WIRE),
+    Row("serve/process-format", _wire_format, rig=_PROCESS_WIRE),
+    Row("serve/process-read", _wire_read, _bits, rig=_PROCESS_WIRE),
+)
 
 
 # ----------------------------------------------------------------------
 # The control battery: the self-healing control plane under fire
 # ----------------------------------------------------------------------
 
+def _control_audit(report: VerificationReport, h: Harness, rig, plan,
+                   tag: str) -> None:
+    """Faults the pool heals stay invisible to the control plane: a
+    bounded shed rate and no breaker transitions."""
+    stats = rig.daemon.stats()
+    requests = max(1, stats["requests"])
+    report.expect(tag, stats["overloads"] <= requests * 0.5
+                  and stats["breaker_trips"] == 0, h.corpus.values[0],
+                  f"shed {stats['overloads']}/{requests}, breaker "
+                  f"tripped {stats['breaker_trips']}x")
+
+
+def _controlled(pool_kw: Dict) -> Callable[[Harness], ContextManager]:
+    return lambda h: _daemon(h, jobs=h.jobs, kind="process",
+                             batch_window=0.0, retries=3,
+                             breaker_threshold=5, slo_target_ms=5000.0,
+                             observe_stride=1, **pool_kw)
+
+
+def _hedge_audit(report: VerificationReport, h: Harness, pool,
+                 plan) -> None:
+    stats = pool.stats()
+    report.expect("control/hedge",
+                  stats["hedges"] >= 1 and stats["hedge_wins"] >= 1,
+                  h.corpus.values[0],
+                  f"hedge unaccounted: hedges={stats['hedges']} "
+                  f"wins={stats['hedge_wins']}")
+
+
+#: One pool call of INLINE_ROWS rows, so the straggler is the stalled
+#: shard rather than the shard size.
+_HEDGE_POOL = Rig(
+    _pool(jobs=2, kind="thread", deadline=5.0, hedge=True, hedge_min=0.05,
+          hedge_with_faults=True),
+    plan=lambda seed: faults.FaultPlan([faults.FaultSpec(
+        "pool.format_shard", "stall", shard=0, attempt=0, stall=0.8)],
+        seed),
+    audit=_hedge_audit)
+
+
+@contextlib.contextmanager
+def _rotating(h: Harness):
+    path = os.path.join(h.tmp, "rotated.snap")
+    with _daemon(h, jobs=1, kind="thread", batch_window=0.0,
+                 rotate_snapshot=path, rotate_every=64,
+                 observe_stride=1) as rig:
+        rig.path = path
+        yield rig
+
+
+def _after_rotation(c: Corpus, rig) -> List[str]:
+    """The wire again once traffic has triggered a rotation."""
+    deadline = time.monotonic() + 10.0
+    while (rig.daemon.stats()["snapshot_rotations"] == 0
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    return _wire_format(c, rig)
+
+
+def _rotation_audit(report: VerificationReport, h: Harness, rig,
+                    plan) -> None:
+    rotations = rig.daemon.stats()["snapshot_rotations"]
+    report.expect("control/rotation",
+                  rotations >= 1 and os.path.exists(rig.path),
+                  h.corpus.values[0],
+                  f"{rotations} rotations, file written: "
+                  f"{os.path.exists(rig.path)}")
+
+
+_ROTATION = Rig(_rotating, audit=_rotation_audit)
+
+
+def _control_rows() -> Tuple[Row, ...]:
+    rows: List[Row] = []
+    for name, (plan, pool_kw) in _chaos_plans().items():
+        if name in ("tier-raise", "mixed"):
+            continue  # in-worker lanes are the chaos battery's beat
+        tag = f"control/chaos-{name}"
+        rig = Rig(_controlled(pool_kw), plan=plan,
+                  audit=functools.partial(_control_audit, tag=tag))
+        rows.append(Row(tag, _wire_format, rig=rig))
+    return tuple(rows) + (
+        Row("control/hedge", lambda c, pool: _rows(pool.format_bulk(
+            c.packed[:INLINE_ROWS * c.itemsize])),
+            lambda c: (c.lines[:INLINE_ROWS], c.lanes[:INLINE_ROWS]),
+            rig=_HEDGE_POOL),
+        Row("control/rotation", _wire_format, rig=_ROTATION),
+        Row("control/rotation-after", _after_rotation, rig=_ROTATION),
+        # A rotated snapshot may only skip work, never change bytes.
+        Row("control/rotation-warm",
+            lambda c, rig: _scalar(Engine(snapshot=rig.path), c),
+            rig=_ROTATION),
+    )
+
+
+# ----------------------------------------------------------------------
+# The batteries
+# ----------------------------------------------------------------------
+
+def _check_values(report: VerificationReport, h: Harness) -> None:
+    """Every per-value oracle of :func:`verify_format`."""
+    host_checks = h.corpus.fmt == BINARY64
+    engine = Engine()  # all tiers enabled; memo exercised across values
+    for v in h.corpus.sample:
+        _check_shortest_engines(v, report)
+        _check_shortest_tiers(v, engine, report)
+        _check_fixed_engines(v, report)
+        _check_fixed_tiers(v, engine, report)
+        _check_readers(v, engine, report)
+        _check_surfaces(v, report)
+        if host_checks:
+            _check_host_oracles(v, engine, report)
+
+
+@dataclass(frozen=True)
+class _Battery:
+    """One CLI flag: its rows, its fixed checks and its corpus."""
+
+    label: str
+    help: str
+    rows: Tuple[Row, ...] = ()
+    checks: Tuple[Callable, ...] = ()
+    sample: Callable = _signed_sample
+    min_rows: int = INLINE_ROWS
+    modes: Tuple[ReaderMode, ...] = (ReaderMode.NEAREST_EVEN,)
+
+
+#: Flag → battery, in ``--help`` order; ``format`` is the default
+#: battery and has no flag.
+_BATTERIES: Dict[str, _Battery] = {
+    "format": _Battery(
+        "", "", checks=(_check_values,), sample=sample_values, min_rows=0),
+    "roundtrip": _Battery(
+        "round-trip", "run the print↔parse round-trip battery (tiered "
+        "read engine + host float() oracle) instead of the printing "
+        "battery", checks=(_check_roundtrip,), min_rows=0),
+    "bulk": _Battery(
+        "bulk", "run the bulk serving-layer battery: every columnar/"
+        "pooled route must be byte-identical to the exact tier",
+        rows=_BULK_ROWS),
+    "buffer": _Battery(
+        "buffer", "run the byte-plane pipeline battery: parse_buffer/"
+        "format_buffer must be byte/bit-identical to the exact tier and "
+        "reader, with per-lane mismatch attribution", rows=_BUFFER_ROWS),
+    "chaos": _Battery(
+        "chaos", "run the chaos battery: pool byte identity under "
+        "injected worker crashes, shard stalls, payload corruption and "
+        "fast-tier raises", rows=_chaos_rows(),
+        checks=(_check_typed_errors,)),
+    "serve": _Battery(
+        "serve", "run the serving battery: loopback daemon round trips on "
+        "thread and process pools (format and read ops, pipelined "
+        "bursts, typed error responses) must be byte-identical to the "
+        "exact tier", rows=_SERVE_ROWS),
+    "warm": _Battery(
+        "warm", "run the warm-start battery: snapshot-warmed engines and "
+        "pools must be byte-identical to the exact tier, and corrupt "
+        "snapshots must fall back cold (counted, never served)",
+        rows=_WARM_ROWS),
+    "contenders": _Battery(
+        "contenders", "run the default-route battery: tier 0 then "
+        "Schubfach, scalar and format_many, must be byte-identical to "
+        "the exact tier with zero exact-tier consultations",
+        rows=_CONTENDER_ROWS, sample=_route_sample, min_rows=0,
+        modes=(ReaderMode.NEAREST_EVEN, ReaderMode.NEAREST_UNKNOWN)),
+    "control": _Battery(
+        "control", "run the control-plane battery: chaos plans through "
+        "a controlled daemon, hedged shards and live snapshot rotation "
+        "— shed or reroute, never change a byte", rows=_control_rows()),
+}
+
+
+def _run(name: str, fmt: FloatFormat, n: int, seed: int, jobs: int = 2,
+         engine: Optional[Engine] = None) -> VerificationReport:
+    """Build the battery's corpus (one per reader mode), run its rows
+    and then its fixed checks."""
+    battery = _BATTERIES[name]
+    report = VerificationReport(
+        f"{fmt.name} {battery.label}".rstrip())
+    with tempfile.TemporaryDirectory() as tmp:
+        for mode in battery.modes:
+            corpus = Corpus(fmt, n, seed, sample=battery.sample, mode=mode,
+                            min_rows=battery.min_rows)
+            report.checked = len(corpus.sample)
+            h = Harness(corpus, seed, jobs, tmp, engine)
+            run_rows(report, h, battery.rows)
+            for check in battery.checks:
+                check(report, h)
+    return report
+
+
+def verify_format(fmt: FloatFormat = BINARY64, n: int = 200,
+                  seed: int = 0) -> VerificationReport:
+    """Cross-validate all engines on ``n`` sampled values of ``fmt``."""
+    return _run("format", fmt, n, seed)
+
+
+def verify_roundtrip(fmt: FloatFormat = BINARY64, n: int = 50000,
+                     seed: int = 0,
+                     engine: Optional[Engine] = None) -> VerificationReport:
+    """Print↔parse conformance in both directions (see
+    :func:`_check_roundtrip`), through ``engine`` or a default one."""
+    return _run("roundtrip", fmt, n, seed, engine=engine)
+
+
+def verify_contenders(fmt: FloatFormat = BINARY64, n: int = 50000,
+                      seed: int = 0) -> VerificationReport:
+    """The default write route (tier 0, then Schubfach) against the
+    exact tier: ``n`` sampled values plus the denormal/boundary/
+    decimal-tie/torture corpora through a memo-less engine one value at
+    a time and as one ``format_many`` batch, and a memo-on batch twice
+    (the warm pass must convert nothing), under both nearest reader
+    modes, with no exact-tier call."""
+    return _run("contenders", fmt, n, seed)
+
+
+def verify_bulk(fmt: FloatFormat = BINARY64, n: int = 50000, seed: int = 0,
+                jobs: int = 2) -> VerificationReport:
+    """The columnar serving layer — ``format_column``, ``format_bulk``,
+    ``read_bulk`` and a ``jobs``-worker process and thread
+    :class:`BulkPool` — against the exact tier and reader."""
+    return _run("bulk", fmt, n, seed, jobs)
+
+
+def verify_buffer(fmt: FloatFormat = BINARY64, n: int = 50000,
+                  seed: int = 0) -> VerificationReport:
+    """The byte-plane pipeline (``format_buffer``/``parse_buffer``:
+    packed and bit-list input, dedup off, a prepared writer, CRLF, the
+    memo pass, flonum output) against the exact tier and reader."""
+    return _run("buffer", fmt, n, seed)
+
+
+def verify_warm(fmt: FloatFormat = BINARY64, n: int = 50000, seed: int = 0,
+                jobs: int = 2) -> VerificationReport:
+    """A snapshot may only skip work: a warm engine, a pool warmed from
+    the snapshot file and a pool on a corrupt copy (rejected, counted,
+    served cold) against the exact tier and reader."""
+    return _run("warm", fmt, n, seed, jobs)
+
+
+def verify_chaos(fmt: FloatFormat = BINARY64, n: int = 50000, seed: int = 0,
+                 jobs: int = 2) -> VerificationReport:
+    """A process :class:`BulkPool` under each fault plan: byte identity
+    with the exact tier and reader, every fault accounted for, and only
+    typed :class:`~repro.errors.ReproError` subclasses escaping."""
+    return _run("chaos", fmt, n, seed, jobs)
+
+
+def verify_serve(fmt: FloatFormat = BINARY64, n: int = 50000,
+                 seed: int = 0, jobs: int = 2) -> VerificationReport:
+    """The daemon wire on a thread and a process pool — format, read
+    and a pipelined burst in ~2048-row requests — against the exact
+    tier and reader, and typed error responses on a live connection."""
+    return _run("serve", fmt, n, seed, jobs)
+
+
 def verify_control(fmt: FloatFormat = BINARY64, n: int = 50000,
                    seed: int = 0, jobs: int = 2) -> VerificationReport:
-    """The self-healing control plane replayed under the chaos plans.
-
-    The contract mirrors the chaos battery's, lifted to the daemon with
-    breakers, adaptive admission and the traffic observer armed: the
-    control plane may *shed* or *reroute*, never change a byte.
-
-    * **control/breaker** — the circuit-breaker state machine on a fake
-      clock: trip after the threshold, shed while open, a single canary
-      in half-open (concurrent arrivals shed, not queued), close on
-      canary success with backoff reset, re-open on canary failure with
-      the full doubled backoff;
-    * **control/daemon-breaker** — the same machine on the wire: a
-      persistently broken pool trips the breaker after exactly
-      ``threshold`` typed failures, subsequent requests shed as
-      :class:`ServeOverloadError` without touching the pool, and after
-      the (fake-clock) backoff one canary heals the key with
-      byte-identical responses;
-    * **control/chaos** — the crash/stall/corrupt plans replayed
-      through a controlled daemon: byte identity against the scalar
-      oracle, a bounded shed rate, and no breaker transitions when the
-      pool heals underneath (faults that recover must not trip);
-    * **control/admission** — the AIMD controller: p99 above target
-      halves the window down to its floor, p99 below grows it back to
-      the ceiling, and the daemon's static caps stay hard ceilings;
-    * **control/hedge** — the dedicated hedge leg: with hedging opted
-      in under an armed stall plan, the straggling shard's duplicate
-      wins, ``hedges``/``hedge_wins`` account for it, and the plane is
-      byte-identical;
-    * **control/rotation** — live snapshot rotation: traffic triggers
-      an atomic rebuild from observed hot keys, the rotation is
-      counted, responses before and after are byte-identical, and an
-      engine warmed from the rotated snapshot matches a cold engine
-      byte for byte;
-    * **control/health** — the ``HEALTH`` opcode returns breaker
-      states, the controller window and the observer summary over the
-      wire while regular traffic is being shed.
-    """
-    import os
-    import tempfile
-    import time as _time
-
-    from repro import faults
-    from repro.errors import ReproError, ServeOverloadError, ShardError
-    from repro.serve import pack_bits, serving
-    from repro.serve.client import ServeClient
-    from repro.serve.control import (AdmissionController, CircuitBreaker,
-                                     ADMIT, CANARY, SHED)
-    from repro.serve.pool import INLINE_ROWS, BulkPool
-
-    report = VerificationReport(format_name=f"{fmt.name} control")
-    eng = Engine()
-    values = sample_with_specials(fmt, n, seed, min_rows=INLINE_ROWS)
-    report.checked = len(values)
-    bits = [v.to_bits() for v in values]
-    packed = pack_bits(bits, fmt)
-    itemsize = len(packed) // len(bits)
-    scalar = [eng.format(v, fmt=fmt) for v in values]
-
-    spans = _chunk_spans(len(values))
-
-    def plane_of(a: int, b: int) -> bytes:
-        return ("\n".join(scalar[a:b]) + "\n").encode("ascii")
-
-    # -- control/breaker: the state machine on a fake clock ----------
-    tag = "control/breaker"
-    now = [0.0]
-    brk = CircuitBreaker(threshold=3, reset_timeout=1.0,
-                         clock=lambda: now[0])
-    report.check(tag)
-    trace = []
-    for _ in range(3):
-        trace.append(brk.admit() == ADMIT)
-        brk.record(False)
-    trace.append(brk.state == "open")
-    trace.append(brk.admit() == SHED)          # open: shed immediately
-    now[0] = 0.5
-    trace.append(brk.admit() == SHED)          # still inside the backoff
-    now[0] = 1.0
-    trace.append(brk.admit() == CANARY)        # half-open: one probe
-    trace.append(brk.admit() == SHED)          # concurrent: shed, not queued
-    brk.record(False, canary=True)             # canary fails
-    trace.append(brk.state == "open")          # re-opened...
-    now[0] = 2.0                               # ...with the FULL doubled
-    trace.append(brk.admit() == SHED)          # backoff (2s), not 1s
-    now[0] = 3.0
-    trace.append(brk.admit() == CANARY)
-    brk.record(True, canary=True)              # canary heals
-    trace.append(brk.state == "closed")
-    trace.append(brk.admit() == ADMIT)
-    snap = brk.snapshot()
-    trace.append(snap["trips"] == 1 and snap["reopens"] == 1
-                 and snap["closes"] == 1 and snap["canaries"] == 2
-                 and snap["reset_timeout"] == 1.0)  # backoff reset
-    if not all(trace):
-        report.record(tag, values[0],
-                      f"state-machine trace failed: {trace}")
-
-    # -- control/admission: AIMD window against the SLO target -------
-    tag = "control/admission"
-    report.check(tag)
-    ctl = AdmissionController(target_p99_ms=10.0, ceiling_bytes=1 << 20,
-                              floor_bytes=1 << 16, step_bytes=1 << 18,
-                              window=64, adjust_every=16)
-    for _ in range(16 * 8):
-        ctl.observe(0.050)                     # 50ms >> 10ms target
-    shrunk = ctl.limit_bytes
-    for _ in range(16 * 16):
-        ctl.observe(0.001)                     # 1ms << target
-    grown = ctl.limit_bytes
-    if not (shrunk == ctl.floor_bytes and grown == ctl.ceiling_bytes
-            and ctl.decreases >= 1 and ctl.increases >= 1):
-        report.record(tag, values[0],
-                      f"AIMD window wrong: shrunk={shrunk} grown={grown} "
-                      f"(floor={ctl.floor_bytes} "
-                      f"ceiling={ctl.ceiling_bytes}, "
-                      f"-{ctl.decreases}/+{ctl.increases})")
-
-    # -- control/daemon-breaker: trip, shed, heal on the wire --------
-    tag = "control/daemon-breaker"
-    plan = faults.FaultPlan([faults.FaultSpec(
-        "pool.format_shard", "raise", attempt=None, limit=None)], seed)
-    with serving(jobs=1, kind="thread", batch_window=0.0,
-                 on_error="raise", retries=0, breaker_threshold=3,
-                 breaker_reset=1.0, clock=lambda: now[0]) as daemon:
-        with ServeClient(daemon.host, daemon.port) as client:
-            span = packed[:INLINE_ROWS * itemsize]
-            with faults.armed(plan):
-                for i in range(3):
-                    report.check(tag)
-                    try:
-                        client.format(span, fmt.name)
-                        report.record(tag, values[0],
-                                      f"failure {i} did not surface")
-                    except ReproError as exc:
-                        # ShardError's structured signature degrades to
-                        # the base class on the wire; the name travels
-                        # in the message.
-                        if not (isinstance(exc, ShardError)
-                                or "ShardError" in str(exc)):
-                            report.record(tag, values[0],
-                                          f"failure {i}: wrong type "
-                                          f"{exc!r}")
-                report.check(tag)
-                try:
-                    client.format(span, fmt.name)
-                    report.record(tag, values[0],
-                                  "open breaker admitted a request")
-                except ServeOverloadError:
-                    pass
-                except ReproError as exc:
-                    report.record(tag, values[0],
-                                  f"open breaker: wrong type {exc!r}")
-            # Fault cleared; advance the fake clock past the backoff:
-            # the next request is the canary and must heal the key.
-            now[0] += 1.5
-            report.check(tag)
-            try:
-                got = client.format(span, fmt.name)
-                if got != plane_of(0, INLINE_ROWS):
-                    report.record(tag, values[0],
-                                  "canary response differs from oracle")
-            except ReproError as exc:
-                report.record(tag, values[0], f"canary failed: {exc!r}")
-            stats = daemon.stats()
-            report.check(tag)
-            if not (stats["breaker_trips"] == 1
-                    and stats["breaker_sheds"] >= 1
-                    and stats["breaker_canaries"] == 1
-                    and stats["breaker_closes"] == 1):
-                report.record(tag, values[0],
-                              f"unaccounted transitions: "
-                              f"trips={stats['breaker_trips']} "
-                              f"sheds={stats['breaker_sheds']} "
-                              f"canaries={stats['breaker_canaries']} "
-                              f"closes={stats['breaker_closes']}")
-
-    # -- control/chaos: the chaos plans through the control plane ----
-    for name, plan, pool_kw in _chaos_plans(seed):
-        if name in ("tier-raise", "mixed"):
-            continue  # in-worker tiers are the chaos battery's beat
-        tag = f"control/chaos-{name}"
-        with serving(jobs=jobs, kind="process", batch_window=0.0,
-                     retries=3, breaker_threshold=5,
-                     slo_target_ms=5000.0, observe_stride=1,
-                     **pool_kw) as daemon:
-            with ServeClient(daemon.host, daemon.port) as client:
-                with faults.armed(plan):
-                    for a, b in spans[:4]:
-                        report.check(tag)
-                        try:
-                            got = client.format(
-                                packed[a * itemsize:b * itemsize],
-                                fmt.name)
-                        except ReproError as exc:
-                            report.record(tag, values[a],
-                                          f"did not heal: {exc!r}")
-                            continue
-                        if got != plane_of(a, b):
-                            report.record(tag, values[a],
-                                          "plane differs under chaos")
-                stats = daemon.stats()
-            report.check(tag)
-            requests = max(1, stats["requests"])
-            shed = stats["overloads"]
-            if shed > requests * 0.5:
-                report.record(tag, values[0],
-                              f"unbounded shedding: {shed}/{requests}")
-            if stats["breaker_trips"] != 0:
-                report.record(tag, values[0],
-                              f"healing faults tripped the breaker "
-                              f"{stats['breaker_trips']}x")
-
-    # -- control/hedge: the dedicated hedge leg ----------------------
-    tag = "control/hedge"
-    report.check(tag)
-    plan = faults.FaultPlan([faults.FaultSpec(
-        "pool.format_shard", "stall", shard=0, attempt=0, stall=0.8)],
-        seed)
-    span = packed[:INLINE_ROWS * itemsize]
-    try:
-        with BulkPool(jobs=2, kind="thread", fmt=fmt, deadline=5.0,
-                      hedge=True, hedge_min=0.05,
-                      hedge_with_faults=True) as pool:
-            with faults.armed(plan):
-                got = pool.format_bulk(span)
-            stats = pool.stats()
-        if got != plane_of(0, INLINE_ROWS):
-            report.record(tag, values[0], "hedged plane differs")
-        if stats["hedges"] < 1 or stats["hedge_wins"] < 1:
-            report.record(tag, values[0],
-                          f"hedge unaccounted: hedges={stats['hedges']} "
-                          f"wins={stats['hedge_wins']}")
-    except ReproError as exc:
-        report.record(tag, values[0], f"hedge leg failed: {exc!r}")
-
-    # -- control/rotation: live snapshot rotation --------------------
-    tag = "control/rotation"
-    report.check(tag)
-    with tempfile.TemporaryDirectory() as td:
-        path = os.path.join(td, "rotated.snap")
-        with serving(jobs=1, kind="thread", batch_window=0.0,
-                     rotate_snapshot=path, rotate_every=64,
-                     observe_stride=1) as daemon:
-            with ServeClient(daemon.host, daemon.port) as client:
-                a, b = spans[0]
-                before = client.format(packed[a * itemsize:b * itemsize],
-                                       fmt.name)
-                deadline = _time.monotonic() + 10.0
-                while (daemon.stats()["snapshot_rotations"] == 0
-                       and _time.monotonic() < deadline):
-                    _time.sleep(0.01)
-                after = client.format(packed[a * itemsize:b * itemsize],
-                                      fmt.name)
-            rotations = daemon.stats()["snapshot_rotations"]
-        if rotations < 1:
-            report.record(tag, values[0], "rotation never happened")
-        elif not os.path.exists(path):
-            report.record(tag, values[0], "rotation counted but no file")
-        if before != after or before != plane_of(a, b):
-            report.record(tag, values[0],
-                          "rotation changed response bytes")
-        # A rotated snapshot may only skip work, never change bytes:
-        # an engine warmed from it must match the cold oracle exactly.
-        if os.path.exists(path):
-            warm = Engine(snapshot=path)
-            for i, v in enumerate(values[:512]):
-                report.check(tag)
-                got = warm.format(v, fmt=fmt)
-                if got != scalar[i]:
-                    report.record(tag, v,
-                                  f"warm {got!r} != cold {scalar[i]!r}")
-
-    # -- control/health: the HEALTH opcode over the wire -------------
-    tag = "control/health"
-    report.check(tag)
-    with serving(jobs=1, kind="thread", batch_window=0.0,
-                 breaker_threshold=3, slo_target_ms=100.0,
-                 observe_stride=1) as daemon:
-        with ServeClient(daemon.host, daemon.port) as client:
-            client.format(packed[:32 * itemsize], fmt.name)
-            try:
-                health = client.health()
-            except ReproError as exc:
-                report.record(tag, values[0], f"HEALTH failed: {exc!r}")
-            else:
-                if not (isinstance(health.get("breakers"), dict)
-                        and isinstance(health.get("admission"), dict)
-                        and isinstance(health.get("observer"), dict)
-                        and health["observer"].get("requests", 0) >= 1
-                        and "limit_bytes" in health["admission"]):
-                    report.record(tag, values[0],
-                                  f"malformed health payload: "
-                                  f"{sorted(health)}")
-    return report
+    """The control plane may shed or reroute, never change a byte: the
+    chaos plans through a controlled process daemon, a hedged stalled
+    shard and live snapshot rotation, against the exact tier."""
+    return _run("control", fmt, n, seed, jobs)
 
 
 # ----------------------------------------------------------------------
@@ -1635,20 +1558,20 @@ def verify_control(fmt: FloatFormat = BINARY64, n: int = 50000,
 # ----------------------------------------------------------------------
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run the battery from the command line; exit 1 on any mismatch."""
+    """Run a battery from the command line; exit 1 on any mismatch."""
     import argparse
 
     from repro.floats.formats import STANDARD_FORMATS
 
+    flags = [name for name in _BATTERIES if name != "format"]
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify",
-        description="Differential verification battery: every printing "
-                    "tier against independent oracles.")
+        description="Differential verification: every surface against "
+                    "the exact tier and the exact reader.")
     parser.add_argument("--n", type=int, default=None,
                         help="values sampled per format (default 200; "
-                             "50000 with the deep batteries: --roundtrip/"
-                             "--bulk/--buffer/--chaos/--serve/--warm/"
-                             "--control)")
+                             "50000 with " +
+                             "/".join(f"--{f}" for f in flags) + ")")
     parser.add_argument("--seed", default="0",
                         help="sample seed: an integer, or 'fresh' for a "
                              "new random seed (nightly fuzz; the chosen "
@@ -1657,79 +1580,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default=["binary16", "binary32", "binary64"],
                         choices=sorted(STANDARD_FORMATS),
                         help="formats to verify (default: binary16/32/64)")
-    parser.add_argument("--roundtrip", action="store_true",
-                        help="run the print↔parse round-trip battery "
-                             "(tiered read engine + host float() oracle) "
-                             "instead of the printing battery")
-    parser.add_argument("--bulk", action="store_true",
-                        help="run the bulk serving-layer battery: every "
-                             "columnar/pooled route must be byte-identical "
-                             "to the scalar engine")
-    parser.add_argument("--buffer", action="store_true",
-                        help="run the byte-plane pipeline battery: "
-                             "parse_buffer/format_buffer must be byte/bit-"
-                             "identical to the scalar engines, with "
-                             "per-tier mismatch attribution")
-    parser.add_argument("--chaos", action="store_true",
-                        help="run the chaos battery: the bulk byte-identity "
-                             "checks under injected worker crashes, shard "
-                             "stalls, payload corruption and fast-tier "
-                             "raises")
-    parser.add_argument("--serve", action="store_true",
-                        help="run the serving battery: loopback daemon "
-                             "round trips (format and read ops, pipelined "
-                             "bursts, typed error responses) must be byte-"
-                             "identical to the scalar engine")
-    parser.add_argument("--warm", action="store_true",
-                        help="run the warm-start battery: snapshot-warmed "
-                             "engines and pools must be byte-identical to "
-                             "cold ones, and corrupt snapshots must fall "
-                             "back cold (counted, never served)")
-    parser.add_argument("--contenders", action="store_true",
-                        help="run the default-route battery: tier 0 then "
-                             "Schubfach, scalar and format_many, must be "
-                             "byte-identical to the exact tier with zero "
-                             "exact-tier consultations")
-    parser.add_argument("--control", action="store_true",
-                        help="run the control-plane battery: circuit "
-                             "breakers, hedged shards, adaptive admission "
-                             "and live snapshot rotation replayed under "
-                             "the chaos plans — shed or reroute, never "
-                             "change a byte")
+    group = parser.add_mutually_exclusive_group()
+    for name in flags:
+        group.add_argument(f"--{name}", dest="battery", action="store_const",
+                           const=name, help=_BATTERIES[name].help)
     args = parser.parse_args(argv)
-    if sum((args.roundtrip, args.bulk, args.buffer, args.chaos,
-            args.serve, args.warm, args.contenders, args.control)) > 1:
-        parser.error("--roundtrip, --bulk, --buffer, --chaos, --serve, "
-                     "--warm, --contenders and --control are separate "
-                     "batteries")
+    name = args.battery or "format"
     seed = (random.SystemRandom().randrange(2**32) if args.seed == "fresh"
             else int(args.seed))
-    deep = (args.roundtrip or args.bulk or args.buffer or args.chaos
-            or args.serve or args.warm or args.contenders or args.control)
-    n = args.n if args.n is not None else (50000 if deep else 200)
-    if args.control:
-        battery, kind = verify_control, "control"
-    elif args.contenders:
-        battery, kind = verify_contenders, "contenders"
-    elif args.warm:
-        battery, kind = verify_warm, "warm"
-    elif args.serve:
-        battery, kind = verify_serve, "serve"
-    elif args.chaos:
-        battery, kind = verify_chaos, "chaos"
-    elif args.buffer:
-        battery, kind = verify_buffer, "buffer"
-    elif args.bulk:
-        battery, kind = verify_bulk, "bulk"
-    elif args.roundtrip:
-        battery, kind = verify_roundtrip, "round-trip"
-    else:
-        battery, kind = verify_format, "verification"
-    print(f"{kind} battery: n={n} seed={seed} "
-          f"formats={','.join(args.formats)}")
+    n = args.n if args.n is not None else (200 if name == "format"
+                                           else 50000)
+    print(f"{_BATTERIES[name].label or 'verification'} battery: n={n} "
+          f"seed={seed} formats={','.join(args.formats)}")
     failures = 0
-    for name in args.formats:
-        report = battery(STANDARD_FORMATS[name], n, seed)
+    for fmt_name in args.formats:
+        report = _run(name, STANDARD_FORMATS[fmt_name], n, seed)
         print(report.tier_summary())
         for mismatch in report.mismatches[:10]:
             print(f"    {mismatch}")

@@ -70,6 +70,19 @@ class TestSplitPlane:
         assert [plane2[s:s + n]
                 for s, n in zip(starts2, lengths2)] == rows
 
+    def test_terminated_and_unterminated_planes_split_alike(self):
+        # Both splitters, bytes and str, every delimiter width.
+        head = ["1.5", "-2e3", "nan"]
+        for delim in ("\n", "\r\n", "||"):
+            body = delim.join(head)
+            for text in (body + delim, body):
+                plane, starts, lengths = split_plane(text.encode("ascii"),
+                                                     delim)
+                assert [plane[s:s + n].decode("ascii")
+                        for s, n in zip(starts, lengths)] == head
+                assert split_rows(text, delim) == head
+        assert split_rows("", "\n") == []
+
     def test_empty_and_only_delimiter_planes(self):
         assert split_plane(b"")[1:] == (split_plane(b"")[1],
                                         split_plane(b"")[2])

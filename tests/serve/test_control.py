@@ -86,6 +86,7 @@ class TestCircuitBreaker:
             assert brk.admit() == ADMIT
             brk.record(False)
         assert brk.state == "closed"
+        assert brk.admit() == ADMIT
         brk.record(False)
         assert brk.state == "open"
         assert brk.trips == 1
@@ -131,6 +132,7 @@ class TestCircuitBreaker:
         brk.record(True, canary=True)
         assert brk.state == "closed"
         assert brk.closes == 1
+        assert brk.admit() == ADMIT
         # The backoff reset: a later trip waits reset_timeout again,
         # not a remembered multiple.
         for _ in range(3):
@@ -208,6 +210,8 @@ class TestCircuitBreaker:
         assert snap["closes"] == 1
         assert snap["sheds"] == 1
         assert snap["canaries"] == 2
+        # The healing canary resets the doubled backoff.
+        assert snap["reset_timeout"] == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -399,6 +403,8 @@ class TestDaemonControl:
             stats = d.stats()
         assert isinstance(health["breakers"], dict)
         assert health["admission"]["target_p99_ms"] == 100.0
+        assert "limit_bytes" in health["admission"]
+        assert isinstance(health["observer"], dict)
         assert health["observer"]["requests"] >= 1
         assert stats["health_requests"] == 1
 

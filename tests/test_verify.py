@@ -1,5 +1,10 @@
 """The self-verification battery."""
 
+import contextlib
+import re
+import subprocess
+import sys
+
 import pytest
 
 from repro.floats.formats import (
@@ -224,3 +229,106 @@ class TestChaosBattery:
         for combo in (["--chaos", "--bulk"], ["--chaos", "--roundtrip"]):
             with pytest.raises(SystemExit):
                 verify.main(combo)
+
+
+class TestEveryFlag:
+    @pytest.mark.parametrize("flag", [name for name in verify._BATTERIES
+                                      if name != "format"])
+    def test_flag_passes_and_checks_every_row(self, flag, capsys):
+        status = verify.main([f"--{flag}", "--n", "200",
+                              "--formats", "binary64"])
+        out = capsys.readouterr().out
+        assert status == 0, out
+        battery = verify._BATTERIES[flag]
+        for row in battery.rows:
+            assert re.search(rf"^  {re.escape(row.tag)} +\d+ checks  ok$",
+                             out, re.M), row.tag
+        # Each sampled value counts once, however many rows repeat it
+        # (the round-trip battery adds as many literals).
+        sampled = len(battery.sample(BINARY64, 200, 0))
+        if flag == "roundtrip":
+            sampled *= 2
+        assert f"{sampled} values checked" in out
+
+
+class TestHarness:
+    def _harness(self, tmp_path):
+        corpus = verify.Corpus(BINARY64, 200, seed=0, min_rows=0)
+        return verify.Harness(corpus, seed=0, jobs=1, tmp=str(tmp_path))
+
+    def test_flipped_byte_is_one_mismatch_tagged_by_row_and_lane(
+            self, tmp_path):
+        from repro.engine import Engine
+        from repro.serve import format_buffer
+
+        h = self._harness(tmp_path)
+        lanes = h.corpus.lanes
+        k = next(i for i, lane in enumerate(lanes) if lane != lanes[0])
+        offset = sum(len(t) + 1 for t in h.corpus.lines[:k])
+
+        def flipped(c, _):
+            out = bytearray(format_buffer(c.packed, c.fmt, engine=Engine()))
+            out[offset] ^= 0x01  # first byte of row k, never a delimiter
+            return verify._rows(bytes(out))
+
+        report = verify.VerificationReport("probe")
+        verify.run_rows(report, h, [verify.Row("probe/flip", flipped)])
+        assert report.tier_mismatches == {f"probe/flip/{lanes[k]}": 1}
+        assert len(report.mismatches) == 1
+        assert f"row {k}:" in report.mismatches[0]
+
+    def test_dropped_last_row_is_caught(self, tmp_path):
+        h = self._harness(tmp_path)
+        report = verify.VerificationReport("probe")
+        verify.run_rows(report, h, [verify.Row(
+            "probe/drop", lambda c, _: c.want_bits[:-1], verify._bits)])
+        assert not report.ok
+        assert "row count" in report.mismatches[0]
+
+    def test_rig_opens_once_and_arms_its_plan_around_its_rows(
+            self, tmp_path):
+        from repro import faults
+
+        h = self._harness(tmp_path)
+        plan = faults.FaultPlan([faults.FaultSpec("engine.tier0",
+                                                  at=(10**9,))])
+        opened, seen = [], []
+
+        def open_(_):
+            opened.append(1)
+            return contextlib.nullcontext("rig")
+
+        def surface(c, obj):
+            seen.append((obj, faults.active()))
+            return c.lines
+
+        rig = verify.Rig(open_, plan=lambda seed: plan, audit=lambda r, h_,
+                         obj, p: r.expect("probe/audit", p is plan, None,
+                                          "wrong plan"))
+        report = verify.VerificationReport("probe")
+        verify.run_rows(report, h, [verify.Row("probe/a", surface, rig=rig),
+                                    verify.Row("probe/b", surface, rig=rig)])
+        assert report.ok, report.mismatches
+        assert opened == [1]
+        assert seen == [("rig", plan)] * 2
+        assert report.tier_checks["probe/audit"] == 1
+        assert faults.active() is None
+
+
+class TestLazyExports:
+    def test_module_run_raises_no_runtime_warning(self):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.verify", "--n", "5", "--formats", "binary16"],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
+    def test_package_exports_resolve(self):
+        import repro
+        from repro import verify_format as lazily
+
+        assert lazily is verify.verify_format
+        assert repro.VerificationReport is verify.VerificationReport
+        with pytest.raises(AttributeError):
+            repro.no_such_name
