@@ -26,194 +26,80 @@ Public surface, in one import::
 * :class:`Flonum` / :class:`FloatFormat` — exact value model for binary16
   through binary128, x87-80 and arbitrary toy formats.
 
+Every export loads on first use (PEP 562): ``import repro`` costs the
+interpreter plus this file, and ``from repro import X`` imports only
+the module that defines ``X``.
+
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 table-by-table reproduction of the paper's evaluation.
 """
 
-from repro.core.api import format_fixed, format_shortest, to_flonum
-from repro.core.digits import DigitResult
-from repro.engine import (
-    Engine,
-    HotPlane,
-    ReadEngine,
-    ReadResult,
-    Snapshot,
-    build_snapshot,
-    default_engine,
-    default_read_engine,
-    format_many,
-    hot_entries,
-    load_snapshot,
-    save_snapshot,
-)
-from repro.core.dragon import shortest_digits
-from repro.core.fixed import FixedResult, fixed_digits
-from repro.core.fixed_rational import fixed_digits_rational
-from repro.core.rational import shortest_digits_rational
-from repro.core.rounding import ReaderMode, TieBreak
-from repro.core.stream import DigitStream
-from repro.compat.scheme import number_to_string, string_to_number
-from repro.core.scaling import (
-    scale_estimate,
-    scale_float_log,
-    scale_iterative,
-)
-from repro.errors import (
-    DeadlineExceededError,
-    DecodeError,
-    FormatError,
-    NotRepresentableError,
-    ParseError,
-    PoolBrokenError,
-    ProtocolError,
-    RangeError,
-    ReproError,
-    ServeOverloadError,
-    ShardError,
-    SnapshotError,
-)
-from repro.faults import FaultPlan, FaultSpec, InjectedFault, armed
-from repro.floats.formats import (
-    BINARY16,
-    BINARY32,
-    BINARY64,
-    BINARY128,
-    STANDARD_FORMATS,
-    X87_80,
-    FloatFormat,
-)
-from repro.floats.model import Flonum, FlonumKind
-from repro.format.notation import NotationOptions
-from repro.format.hexfloat import format_hex, parse_hex, python_hex
-from repro.format.printf import fmt_e, fmt_f, fmt_g, format_printf
-from repro.format.repr_shortest import py_repr
-from repro.reader import read, read_many
-from repro.reader.exact import read_decimal, read_fraction
-from repro.serve import (
-    AsyncServeClient,
-    BulkPool,
-    DelimitedWriter,
-    ReproDaemon,
-    ServeClient,
-    bits_from_buffer,
-    format_buffer,
-    format_bulk,
-    format_column,
-    ingest_bits,
-    pack_bits,
-    parse_buffer,
-    read_bulk,
-    read_column,
-    serving,
-    split_plane,
-    split_rows,
-)
-
-#: Loaded on first use (PEP 562), so ``python -m repro.verify`` runs a
-#: module the package has not imported yet.
-_VERIFY_EXPORTS = frozenset({"VerificationReport", "verify_format",
-                             "verify_chaos", "verify_serve", "verify_warm"})
-
-
-def __getattr__(name):
-    if name in _VERIFY_EXPORTS:
-        from repro import verify
-
-        return getattr(verify, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "format_shortest",
-    "format_fixed",
-    "format_many",
-    "Engine",
-    "default_engine",
-    "ReadEngine",
-    "ReadResult",
-    "default_read_engine",
-    "AsyncServeClient",
-    "BulkPool",
-    "DelimitedWriter",
-    "ReproDaemon",
-    "ServeClient",
-    "serving",
-    "bits_from_buffer",
-    "format_buffer",
-    "format_bulk",
-    "format_column",
-    "ingest_bits",
-    "pack_bits",
-    "parse_buffer",
-    "read_bulk",
-    "read_column",
-    "split_plane",
-    "split_rows",
-    "to_flonum",
-    "shortest_digits",
-    "shortest_digits_rational",
-    "fixed_digits",
-    "fixed_digits_rational",
-    "DigitResult",
-    "FixedResult",
-    "ReaderMode",
-    "TieBreak",
-    "scale_estimate",
-    "scale_float_log",
-    "scale_iterative",
-    "FloatFormat",
-    "Flonum",
-    "FlonumKind",
-    "BINARY16",
-    "BINARY32",
-    "BINARY64",
-    "BINARY128",
-    "X87_80",
-    "STANDARD_FORMATS",
-    "NotationOptions",
-    "format_printf",
-    "format_hex",
-    "parse_hex",
-    "python_hex",
-    "fmt_e",
-    "fmt_f",
-    "fmt_g",
-    "py_repr",
-    "read",
-    "read_many",
-    "read_decimal",
-    "read_fraction",
-    "DigitStream",
-    "number_to_string",
-    "string_to_number",
-    "VerificationReport",
-    "verify_format",
-    "verify_chaos",
-    "verify_serve",
-    "verify_warm",
-    "Snapshot",
-    "build_snapshot",
-    "load_snapshot",
-    "save_snapshot",
-    "hot_entries",
-    "HotPlane",
-    "ReproError",
-    "FormatError",
-    "DecodeError",
-    "ParseError",
-    "RangeError",
-    "NotRepresentableError",
-    "ShardError",
-    "SnapshotError",
-    "DeadlineExceededError",
-    "PoolBrokenError",
-    "ProtocolError",
-    "ServeOverloadError",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "armed",
-]
+#: Defining module -> the names it exports through the package.
+_EXPORTS = {
+    "repro.core.api": ("format_shortest", "format_fixed"),
+    "repro.core.digits": ("DigitResult",),
+    "repro.core.dragon": ("shortest_digits",),
+    "repro.core.fixed": ("FixedResult", "fixed_digits"),
+    "repro.core.fixed_rational": ("fixed_digits_rational",),
+    "repro.core.rational": ("shortest_digits_rational",),
+    "repro.core.rounding": ("ReaderMode", "TieBreak"),
+    "repro.core.scaling": ("scale_estimate", "scale_float_log",
+                           "scale_iterative"),
+    "repro.core.stream": ("DigitStream",),
+    "repro.compat.scheme": ("number_to_string", "string_to_number"),
+    "repro.engine.engine": ("Engine", "default_engine", "format_many"),
+    "repro.engine.reader": ("ReadEngine", "ReadResult",
+                            "default_read_engine"),
+    "repro.engine.snapshot": ("Snapshot", "build_snapshot",
+                              "load_snapshot", "save_snapshot",
+                              "hot_entries", "HotPlane"),
+    "repro.engine.bulk": ("bits_from_buffer", "format_bulk",
+                          "format_column", "ingest_bits", "pack_bits",
+                          "read_bulk", "read_column"),
+    "repro.engine.buffer": ("format_buffer", "parse_buffer",
+                            "split_plane", "split_rows"),
+    "repro.errors": ("ReproError", "FormatError", "DecodeError",
+                     "ParseError", "RangeError", "NotRepresentableError",
+                     "ShardError", "SnapshotError",
+                     "DeadlineExceededError", "PoolBrokenError",
+                     "ProtocolError", "ServeOverloadError"),
+    "repro.faults": ("FaultPlan", "FaultSpec", "InjectedFault", "armed"),
+    "repro.floats.formats": ("FloatFormat", "BINARY16", "BINARY32",
+                             "BINARY64", "BINARY128", "X87_80",
+                             "STANDARD_FORMATS"),
+    "repro.floats.model": ("Flonum", "FlonumKind", "to_flonum"),
+    "repro.format.notation": ("NotationOptions",),
+    "repro.format.hexfloat": ("format_hex", "parse_hex", "python_hex"),
+    "repro.format.printf": ("format_printf", "fmt_e", "fmt_f", "fmt_g"),
+    "repro.format.repr_shortest": ("py_repr",),
+    "repro.reader": ("read", "read_many"),
+    "repro.reader.exact": ("read_decimal", "read_fraction"),
+    "repro.serve.client": ("AsyncServeClient", "ServeClient"),
+    "repro.serve.daemon": ("ReproDaemon", "serving"),
+    "repro.serve.pool": ("BulkPool",),
+    "repro.serve.writer": ("DelimitedWriter",),
+    "repro.verify": ("VerificationReport", "verify_format",
+                     "verify_chaos", "verify_serve", "verify_warm"),
+}
+
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    mod = _MODULE_OF.get(name)
+    if mod is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(mod), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -9,50 +9,41 @@ delimited byte *planes* instead, in the style of Lemire's
 "Number Parsing at a Gigabyte per Second":
 
 * :func:`split_plane` — a delimited splitter that reports token
-  *offsets and lengths* (``array`` / numpy-through-buffer-protocol when
-  available) so shard boundaries never materialize per-row strings;
+  *offsets and lengths* (two ``array('q')`` columns) so shard
+  boundaries are cut on the plane, never on per-row strings;
 * :func:`parse_buffer` — tokenize, dedup on *bytes* tokens, decode the
   distinct ones to text in one pass and run them through the read
   engine's batch loop for bit patterns — the same loop, lanes and memo
   as :meth:`~repro.engine.reader.ReadEngine.read_many`, but never a
   per-row ``str`` or ``Flonum``;
 * :func:`format_buffer` — the mirror image: dedup bit patterns, format
-  each distinct value once, and emit pre-terminated byte rows straight
-  into one payload (optionally a :class:`~repro.serve.DelimitedWriter`
-  buffer) instead of building a list of strings.
+  each distinct value once, and fan the rows out with one ``join`` and
+  one ``encode`` (optionally into a
+  :class:`~repro.serve.DelimitedWriter` buffer).
 
 Everything is byte/bit-identical to the scalar engines — enforced by
 ``python -m repro.verify --buffer`` — the pipeline only changes *how*
-the same results are produced.  numpy is optional and reached purely
-through the buffer protocol; every path has a stdlib fallback.
+the same results are produced.  Every stage is one stdlib path built
+from C-level ``bytes``/``str`` methods; no array library is imported.
+Packed columns from one (numpy arrays included) arrive through the
+buffer protocol in :func:`~repro.engine.bulk.bits_from_buffer`.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
 from typing import List, Optional, Tuple, Union
 
 from repro.core.rounding import ReaderMode, TieBreak
-from repro.engine.bulk import (
-    _format_bits,
-    _itemsize,
-    ingest_bits,
-)
+from repro.engine.bulk import _format_bits, ingest_bits
 from repro.engine.reader import ReadEngine
 from repro.errors import DecodeError, ParseError, RangeError
 from repro.floats.formats import BINARY64, FloatFormat
 from repro.floats.model import Flonum
 from repro.format.notation import NotationOptions
 
-try:  # optional: reached through the buffer protocol only
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised where numpy is absent
-    _np = None
-
 __all__ = ["split_plane", "split_rows", "parse_buffer", "format_buffer"]
-
-#: numpy dtype name per unsigned itemsize (the vectorized dedup leg).
-_NP_UINT_BY_SIZE = {2: "uint16", 4: "uint32", 8: "uint64"}
 
 
 def _plane_bytes(data) -> bytes:
@@ -97,50 +88,35 @@ def split_plane(data, delimiter: Union[bytes, str] = b"\n"
     """Token offsets/lengths of a delimited plane: ``(plane, starts,
     lengths)``.
 
-    No per-row object is materialized — the result is the normalized
+    No per-row object outlives the call — the result is the normalized
     plane plus two index arrays (``array('q')``), which is what shard
     splitting consumes.  One trailing terminator is
     allowed (no phantom empty row); a trailing *unterminated* token is
     still a token.  CRLF and other multi-byte delimiters are handled;
     non-bytes input raises :class:`DecodeError`.
 
-    With numpy present and a single-byte delimiter, the delimiter scan
-    is one vectorized compare over a zero-copy view of the plane;
-    otherwise a C-level ``find`` walk computes the same arrays.
+    One C-level ``split`` finds the tokens; their lengths and a running
+    sum over ``length + len(delimiter)`` give the offsets.  Callers that
+    only need the row count use :func:`_row_count` instead.
     """
     plane = _plane_bytes(data)
     delim = _delim_bytes(delimiter)
-    starts = array("q")
-    lengths = array("q")
-    n = len(plane)
-    if not n:
-        return plane, starts, lengths
-    dlen = len(delim)
-    if _np is not None and dlen == 1 and n >= 64:
-        arr = _np.frombuffer(plane, dtype=_np.uint8)
-        hits = _np.flatnonzero(arr == delim[0])
-        starts.frombytes(memoryview(
-            _np.concatenate(([0], hits[:-1] + 1, hits[-1:] + 1))
-            .astype(_np.int64).tobytes()) if hits.size
-            else array("q", [0]).tobytes())
-        if starts[-1] >= n:  # trailing terminator: no phantom row
-            starts.pop()
-        ends = hits.tolist()
-        for i, a in enumerate(starts):
-            lengths.append((ends[i] if i < len(ends) else n) - a)
-        return plane, starts, lengths
-    find = plane.find
-    pos = 0
-    while pos < n:
-        hit = find(delim, pos)
-        if hit < 0:
-            starts.append(pos)
-            lengths.append(n - pos)
-            break
-        starts.append(pos)
-        lengths.append(hit - pos)
-        pos = hit + dlen
+    if not plane:
+        return plane, array("q"), array("q")
+    tokens = plane.split(delim)
+    if not tokens[-1]:  # trailing terminator: no phantom row
+        tokens.pop()
+    lengths = array("q", map(len, tokens))
+    starts = array("q", accumulate(map(len(delim).__add__, lengths),
+                                   initial=0))
+    starts.pop()  # the offset one past the last token
     return plane, starts, lengths
+
+
+def _row_count(plane: bytes, delim: bytes) -> int:
+    """The number of tokens :func:`split_plane` finds in ``plane``: one
+    per terminator, plus one for an unterminated tail."""
+    return plane.count(delim) + (bool(plane) and not plane.endswith(delim))
 
 
 def _tokens(data, delimiter: Union[bytes, str]) -> List[bytes]:
@@ -244,14 +220,12 @@ def format_buffer(data, fmt: FloatFormat = BINARY64, *,
     """Serialize a column straight into one delimited byte payload.
 
     Byte-identical to :func:`repro.engine.bulk.format_bulk` on the same
-    column, but the fan-out stage maps interned *pre-encoded,
-    pre-terminated* byte rows and joins them once — no per-row string
-    list, no whole-payload re-encode.  With numpy present and a packed
-    byte column in, the dedup itself is vectorized (``np.unique`` over
-    a zero-copy view, fan-out by inverse index).  ``writer`` may be a
+    column.  Each distinct bit pattern is formatted once, and the
+    fan-out is all C-level: the rows are mapped to their ``str`` in
+    input order, joined once and encoded once.  ``writer`` may be a
     prepared :class:`~repro.serve.DelimitedWriter`; its buffer receives
     the payload (its delimiter wins) and its accumulated value is
-    returned.
+    returned.  A ragged packed column raises :class:`DecodeError`.
     """
     if writer is not None:
         delim = writer.delimiter
@@ -262,31 +236,22 @@ def format_buffer(data, fmt: FloatFormat = BINARY64, *,
         from repro.engine.engine import default_engine
 
         eng = default_engine()
+    bits = ingest_bits(data, fmt)
     payload = b""
-    inverse = None
-    if (dedup and _np is not None
-            and isinstance(data, (bytes, bytearray, memoryview))):
-        dtype = _NP_UINT_BY_SIZE.get(_itemsize(fmt))
-        if dtype is not None and len(data) >= _itemsize(fmt):
-            arr = _np.frombuffer(data, dtype=dtype)
-            uniq, inverse = _np.unique(arr, return_inverse=True)
-            uniques = uniq.tolist()
-    if inverse is not None:
-        texts = _format_bits(eng, uniques, fmt, mode, tie, options)
-        rows = [s.encode("ascii") + delim for s in texts]
-        payload = b"".join(map(rows.__getitem__, inverse.tolist()))
-    else:
-        bits = ingest_bits(data, fmt)
-        if bits and dedup:
+    if bits:
+        # Rows must be ASCII; latin-1 carries any other delimiter byte
+        # through the str join unchanged.
+        codec = "ascii" if delim.isascii() else "latin-1"
+        d = delim.decode(codec)
+        if dedup:
             interned = dict.fromkeys(bits)
             uniques = list(interned)
-            texts = _format_bits(eng, uniques, fmt, mode, tie, options)
-            for b, s in zip(uniques, texts):
-                interned[b] = s.encode("ascii") + delim
-            payload = b"".join(map(interned.__getitem__, bits))
-        elif bits:
+            interned = dict(zip(uniques, _format_bits(
+                eng, uniques, fmt, mode, tie, options)))
+            texts = map(interned.__getitem__, bits)
+        else:
             texts = _format_bits(eng, bits, fmt, mode, tie, options)
-            payload = delim.join(s.encode("ascii") for s in texts) + delim
+        payload = (d.join(texts) + d).encode(codec)
     if writer is not None:
         writer.write_bytes(payload)
         return writer.getvalue()

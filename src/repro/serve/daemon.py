@@ -53,7 +53,7 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.rounding import ReaderMode, TieBreak
-from repro.engine.buffer import split_plane
+from repro.engine.buffer import _row_count
 from repro.engine.bulk import _itemsize, pack_bits
 from repro.errors import (
     DecodeError,
@@ -301,7 +301,8 @@ class ReproDaemon:
         self._closed = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._conns: set = set()
+        #: Live connections: each writer and the task handling it.
+        self._conns: Dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._batchers: Dict[Tuple[int, str, bytes], _Batcher] = {}
         self._pools: Dict[Tuple[str, bytes], BulkPool] = {}
         self._pools_lock = threading.Lock()
@@ -395,6 +396,12 @@ class ReproDaemon:
         for writer in list(self._conns):
             with contextlib.suppress(Exception):
                 writer.close()
+        # Let each handler see its closed stream and return before the
+        # loop goes: a handler still running at loop teardown is
+        # cancelled mid-``finally``, and asyncio logs that as an error.
+        if self._conns:
+            await asyncio.wait(list(self._conns.values()),
+                               timeout=max(deadline - loop.time(), 1.0))
         with self._pools_lock:
             pools, self._pools = list(self._pools.values()), {}
         for pool in pools:
@@ -408,7 +415,7 @@ class ReproDaemon:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         self._stats["connections"] += 1
-        self._conns.add(writer)
+        self._conns[writer] = asyncio.current_task()
         loop = asyncio.get_running_loop()
         queue: asyncio.Queue = asyncio.Queue()
         pump = asyncio.ensure_future(self._pump(queue, writer))
@@ -449,7 +456,7 @@ class ReproDaemon:
             await queue.put(None)
             with contextlib.suppress(Exception):
                 await pump
-            self._conns.discard(writer)
+            self._conns.pop(writer, None)
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
@@ -755,17 +762,15 @@ class ReproDaemon:
     def _format_combined(self, pool: BulkPool,
                          payloads: List[bytes]) -> List[bytes]:
         itemsize = _itemsize(pool.fmt)
-        counts = [len(p) // itemsize for p in payloads]
-        plane = pool.format_bulk(b"".join(payloads))
-        _, starts, _ = split_plane(plane, pool.delimiter)
+        delim = pool.delimiter
+        # Every output row is terminated, so one C-level split yields
+        # the rows plus one empty tail; each request joins its share.
+        rows = pool.format_bulk(b"".join(payloads)).split(delim)
         out: List[bytes] = []
         idx = 0
-        for c in counts:
-            if c == 0:
-                out.append(b"")
-                continue
-            end = starts[idx + c] if idx + c < len(starts) else len(plane)
-            out.append(plane[starts[idx]:end])
+        for p in payloads:
+            c = len(p) // itemsize
+            out.append(delim.join(rows[idx:idx + c]) + delim if c else b"")
             idx += c
         return out
 
@@ -775,8 +780,7 @@ class ReproDaemon:
         counts: List[int] = []
         segments: List[bytes] = []
         for p in payloads:
-            _, starts, _ = split_plane(p, delim)
-            counts.append(len(starts))
+            counts.append(_row_count(p, delim))
             # Terminate an unterminated tail so request boundaries
             # survive concatenation (an unterminated trailing token is
             # one row either way).

@@ -118,7 +118,13 @@ from typing import List, Optional, Union
 
 from repro import faults as _faults
 from repro.core.rounding import ReaderMode, TieBreak
-from repro.engine.buffer import format_buffer, parse_buffer, split_plane
+from repro.engine.buffer import (
+    _plane_bytes,
+    _row_count,
+    format_buffer,
+    parse_buffer,
+    split_plane,
+)
 from repro.engine.bulk import (
     _bits_from_bytes,
     _itemsize,
@@ -1086,34 +1092,37 @@ class BulkPool:
         if out not in ("bits", "flonums"):
             raise RangeError(f"out must be 'bits' or 'flonums', "
                              f"got {out!r}")
+        delim = self.delimiter
+        texts = None
         if isinstance(data, (bytes, bytearray, memoryview, str)):
-            # Byte planes ship as byte planes: one offsets pass finds
-            # the token boundaries, and each shard payload is a *slice*
-            # of the original plane cut on a boundary — no row strings,
-            # no re-join, no re-encode.
-            plane, starts, _lengths = split_plane(data, self.delimiter)
-            rows = len(starts)
-
-            def cut(a: int, b: int) -> bytes:
-                return plane[starts[a]:(starts[b] if b < rows
-                                        else len(plane))]
+            plane = _plane_bytes(data)
+            rows = _row_count(plane, delim)
         else:
             texts = data if isinstance(data, list) else list(data)
             rows = len(texts)
-            d = self.delimiter.decode("ascii")
-
-            def cut(a: int, b: int) -> bytes:
-                return (d.join(texts[a:b]) + d).encode("ascii")
+            d = delim.decode("ascii")
         if not rows:
             return []
         if rows < INLINE_ROWS:
-            bits = parse_buffer(cut(0, rows), self.fmt,
-                                delimiter=self.delimiter, mode=self.mode,
-                                engine=self._engine, dedup=self.dedup)
+            if texts is not None:
+                plane = (d.join(texts) + d).encode("ascii")
+            bits = parse_buffer(plane, self.fmt, delimiter=delim,
+                                mode=self.mode, engine=self._engine,
+                                dedup=self.dedup)
         else:
             spans = _chunk_slices(rows, self.jobs * self.shards_per_job)
-            payloads = [(self.fmt.name, cut(a, b), self.mode, self.dedup,
-                         self.delimiter, None, None) for a, b in spans]
+            if texts is None:
+                # Byte planes ship as byte planes: each shard payload is
+                # a *slice* of the plane cut on a token boundary — no
+                # row strings, no re-join, no re-encode.
+                starts = split_plane(plane, delim)[1].tolist()
+                starts.append(len(plane))
+                shards = [plane[starts[a]:starts[b]] for a, b in spans]
+            else:
+                shards = [(d.join(texts[a:b]) + d).encode("ascii")
+                          for a, b in spans]
+            payloads = [(self.fmt.name, shard, self.mode, self.dedup,
+                         delim, None, None) for shard in shards]
             itemsize = _itemsize(self.fmt)
             bits = []
             for packed in self._run_shards(_read_shard, payloads,

@@ -8,6 +8,7 @@ import pytest
 
 from repro.engine import Engine, ReadEngine
 from repro.engine.buffer import (
+    _row_count,
     format_buffer,
     parse_buffer,
     split_plane,
@@ -57,18 +58,23 @@ class TestSplitPlane:
             assert [plane[s:s + n] for s, n in zip(starts, lengths)] \
                 == [b"1", b"2", b"3"]
 
-    def test_numpy_leg_agrees_with_find_walk(self):
-        # 1-byte delimiter over >= 64 bytes takes the vector leg when
-        # numpy is present; the result must match the C-find walk that
-        # multi-byte delimiters always use.
-        rows = [str(i).encode("ascii") for i in range(64)]
-        data = b"\n".join(rows) + b"\n"
-        plane, starts, lengths = split_plane(data)
-        assert [plane[s:s + n] for s, n in zip(starts, lengths)] == rows
-        wide = b"--".join(rows) + b"--"
-        plane2, starts2, lengths2 = split_plane(wide, b"--")
-        assert [plane2[s:s + n]
-                for s, n in zip(starts2, lengths2)] == rows
+    def test_agrees_with_bytes_split_oracle(self):
+        # Plane sizes straddle 64 bytes (15-17 rows of "1234"), where
+        # the splitter once changed legs; rows include empty ones.
+        for delim in (b"\n", b",", b"\r\n", b"--"):
+            for n in (0, 1, 5, 15, 16, 17, 40, 300):
+                rows = [b"" if i % 7 == 3 else str(1000 + i).encode()
+                        for i in range(n)]
+                body = delim.join(rows)
+                for plane in (body + delim if rows else b"", body):
+                    want = plane.split(delim)
+                    if want and not want[-1]:
+                        want.pop()  # one trailing terminator: no phantom
+                    got, starts, lengths = split_plane(plane, delim)
+                    assert got == plane
+                    assert [plane[a:a + m]
+                            for a, m in zip(starts, lengths)] == want
+                    assert _row_count(plane, delim) == len(starts)
 
     def test_terminated_and_unterminated_planes_split_alike(self):
         # Both splitters, bytes and str, every delimiter width.
@@ -188,9 +194,20 @@ class TestFormatBuffer:
         bits = [v.to_bits() for v in flos]
         want, _ = row_payload(bits, fmt)
         assert format_buffer(bits, fmt) == want
-        # The packed-bytes ingestion leg (numpy dedup when available
-        # for 2/4/8-byte items, pure-python interning for binary128).
+        # The packed-bytes ingestion leg.
         assert format_buffer(pack_bits(bits, fmt), fmt) == want
+
+    @pytest.mark.parametrize("fmt", [BINARY16, BINARY32, BINARY64],
+                             ids=lambda f: f.name)
+    @pytest.mark.parametrize("dedup", [True, False])
+    def test_ragged_packed_column_raises_decode_error(self, fmt, dedup):
+        import repro
+
+        ragged = b"\x00" * (3 * (fmt.total_bits // 8) + 1)
+        with pytest.raises(DecodeError, match="trailing partial"):
+            format_buffer(ragged, fmt, dedup=dedup)
+        with pytest.raises(DecodeError, match="trailing partial"):
+            repro.format_bulk(ragged, fmt, dedup=dedup)
 
     def test_dedup_off_and_writer_reuse(self):
         bits = ingest_bits(CORPUS)

@@ -94,38 +94,52 @@ class TestBatching:
         assert stats["max_batch"] > 1
         assert stats["batches"] < 24
 
+    @staticmethod
+    def alone_and_batched(d, op, payloads, delimiter=b"\n"):
+        """Each payload's answer sent alone, then all of them in one
+        burst (one micro-batch where they coalesce)."""
+        async def send():
+            c = await AsyncServeClient.connect(d.host, d.port)
+            call = c.format if op == "format" else c.read
+            alone = [await call(p, delimiter=delimiter) for p in payloads]
+            batched = await asyncio.gather(
+                *[call(p, delimiter=delimiter) for p in payloads])
+            await c.close()
+            return alone, list(batched)
+        return run_async(send())
+
     def test_batched_responses_split_byte_identically(self):
         # Different-sized payloads in one batch must split back
         # exactly: per-request responses equal per-request oracles.
         chunks = [PACKED[:8], PACKED[:24], PACKED, b"", PACKED[8:16]]
-        oracles = [format_bulk(c, BINARY64, engine=Engine())
-                   for c in chunks]
-        with serving(batch_window=0.01) as d:
-            async def burst():
-                c = await AsyncServeClient.connect(d.host, d.port)
-                outs = await asyncio.gather(
-                    *[c.format(chunk) for chunk in chunks])
-                await c.close()
-                return outs
-            outs = run_async(burst())
-        assert list(outs) == oracles
+        for delim in (b"\n", b"\r\n"):
+            oracles = [format_bulk(c, BINARY64, engine=Engine(),
+                                   delimiter=delim) for c in chunks]
+            with serving(batch_window=0.01) as d:
+                alone, outs = self.alone_and_batched(d, "format", chunks,
+                                                     delim)
+                stats = d.stats()
+            assert alone == oracles
+            assert outs == oracles
+            assert stats["max_batch"] > 1
 
     def test_read_batches_split_on_token_counts(self):
         planes = [b"1.5\n2.5\n", b"", b"17\n", b"1e10\n-0.0\n3.25\n",
-                  b"9.5"]  # unterminated tail rides along
+                  b"9.5",  # unterminated tail rides along
+                  b"0.1\n2e-3"]  # terminated rows, unterminated tail
         from repro.engine.bulk import read_bulk
 
-        oracles = [pack_bits(read_bulk(p, BINARY64, engine=Engine()),
-                             BINARY64) for p in planes]
-        with serving(batch_window=0.01) as d:
-            async def burst():
-                c = await AsyncServeClient.connect(d.host, d.port)
-                outs = await asyncio.gather(
-                    *[c.read(p) for p in planes])
-                await c.close()
-                return outs
-            outs = run_async(burst())
-        assert list(outs) == oracles
+        for delim in (b"\n", b"\r\n"):
+            sent = [p.replace(b"\n", delim) for p in planes]
+            oracles = [pack_bits(read_bulk(p, BINARY64, engine=Engine(),
+                                           delimiter=delim), BINARY64)
+                       for p in sent]
+            with serving(batch_window=0.01) as d:
+                alone, outs = self.alone_and_batched(d, "read", sent, delim)
+                stats = d.stats()
+            assert alone == oracles
+            assert outs == oracles
+            assert stats["max_batch"] > 1
 
     def test_poisoned_batch_falls_back_per_request(self):
         # One garbage literal must fail alone; batch-mates succeed.
@@ -241,6 +255,26 @@ class TestDrain:
             loop.call_soon_threadsafe(loop.stop)
             thread.join(timeout=30)
             loop.close()
+
+    def test_drain_right_after_disconnect_logs_no_error(self, caplog):
+        # The SIGINT path of ``python -m repro.serve``: a client sends
+        # a format and a read and hangs up, the daemon drains at once,
+        # and the loop is torn down.  close() must let the connection
+        # handler finish; one still running at teardown is cancelled,
+        # and asyncio logs its CancelledError as an error.
+        async def serve_then_drain():
+            d = await ReproDaemon(jobs=2, kind="process").start()
+            c = await AsyncServeClient.connect(d.host, d.port)
+            assert await c.format(PACKED) == PLANE
+            assert await c.read(PLANE) == PACKED
+            await c.close()
+            await d.close()
+
+        with caplog.at_level("ERROR", logger="asyncio"):
+            for _ in range(3):
+                asyncio.run(serve_then_drain())
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "asyncio"] == []
 
     def test_requests_during_drain_are_rejected(self):
         with serving() as d:

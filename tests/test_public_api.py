@@ -1,6 +1,9 @@
 """The public surface: everything advertised exists and basic flows work."""
 
 import importlib
+import json
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +25,47 @@ class TestExports:
 
     def test_version(self):
         assert repro.__version__.count(".") == 2
+
+
+def fresh(code: str):
+    """Run ``code`` in a fresh interpreter; its last stdout line, as
+    JSON."""
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportFootprint:
+    """``import repro`` loads only what the first call needs: no array
+    library, no event loop, no serving or verification layer."""
+
+    HEAVY = ("numpy", "asyncio", "repro.serve", "repro.verify")
+
+    @pytest.mark.parametrize("stmt", ["import repro", "import repro.engine"])
+    def test_import_loads_no_heavy_module(self, stmt):
+        loaded = fresh(f"import json, sys\n{stmt}\n"
+                       f"print(json.dumps(sorted(sys.modules)))")
+        assert [m for m in self.HEAVY if m in loaded] == []
+
+    def test_lazy_exports_resolve(self):
+        got = fresh(
+            "import json, repro\n"
+            "from repro import (BulkPool, ServeClient, verify_format,\n"
+            "                   format_shortest)\n"
+            "print(json.dumps([BulkPool.__module__, ServeClient.__module__,\n"
+            "                  verify_format.__module__,\n"
+            "                  format_shortest(0.1),\n"
+            "                  sorted(set(repro.__all__) - set(dir(repro)))]))")
+        assert got == ["repro.serve.pool", "repro.serve.client",
+                       "repro.verify", "0.1", []]
+
+    def test_star_import_binds_all(self):
+        got = fresh("import json, repro\n"
+                    "ns = {}\n"
+                    "exec('from repro import *', ns)\n"
+                    "print(json.dumps(sorted(set(repro.__all__) - set(ns))))")
+        assert got == []
 
 
 class TestEndToEndFlows:
