@@ -24,73 +24,48 @@ Public surface:
   (:mod:`repro.engine.buffer`): whole delimited buffers in and out,
   measured in MB/s, never a per-row string.
 
+Every export loads on first use (PEP 562, as in :mod:`repro`): ``from
+repro.engine import Engine`` imports the engine and what it needs, not
+the byte-plane pipeline or the snapshot codec.
+
 This package must not import :mod:`repro.core.api` (the API imports us).
 """
 
-from repro.engine.buffer import (
-    format_buffer,
-    parse_buffer,
-    split_plane,
-    split_rows,
-)
-from repro.engine.engine import (
-    STAT_KEYS,
-    Engine,
-    default_engine,
-    format_many,
-)
-from repro.engine.reader import (
-    READ_STAT_KEYS,
-    ReadEngine,
-    ReadResult,
-    default_read_engine,
-    read_many,
-)
-from repro.engine.schubfach import schubfach_digits
-from repro.engine.snapshot import (
-    SNAPSHOT_VERSION,
-    HotPlane,
-    Snapshot,
-    apply_read_snapshot,
-    apply_snapshot,
-    bits_encoder,
-    build_snapshot,
-    hot_entries,
-    load_snapshot,
-    save_snapshot,
-    snapshot_from_bytes,
-    snapshot_to_bytes,
-)
-from repro.engine.tables import FormatTables, clear_tables, tables_for
+import importlib
 
-__all__ = [
-    "Engine",
-    "default_engine",
-    "format_many",
-    "ReadEngine",
-    "ReadResult",
-    "default_read_engine",
-    "read_many",
-    "STAT_KEYS",
-    "READ_STAT_KEYS",
-    "schubfach_digits",
-    "FormatTables",
-    "tables_for",
-    "clear_tables",
-    "SNAPSHOT_VERSION",
-    "Snapshot",
-    "build_snapshot",
-    "load_snapshot",
-    "save_snapshot",
-    "snapshot_to_bytes",
-    "snapshot_from_bytes",
-    "apply_snapshot",
-    "apply_read_snapshot",
-    "hot_entries",
-    "HotPlane",
-    "bits_encoder",
-    "parse_buffer",
-    "format_buffer",
-    "split_plane",
-    "split_rows",
-]
+_EXPORTS = {
+    "repro.engine.engine": ("Engine", "default_engine", "format_many",
+                            "STAT_KEYS"),
+    "repro.engine.reader": ("ReadEngine", "ReadResult",
+                            "default_read_engine", "read_many",
+                            "READ_STAT_KEYS"),
+    "repro.engine.schubfach": ("schubfach_digits",),
+    "repro.engine.tables": ("FormatTables", "tables_for", "clear_tables"),
+    "repro.engine.snapshot": ("SNAPSHOT_VERSION", "Snapshot",
+                              "build_snapshot", "load_snapshot",
+                              "save_snapshot", "snapshot_to_bytes",
+                              "snapshot_from_bytes", "apply_snapshot",
+                              "apply_read_snapshot", "hot_entries",
+                              "HotPlane", "bits_encoder"),
+    "repro.engine.buffer": ("parse_buffer", "format_buffer", "split_plane",
+                            "split_rows"),
+}
+
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    mod = _MODULE_OF.get(name)
+    if mod is None:
+        raise AttributeError(
+            f"module 'repro.engine' has no attribute {name!r}")
+    value = getattr(importlib.import_module(mod), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

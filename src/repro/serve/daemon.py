@@ -19,12 +19,13 @@ Design:
   protected by shedding, not by lying.
 * **Request batching** — concurrent requests with the same
   ``(op, format, delimiter)`` key coalesce into one columnar bulk call
-  (a micro-batch window of ``batch_window`` seconds, flushed early past
-  ``batch_max_bytes``).  Responses are byte-identical to unbatched
-  execution: format batches split on row counts, read batches on token
-  counts, and a request that poisons a combined call (e.g. one garbage
-  literal) falls back to per-request conversion so its neighbours still
-  succeed.
+  of at most ``batch_max_bytes``.  Batching is self-clocked: a batch
+  flushes one loop turn after its first request, and the requests that
+  arrive while it converts form the next one.  Responses are
+  byte-identical to unbatched execution: format batches split on row
+  counts, read batches on token counts, and a request that poisons a
+  combined call (e.g. one garbage literal) falls back to per-request
+  conversion so its neighbours still succeed.
 * **Fault tolerance** — every conversion runs through a
   :class:`BulkPool` (one per ``(format, delimiter)``, built lazily), so
   PR 5's machinery applies on the wire: CRC'd shards, deadlines and
@@ -33,14 +34,17 @@ Design:
   failure surfaces as its typed :class:`~repro.errors.ReproError`
   response; an untyped escape is a protocol violation the chaos battery
   hunts for.
-* **Graceful drain** — :meth:`close` stops accepting, flushes pending
-  micro-batches, waits (bounded by ``drain_timeout``) for in-flight
-  responses to be written, then tears down pools and executors.
-  Idempotent, and safe to call from any thread via :func:`serving`.
+* **Graceful drain** — :meth:`close` stops accepting, waits (bounded
+  by ``drain_timeout``) for in-flight responses to be written, then
+  tears down pools and executors.  Idempotent, and safe to call from
+  any thread via :func:`serving`.
 
-The event loop owns every counter and queue; conversions run on a small
-thread-pool executor so a big bulk call never blocks frame reads,
-admission decisions or other connections.
+The event loop owns every counter and queue.  A batch of fewer than
+:data:`~repro.serve.pool.INLINE_ROWS` rows converts on the loop itself
+(a hop to a thread buys no parallelism under the GIL), so the loop is
+blocked for the length of one such batch; larger batches run on a small
+thread-pool executor and never block frame reads, admission decisions
+or other connections.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.rounding import ReaderMode, TieBreak
-from repro.engine.buffer import _row_count
 from repro.engine.bulk import _itemsize, pack_bits
 from repro.errors import (
     DecodeError,
@@ -102,11 +105,13 @@ def _failed(exc: ReproError, loop) -> asyncio.Future:
 class _Batcher:
     """Coalesces same-keyed requests into one columnar bulk call.
 
-    Requests accumulate for at most ``batch_window`` seconds (or until
-    ``batch_max_bytes`` of payload are pending, whichever is first),
-    then flush as a single conversion on the daemon's worker executor.
-    A new batch opens the moment the old one is taken, so a slow
-    conversion never blocks arrivals from forming the next batch.
+    Self-clocked, with no timer: the first request for an idle key
+    flushes after one loop turn, so a burst that arrives in the same
+    turn coalesces.  Requests that arrive while that conversion runs
+    become the next batch, which flushes as soon as it finishes; at
+    most one conversion per key is in flight.  A flush takes the
+    longest prefix of the pending requests within ``batch_max_bytes``
+    (at least one request).
     """
 
     def __init__(self, daemon: "ReproDaemon", op: int, fmt_name: str,
@@ -116,52 +121,49 @@ class _Batcher:
         self.fmt_name = fmt_name
         self.delimiter = delimiter
         self.pending: List[Tuple[bytes, asyncio.Future]] = []
-        self.pending_bytes = 0
-        self._wake = asyncio.Event()
         self._task: Optional[asyncio.Task] = None
 
     def add(self, payload: bytes, fut: asyncio.Future) -> None:
         self.pending.append((payload, fut))
-        self.pending_bytes += len(payload)
-        if self._task is None or self._task.done():
-            self._task = asyncio.ensure_future(self._flush())
-        if self.daemon._draining \
-                or self.pending_bytes >= self.daemon.batch_max_bytes:
-            # Draining: a request admitted before the drain flag was
-            # set must not wait out the batch window (its flush task
-            # may have been created after close()'s one-shot wake) —
-            # flush now so drain accounting is deterministic: admitted
-            # requests are always *served*, never dropped.
-            self._wake.set()
+        if self._task is None:
+            self._task = asyncio.ensure_future(self._run())
 
-    def wake(self) -> None:
-        """Flush without waiting out the window (drain path)."""
-        self._wake.set()
-
-    async def _flush(self) -> None:
-        window = self.daemon.batch_window
-        if window > 0:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(self._wake.wait(), window)
-        else:
+    async def _run(self) -> None:
+        try:
             await asyncio.sleep(0)  # one loop turn: same-burst coalescing
-        self._wake.clear()
-        batch, self.pending = self.pending, []
-        self.pending_bytes = 0
-        # A fresh batch opens here: arrivals during the conversion
-        # below schedule their own flush instead of hanging on this one.
-        self._task = None
-        if not batch:
-            return
+            while self.pending:
+                await self._flush(self._take())
+        finally:
+            self._task = None
+
+    def _take(self) -> List[Tuple[bytes, asyncio.Future]]:
+        cap = self.daemon.batch_max_bytes
+        size = k = 0
+        for payload, _ in self.pending:
+            size += len(payload)
+            if k and size > cap:
+                break
+            k += 1
+        batch, self.pending = self.pending[:k], self.pending[k:]
+        return batch
+
+    async def _flush(self, batch: List[Tuple[bytes, asyncio.Future]]
+                     ) -> None:
         daemon = self.daemon
         daemon._note_batch(len(batch))
         payloads = [p for p, _ in batch]
         try:
-            results = await asyncio.get_running_loop().run_in_executor(
-                daemon._workers, daemon._convert, self.op, self.fmt_name,
-                self.delimiter, payloads)
-        except BaseException as exc:  # executor died: fail the batch
-            results = [exc] * len(batch)
+            pool = daemon._pool_for(self.fmt_name, self.delimiter)
+            counts = [pool.rows(p, read=self.op == OP_READ)
+                      for p in payloads]
+            if pool.inline(sum(counts)):
+                results = daemon._convert(pool, self.op, payloads, counts)
+            else:
+                results = await asyncio.get_running_loop().run_in_executor(
+                    daemon._workers, daemon._convert, pool, self.op,
+                    payloads, counts)
+        except (Exception, asyncio.CancelledError) as exc:
+            results = [exc] * len(batch)  # executor died: fail the batch
         for (payload, fut), res in zip(batch, results):
             daemon._release(len(payload))
             if fut.cancelled():
@@ -188,11 +190,8 @@ class ReproDaemon:
             (exact-heavy traffic, and the ladder's top rung for chaos
             runs).  Smaller batches convert inline on the daemon's one
             engine, whatever the kind.
-        batch_window: Seconds a micro-batch waits for company before
-            flushing (0: coalesce only requests arriving in the same
-            loop turn).
-        batch_max_bytes: Pending payload bytes that flush a batch
-            early.
+        batch_max_bytes: Most payload bytes one combined call takes;
+            a longer backlog flushes as several calls in turn.
         max_inflight_bytes / max_inflight_requests: The admission
             budget; past either, requests are rejected with
             :class:`ServeOverloadError`.
@@ -243,7 +242,6 @@ class ReproDaemon:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  jobs: int = 1, kind: str = "thread",
-                 batch_window: float = 0.001,
                  batch_max_bytes: int = 1 << 20,
                  max_inflight_bytes: int = 16 << 20,
                  max_inflight_requests: int = 1024,
@@ -268,8 +266,8 @@ class ReproDaemon:
         for name, v in (("jobs", jobs), ("workers", workers)):
             if v < 1:
                 raise RangeError(f"{name} must be >= 1, got {v}")
-        if batch_window < 0 or drain_timeout < 0:
-            raise RangeError("batch_window/drain_timeout must be >= 0")
+        if drain_timeout < 0:
+            raise RangeError("drain_timeout must be >= 0")
         if breaker_threshold < 0 or rotate_every < 0 or observe_stride < 0:
             raise RangeError("breaker_threshold/rotate_every/"
                              "observe_stride must be >= 0")
@@ -280,7 +278,6 @@ class ReproDaemon:
         self.port = port
         self.jobs = jobs
         self.kind = kind
-        self.batch_window = batch_window
         self.batch_max_bytes = batch_max_bytes
         self.max_inflight_bytes = max_inflight_bytes
         self.max_inflight_requests = max_inflight_requests
@@ -362,10 +359,10 @@ class ReproDaemon:
             await self.close()
 
     async def close(self) -> None:
-        """Graceful drain: stop accepting, flush micro-batches, wait
-        for in-flight responses (bounded by ``drain_timeout``), then
-        tear down pools and executors.  Idempotent — any number of
-        calls, from the serve loop's finally or directly."""
+        """Graceful drain: stop accepting, wait for in-flight responses
+        (bounded by ``drain_timeout``), then tear down pools and
+        executors.  Idempotent — any number of calls, from the serve
+        loop's finally or directly."""
         if self._closed:
             return
         self._draining = True
@@ -374,23 +371,15 @@ class ReproDaemon:
             self._server.close()
             with contextlib.suppress(Exception):
                 await self._server.wait_closed()
-        for batcher in list(self._batchers.values()):
-            batcher.wake()
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.drain_timeout
         # Wait for every accepted response to be *written*, not merely
         # converted — a drained daemon owes the wire nothing — and for
-        # a snapshot rotation still writing its temp file.  Batchers
-        # are re-woken each turn: a flush task created between the
-        # one-shot wake above and the drain flag landing would
-        # otherwise sleep out its whole window (or forever at
-        # batch_window=0 with nothing to coalesce against).
+        # a snapshot rotation still writing its temp file.
         rotation = self._rotation  # no rotation starts once draining
         while (self._inflight_requests > 0 or self._unwritten > 0
                or rotation is not None and not rotation.done()) \
                 and loop.time() < deadline:
-            for batcher in list(self._batchers.values()):
-                batcher.wake()
             await asyncio.sleep(0.005)
         self._closed = True
         for writer in list(self._conns):
@@ -466,39 +455,53 @@ class ReproDaemon:
         """Write responses in request order; one pump per connection.
 
         Pipelined requests resolve concurrently (they may share a
-        micro-batch), but the wire contract is strict FIFO.  A client
-        that disconnects early stops receiving, never the accounting —
-        remaining futures are still awaited so in-flight counters
-        drain.
+        batch), but the wire contract is strict FIFO.  The pump waits
+        for the head future, takes every settled future queued behind
+        it, and writes the run with one ``write`` and one ``drain``.  A
+        client that disconnects early stops receiving, never the
+        accounting — remaining futures are still awaited so in-flight
+        counters drain.
         """
         alive = True
-        while True:
-            fut = await queue.get()
-            if fut is None:
+        last = False
+        nxt: Optional[asyncio.Future] = None
+        while not last:
+            head = nxt if nxt is not None else await queue.get()
+            if head is None:
                 return
+            if not head.done():
+                await asyncio.wait((head,))
+            run, nxt = [head], None
+            while not queue.empty():
+                fut = queue.get_nowait()
+                if fut is None:
+                    last = True
+                    break
+                if not fut.done():
+                    nxt = fut
+                    break
+                run.append(fut)
             try:
-                payload = await fut
-            except ReproError as exc:
-                data = protocol.encode_error(exc)
-                self._stats["error_responses"] += 1
-            except Exception as exc:  # pragma: no cover - defensive
-                data = protocol.encode_error(
-                    ReproError(f"internal error: {exc!r}"))
-                self._stats["error_responses"] += 1
-            else:
-                data = protocol.encode_response(payload)
-            try:
-                if not alive:
-                    continue
-                try:
+                if alive:
+                    data = b"".join([self._encode(f) for f in run])
                     writer.write(data)
                     await writer.drain()
-                    self._stats["responses"] += 1
+                    self._stats["responses"] += len(run)
                     self._stats["bytes_out"] += len(data)
-                except (ConnectionError, RuntimeError, OSError):
-                    alive = False
+            except (ConnectionError, RuntimeError, OSError):
+                alive = False
             finally:
-                self._unwritten -= 1
+                self._unwritten -= len(run)
+
+    def _encode(self, fut: asyncio.Future) -> bytes:
+        """The response frame of one settled request future."""
+        exc = fut.exception()
+        if exc is None:
+            return protocol.encode_response(fut.result())
+        self._stats["error_responses"] += 1
+        if not isinstance(exc, ReproError):  # pragma: no cover - defensive
+            exc = ReproError(f"internal error: {exc!r}")
+        return protocol.encode_error(exc)
 
     # ------------------------------------------------------------------
     # Admission control and batching
@@ -698,7 +701,7 @@ class ReproDaemon:
             self._stats["max_batch"] = size
 
     # ------------------------------------------------------------------
-    # Conversion (worker-executor side)
+    # Conversion (on the loop below INLINE_ROWS rows, else the executor)
     # ------------------------------------------------------------------
 
     def _pool_for(self, fmt_name: str, delimiter: bytes) -> BulkPool:
@@ -720,17 +723,17 @@ class ReproDaemon:
                     hedge_with_faults=self.hedge_under_faults)
             return pool
 
-    def _convert(self, op: int, fmt_name: str, delimiter: bytes,
-                 payloads: List[bytes]) -> List[object]:
-        """One combined bulk call for a whole micro-batch; per-request
-        results (bytes) or typed errors, in batch order.
+    def _convert(self, pool: BulkPool, op: int, payloads: List[bytes],
+                 counts: List[int]) -> List[object]:
+        """One combined bulk call for a whole batch; per-request
+        results (bytes) or typed errors, in batch order.  ``counts``
+        holds each payload's rows (:meth:`BulkPool.rows`).
 
-        Runs on the worker executor.  When the combined call raises a
-        :class:`ReproError` (one request's data poisons the batch —
-        e.g. a garbage literal), falls back to per-request conversion
-        so the error lands only on the request that earned it.
+        When the combined call raises a :class:`ReproError` (one
+        request's data poisons the batch — e.g. a garbage literal),
+        falls back to per-request conversion so the error lands only on
+        the request that earned it.
         """
-        pool = self._pool_for(fmt_name, delimiter)
         one = (self._format_one if op == OP_FORMAT else self._read_one)
         if len(payloads) == 1:
             try:
@@ -740,7 +743,7 @@ class ReproDaemon:
         combined = (self._format_combined if op == OP_FORMAT
                     else self._read_combined)
         try:
-            return combined(pool, payloads)
+            return combined(pool, payloads, counts)
         except ReproError:
             self._stats["batch_fallbacks"] += 1
             out: List[object] = []
@@ -759,35 +762,30 @@ class ReproDaemon:
     def _read_one(pool: BulkPool, payload: bytes) -> bytes:
         return pack_bits(pool.read_bulk(payload), pool.fmt)
 
-    def _format_combined(self, pool: BulkPool,
-                         payloads: List[bytes]) -> List[bytes]:
-        itemsize = _itemsize(pool.fmt)
+    @staticmethod
+    def _format_combined(pool: BulkPool, payloads: List[bytes],
+                         counts: List[int]) -> List[bytes]:
         delim = pool.delimiter
         # Every output row is terminated, so one C-level split yields
         # the rows plus one empty tail; each request joins its share.
         rows = pool.format_bulk(b"".join(payloads)).split(delim)
         out: List[bytes] = []
         idx = 0
-        for p in payloads:
-            c = len(p) // itemsize
+        for c in counts:
             out.append(delim.join(rows[idx:idx + c]) + delim if c else b"")
             idx += c
         return out
 
-    def _read_combined(self, pool: BulkPool,
-                       payloads: List[bytes]) -> List[bytes]:
+    @staticmethod
+    def _read_combined(pool: BulkPool, payloads: List[bytes],
+                       counts: List[int]) -> List[bytes]:
         delim = pool.delimiter
-        counts: List[int] = []
-        segments: List[bytes] = []
-        for p in payloads:
-            counts.append(_row_count(p, delim))
-            # Terminate an unterminated tail so request boundaries
-            # survive concatenation (an unterminated trailing token is
-            # one row either way).
-            if p and not p.endswith(delim):
-                p = p + delim
-            segments.append(p)
-        bits = pool.read_bulk(b"".join(segments))
+        # Terminate an unterminated tail so request boundaries survive
+        # concatenation (an unterminated trailing token is one row
+        # either way).
+        bits = pool.read_bulk(b"".join(
+            [p + delim if p and not p.endswith(delim) else p
+             for p in payloads]))
         out: List[bytes] = []
         idx = 0
         for c in counts:
@@ -894,9 +892,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--kind", default="thread",
                         choices=["thread", "process"],
                         help="worker pool kind (see docs/robustness.md)")
-    parser.add_argument("--batch-window", type=float, default=0.001,
-                        metavar="SECONDS",
-                        help="micro-batch coalescing window")
     parser.add_argument("--deadline", type=float, default=None,
                         metavar="SECONDS", help="per-shard deadline")
     parser.add_argument("--budget", type=float, default=None,
@@ -941,7 +936,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     daemon = ReproDaemon(
         host=args.host, port=args.port, jobs=args.jobs, kind=args.kind,
-        batch_window=args.batch_window, deadline=args.deadline,
+        deadline=args.deadline,
         budget=args.budget,
         max_inflight_bytes=int(args.max_inflight_mb * (1 << 20)),
         max_inflight_requests=args.max_inflight_requests,

@@ -1070,10 +1070,23 @@ class BulkPool:
         return [(self.fmt.name, raw, self.mode, self.tie, self.dedup,
                  self.delimiter, None, None) for raw in raws]
 
+    def rows(self, payload: bytes, read: bool = False) -> int:
+        """Rows in one byte payload: a packed column, or (``read``) a
+        delimited plane, where an unterminated tail is one more row."""
+        if read:
+            return _row_count(payload, self.delimiter)
+        return len(payload) // _itemsize(self.fmt)
+
+    @staticmethod
+    def inline(rows: int) -> bool:
+        """True when a call of ``rows`` rows converts inline on the
+        parent engine, in the calling thread, with no executor."""
+        return rows < INLINE_ROWS
+
     def format_bulk(self, data) -> bytes:
         """Serialize a column to delimiter-terminated ASCII bytes."""
         bits = ingest_bits(data, self.fmt)
-        if len(bits) < INLINE_ROWS:
+        if self.inline(len(bits)):
             return format_buffer(bits, self.fmt, delimiter=self.delimiter,
                                  mode=self.mode, tie=self.tie,
                                  engine=self._engine, dedup=self.dedup)
@@ -1096,14 +1109,14 @@ class BulkPool:
         texts = None
         if isinstance(data, (bytes, bytearray, memoryview, str)):
             plane = _plane_bytes(data)
-            rows = _row_count(plane, delim)
+            rows = self.rows(plane, read=True)
         else:
             texts = data if isinstance(data, list) else list(data)
             rows = len(texts)
             d = delim.decode("ascii")
         if not rows:
             return []
-        if rows < INLINE_ROWS:
+        if self.inline(rows):
             if texts is not None:
                 plane = (d.join(texts) + d).encode("ascii")
             bits = parse_buffer(plane, self.fmt, delimiter=delim,

@@ -1270,11 +1270,9 @@ def _wire_errors(report: VerificationReport, h: Harness, rig,
                       f"post-error response: {alive!r}")
 
 
-_THREAD_WIRE = Rig(lambda h: _daemon(h, jobs=h.jobs, kind="thread",
-                                     batch_window=0.001),
+_THREAD_WIRE = Rig(lambda h: _daemon(h, jobs=h.jobs, kind="thread"),
                    audit=_wire_errors)
-_PROCESS_WIRE = Rig(lambda h: _daemon(h, jobs=h.jobs, kind="process",
-                                      batch_window=0.001))
+_PROCESS_WIRE = Rig(lambda h: _daemon(h, jobs=h.jobs, kind="process"))
 
 _SERVE_ROWS = (
     Row("serve/format", _wire_format, rig=_THREAD_WIRE),
@@ -1302,8 +1300,7 @@ def _control_audit(report: VerificationReport, h: Harness, rig, plan,
 
 
 def _controlled(pool_kw: Dict) -> Callable[[Harness], ContextManager]:
-    return lambda h: _daemon(h, jobs=h.jobs, kind="process",
-                             batch_window=0.0, retries=3,
+    return lambda h: _daemon(h, jobs=h.jobs, kind="process", retries=3,
                              breaker_threshold=5, slo_target_ms=5000.0,
                              observe_stride=1, **pool_kw)
 
@@ -1332,9 +1329,8 @@ _HEDGE_POOL = Rig(
 @contextlib.contextmanager
 def _rotating(h: Harness):
     path = os.path.join(h.tmp, "rotated.snap")
-    with _daemon(h, jobs=1, kind="thread", batch_window=0.0,
-                 rotate_snapshot=path, rotate_every=64,
-                 observe_stride=1) as rig:
+    with _daemon(h, jobs=1, kind="thread", rotate_snapshot=path,
+                 rotate_every=64, observe_stride=1) as rig:
         rig.path = path
         yield rig
 

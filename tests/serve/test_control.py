@@ -369,9 +369,9 @@ class TestDaemonControl:
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "raise",
                              attempt=None, limit=None)])
-        with serving(jobs=1, kind="thread", batch_window=0.0,
-                     on_error="raise", retries=0, breaker_threshold=2,
-                     breaker_reset=1.0, clock=clock) as d:
+        with serving(jobs=1, kind="thread", on_error="raise", retries=0,
+                     breaker_threshold=2, breaker_reset=1.0,
+                     clock=clock) as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     for _ in range(2):
@@ -433,7 +433,7 @@ class TestDaemonControl:
         monkeypatch.setattr(snapshot_mod, "save_snapshot", slow_save)
         root = tmp_path / "snapdir"
         root.mkdir()
-        with serving(jobs=1, kind="thread", batch_window=0.0,
+        with serving(jobs=1, kind="thread",
                      rotate_snapshot=str(root / "rotated.snap"),
                      rotate_every=1, observe_stride=1) as d:
             with ServeClient(d.host, d.port) as c:

@@ -1,30 +1,44 @@
-"""Daemon lifecycle: admission control, micro-batching, graceful
-drain, and the CLI entry point.
+"""Daemon lifecycle: admission control, batching, graceful drain, and
+the CLI entry point.
 
 The backpressure contract: past the in-flight budget, new requests get
 a typed :class:`~repro.errors.ServeOverloadError` response immediately
-while admitted requests complete untouched.  The drain contract:
-:meth:`ReproDaemon.close` stops accepting, flushes pending
-micro-batches, writes every admitted response, and stays idempotent.
+while admitted requests complete untouched.  The batching contract: a
+burst that arrives in one loop turn is one batch, requests that arrive
+while a key's conversion runs form exactly one next batch, and
+``batch_max_bytes`` caps each combined call.  The drain contract:
+:meth:`ReproDaemon.close` stops accepting, writes every admitted
+response, and stays idempotent.
+
+Tests that need a conversion in flight hold one (:class:`Hold`) rather
+than time anything.
 """
 
 import asyncio
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
 from repro.engine import Engine
 from repro.engine.bulk import format_bulk, ingest_bits, pack_bits
-from repro.errors import RangeError, ServeOverloadError
+from repro.errors import RangeError, ReproError, ServeOverloadError
 from repro.floats.formats import BINARY64
+from repro.serve import protocol
 from repro.serve.client import AsyncServeClient, ServeClient
 from repro.serve.daemon import SERVE_STAT_KEYS, ReproDaemon, serving
+from repro.serve.pool import INLINE_ROWS
+from repro.serve.protocol import OP_FORMAT, OP_PING, OP_READ
 
 VALUES = [1.5, 2.5, 3.0, -0.0, 5e-324, 1e308]
 PACKED = pack_bits(ingest_bits(VALUES, BINARY64), BINARY64)
 PLANE = format_bulk(PACKED, BINARY64, engine=Engine())
+# At least INLINE_ROWS rows: a batch of this one request runs on the
+# worker executor, where a Hold can stop it.
+WIDE = PACKED * -(-INLINE_ROWS // len(VALUES))
+WIDE_PLANE = PLANE * -(-INLINE_ROWS // len(VALUES))
 
 
 def run_async(coro, timeout=60):
@@ -32,17 +46,72 @@ def run_async(coro, timeout=60):
     return asyncio.run(asyncio.wait_for(coro, timeout))
 
 
+def fmt(packed, delimiter=b"\n"):
+    return protocol.encode_request(OP_FORMAT, packed, "binary64", delimiter)
+
+
+def read(plane, delimiter=b"\n"):
+    return protocol.encode_request(OP_READ, plane, "binary64", delimiter)
+
+
+def decoded(status, payload):
+    """A response as its payload, or as the typed error it carries."""
+    if status == protocol.STATUS_OK:
+        return payload
+    try:
+        protocol.raise_error_payload(payload)
+    except ReproError as exc:
+        return exc
+
+
+def pipelined(d, frames):
+    """Send request frames in one write; the decoded responses."""
+    with ServeClient(d.host, d.port) as c:
+        return [decoded(*r) for r in c.pipeline(frames)]
+
+
+def until(d, pred):
+    """Poll ``pred(d)`` on the daemon's loop, between two of its
+    steps, until it holds."""
+    async def probe():
+        return pred(d)
+
+    while not asyncio.run_coroutine_threadsafe(
+            probe(), d._loop).result(timeout=30):
+        time.sleep(0.001)
+
+
+class Hold:
+    """Holds a daemon's executor-path conversions until released.
+
+    A batch of at least ``INLINE_ROWS`` rows runs on the worker
+    executor; there the patched ``_convert`` sets :attr:`entered` and
+    blocks until :attr:`gate` is set.  :attr:`sizes` records the
+    requests in every combined call, on the loop or off it.
+    """
+
+    def __init__(self, d):
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+        self.sizes = []
+        convert = d._convert
+
+        def held(pool, op, payloads, counts):
+            self.sizes.append(len(payloads))
+            if not pool.inline(sum(counts)):
+                self.entered.set()
+                assert self.gate.wait(30)
+            return convert(pool, op, payloads, counts)
+
+        d._convert = held
+
+
 class TestAdmission:
     def test_request_budget_sheds_with_typed_error(self):
-        with serving(max_inflight_requests=1, batch_window=0.05) as d:
-            async def burst():
-                c = await AsyncServeClient.connect(d.host, d.port)
-                tasks = [asyncio.ensure_future(c.format(PACKED))
-                         for _ in range(12)]
-                res = await asyncio.gather(*tasks, return_exceptions=True)
-                await c.close()
-                return res
-            res = run_async(burst())
+        # One write: the first request is admitted, and the rest arrive
+        # in the same loop turn, before its batch flushes.
+        with serving(max_inflight_requests=1) as d:
+            res = pipelined(d, [fmt(PACKED)] * 12)
         ok = [r for r in res if isinstance(r, bytes)]
         shed = [r for r in res if isinstance(r, ServeOverloadError)]
         assert len(ok) >= 1 and len(shed) >= 1
@@ -51,16 +120,8 @@ class TestAdmission:
         assert d.stats()["overloads"] == len(shed)
 
     def test_byte_budget_sheds_with_typed_error(self):
-        with serving(max_inflight_bytes=len(PACKED),
-                     batch_window=0.05) as d:
-            async def burst():
-                c = await AsyncServeClient.connect(d.host, d.port)
-                tasks = [asyncio.ensure_future(c.format(PACKED))
-                         for _ in range(6)]
-                res = await asyncio.gather(*tasks, return_exceptions=True)
-                await c.close()
-                return res
-            res = run_async(burst())
+        with serving(max_inflight_bytes=len(PACKED)) as d:
+            res = pipelined(d, [fmt(PACKED)] * 6)
         assert any(isinstance(r, ServeOverloadError) for r in res)
         assert all(r == PLANE for r in res if isinstance(r, bytes))
 
@@ -81,32 +142,106 @@ class TestAdmission:
 
 class TestBatching:
     def test_burst_coalesces_into_one_bulk_call(self):
-        with serving(batch_window=0.01) as d:
-            async def burst():
-                c = await AsyncServeClient.connect(d.host, d.port)
-                outs = await asyncio.gather(
-                    *[c.format(PACKED) for _ in range(24)])
-                await c.close()
-                return outs
-            outs = run_async(burst())
+        # A pipelined burst sent in one write arrives in one loop turn,
+        # and the batch flushes one turn after its first request.
+        with serving() as d:
+            outs = pipelined(d, [fmt(PACKED)] * 24)
             stats = d.stats()
         assert all(o == PLANE for o in outs)
         assert stats["max_batch"] > 1
         assert stats["batches"] < 24
+        assert stats["batches"] == 1 and stats["max_batch"] == 24
+
+    def test_arrivals_during_a_conversion_form_one_next_batch(self):
+        with serving() as d:
+            hold = Hold(d)
+            with ServeClient(d.host, d.port) as c:
+                c.send_raw(fmt(WIDE))
+                assert hold.entered.wait(30)
+                for _ in range(10):  # ten writes, not one burst
+                    c.send_raw(fmt(PACKED))
+                until(d, lambda d: d.inflight[0] == 11)
+                hold.gate.set()
+                outs = [decoded(*protocol.parse_response(c.recv_body()))
+                        for _ in range(11)]
+            stats = d.stats()
+        assert outs == [WIDE_PLANE] + [PLANE] * 10
+        assert hold.sizes == [1, 10]
+        assert stats["batches"] == 2 and stats["max_batch"] == 10
+
+    def test_batch_max_bytes_splits_a_backlog(self):
+        with serving(batch_max_bytes=3 * len(PACKED)) as d:
+            hold = Hold(d)
+            with ServeClient(d.host, d.port) as c:
+                c.send_raw(fmt(WIDE))  # one request past the cap: alone
+                assert hold.entered.wait(30)
+                c.send_raw(fmt(PACKED) * 8)
+                until(d, lambda d: d.inflight[0] == 9)
+                hold.gate.set()
+                outs = [decoded(*protocol.parse_response(c.recv_body()))
+                        for _ in range(9)]
+            stats = d.stats()
+        assert outs == [WIDE_PLANE] + [PLANE] * 8
+        assert hold.sizes == [1, 3, 3, 2]  # prefixes within the cap
+        assert stats["batches"] == 4 and stats["batched_requests"] == 9
+
+    def test_ready_run_is_one_fifo_write(self, monkeypatch):
+        # Behind a held head, every other response settles: other keys
+        # convert at once, errors are settled at admission, and the
+        # head's key-mates convert inline the moment it finishes.  The
+        # pump then writes them all with one write, in request order,
+        # each byte-identical to the same request sent alone.
+        frames = [fmt(WIDE), fmt(PACKED), read(PLANE), read(b"1.5\nzzz\n"),
+                  fmt(PACKED[:5]),  # misaligned: DecodeError
+                  protocol.encode_request(OP_PING),
+                  read(PLANE.replace(b"\n", b"\r\n"), b"\r\n"),
+                  protocol.encode_request(OP_FORMAT, PACKED, "bogus!"),
+                  fmt(PACKED[:8])]
+        writes = []
+        write = asyncio.StreamWriter.write
+
+        def counted(self, data):
+            writes.append(len(data))
+            return write(self, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", counted)
+        with serving() as d:
+            with ServeClient(d.host, d.port) as c:
+                alone = []
+                for f in frames:
+                    c.send_raw(f)
+                    alone.append(c.recv_body())
+            hold = Hold(d)
+            bytes_in = d.stats()["bytes_in"]
+            with ServeClient(d.host, d.port) as c:
+                c.send_raw(frames[0])
+                assert hold.entered.wait(30)
+                del writes[:]
+                c.send_raw(b"".join(frames[1:]))
+                # Everything read, and only the head and its two
+                # key-mates still in flight.
+                until(d, lambda d: d.stats()["bytes_in"] - bytes_in
+                      == sum(map(len, frames)) and d.inflight[0] == 3)
+                hold.gate.set()
+                run = [c.recv_body() for _ in frames]
+        assert run == alone
+        statuses = [protocol.parse_response(b)[0] for b in run]
+        assert statuses.count(protocol.STATUS_ERROR) == 3
+        assert writes == [sum(len(b) + 4 for b in run)]
 
     @staticmethod
     def alone_and_batched(d, op, payloads, delimiter=b"\n"):
         """Each payload's answer sent alone, then all of them in one
-        burst (one micro-batch where they coalesce)."""
+        write (one batch where they coalesce)."""
         async def send():
             c = await AsyncServeClient.connect(d.host, d.port)
             call = c.format if op == "format" else c.read
             alone = [await call(p, delimiter=delimiter) for p in payloads]
-            batched = await asyncio.gather(
-                *[call(p, delimiter=delimiter) for p in payloads])
             await c.close()
-            return alone, list(batched)
-        return run_async(send())
+            return alone
+        encode = fmt if op == "format" else read
+        return run_async(send()), pipelined(
+            d, [encode(p, delimiter) for p in payloads])
 
     def test_batched_responses_split_byte_identically(self):
         # Different-sized payloads in one batch must split back
@@ -115,7 +250,7 @@ class TestBatching:
         for delim in (b"\n", b"\r\n"):
             oracles = [format_bulk(c, BINARY64, engine=Engine(),
                                    delimiter=delim) for c in chunks]
-            with serving(batch_window=0.01) as d:
+            with serving() as d:
                 alone, outs = self.alone_and_batched(d, "format", chunks,
                                                      delim)
                 stats = d.stats()
@@ -134,7 +269,7 @@ class TestBatching:
             oracles = [pack_bits(read_bulk(p, BINARY64, engine=Engine(),
                                            delimiter=delim), BINARY64)
                        for p in sent]
-            with serving(batch_window=0.01) as d:
+            with serving() as d:
                 alone, outs = self.alone_and_batched(d, "read", sent, delim)
                 stats = d.stats()
             assert alone == oracles
@@ -144,22 +279,15 @@ class TestBatching:
     def test_poisoned_batch_falls_back_per_request(self):
         # One garbage literal must fail alone; batch-mates succeed.
         planes = [b"1.5\n", b"zzz\n", b"2.5\n"]
-        with serving(batch_window=0.01) as d:
-            async def burst():
-                c = await AsyncServeClient.connect(d.host, d.port)
-                res = await asyncio.gather(
-                    *[c.read(p) for p in planes],
-                    return_exceptions=True)
-                await c.close()
-                return res
-            res = run_async(burst())
+        with serving() as d:
+            res = pipelined(d, [read(p) for p in planes])
             stats = d.stats()
         from repro.errors import ParseError
 
         assert isinstance(res[1], ParseError)
         assert isinstance(res[0], bytes) and isinstance(res[2], bytes)
-        if stats["max_batch"] > 1:  # the burst actually coalesced
-            assert stats["batch_fallbacks"] >= 1
+        assert stats["max_batch"] == 3  # the burst coalesced
+        assert stats["batch_fallbacks"] >= 1
 
 
 class TestDrain:
@@ -173,7 +301,8 @@ class TestDrain:
             assert d.stats()["drains"] == 1
 
     def test_close_drains_inflight_responses(self):
-        d = ReproDaemon(batch_window=0.05)
+        d = ReproDaemon()
+        hold = Hold(d)
         loop = asyncio.new_event_loop()
         thread = threading.Thread(target=loop.run_forever, daemon=True)
         thread.start()
@@ -183,22 +312,30 @@ class TestDrain:
 
             async def burst_then_close():
                 c = await AsyncServeClient.connect(d.host, d.port)
+                wide = asyncio.ensure_future(c.format(WIDE))
+                while not hold.entered.is_set():
+                    await asyncio.sleep(0.002)
                 tasks = [asyncio.ensure_future(c.format(PACKED))
                          for _ in range(8)]
-                # All eight sit in the micro-batch window; close() must
-                # flush, convert, and *write* them before tearing down.
+                # All eight wait behind the held conversion; close()
+                # must convert and *write* them before tearing down.
                 for _ in range(2000):
-                    if d.inflight[0] >= 8:
+                    if d.inflight[0] >= 9:
                         break
                     await asyncio.sleep(0.002)
-                await d.close()
+                closing = asyncio.ensure_future(d.close())
+                await asyncio.sleep(0)  # close() flips _draining here
+                hold.gate.set()
+                await closing
                 res = await asyncio.gather(*tasks, return_exceptions=True)
+                res.append(await wide)
                 await c.close()
                 return res
 
             res = asyncio.run_coroutine_threadsafe(
                 burst_then_close(), loop).result(timeout=60)
             # Every admitted request completed; none hung.
+            assert res.pop() == WIDE_PLANE
             assert all(isinstance(r, bytes) and r == PLANE for r in res)
         finally:
             loop.call_soon_threadsafe(loop.stop)
@@ -207,14 +344,12 @@ class TestDrain:
 
     def test_drain_admission_race_is_deterministic(self):
         # The drain/admission race, pinned: requests admitted before
-        # the drain flag flips are *served* even though their
-        # micro-batch window (30s, far past any drain wait) has not
-        # expired — close() must wake the batchers, not wait them out;
-        # a request arriving after the flip sheds with the typed
-        # overload error; and the counters reconcile exactly.
-        import time
-
-        d = ReproDaemon(batch_window=30.0, drain_timeout=20.0)
+        # the drain flag flips are *served* even though they still wait
+        # behind a held conversion when it flips; a request arriving
+        # after the flip sheds with the typed overload error; and the
+        # counters reconcile exactly.
+        d = ReproDaemon(drain_timeout=20.0)
+        hold = Hold(d)
         loop = asyncio.new_event_loop()
         thread = threading.Thread(target=loop.run_forever, daemon=True)
         thread.start()
@@ -224,18 +359,28 @@ class TestDrain:
 
             async def race():
                 c = await AsyncServeClient.connect(d.host, d.port)
+                wide = asyncio.ensure_future(c.format(WIDE))
+                while not hold.entered.is_set():
+                    await asyncio.sleep(0.002)
                 tasks = [asyncio.ensure_future(c.format(PACKED))
                          for _ in range(4)]
                 for _ in range(2000):
-                    if d.inflight[0] >= 4:
+                    if d.inflight[0] >= 5:
                         break
                     await asyncio.sleep(0.002)
                 t0 = time.monotonic()
                 closing = asyncio.ensure_future(d.close())
                 await asyncio.sleep(0)  # close() flips _draining here
-                late = await asyncio.gather(c.format(PACKED),
-                                            return_exceptions=True)
-                res = await asyncio.gather(*tasks,
+                late = asyncio.ensure_future(c.format(PACKED))
+                for _ in range(2000):
+                    if d.stats()["overloads"]:
+                        break
+                    await asyncio.sleep(0.002)
+                # The late response queues behind the held ones (FIFO):
+                # release the conversion only once it has been shed.
+                hold.gate.set()
+                late = await asyncio.gather(late, return_exceptions=True)
+                res = await asyncio.gather(wide, *tasks,
                                            return_exceptions=True)
                 await closing
                 elapsed = time.monotonic() - t0
@@ -244,9 +389,10 @@ class TestDrain:
 
             res, late, elapsed = asyncio.run_coroutine_threadsafe(
                 race(), loop).result(timeout=60)
+            assert res.pop(0) == WIDE_PLANE
             assert all(r == PLANE for r in res)  # admitted => served
             assert isinstance(late, ServeOverloadError)  # late => shed
-            assert elapsed < 15.0  # woke the batchers, no 30s wait
+            assert elapsed < 15.0  # drained well inside drain_timeout
             stats = d.stats()
             assert stats["drains"] == 1
             assert stats["overloads"] >= 1
@@ -304,10 +450,6 @@ class TestConfig:
         with pytest.raises(RangeError, match="jobs"):
             ReproDaemon(jobs=0)
 
-    def test_negative_window_rejected(self):
-        with pytest.raises(RangeError, match="batch_window"):
-            ReproDaemon(batch_window=-1.0)
-
 
 class TestCli:
     def test_serve_main_announces_and_serves(self):
@@ -323,6 +465,7 @@ class TestCli:
         finally:
             proc.terminate()
             proc.wait(timeout=30)
+            proc.stdout.close()
 
     def test_cli_serve_flag_rejects_values(self):
         from repro.cli import run

@@ -48,7 +48,7 @@ class TestHealing:
     def test_crashed_shard_heals_byte_identically(self):
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "crash", shard=0)])
-        with serving(jobs=2, kind="process", batch_window=0.0) as d:
+        with serving(jobs=2, kind="process") as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     got = c.format(PACKED)
@@ -63,7 +63,7 @@ class TestHealing:
     def test_corrupt_shard_caught_and_retried(self):
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "corrupt", shard=0)])
-        with serving(jobs=2, kind="process", batch_window=0.0) as d:
+        with serving(jobs=2, kind="process") as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     assert c.format(PACKED) == PLANE
@@ -74,8 +74,7 @@ class TestHealing:
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.read_shard", "stall", shard=0,
                              stall=0.6)])
-        with serving(jobs=2, kind="process", batch_window=0.0,
-                     deadline=0.2) as d:
+        with serving(jobs=2, kind="process", deadline=0.2) as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     assert c.read(PLANE) == WANT_BITS
@@ -87,7 +86,7 @@ class TestHealing:
             faults.FaultSpec("engine.tier0", at=(0, 3, 7)),
             faults.FaultSpec("engine.schubfach", at=(1, 4)),
         ])
-        with serving(jobs=2, kind="thread", batch_window=0.0) as d:
+        with serving(jobs=2, kind="thread") as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     assert c.format(PACKED) == PLANE
@@ -103,7 +102,7 @@ class TestHealing:
             faults.FaultSpec("pool.read_shard", "corrupt", rate=0.2,
                              attempt=0, limit=3),
         ], seed=5)
-        with serving(jobs=2, kind="process", batch_window=0.0) as d:
+        with serving(jobs=2, kind="process") as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     for _ in range(12):
@@ -126,7 +125,7 @@ class TestDegradation:
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "crash", attempt=None,
                              level="process", limit=None)])
-        with serving(jobs=2, kind="process", batch_window=0.0) as d:
+        with serving(jobs=2, kind="process") as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     assert c.format(PACKED) == PLANE
@@ -139,7 +138,7 @@ class TestDegradation:
             faults.FaultSpec("pool.format_shard", "raise", attempt=None,
                              limit=None)])
         with serving(jobs=2, kind="thread", on_error="raise",
-                     retries=1, batch_window=0.0) as d:
+                     retries=1) as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     with pytest.raises(ReproError, match="ShardError"):
@@ -157,7 +156,7 @@ class TestDegradation:
             faults.FaultSpec("pool.read_shard", "raise", attempt=None,
                              limit=None)])
         with serving(jobs=2, kind="thread", on_error="raise",
-                     retries=1, batch_window=0.0) as d:
+                     retries=1) as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     try:
@@ -177,7 +176,7 @@ class TestAccounting:
             faults.FaultSpec("pool.format_shard", "corrupt", shard=0,
                              attempt=0, limit=1),
         ])
-        with serving(jobs=2, kind="process", batch_window=0.0) as d:
+        with serving(jobs=2, kind="process") as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     assert c.format(PACKED) == PLANE
@@ -190,7 +189,7 @@ class TestAccounting:
 
     def test_smoke_plan_over_the_wire(self):
         plan = faults.smoke_plan(seed=11)
-        with serving(jobs=2, kind="process", batch_window=0.0) as d:
+        with serving(jobs=2, kind="process") as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     assert c.format(PACKED) == PLANE

@@ -40,7 +40,7 @@ WANT_BITS = pack_bits(read_bulk(PLANE, BINARY64, engine=Engine()), BINARY64)
 
 @pytest.fixture(scope="module")
 def daemon():
-    with serving(jobs=1, kind="thread", batch_window=0.0) as d:
+    with serving(jobs=1, kind="thread") as d:
         yield d
 
 

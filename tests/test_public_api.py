@@ -60,12 +60,39 @@ class TestImportFootprint:
         assert got == ["repro.serve.pool", "repro.serve.client",
                        "repro.verify", "0.1", []]
 
+    def test_engine_import_loads_only_the_engine(self):
+        # The modules the import adds, listed before json is imported
+        # to print them (site hooks may load some at start-up).
+        loaded = fresh("import sys\n"
+                       "base = set(sys.modules)\n"
+                       "from repro.engine import Engine\n"
+                       "loaded = sorted(set(sys.modules) - base)\n"
+                       "import json\n"
+                       "print(json.dumps(loaded))")
+        unused = ["repro.engine.buffer", "repro.engine.bulk",
+                  "repro.engine.snapshot", "json", "tempfile",
+                  "repro.baselines.gay_estimator", "repro.baselines.probe",
+                  "repro.baselines.naive_printf",
+                  "repro.baselines.steele_white"]
+        assert [m for m in unused if m in loaded] == []
+        assert "repro.baselines.naive_fixed" in loaded  # the engine's
+
     def test_star_import_binds_all(self):
         got = fresh("import json, repro\n"
                     "ns = {}\n"
                     "exec('from repro import *', ns)\n"
                     "print(json.dumps(sorted(set(repro.__all__) - set(ns))))")
         assert got == []
+
+    @pytest.mark.parametrize("pkg", ["repro.engine", "repro.baselines"])
+    def test_lazy_subpackage_binds_all(self, pkg):
+        got = fresh(f"import json, importlib\n"
+                    f"pkg = importlib.import_module({pkg!r})\n"
+                    f"ns = {{}}\n"
+                    f"exec('from {pkg} import *', ns)\n"
+                    f"print(json.dumps([sorted(set(pkg.__all__) - set(ns)),\n"
+                    f"    sorted(set(pkg.__all__) - set(dir(pkg)))]))")
+        assert got == [[], []]
 
 
 class TestEndToEndFlows:

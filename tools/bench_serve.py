@@ -295,8 +295,7 @@ def run_leg(templates, *, rate, duration, connections, seed, jobs, kind,
     return the measured section (with daemon counters attached).
     Extra keyword arguments reach the daemon — the controlled leg uses
     them to arm the control plane."""
-    with serving(jobs=jobs, kind=kind, batch_window=0.001,
-                 retries=3, **daemon_kw) as daemon:
+    with serving(jobs=jobs, kind=kind, retries=3, **daemon_kw) as daemon:
         ctx = faults.armed(plan) if plan is not None else None
         try:
             if ctx is not None:
