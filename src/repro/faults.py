@@ -43,13 +43,13 @@ site                      dispatch of
 ``pool.read_shard``       one read shard attempt
 ========================  ============================================
 
-Pool faults support four kinds: ``crash`` (the worker process dies via
-``os._exit``; in-parent execution raises instead — the plan never
-kills the process that armed it), ``stall`` (the worker sleeps past
-the shard deadline), ``corrupt`` (the shard payload is mangled after
-its checksum is taken, simulating transit corruption) and ``raise``
-(the shard attempt raises :class:`InjectedFault`).  Call sites support
-``raise`` only.
+Pool sites fire only on sharded calls, which run in worker processes;
+an inline call never consults them.  Pool faults support four kinds:
+``crash`` (the worker process dies via ``os._exit``), ``stall`` (the
+worker sleeps past the shard deadline), ``corrupt`` (the shard payload
+is mangled after its checksum is taken, simulating transit corruption)
+and ``raise`` (the shard attempt raises :class:`InjectedFault`).  Call
+sites support ``raise`` only.
 
 Arming
 ------
@@ -121,8 +121,6 @@ class FaultSpec:
         shard: Pool sites — match only this shard index (None: any).
         attempt: Pool sites — match only this 0-based attempt
             (None: every attempt; default 0, so one retry heals).
-        level: Pool sites — match only this ladder level
-            (``"process"`` / ``"thread"`` / ``"serial"``; None: any).
         at: Call sites — fire on these 0-based call indices.
         rate: Per-call (or per-dispatch) firing probability, decided by
             a seeded RNG keyed on the plan seed, site and call index —
@@ -137,7 +135,6 @@ class FaultSpec:
     kind: str = "raise"
     shard: Optional[int] = None
     attempt: Optional[int] = 0
-    level: Optional[str] = None
     at: Optional[Tuple[int, ...]] = None
     rate: float = 0.0
     stall: float = 0.25
@@ -214,13 +211,13 @@ class FaultPlan:
                     raise InjectedFault(
                         f"injected raise at {site} (call {idx})")
 
-    def pool_action(self, site: str, shard: int, attempt: int,
-                    level: str) -> Optional[FaultSpec]:
+    def pool_action(self, site: str, shard: int,
+                    attempt: int) -> Optional[FaultSpec]:
         """Decide whether this shard dispatch misbehaves.
 
         Called by the pool parent before submitting shard ``shard`` on
-        attempt ``attempt`` at ladder level ``level``; the returned
-        spec (or None) is deterministic for a given plan state.
+        attempt ``attempt``; the returned spec (or None) is
+        deterministic for a given plan state.
         """
         with self._lock:
             for j, spec in self._by_site.get(site, ()):
@@ -229,8 +226,6 @@ class FaultPlan:
                 if spec.shard is not None and spec.shard != shard:
                     continue
                 if spec.attempt is not None and spec.attempt != attempt:
-                    continue
-                if spec.level is not None and spec.level != level:
                     continue
                 if spec.rate and not self._roll(
                         f"{site}:{shard}:{attempt}", spec.rate):

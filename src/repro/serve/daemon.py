@@ -30,7 +30,7 @@ Design:
   :class:`BulkPool` (one per ``(format, delimiter)``, built lazily), so
   PR 5's machinery applies on the wire: CRC'd shards, deadlines and
   budgets, bounded retries, broken-pool rebuilds and the
-  process → thread → serial degradation ladder.  An unrecoverable
+  process → inline degradation ladder.  An unrecoverable
   failure surfaces as its typed :class:`~repro.errors.ReproError`
   response; an untyped escape is a protocol violation the chaos battery
   hunts for.
@@ -183,13 +183,11 @@ class ReproDaemon:
     Args:
         host / port: Listen address (``port=0`` picks a free port,
             published as :attr:`port` after :meth:`start`).
-        jobs / kind: The per-key :class:`BulkPool` geometry for
-            batches of at least :data:`repro.serve.pool.INLINE_ROWS`
-            rows — ``kind="thread"`` shares the daemon's engine
-            (memo-hot traffic), ``"process"`` forks per-worker engines
-            (exact-heavy traffic, and the ladder's top rung for chaos
-            runs).  Smaller batches convert inline on the daemon's one
-            engine, whatever the kind.
+        jobs: Worker processes per (format, delimiter)
+            :class:`BulkPool`, for batches of at least
+            :data:`repro.serve.pool.INLINE_ROWS` rows.  Smaller
+            batches, and every batch when ``jobs=1``, convert inline
+            on the daemon's one engine.
         batch_max_bytes: Most payload bytes one combined call takes;
             a longer backlog flushes as several calls in turn.
         max_inflight_bytes / max_inflight_requests: The admission
@@ -208,12 +206,12 @@ class ReproDaemon:
             responses before tearing down anyway.
         snapshot: Optional warm-start source (path or
             :class:`repro.engine.snapshot.Snapshot`).  It warms the
-            daemon's engine once at construction; ``kind="process"``
-            also ships it to every lazily built :class:`BulkPool` so
-            workers fork warm (shared-memory hot plane included).  A
-            rejected snapshot counts ``snapshot_faults`` in
-            :meth:`pool_stats` and serving starts cold — response bytes
-            are identical either way.
+            daemon's engine once at construction; with ``jobs > 1``
+            every lazily built :class:`BulkPool` also ships it to its
+            workers, so they fork warm (shared-memory hot plane
+            included).  A rejected snapshot counts ``snapshot_faults``
+            in :meth:`pool_stats` and serving starts cold — response
+            bytes are identical either way.
         breaker_threshold: Consecutive infrastructure failures
             (``ShardError``/``PoolBrokenError``/deadline) that trip a
             per-pool circuit breaker (0: breakers disabled).  While
@@ -241,7 +239,7 @@ class ReproDaemon:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 jobs: int = 1, kind: str = "thread",
+                 jobs: int = 1,
                  batch_max_bytes: int = 1 << 20,
                  max_inflight_bytes: int = 16 << 20,
                  max_inflight_requests: int = 1024,
@@ -260,9 +258,6 @@ class ReproDaemon:
                  observe_stride: int = 16,
                  hedge: bool = False, hedge_min: float = 0.05,
                  hedge_under_faults: bool = False, clock=None):
-        if kind not in ("process", "thread"):
-            raise RangeError(f"kind must be 'process' or 'thread', "
-                             f"got {kind!r}")
         for name, v in (("jobs", jobs), ("workers", workers)):
             if v < 1:
                 raise RangeError(f"{name} must be >= 1, got {v}")
@@ -277,7 +272,6 @@ class ReproDaemon:
         self.host = host
         self.port = port
         self.jobs = jobs
-        self.kind = kind
         self.batch_max_bytes = batch_max_bytes
         self.max_inflight_bytes = max_inflight_bytes
         self.max_inflight_requests = max_inflight_requests
@@ -327,10 +321,10 @@ class ReproDaemon:
         self.hedge_under_faults = bool(hedge_under_faults)
         from repro.engine.engine import Engine
 
-        # Warm once at construction: every pool converts inline (and on
-        # its in-parent rungs) on this one engine, so the snapshot is
-        # applied exactly once here rather than per (format, delimiter)
-        # pool.  Process workers still get the snapshot from their pool.
+        # Warm once at construction: every pool converts inline on this
+        # one engine, so the snapshot is applied exactly once here
+        # rather than per (format, delimiter) pool.  Process workers
+        # still get the snapshot from their pool.
         self._engine = Engine(snapshot=snapshot)
         self._stats: Dict[str, int] = dict.fromkeys(SERVE_STAT_KEYS, 0)
 
@@ -349,7 +343,8 @@ class ReproDaemon:
         return self
 
     async def serve_forever(self) -> None:
-        """Run until cancelled; drains gracefully on the way out."""
+        """Run until cancelled or the server is closed; drains
+        gracefully on the way out."""
         await self.start()
         try:
             await self._server.serve_forever()
@@ -710,15 +705,12 @@ class ReproDaemon:
             pool = self._pools.get(key)
             if pool is None:
                 pool = self._pools[key] = BulkPool(
-                    jobs=self.jobs, kind=self.kind,
-                    fmt=STANDARD_FORMATS[fmt_name], mode=self.mode,
-                    tie=self.tie, dedup=self.dedup, delimiter=delimiter,
-                    engine=self._engine, deadline=self.deadline,
-                    budget=self.budget, retries=self.retries,
-                    on_error=self.on_error,
-                    snapshot=(self.snapshot if self.kind == "process"
-                              else None),
-                    hedge=self.hedge,
+                    jobs=self.jobs, fmt=STANDARD_FORMATS[fmt_name],
+                    mode=self.mode, tie=self.tie, dedup=self.dedup,
+                    delimiter=delimiter, engine=self._engine,
+                    deadline=self.deadline, budget=self.budget,
+                    retries=self.retries, on_error=self.on_error,
+                    snapshot=self.snapshot, hedge=self.hedge,
                     hedge_min=self.hedge_min,
                     hedge_with_faults=self.hedge_under_faults)
             return pool
@@ -878,6 +870,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """``python -m repro.serve`` / ``repro-print --serve``: run the
     daemon until interrupted, draining gracefully on the way out."""
     import argparse
+    import signal
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
@@ -889,9 +882,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "on startup)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="BulkPool workers per (format, delimiter)")
-    parser.add_argument("--kind", default="thread",
-                        choices=["thread", "process"],
-                        help="worker pool kind (see docs/robustness.md)")
+    parser.add_argument("--kind", default="process", choices=["process"],
+                        help="accepted for older command lines; --jobs "
+                             "alone picks the route (see "
+                             "docs/robustness.md)")
     parser.add_argument("--deadline", type=float, default=None,
                         metavar="SECONDS", help="per-shard deadline")
     parser.add_argument("--budget", type=float, default=None,
@@ -935,7 +929,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     daemon = ReproDaemon(
-        host=args.host, port=args.port, jobs=args.jobs, kind=args.kind,
+        host=args.host, port=args.port, jobs=args.jobs,
         deadline=args.deadline,
         budget=args.budget,
         max_inflight_bytes=int(args.max_inflight_mb * (1 << 20)),
@@ -950,14 +944,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     async def _run() -> None:
         await daemon.start()
+        # SIGINT and SIGTERM both drain, whatever disposition the
+        # process inherited (a background job starts with SIGINT
+        # ignored): closing the server ends serve_forever, which then
+        # runs close().
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(sig, daemon._server.close)
         print(f"repro-serve listening on {daemon.host}:{daemon.port}",
               flush=True)
-        try:
-            await daemon._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await daemon.close()
+        await daemon.serve_forever()
 
     try:
         asyncio.run(_run())

@@ -1,34 +1,28 @@
 """Sharded multi-worker bulk pipelines over the tiered engines.
 
-A :class:`BulkPool` routes every call by its row count.  A call with
-fewer than :data:`INLINE_ROWS` rows converts *inline*: one
+A :class:`BulkPool` has two routes.  A call converts *inline* — one
 :func:`~repro.engine.buffer.format_buffer` or
 :func:`~repro.engine.buffer.parse_buffer` in the calling thread, on the
-pool's one parent engine.  A free-format conversion costs microseconds,
-so such a call finishes before it could be cut into shards, shipped to
-a worker and merged back.  Only calls at or above the threshold cut the
-column into shards, run them in parallel and merge the results in
-input order, on the executor of the current rung:
+pool's one parent engine — when it has fewer than :data:`INLINE_ROWS`
+rows, when the pool has one job, and after the pool degraded.  A
+free-format conversion costs microseconds, so a small call finishes
+before it could be cut into shards, shipped to a worker and merged
+back.  Every other call cuts the column into shards, runs them on
+worker processes and merges the results in input order.
 
-* ``kind="thread"`` shares the parent engine across a
-  :class:`~concurrent.futures.ThreadPoolExecutor` — right for memo-hot
-  / fast-tier-dominated traffic, where conversions spend little time
-  holding the engine lock and the batch APIs only take it twice per
-  shard;
-* ``kind="process"`` (the default) gives every worker its own engine
-  in a forked interpreter — right for exact-fallback-heavy traffic,
-  which is CPU-bound big-integer work the GIL would serialize.  Shards
-  reach the workers through :class:`~repro.serve.workers.PipeExecutor`:
-  one duplex pipe per worker, each worker holding one shard at a time.
-  The submitting thread writes a shard to an idle worker; further
-  shards wait in that worker's backlog, and the single reader thread
-  writes the next one as it takes each reply.  A shard costs one pipe
-  round trip, and no write waits on a busy or stalled worker.  The
-  parent warms the per-format
-  :class:`~repro.engine.tables.FormatTables` *before* the workers
-  start, so forked workers inherit the precomputed powers instead of
-  rebuilding them, and each worker re-warms on init for spawn-style
-  start methods.
+Each worker gives its shards its own engine in a forked interpreter.
+The conversion is CPU-bound work the GIL would serialize, so threads in
+the parent would convert no faster than the calling thread does
+inline.  Shards reach the workers through
+:class:`~repro.serve.workers.PipeExecutor`: one duplex pipe per worker,
+each worker holding one shard at a time.  The submitting thread writes
+a shard to an idle worker; further shards wait in that worker's
+backlog, and the single reader thread writes the next one as it takes
+each reply.  A shard costs one pipe round trip, and no write waits on a
+busy or stalled worker.  The parent warms the per-format
+:class:`~repro.engine.tables.FormatTables` *before* the workers start,
+so forked workers inherit the precomputed powers instead of rebuilding
+them, and each worker re-warms on init for spawn-style start methods.
 
 Shard payloads cross the process boundary as flat bytes — packed
 native-order bit patterns on the format side (one ``array.tobytes``
@@ -70,8 +64,8 @@ outcome.  The machinery, all of it exercised deterministically by
   retries; an exhausted budget raises
   :class:`~repro.errors.DeadlineExceededError` — a stall can heal, but
   never by silently blowing the caller's latency envelope.
-* **Bounded retries** — each shard gets ``retries`` extra attempts per
-  ladder level, spaced by exponential backoff with deterministic
+* **Bounded retries** — each shard gets ``retries`` extra attempts,
+  spaced by exponential backoff with deterministic
   jitter (seeded per round, so chaos runs replay exactly).
 * **Broken-pool recovery** — a dead worker (its process sentinel fires
   or its pipe reaches EOF) breaks the whole process pool: every
@@ -80,14 +74,14 @@ outcome.  The machinery, all of it exercised deterministically by
   and retries the unfinished shards, up to ``max_rebuilds`` per call.
   A call that finds the pool already broken or abandoned by a
   concurrent call takes the same path.
-* **Degradation ladder** — when a level keeps failing, the pool steps
-  down ``process → thread → serial`` (``degradations``) and retries
-  there with a fresh attempt budget; the serial rung runs in-process
-  and cannot crash-loop.  Both lower rungs convert on the parent
-  engine, so a degraded pool keeps its memo.  A call that fails on a
-  rung a concurrent call already left retries on the current rung
-  instead of stepping down again.  ``on_error="raise"`` disables the
-  ladder and surfaces the first exhausted shard instead:
+* **Degradation ladder** — when the process pool keeps failing, the
+  pool steps down ``process → inline`` (``degradations``, counted once
+  however many concurrent calls ask) and the call converts its whole
+  column inline, discarding any shard results it already had.  The
+  inline route runs in-process and cannot crash-loop, and from then on
+  every call takes it: the level is sticky, and a degraded pool keeps
+  the parent engine's memo.  ``on_error="raise"`` disables the ladder
+  and surfaces the first exhausted shard instead:
   :class:`~repro.errors.DeadlineExceededError` for deadline causes,
   :class:`~repro.errors.ShardError` (shard index, attempt count, cause
   chain) for everything else.
@@ -156,23 +150,15 @@ FAULT_STAT_KEYS = ("shard_retries", "shard_failures", "deadline_hits",
                    "snapshot_faults", "hedges", "hedge_wins")
 
 #: Calls with fewer rows convert inline on the parent engine; calls
-#: with at least this many shard to the current rung's executor.  On a
+#: with at least this many shard to the worker processes.  On a
 #: memo-cold column the inline route was no slower than a two-worker
 #: process pool up to 384 rows, and slower on reads at 512
 #: (``docs/benchmarks.md``); memo hits only make inline cheaper.
 INLINE_ROWS = 512
 
-#: The degradation ladder, most to least parallel.
-_LADDER = ("process", "thread", "serial")
-
 #: The worker-private engine for process pools (one per interpreter,
 #: built by the initializer, reused across shards).
 _WORKER_ENGINE = None
-
-#: True only in a process-pool child (set by the initializer after the
-#: fork/spawn).  Decides whether an injected ``crash`` may ``os._exit``
-#: — the parent, and thread/serial execution, must never be killed.
-_IS_POOL_WORKER = False
 
 #: Warm-start directions shipped by the parent through the initializer:
 #: ``{"snapshot": path-or-Snapshot, "plane_shm": name-or-None,
@@ -295,10 +281,9 @@ def _consume_warm_faults() -> int:
 def _init_worker(fmt_names, warm=None) -> None:
     """Process-pool initializer: build the engine, warm the tables
     (from the parent's snapshot when given)."""
-    global _IS_POOL_WORKER, _WORKER_WARM
+    global _WORKER_WARM
     from repro.engine.tables import tables_for
 
-    _IS_POOL_WORKER = True
     _WORKER_WARM = warm
     if _faults._PLAN is not None:
         # Firings inherited at fork are the parent's to count: start
@@ -310,36 +295,25 @@ def _init_worker(fmt_names, warm=None) -> None:
     del eng
 
 
-def _shard_engine(eng):
-    """The engine one shard attempt converts with, plus whether its
-    stats should be reported as a delta.
-
-    In-parent execution (the thread and serial rungs, of either pool
-    kind) finds the pool's parent engine in the payload: live stats,
-    no delta.  Process workers get ``None`` and use their
-    per-interpreter engine, reset per shard so its counters are the
-    shard's delta.
-    """
-    if eng is not None:
-        return eng, False
+def _shard_engine():
+    """The worker's engine, its counters reset so that after the shard
+    they read as the shard's delta."""
     eng = _worker_engine()
     eng.reset_stats()
-    return eng, True
+    return eng
 
 
-def _shard_delta(eng, delta: bool) -> dict:
+def _shard_delta(eng) -> dict:
     """The stats delta a shard reports to the parent: the per-shard
     engine counters plus any not-yet-reported worker warm-up faults
-    (reported exactly once per worker) and, in a process worker under
-    an armed plan, its call-site firings for the parent's accounting."""
-    if not delta:
-        return {}
+    (reported exactly once per worker) and, under an armed plan, the
+    worker's call-site firings for the parent's accounting."""
     out = eng.stats()
     warm = _consume_warm_faults()
     if warm:
         out["snapshot_faults"] = out.get("snapshot_faults", 0) + warm
     plan = _faults._PLAN
-    if plan is not None and _IS_POOL_WORKER:
+    if plan is not None:
         fired = plan.take_call_firings()
         if fired:
             out["fault_fired"] = (plan.token, fired)
@@ -354,9 +328,7 @@ def _apply_pre_fault(fault) -> None:
     if kind == "stall":
         time.sleep(stall)
     elif kind == "crash":
-        if _IS_POOL_WORKER:
-            os._exit(23)
-        raise _faults.InjectedFault("injected worker crash (in-parent)")
+        os._exit(23)
     elif kind == "raise":
         raise _faults.InjectedFault("injected shard failure")
 
@@ -377,14 +349,14 @@ def _format_shard(payload) -> tuple:
     pre-terminated byte rows joined once — no per-row string list
     between the engine and the wire.
     """
-    fmt_name, raw, mode, tie, dedup, delim, eng, fault = payload
+    fmt_name, raw, mode, tie, dedup, delim, fault = payload
     _apply_pre_fault(fault)
     fmt = STANDARD_FORMATS[fmt_name]
-    eng, delta = _shard_engine(eng)
+    eng = _shard_engine()
     body = format_buffer(raw, fmt, delimiter=delim, mode=mode, tie=tie,
                          engine=eng, dedup=dedup)
     crc = zlib.crc32(body)
-    return _apply_post_fault(fault, body), _shard_delta(eng, delta), crc
+    return _apply_post_fault(fault, body), _shard_delta(eng), crc
 
 
 def _read_shard(payload) -> tuple:
@@ -396,15 +368,15 @@ def _read_shard(payload) -> tuple:
     — no per-row ``str`` or ``Flonum`` is ever materialized in the
     worker.
     """
-    fmt_name, raw, mode, dedup, delim, eng, fault = payload
+    fmt_name, raw, mode, dedup, delim, fault = payload
     _apply_pre_fault(fault)
     fmt = STANDARD_FORMATS[fmt_name]
-    eng, delta = _shard_engine(eng)
+    eng = _shard_engine()
     bits = parse_buffer(raw, fmt, delimiter=delim, mode=mode,
                         engine=eng, dedup=dedup)
     body = pack_bits(bits, fmt)
     crc = zlib.crc32(body)
-    return _apply_post_fault(fault, body), _shard_delta(eng, delta), crc
+    return _apply_post_fault(fault, body), _shard_delta(eng), crc
 
 
 def _chunk_slices(n: int, shards: int) -> List[tuple]:
@@ -423,14 +395,14 @@ def _chunk_slices(n: int, shards: int) -> List[tuple]:
 class BulkPool:
     """An order-preserving, fault-tolerant sharded format/read pipeline.
 
-    Calls with fewer than :data:`INLINE_ROWS` rows convert inline on
-    the parent engine; ``deadline`` and ``budget`` cannot interrupt
-    them, just as they cannot interrupt a shard on the serial rung.
+    Calls with fewer than :data:`INLINE_ROWS` rows, every call of a
+    ``jobs=1`` pool and every call after a degradation convert inline
+    on the parent engine; ``deadline`` and ``budget`` cannot interrupt
+    them.
 
     Args:
-        jobs: Worker count (default: ``os.cpu_count()``).
-        kind: ``"process"`` (per-worker engines, fork-first) or
-            ``"thread"`` (the parent engine, shared).
+        jobs: Worker processes (default: ``os.cpu_count()``); 1 runs
+            every call inline and starts no worker.
         fmt: The column's float format — must be a standard
             byte-encoded format (it travels by name).
         mode / tie: Reader assumption and tie strategy for formatting.
@@ -439,8 +411,8 @@ class BulkPool:
         shards_per_job: Shards dispatched per worker (smaller shards
             smooth stragglers; each shard pays one transport).
         engine: The parent engine (default: a new
-            :class:`~repro.engine.engine.Engine`).  Inline calls, the
-            thread rung and the serial rung convert on it.
+            :class:`~repro.engine.engine.Engine`).  Inline calls
+            convert on it.
         deadline: Seconds one shard attempt may take, measured from its
             dispatch round (None: unbounded).  A miss abandons the
             attempt and retries.
@@ -448,11 +420,11 @@ class BulkPool:
             call may take across all retries and degradations; past it
             the call raises :class:`DeadlineExceededError` (None:
             unbounded).
-        retries: Extra attempts per shard per ladder level.
+        retries: Extra attempts per shard.
         backoff: Base of the exponential retry backoff (seconds); the
             actual sleep is jittered deterministically per round.
-        on_error: ``"degrade"`` (default) walks the ladder
-            process → thread → serial when a level keeps failing;
+        on_error: ``"degrade"`` (default) steps down from the process
+            pool to inline conversion when the workers keep failing;
             ``"raise"`` surfaces the first exhausted shard as a typed
             error instead.
         max_rebuilds: Broken-pool rebuilds tolerated per call before
@@ -470,7 +442,7 @@ class BulkPool:
             ``engine`` warms it itself.
     """
 
-    def __init__(self, jobs: Optional[int] = None, kind: str = "process",
+    def __init__(self, jobs: Optional[int] = None,
                  fmt: FloatFormat = BINARY64,
                  mode: ReaderMode = ReaderMode.NEAREST_EVEN,
                  tie: TieBreak = TieBreak.UP, dedup: bool = True,
@@ -483,9 +455,6 @@ class BulkPool:
                  snapshot=None, hedge: bool = False,
                  hedge_min: float = 0.05, hedge_multiplier: float = 2.0,
                  hedge_with_faults: bool = False):
-        if kind not in ("process", "thread"):
-            raise RangeError(f"kind must be 'process' or 'thread', "
-                             f"got {kind!r}")
         if on_error not in ("raise", "degrade"):
             raise RangeError(f"on_error must be 'raise' or 'degrade', "
                              f"got {on_error!r}")
@@ -501,7 +470,6 @@ class BulkPool:
         for name, limit in (("deadline", deadline), ("budget", budget)):
             if limit is not None and limit <= 0:
                 raise RangeError(f"{name} must be positive, got {limit}")
-        self.kind = kind
         self.fmt = fmt
         self.mode = mode
         self.tie = tie
@@ -540,17 +508,16 @@ class BulkPool:
         self._stats: dict = {}
         self._fstats = dict.fromkeys(FAULT_STAT_KEYS, 0)
         self._executor = None
-        #: Current ladder rung; sticky — once degraded, later calls
-        #: stay at the working level rather than re-probing a broken
-        #: one.
-        self._level = kind
+        #: Current ladder rung, ``"process"`` or ``"inline"``; sticky —
+        #: once degraded, later calls stay inline rather than
+        #: re-probing a broken pool.
+        self._level = "process" if self.jobs > 1 else "inline"
         #: Guards the executor handle, both counter dicts and the
         #: ladder level — calls may run concurrently from many threads.
         self._lock = threading.Lock()
-        #: The parent engine: inline calls and every in-parent rung
-        #: convert on it.
+        #: The parent engine: inline calls convert on it.
         self._engine = engine if engine is not None else Engine()
-        if kind == "process":
+        if self.jobs > 1:
             # Warm the per-format tables before any fork so workers
             # inherit the precomputed powers copy-on-write.
             from repro.engine.tables import tables_for
@@ -575,6 +542,8 @@ class BulkPool:
         ``snapshot_faults`` and the whole pool runs cold — never an
         exception, never wrong bytes.
         """
+        if self.jobs == 1 and not warm_engine:
+            return  # no engine to warm, no workers to ship it to
         from repro.errors import SnapshotError
         from repro.engine import snapshot as _snapshot_mod
 
@@ -598,7 +567,7 @@ class BulkPool:
             except SnapshotError:
                 with self._lock:
                     self._fstats["snapshot_faults"] += 1
-        if self.kind == "thread":
+        if self.jobs == 1:
             return  # no workers to ship it to
         warm = {"snapshot": snapshot, "plane_shm": None,
                 "plane_bytes": plane_bytes}
@@ -621,40 +590,32 @@ class BulkPool:
     # Executor management
     # ------------------------------------------------------------------
 
-    def _pool(self):
-        """The live executor for the current ladder level (built
-        lazily), or None for serial execution."""
+    def _pool(self) -> Optional[PipeExecutor]:
+        """The live worker pool (built lazily), or None once the pool
+        converts inline."""
         with self._lock:
-            if self.jobs == 1 or self._level == "serial":
+            if self._level == "inline":
                 return None
             if self._executor is None:
-                if self._level == "thread":
-                    self._executor = concurrent.futures.ThreadPoolExecutor(
-                        max_workers=self.jobs)
-                else:
-                    try:
-                        ctx = multiprocessing.get_context("fork")
-                    except ValueError:  # pragma: no cover - non-POSIX
-                        ctx = multiprocessing.get_context()
-                    self._executor = PipeExecutor(
-                        self.jobs, ctx, _init_worker,
-                        ((self.fmt.name,), self._warm))
+                try:
+                    ctx = multiprocessing.get_context("fork")
+                except ValueError:  # pragma: no cover - non-POSIX
+                    ctx = multiprocessing.get_context()
+                self._executor = PipeExecutor(
+                    self.jobs, ctx, _init_worker,
+                    ((self.fmt.name,), self._warm))
             return self._executor
 
-    def _abandon_executor(self, ex) -> None:
-        """Drop ``ex`` without waiting: terminate its worker processes
-        (stalled or crashed ones included), or shut a thread executor
-        down with futures cancelled.  The pool's handle is cleared only
-        if it still points at ``ex`` — a concurrent call may already
-        have built the replacement.  The next :meth:`_pool` call
-        rebuilds."""
+    def _abandon_executor(self, ex: PipeExecutor) -> None:
+        """Drop ``ex`` without waiting: terminate its worker processes,
+        stalled or crashed ones included.  The pool's handle is cleared
+        only if it still points at ``ex`` — a concurrent call may
+        already have built the replacement.  The next :meth:`_pool`
+        call rebuilds."""
         with self._lock:
             if self._executor is ex:
                 self._executor = None
-        if isinstance(ex, concurrent.futures.ThreadPoolExecutor):
-            ex.shutdown(wait=False, cancel_futures=True)
-        else:
-            ex.terminate()
+        ex.terminate()
 
     def close(self) -> None:
         """Shut the worker pool down.  Idempotent: safe to call any
@@ -723,41 +684,33 @@ class BulkPool:
                     shard=None, elapsed=elapsed, limit=self.budget)
 
     def _tagged(self, payload: tuple, shard: int, attempt: int,
-                site: str, eng) -> tuple:
-        """Payload with its engine slot (the parent engine in-parent,
-        None for a worker) and its injected-fault tag (usually None)
-        filled in; the fault decision is made here, in the parent, so
-        firing is deterministic and accounted for where recovery
-        happens."""
+                site: str) -> tuple:
+        """Payload with its injected-fault tag (usually None) filled
+        in; the fault decision is made here, in the parent, so firing
+        is deterministic and accounted for where recovery happens."""
         plan = _faults._PLAN
         spec = None if plan is None \
-            else plan.pool_action(site, shard, attempt, self._level)
+            else plan.pool_action(site, shard, attempt)
         tag = None if spec is None else (spec.kind, spec.stall)
-        return payload[:-2] + (eng, tag)
+        return payload[:-1] + (tag,)
 
-    def _degrade(self, pool) -> None:
-        """Abandon ``pool`` and step one rung down the ladder — unless a
-        concurrent call already stepped down from ``pool``'s rung, in
-        which case this call just retries on the current one.  When the
-        rung moves, any executor a concurrent call built meanwhile
-        belongs to the old rung and is abandoned too: the level and the
-        executor always agree."""
-        built_for = "thread" \
-            if isinstance(pool, concurrent.futures.ThreadPoolExecutor) \
-            else "process"
-        stale = None
+    def _degrade(self, pool: PipeExecutor) -> None:
+        """Abandon ``pool`` and step down to inline conversion.  Only
+        the first of several concurrent calls to ask counts the
+        degradation.  Any executor a concurrent call built meanwhile is
+        abandoned too: once inline, the pool holds no executor."""
         with self._lock:
-            if self._level == built_for:
-                self._level = _LADDER[_LADDER.index(built_for) + 1]
+            if self._level == "process":
+                self._level = "inline"
                 self._fstats["degradations"] += 1
-                stale, self._executor = self._executor, None
+            stale, self._executor = self._executor, None
         self._abandon_executor(pool)
         if stale is not None and stale is not pool:
             self._abandon_executor(stale)
 
     def _give_up(self, shard: int, attempts: int, cause: BaseException):
-        """Typed surfacing of an exhausted shard (``on_error="raise"``
-        or the serial rung failing)."""
+        """Typed surfacing of an exhausted shard under
+        ``on_error="raise"``."""
         if isinstance(cause, DeadlineExceededError):
             raise cause
         raise ShardError(shard, attempts, cause) from cause
@@ -878,39 +831,16 @@ class BulkPool:
                 return got
         raise last_exc
 
-    def _run_serial(self, fn, payloads, site, results, pending, attempts,
-                    start) -> List[tuple]:
-        """One serial round over ``pending`` on the parent engine:
-        ``(shard, cause)`` failures."""
-        failed = []
-        for i in pending:
-            self._check_budget(start)
-            try:
-                got = fn(self._tagged(payloads[i], i, attempts[i], site,
-                                      self._engine))
-                results[i] = self._verify_crc(got, i)
-            except ReproError:
-                raise  # deterministic data error: retrying cannot help
-            except _CorruptShard as exc:
-                self._bump("corrupt_shards")
-                failed.append((i, exc))
-            except Exception as exc:
-                failed.append((i, exc))
-        return failed
-
     def _run_parallel(self, pool, fn, payloads, site, results, pending,
                       attempts, start) -> List[tuple]:
         """One executor round over ``pending``: ``(shard, cause)``
         failures.  Detects broken pools and missed deadlines; either
-        abandons the executor so the next round starts clean.  Thread
-        executors convert on the parent engine, worker processes on
-        their own."""
-        eng = None if isinstance(pool, PipeExecutor) else self._engine
+        abandons the executor so the next round starts clean."""
         futs = []
         for i in pending:
             try:
                 fut = pool.submit(fn, self._tagged(payloads[i], i,
-                                                   attempts[i], site, eng))
+                                                   attempts[i], site))
             except RuntimeError as exc:
                 # A concurrent call broke, abandoned or closed this
                 # executor (BrokenExecutor is a RuntimeError too): a
@@ -937,9 +867,8 @@ class BulkPool:
                 timeout = remaining if timeout is None \
                     else min(timeout, remaining)
             try:
-                got = self._await_shard(pool, fn,
-                                        payloads[i][:-2] + (eng, None), i,
-                                        fut, timeout, dispatched)
+                got = self._await_shard(pool, fn, payloads[i], i, fut,
+                                        timeout, dispatched)
                 results[i] = self._verify_crc(got, i)
             except concurrent.futures.TimeoutError:
                 fut.cancel()
@@ -979,16 +908,18 @@ class BulkPool:
         return failed
 
     def _run_shards(self, fn, payloads: List[tuple],
-                    site: str) -> List[bytes]:
+                    site: str) -> Optional[List[bytes]]:
         """Run every shard to completion (or a typed error), in order.
 
-        The core recovery loop: rounds of dispatch at the current
-        ladder level, per-shard retry budgets, deadline/budget
-        enforcement, broken-pool rebuilds, and — under
-        ``on_error="degrade"`` — ladder descent with a fresh attempt
-        budget per level.  Returns the shard bodies in input order and
-        merges their stats deltas; on any raise, no partial results
-        escape (the exception is the only outcome).
+        The core recovery loop: rounds of dispatch on the worker pool,
+        per-shard retry budgets, deadline/budget enforcement,
+        broken-pool rebuilds, and — under ``on_error="degrade"`` — the
+        step down to inline conversion.  Returns the shard bodies in
+        input order and merges their stats deltas, or None once the
+        pool converts inline (this call or a concurrent one degraded
+        it): the caller then converts the whole column inline, and the
+        shard results and their deltas are dropped.  On any raise, no
+        partial results escape (the exception is the only outcome).
         """
         n = len(payloads)
         results: List[Optional[tuple]] = [None] * n
@@ -999,20 +930,13 @@ class BulkPool:
         round_no = 0
         while pending:
             self._check_budget(start)
-            pool = self._pool() if n > 1 else None
-            try:
-                if pool is None:
-                    failed = self._run_serial(fn, payloads, site, results,
-                                              pending, attempts, start)
-                else:
-                    failed = self._run_parallel(pool, fn, payloads, site,
-                                                results, pending, attempts,
-                                                start)
-            except ReproError:
-                raise
+            pool = self._pool()
+            if pool is None:
+                return None
+            failed = self._run_parallel(pool, fn, payloads, site, results,
+                                        pending, attempts, start)
             if not failed:
                 break
-            serial_now = pool is None
             rebuilt_now = any(isinstance(c, PoolBrokenError)
                               for _, c in failed)
             if rebuilt_now:
@@ -1025,10 +949,8 @@ class BulkPool:
                 if attempts[i] > self.retries and exhausted is None:
                     exhausted = (i, cause)
             pending = [i for i, _ in failed]
-            must_step_down = (exhausted is not None
-                              or rebuilds > self.max_rebuilds)
-            if must_step_down:
-                if self.on_error == "raise" or serial_now:
+            if exhausted is not None or rebuilds > self.max_rebuilds:
+                if self.on_error == "raise":
                     if exhausted is not None:
                         self._give_up(exhausted[0],
                                       attempts[exhausted[0]], exhausted[1])
@@ -1036,18 +958,15 @@ class BulkPool:
                         f"worker pool broke {rebuilds} times "
                         f"(max_rebuilds={self.max_rebuilds})")
                 self._degrade(pool)
-                rebuilds = 0
-                for i in pending:  # fresh retry budget on the new rung
-                    attempts[i] = 0
-            else:
-                self._bump("shard_retries", len(pending))
-                round_no += 1
-                if self.backoff:
-                    # Deterministic jitter: chaos replays sleep the
-                    # same spans run after run.
-                    jitter = random.Random(f"bulkpool:{round_no}").random()
-                    time.sleep(self.backoff * (2 ** min(round_no - 1, 4))
-                               * (0.5 + 0.5 * jitter))
+                return None
+            self._bump("shard_retries", len(pending))
+            round_no += 1
+            if self.backoff:
+                # Deterministic jitter: chaos replays sleep the same
+                # spans run after run.
+                jitter = random.Random(f"bulkpool:{round_no}").random()
+                time.sleep(self.backoff * (2 ** min(round_no - 1, 4))
+                           * (0.5 + 0.5 * jitter))
         out = []
         for body, delta in results:  # type: ignore[misc]
             if delta:
@@ -1059,17 +978,6 @@ class BulkPool:
     # Pipelines
     # ------------------------------------------------------------------
 
-    def _payloads(self, spans, bits) -> List[tuple]:
-        """Shard payloads for :func:`_format_shard`, engine and fault
-        slots left for :meth:`_tagged`.  Thread pools pass bit-pattern
-        slices; process pools pack bytes for the pipe."""
-        if self.kind == "thread":
-            raws = [bits[a:b] for a, b in spans]
-        else:
-            raws = [pack_bits(bits[a:b], self.fmt) for a, b in spans]
-        return [(self.fmt.name, raw, self.mode, self.tie, self.dedup,
-                 self.delimiter, None, None) for raw in raws]
-
     def rows(self, payload: bytes, read: bool = False) -> int:
         """Rows in one byte payload: a packed column, or (``read``) a
         delimited plane, where an unterminated tail is one more row."""
@@ -1079,21 +987,31 @@ class BulkPool:
 
     @staticmethod
     def inline(rows: int) -> bool:
-        """True when a call of ``rows`` rows converts inline on the
-        parent engine, in the calling thread, with no executor."""
+        """True when a call of ``rows`` rows converts inline on every
+        pool, in the calling thread, with no executor.  A ``jobs=1`` or
+        degraded pool converts larger calls inline too."""
         return rows < INLINE_ROWS
+
+    def _sharded(self, rows: int) -> bool:
+        """True when a call of ``rows`` rows goes to the worker
+        processes."""
+        return not self.inline(rows) and self.level == "process"
 
     def format_bulk(self, data) -> bytes:
         """Serialize a column to delimiter-terminated ASCII bytes."""
         bits = ingest_bits(data, self.fmt)
-        if self.inline(len(bits)):
-            return format_buffer(bits, self.fmt, delimiter=self.delimiter,
-                                 mode=self.mode, tie=self.tie,
-                                 engine=self._engine, dedup=self.dedup)
-        spans = _chunk_slices(len(bits), self.jobs * self.shards_per_job)
-        payloads = self._payloads(spans, bits)
-        return b"".join(self._run_shards(_format_shard, payloads,
-                                         "pool.format_shard"))
+        if self._sharded(len(bits)):
+            spans = _chunk_slices(len(bits), self.jobs * self.shards_per_job)
+            payloads = [(self.fmt.name, pack_bits(bits[a:b], self.fmt),
+                         self.mode, self.tie, self.dedup, self.delimiter,
+                         None) for a, b in spans]
+            bodies = self._run_shards(_format_shard, payloads,
+                                      "pool.format_shard")
+            if bodies is not None:
+                return b"".join(bodies)
+        return format_buffer(bits, self.fmt, delimiter=self.delimiter,
+                             mode=self.mode, tie=self.tie,
+                             engine=self._engine, dedup=self.dedup)
 
     def format_column(self, data) -> List[str]:
         """Shortest strings for a column, in input order."""
@@ -1106,41 +1024,36 @@ class BulkPool:
             raise RangeError(f"out must be 'bits' or 'flonums', "
                              f"got {out!r}")
         delim = self.delimiter
-        texts = None
         if isinstance(data, (bytes, bytearray, memoryview, str)):
             plane = _plane_bytes(data)
-            rows = self.rows(plane, read=True)
         else:
-            texts = data if isinstance(data, list) else list(data)
-            rows = len(texts)
             d = delim.decode("ascii")
+            texts = data if isinstance(data, list) else list(data)
+            plane = _plane_bytes(d.join(texts) + d) if texts else b""
+        rows = self.rows(plane, read=True)
         if not rows:
             return []
-        if self.inline(rows):
-            if texts is not None:
-                plane = (d.join(texts) + d).encode("ascii")
+        bits = None
+        if self._sharded(rows):
+            # Each shard payload is a *slice* of the plane cut on a
+            # token boundary — no row strings, no re-join, no re-encode.
+            starts = split_plane(plane, delim)[1].tolist()
+            starts.append(len(plane))
+            payloads = [(self.fmt.name, plane[starts[a]:starts[b]],
+                         self.mode, self.dedup, delim, None)
+                        for a, b in _chunk_slices(
+                            rows, self.jobs * self.shards_per_job)]
+            bodies = self._run_shards(_read_shard, payloads,
+                                      "pool.read_shard")
+            if bodies is not None:
+                itemsize = _itemsize(self.fmt)
+                bits = []
+                for packed in bodies:
+                    bits.extend(_bits_from_bytes(packed, itemsize))
+        if bits is None:
             bits = parse_buffer(plane, self.fmt, delimiter=delim,
                                 mode=self.mode, engine=self._engine,
                                 dedup=self.dedup)
-        else:
-            spans = _chunk_slices(rows, self.jobs * self.shards_per_job)
-            if texts is None:
-                # Byte planes ship as byte planes: each shard payload is
-                # a *slice* of the plane cut on a token boundary — no
-                # row strings, no re-join, no re-encode.
-                starts = split_plane(plane, delim)[1].tolist()
-                starts.append(len(plane))
-                shards = [plane[starts[a]:starts[b]] for a, b in spans]
-            else:
-                shards = [(d.join(texts[a:b]) + d).encode("ascii")
-                          for a, b in spans]
-            payloads = [(self.fmt.name, shard, self.mode, self.dedup,
-                         delim, None, None) for shard in shards]
-            itemsize = _itemsize(self.fmt)
-            bits = []
-            for packed in self._run_shards(_read_shard, payloads,
-                                           "pool.read_shard"):
-                bits.extend(_bits_from_bytes(packed, itemsize))
         if out == "bits":
             return bits
         from_bits = Flonum.from_bits
@@ -1149,8 +1062,11 @@ class BulkPool:
 
     @property
     def level(self) -> str:
-        """The current degradation-ladder rung (``"process"``,
-        ``"thread"`` or ``"serial"``)."""
+        """The current degradation-ladder rung: ``"process"`` while
+        calls of :data:`INLINE_ROWS` rows or more shard to the worker
+        processes, ``"inline"`` once every call converts inline (a
+        ``jobs=1`` pool from the start, any other after a
+        degradation)."""
         with self._lock:
             return self._level
 
@@ -1168,11 +1084,11 @@ class BulkPool:
         """Engine counters for every conversion so far, plus the
         recovery counters (:data:`FAULT_STAT_KEYS`).
 
-        Each conversion is counted once: inline calls and the thread
-        and serial rungs in the parent engine's live
-        :meth:`~repro.engine.engine.Engine.stats`, process shards in the
-        per-shard deltas the workers report (``cache_entries`` therefore
-        totals entries across the parent's and the workers' memos).
+        Each conversion is counted once: inline calls in the parent
+        engine's live :meth:`~repro.engine.engine.Engine.stats`, process
+        shards in the per-shard deltas the workers report
+        (``cache_entries`` therefore totals entries across the parent's
+        and the workers' memos).
         Every pool counter mutation happens under the pool lock, so
         totals are exact even with calls running concurrently.
 

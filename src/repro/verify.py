@@ -38,18 +38,18 @@ flag          surfaces (rows)                             oracle
               nearest modes; no exact-tier call
 --bulk        ``format_column`` ×3, ``format_bulk``,      exact tier,
               ``read_bulk``, ``read_many``, a process     exact reader
-              and a thread ``BulkPool``
+              and a ``jobs=1`` (inline) ``BulkPool``
 --buffer      ``format_buffer`` ×5, ``parse_buffer`` ×5,  exact tier,
               scalar ``read_result``; the memo pass       exact reader
 --warm        snapshot-warmed ``Engine`` and pool, a      exact tier,
               pool on a corrupt snapshot file             exact reader
 --chaos       process ``BulkPool`` under five fault       exact tier,
               plans; typed errors, strict engine          exact reader
---serve       daemon wire on thread and process pools:    exact tier,
-              format, read, a pipelined burst; typed      exact reader
-              errors
+--serve       daemon wire on ``jobs=1`` (inline) and      exact tier,
+              process pools: format, read, a pipelined    exact reader
+              burst; typed errors
 --control     controlled process daemon under three       exact tier
-              fault plans, a hedged thread pool, live
+              fault plans, a hedged process pool, live
               snapshot rotation
 ============  ==========================================  ================
 """
@@ -958,7 +958,7 @@ _CONTENDER_ROWS = (
 # ----------------------------------------------------------------------
 
 _PROCESS_POOL = Rig(_pool())
-_THREAD_POOL = Rig(_pool(kind="thread"))
+_INLINE_POOL = Rig(_pool(jobs=1))
 
 _BULK_ROWS = (
     Row("bulk/column-dedup",
@@ -971,8 +971,8 @@ _BULK_ROWS = (
         lambda c, _: _rows(format_bulk(c.bits, c.fmt, engine=Engine()))),
     Row("bulk/pool-format", _pool_format, rig=_PROCESS_POOL),
     Row("bulk/pool-read", _pool_read, _bits, rig=_PROCESS_POOL),
-    Row("bulk/thread-format", _pool_format, rig=_THREAD_POOL),
-    Row("bulk/thread-read", _pool_read, _bits, rig=_THREAD_POOL),
+    Row("bulk/inline-format", _pool_format, rig=_INLINE_POOL),
+    Row("bulk/inline-read", _pool_read, _bits, rig=_INLINE_POOL),
     Row("bulk/read",
         lambda c, _: read_bulk(c.payload, c.fmt, engine=Engine()), _bits),
     Row("bulk/read-roundtrip", lambda c, _: [
@@ -1204,8 +1204,8 @@ def _check_typed_errors(report: VerificationReport, h: Harness) -> None:
         plan = faults.FaultPlan([faults.FaultSpec(
             "pool.format_shard", "raise", shard=0, attempt=None,
             limit=None)], h.seed)
-        with BulkPool(jobs=h.jobs, fmt=c.fmt, kind="thread",
-                      on_error="raise", retries=1) as pool:
+        with BulkPool(jobs=h.jobs, fmt=c.fmt, on_error="raise",
+                      retries=1) as pool:
             with faults.armed(plan):
                 pool.format_bulk(c.packed)
 
@@ -1270,14 +1270,13 @@ def _wire_errors(report: VerificationReport, h: Harness, rig,
                       f"post-error response: {alive!r}")
 
 
-_THREAD_WIRE = Rig(lambda h: _daemon(h, jobs=h.jobs, kind="thread"),
-                   audit=_wire_errors)
-_PROCESS_WIRE = Rig(lambda h: _daemon(h, jobs=h.jobs, kind="process"))
+_INLINE_WIRE = Rig(lambda h: _daemon(h, jobs=1), audit=_wire_errors)
+_PROCESS_WIRE = Rig(lambda h: _daemon(h, jobs=h.jobs))
 
 _SERVE_ROWS = (
-    Row("serve/format", _wire_format, rig=_THREAD_WIRE),
-    Row("serve/read", _wire_read, _bits, rig=_THREAD_WIRE),
-    Row("serve/pipeline", _wire_pipeline, _pipelined, rig=_THREAD_WIRE),
+    Row("serve/format", _wire_format, rig=_INLINE_WIRE),
+    Row("serve/read", _wire_read, _bits, rig=_INLINE_WIRE),
+    Row("serve/pipeline", _wire_pipeline, _pipelined, rig=_INLINE_WIRE),
     Row("serve/process-format", _wire_format, rig=_PROCESS_WIRE),
     Row("serve/process-read", _wire_read, _bits, rig=_PROCESS_WIRE),
 )
@@ -1300,7 +1299,7 @@ def _control_audit(report: VerificationReport, h: Harness, rig, plan,
 
 
 def _controlled(pool_kw: Dict) -> Callable[[Harness], ContextManager]:
-    return lambda h: _daemon(h, jobs=h.jobs, kind="process", retries=3,
+    return lambda h: _daemon(h, jobs=h.jobs, retries=3,
                              breaker_threshold=5, slo_target_ms=5000.0,
                              observe_stride=1, **pool_kw)
 
@@ -1318,7 +1317,7 @@ def _hedge_audit(report: VerificationReport, h: Harness, pool,
 #: One pool call of INLINE_ROWS rows, so the straggler is the stalled
 #: shard rather than the shard size.
 _HEDGE_POOL = Rig(
-    _pool(jobs=2, kind="thread", deadline=5.0, hedge=True, hedge_min=0.05,
+    _pool(jobs=2, deadline=5.0, hedge=True, hedge_min=0.05,
           hedge_with_faults=True),
     plan=lambda seed: faults.FaultPlan([faults.FaultSpec(
         "pool.format_shard", "stall", shard=0, attempt=0, stall=0.8)],
@@ -1329,7 +1328,7 @@ _HEDGE_POOL = Rig(
 @contextlib.contextmanager
 def _rotating(h: Harness):
     path = os.path.join(h.tmp, "rotated.snap")
-    with _daemon(h, jobs=1, kind="thread", rotate_snapshot=path,
+    with _daemon(h, jobs=1, rotate_snapshot=path,
                  rotate_every=64, observe_stride=1) as rig:
         rig.path = path
         yield rig
@@ -1436,7 +1435,7 @@ _BATTERIES: Dict[str, _Battery] = {
         checks=(_check_typed_errors,)),
     "serve": _Battery(
         "serve", "run the serving battery: loopback daemon round trips on "
-        "thread and process pools (format and read ops, pipelined "
+        "inline and process pools (format and read ops, pipelined "
         "bursts, typed error responses) must be byte-identical to the "
         "exact tier", rows=_SERVE_ROWS),
     "warm": _Battery(
@@ -1504,8 +1503,9 @@ def verify_contenders(fmt: FloatFormat = BINARY64, n: int = 50000,
 def verify_bulk(fmt: FloatFormat = BINARY64, n: int = 50000, seed: int = 0,
                 jobs: int = 2) -> VerificationReport:
     """The columnar serving layer — ``format_column``, ``format_bulk``,
-    ``read_bulk`` and a ``jobs``-worker process and thread
-    :class:`BulkPool` — against the exact tier and reader."""
+    ``read_bulk``, a ``jobs``-worker process :class:`BulkPool` and a
+    ``jobs=1`` one that converts inline — against the exact tier and
+    reader."""
     return _run("bulk", fmt, n, seed, jobs)
 
 
@@ -1535,7 +1535,7 @@ def verify_chaos(fmt: FloatFormat = BINARY64, n: int = 50000, seed: int = 0,
 
 def verify_serve(fmt: FloatFormat = BINARY64, n: int = 50000,
                  seed: int = 0, jobs: int = 2) -> VerificationReport:
-    """The daemon wire on a thread and a process pool — format, read
+    """The daemon wire on an inline and a process pool — format, read
     and a pipelined burst in ~2048-row requests — against the exact
     tier and reader, and typed error responses on a live connection."""
     return _run("serve", fmt, n, seed, jobs)

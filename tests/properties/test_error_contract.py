@@ -104,7 +104,6 @@ class TestBulkContract:
         _only_repro_error(lambda: format_bulk(object()))
 
     def test_pool_constructor_validation(self):
-        _only_repro_error(lambda: BulkPool(kind="fiber"))
         _only_repro_error(lambda: BulkPool(jobs=0))
         _only_repro_error(lambda: BulkPool(jobs=-2))
         _only_repro_error(lambda: BulkPool(retries=-1))
@@ -114,7 +113,7 @@ class TestBulkContract:
         _only_repro_error(lambda: BulkPool(delimiter=b""))
 
     def test_pool_bad_input_propagates_typed(self):
-        with BulkPool(jobs=2, kind="thread") as pool:
+        with BulkPool(jobs=2) as pool:
             _only_repro_error(
                 lambda: pool.read_bulk(["1.5", "not-a-number"]))
             _only_repro_error(lambda: pool.read_bulk(b"1.5\nxyz\n"))

@@ -246,8 +246,8 @@ class TestPoolBytePlanes:
     def test_pool_read_slices_plane_on_token_boundaries(self):
         payload, texts = row_payload(CORPUS)
         want = parse_buffer(payload)
-        for kind in ("thread", "process"):
-            with BulkPool(jobs=2, shards_per_job=2, kind=kind) as pool:
+        for jobs in (1, 2):
+            with BulkPool(jobs=jobs, shards_per_job=2) as pool:
                 assert pool.read_bulk(payload) == want
 
     def test_pool_format_byte_identical(self):

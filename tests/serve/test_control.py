@@ -330,8 +330,8 @@ class TestHedgedDispatch:
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "stall", shard=0,
                              attempt=0, stall=0.4)])
-        with BulkPool(jobs=2, kind="thread", hedge=True,
-                      hedge_min=0.05, hedge_with_faults=True) as pool:
+        with BulkPool(jobs=2, hedge=True, hedge_min=0.05,
+                      hedge_with_faults=True) as pool:
             with faults.armed(plan):
                 got = pool.format_bulk(WIDE_PACKED)
             stats = pool.stats()
@@ -344,8 +344,7 @@ class TestHedgedDispatch:
         # never race a scripted fault plan — the retry path heals.
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "raise", shard=1)])
-        with BulkPool(jobs=2, kind="thread", hedge=True,
-                      hedge_min=0.01) as pool:
+        with BulkPool(jobs=2, hedge=True, hedge_min=0.01) as pool:
             with faults.armed(plan):
                 got = pool.format_bulk(WIDE_PACKED)
             stats = pool.stats()
@@ -356,7 +355,7 @@ class TestHedgedDispatch:
     def test_bad_hedge_min_rejected(self):
         from repro.errors import RangeError
         with pytest.raises(RangeError, match="hedge_min"):
-            BulkPool(jobs=2, kind="thread", hedge=True, hedge_min=0.0)
+            BulkPool(jobs=2, hedge=True, hedge_min=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +368,7 @@ class TestDaemonControl:
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "raise",
                              attempt=None, limit=None)])
-        with serving(jobs=1, kind="thread", on_error="raise", retries=0,
+        with serving(jobs=2, on_error="raise", retries=0,
                      breaker_threshold=2, breaker_reset=1.0,
                      clock=clock) as d:
             with ServeClient(d.host, d.port) as c:
@@ -433,7 +432,7 @@ class TestDaemonControl:
         monkeypatch.setattr(snapshot_mod, "save_snapshot", slow_save)
         root = tmp_path / "snapdir"
         root.mkdir()
-        with serving(jobs=1, kind="thread",
+        with serving(jobs=1,
                      rotate_snapshot=str(root / "rotated.snap"),
                      rotate_every=1, observe_stride=1) as d:
             with ServeClient(d.host, d.port) as c:

@@ -15,6 +15,7 @@ than time anything.
 """
 
 import asyncio
+import signal
 import subprocess
 import sys
 import threading
@@ -409,7 +410,7 @@ class TestDrain:
         # handler finish; one still running at teardown is cancelled,
         # and asyncio logs its CancelledError as an error.
         async def serve_then_drain():
-            d = await ReproDaemon(jobs=2, kind="process").start()
+            d = await ReproDaemon(jobs=2).start()
             c = await AsyncServeClient.connect(d.host, d.port)
             assert await c.format(PACKED) == PLANE
             assert await c.read(PLANE) == PACKED
@@ -442,9 +443,14 @@ class TestDrain:
 
 
 class TestConfig:
-    def test_bad_kind_rejected(self):
-        with pytest.raises(RangeError, match="kind"):
-            ReproDaemon(kind="fiber")
+    def test_bad_kind_rejected(self, capsys):
+        # --jobs alone picks the route; --kind survives only as the
+        # spelling "process" for older command lines.
+        from repro.serve.daemon import main
+
+        with pytest.raises(SystemExit):
+            main(["--kind", "thread"])
+        assert "--kind" in capsys.readouterr().err
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(RangeError, match="jobs"):
@@ -465,6 +471,31 @@ class TestCli:
         finally:
             proc.terminate()
             proc.wait(timeout=30)
+            proc.stdout.close()
+
+    @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM],
+                             ids=["SIGINT", "SIGTERM"])
+    def test_signal_drains_with_sigint_ignored(self, sig):
+        # A background job inherits SIGINT ignored.  Either signal must
+        # still stop the daemon, drain it and exit 0.
+        code = ("import signal, sys\n"
+                "signal.signal(signal.SIGINT, signal.SIG_IGN)\n"
+                "from repro.serve.daemon import main\n"
+                "sys.exit(main(['--port', '0']))\n")
+        proc = subprocess.Popen([sys.executable, "-c", code],
+                                stdout=subprocess.PIPE, text=True)
+        try:
+            line = proc.stdout.readline()
+            assert "repro-serve listening on" in line
+            port = int(line.rsplit(":", 1)[1])
+            with ServeClient("127.0.0.1", port) as c:
+                assert c.format(PACKED) == PLANE
+                proc.send_signal(sig)
+                assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
             proc.stdout.close()
 
     def test_cli_serve_flag_rejects_values(self):

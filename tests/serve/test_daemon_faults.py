@@ -21,9 +21,9 @@ from repro.serve.daemon import serving
 from repro.serve.pool import INLINE_ROWS
 from repro.workloads.corpus import uniform_random
 
-# At least INLINE_ROWS rows per request, so every batch shards to the
-# pool's rung (smaller batches convert inline, out of the pool sites'
-# reach).
+# At least INLINE_ROWS rows per request, so every batch on a jobs=2
+# daemon shards to the worker processes (smaller batches convert
+# inline, out of the pool sites' reach).
 VALUES = [v.to_float()
           for v in uniform_random(INLINE_ROWS, seed=23, signed=True)] \
     + [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324]
@@ -48,7 +48,7 @@ class TestHealing:
     def test_crashed_shard_heals_byte_identically(self):
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "crash", shard=0)])
-        with serving(jobs=2, kind="process") as d:
+        with serving(jobs=2) as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     got = c.format(PACKED)
@@ -63,7 +63,7 @@ class TestHealing:
     def test_corrupt_shard_caught_and_retried(self):
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "corrupt", shard=0)])
-        with serving(jobs=2, kind="process") as d:
+        with serving(jobs=2) as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     assert c.format(PACKED) == PLANE
@@ -74,19 +74,19 @@ class TestHealing:
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.read_shard", "stall", shard=0,
                              stall=0.6)])
-        with serving(jobs=2, kind="process", deadline=0.2) as d:
+        with serving(jobs=2, deadline=0.2) as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     assert c.read(PLANE) == WANT_BITS
             stats = d.pool_stats()
         assert stats["deadline_hits"] >= 1
 
-    def test_tier_raises_heal_in_thread_workers(self):
+    def test_tier_raises_heal_in_process_workers(self):
         plan = faults.FaultPlan([
             faults.FaultSpec("engine.tier0", at=(0, 3, 7)),
             faults.FaultSpec("engine.schubfach", at=(1, 4)),
         ])
-        with serving(jobs=2, kind="thread") as d:
+        with serving(jobs=2) as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     assert c.format(PACKED) == PLANE
@@ -102,7 +102,7 @@ class TestHealing:
             faults.FaultSpec("pool.read_shard", "corrupt", rate=0.2,
                              attempt=0, limit=3),
         ], seed=5)
-        with serving(jobs=2, kind="process") as d:
+        with serving(jobs=2) as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     for _ in range(12):
@@ -120,12 +120,12 @@ class TestHealing:
 
 class TestDegradation:
     def test_ladder_keeps_daemon_serving(self):
-        # Crash every process-level attempt: the pool must walk down
-        # the ladder and the daemon must keep answering, bytes intact.
+        # Crash every shard attempt: the pool must step down to inline
+        # conversion and the daemon must keep answering, bytes intact.
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "crash", attempt=None,
-                             level="process", limit=None)])
-        with serving(jobs=2, kind="process") as d:
+                             limit=None)])
+        with serving(jobs=2) as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     assert c.format(PACKED) == PLANE
@@ -137,8 +137,7 @@ class TestDegradation:
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "raise", attempt=None,
                              limit=None)])
-        with serving(jobs=2, kind="thread", on_error="raise",
-                     retries=1) as d:
+        with serving(jobs=2, on_error="raise", retries=1) as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     with pytest.raises(ReproError, match="ShardError"):
@@ -155,8 +154,7 @@ class TestDegradation:
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.read_shard", "raise", attempt=None,
                              limit=None)])
-        with serving(jobs=2, kind="thread", on_error="raise",
-                     retries=1) as d:
+        with serving(jobs=2, on_error="raise", retries=1) as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     try:
@@ -176,7 +174,7 @@ class TestAccounting:
             faults.FaultSpec("pool.format_shard", "corrupt", shard=0,
                              attempt=0, limit=1),
         ])
-        with serving(jobs=2, kind="process") as d:
+        with serving(jobs=2) as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     assert c.format(PACKED) == PLANE
@@ -189,7 +187,7 @@ class TestAccounting:
 
     def test_smoke_plan_over_the_wire(self):
         plan = faults.smoke_plan(seed=11)
-        with serving(jobs=2, kind="process") as d:
+        with serving(jobs=2) as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     assert c.format(PACKED) == PLANE

@@ -1,6 +1,5 @@
 """Sharded pools: ordering, byte identity, stats merging, validation."""
 
-import concurrent.futures
 import multiprocessing
 import sys
 import threading
@@ -128,10 +127,12 @@ class TestProcessPool:
             len(set(ingest_bits(c, BINARY64))) for c in columns)
 
 
-class TestThreadPool:
+class TestParentEngine:
     def test_shares_one_engine_and_matches_scalar(self):
+        # A jobs=1 pool converts every call inline, at any size, on
+        # the engine it was given.
         eng = Engine()
-        with BulkPool(jobs=2, kind="thread", engine=eng) as pool:
+        with BulkPool(jobs=1, engine=eng) as pool:
             got = pool.format_bulk(CORPUS)
             assert got == scalar_payload(CORPUS)
             assert pool.stats() is not None
@@ -141,23 +142,24 @@ class TestThreadPool:
 
 
 class TestRouting:
-    """Fewer than INLINE_ROWS rows convert inline on the parent engine;
-    INLINE_ROWS rows shard to the rung's executor.  Either way the
-    bytes are the exact-only engine's."""
+    """Fewer than INLINE_ROWS rows, or any call of a jobs=1 pool,
+    convert inline on the parent engine; otherwise INLINE_ROWS rows
+    shard to the worker processes.  Either way the bytes are the
+    exact-only engine's."""
 
     COLUMN = [v.to_float()
               for v in uniform_random(INLINE_ROWS, seed=31, signed=True)]
 
-    @pytest.mark.parametrize("kind", ["process", "thread"])
+    @pytest.mark.parametrize("route", ["process", "inline"])
     @pytest.mark.parametrize("rows", [INLINE_ROWS - 1, INLINE_ROWS])
-    def test_route_by_row_count(self, kind, rows):
+    def test_route_by_row_count(self, route, rows):
         xs = self.COLUMN[:rows]
         exact = Engine(tier_order=(), read_tier_order=(), cache_size=0)
         want = format_bulk(xs, engine=exact)
         want_bits = read_bulk(want, engine=exact)
         assert want_bits == ingest_bits(xs, BINARY64)
         texts = want.decode("ascii").split("\n")[:-1]
-        with BulkPool(jobs=2, kind=kind) as pool:
+        with BulkPool(jobs=2 if route == "process" else 1) as pool:
             assert pool.format_bulk(xs) == want
             assert pool.read_bulk(want) == want_bits
             assert pool.read_bulk(texts) == want_bits
@@ -167,16 +169,13 @@ class TestRouting:
             executor = pool._executor
             parent = pool._engine.stats()
             stats = pool.stats()
-        if rows < INLINE_ROWS:
+        on_parent = rows < INLINE_ROWS or route == "inline"
+        if on_parent:
             assert children == []
             assert executor is None
-        elif kind == "process":
+        else:
             assert len(children) == 2
             assert isinstance(executor, PipeExecutor)
-        else:
-            assert isinstance(executor,
-                              concurrent.futures.ThreadPoolExecutor)
-        on_parent = rows < INLINE_ROWS or kind == "thread"
         # Each conversion counted once: on the parent engine, or in the
         # worker deltas and never on the parent.
         assert (parent["conversions"] > 0) == on_parent
@@ -199,10 +198,6 @@ class TestRouting:
 
 
 class TestValidation:
-    def test_bad_kind(self):
-        with pytest.raises(RangeError):
-            BulkPool(kind="greenlet")
-
     def test_non_standard_format_rejected(self):
         toy = FloatFormat(name="toy", radix=2, precision=5,
                           exponent_width=0, emin=-10, emax=10)

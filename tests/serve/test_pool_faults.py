@@ -2,7 +2,6 @@
 corruption and raises must heal byte-identically or surface as typed
 errors — never as silent partial results."""
 
-import concurrent.futures
 import multiprocessing
 import os
 import subprocess
@@ -28,8 +27,8 @@ from repro.serve import BulkPool
 from repro.serve.pool import FAULT_STAT_KEYS, INLINE_ROWS
 from repro.workloads.corpus import uniform_random
 
-# At least INLINE_ROWS rows, so every call shards and each test stays
-# on the rung it targets (smaller calls convert inline).
+# At least INLINE_ROWS rows, so every call on a jobs>1 pool shards to
+# the worker processes (smaller calls convert inline).
 CORPUS = [v.to_float()
           for v in uniform_random(INLINE_ROWS, seed=11, signed=True)] \
     + [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324]
@@ -163,10 +162,10 @@ class TestHealing:
                               "engine.tier0": fired[1]}
         assert stats["tier_faults"] == sum(fired)
 
-    def test_thread_pool_injected_raise_heals(self):
+    def test_process_pool_injected_raise_heals(self):
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "raise", shard=1)])
-        with BulkPool(jobs=2, kind="thread") as pool:
+        with BulkPool(jobs=2) as pool:
             with faults.armed(plan):
                 assert pool.format_bulk(CORPUS) == WANT
             assert pool.stats()["shard_retries"] == 1
@@ -174,17 +173,17 @@ class TestHealing:
 
 class TestDegradationLadder:
     def test_persistent_crash_degrades_to_working_level(self):
-        # Crash every process-level attempt of shard 0: retries
-        # exhaust, the ladder steps down, output is still identical.
+        # Crash every attempt of shard 0: retries exhaust, the ladder
+        # steps down, output is still identical.
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "crash", shard=0,
-                             attempt=None, level="process", limit=None)])
+                             attempt=None, limit=None)])
         with BulkPool(jobs=2, shards_per_job=1, retries=1,
                       max_rebuilds=1) as pool:
             with faults.armed(plan):
                 got = pool.format_bulk(CORPUS)
             assert got == WANT
-            assert pool.level in ("thread", "serial")
+            assert pool.level == "inline"
             assert pool.stats()["degradations"] >= 1
             # The degraded pool keeps serving.
             assert pool.format_bulk(CORPUS) == WANT
@@ -192,7 +191,7 @@ class TestDegradationLadder:
     def test_degraded_level_is_sticky(self):
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "crash", shard=0,
-                             attempt=None, level="process", limit=None)])
+                             attempt=None, limit=None)])
         pool = BulkPool(jobs=2, shards_per_job=1, retries=0,
                         max_rebuilds=0)
         try:
@@ -208,8 +207,7 @@ class TestDegradationLadder:
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "raise", shard=1,
                              attempt=None, limit=None)])
-        with BulkPool(jobs=2, kind="thread", on_error="raise",
-                      retries=1) as pool:
+        with BulkPool(jobs=2, on_error="raise", retries=1) as pool:
             with faults.armed(plan):
                 with pytest.raises(ShardError) as info:
                     pool.format_bulk(CORPUS)
@@ -218,40 +216,26 @@ class TestDegradationLadder:
         assert isinstance(info.value.cause, faults.InjectedFault)
         assert isinstance(info.value.__cause__, faults.InjectedFault)
 
-    def test_serial_rung_failure_raises_typed(self):
-        # jobs=1 starts serial; a persistent fault there has nowhere
-        # left to degrade and must surface as ShardError even under
-        # the default on_error="degrade".
-        plan = faults.FaultPlan([
-            faults.FaultSpec("pool.format_shard", "raise", shard=0,
-                             attempt=None, limit=None)])
-        with BulkPool(jobs=1, retries=1) as pool:
-            with faults.armed(plan):
-                with pytest.raises(ShardError):
-                    pool.format_bulk(CORPUS)
-
 
 class TestDegradedRungs:
-    def test_serial_rung_converts_on_the_parent_engine(self):
-        # Every process attempt crashes and every thread attempt
-        # raises, so the call ends on the serial rung.  That rung
-        # converts on the parent engine: a repeat is served from its
-        # memo, and stats() counts each conversion once.
+    def test_inline_rung_converts_on_the_parent_engine(self):
+        # Every process attempt crashes, so the call ends on the
+        # inline rung.  That rung converts on the parent engine: a
+        # repeat is served from its memo, and stats() counts each
+        # conversion once.
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "crash", attempt=None,
-                             level="process", limit=None),
-            faults.FaultSpec("pool.format_shard", "raise", attempt=None,
-                             level="thread", limit=None)])
+                             limit=None)])
         with BulkPool(jobs=2, retries=0, max_rebuilds=0) as pool:
             with faults.armed(plan):
                 assert pool.format_bulk(CORPUS) == WANT
-            assert pool.level == "serial"
+            assert pool.level == "inline"
             first = pool.stats()
             assert pool.format_bulk(CORPUS) == WANT
             stats = pool.stats()
             parent = pool._engine.stats()
         assert all(plan.spec_fired())
-        assert stats["degradations"] == 2
+        assert stats["degradations"] == 1
         assert first["conversions"] > 0
         assert stats["conversions"] == parent["conversions"] \
             == 2 * first["conversions"]
@@ -285,14 +269,37 @@ class TestInlineRoute:
         for key in FAULT_STAT_KEYS:
             assert stats[key] == 0
 
+    def test_jobs_1_pool_converts_large_calls_inline(self):
+        # A jobs=1 pool has no worker to shard to: a call of any size
+        # converts inline, so no worker starts and no pool spec fires.
+        big = CORPUS[:INLINE_ROWS] * 4
+        plan = faults.FaultPlan([
+            faults.FaultSpec("pool.format_shard", "crash", attempt=None,
+                             limit=None),
+            faults.FaultSpec("pool.read_shard", "crash", attempt=None,
+                             limit=None)])
+        with BulkPool(jobs=1) as pool:
+            with faults.armed(plan):
+                payload = pool.format_bulk(big)
+                bits = pool.read_bulk(payload)
+            assert multiprocessing.active_children() == []
+            level = pool.level
+            stats = pool.stats()
+        assert payload == format_bulk(big, engine=Engine())
+        assert bits == ingest_bits(big, BINARY64)
+        assert plan.spec_fired() == [0, 0]
+        assert level == "inline"
+        for key in FAULT_STAT_KEYS:
+            assert stats[key] == 0
+
 
 class TestTypedErrors:
     def test_deadline_error_carries_shard_attribution(self):
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "stall", shard=1,
                              attempt=None, stall=0.6, limit=None)])
-        with BulkPool(jobs=2, shards_per_job=1, kind="thread",
-                      deadline=0.15, retries=0, on_error="raise") as pool:
+        with BulkPool(jobs=2, shards_per_job=1, deadline=0.15, retries=0,
+                      on_error="raise") as pool:
             with faults.armed(plan):
                 with pytest.raises(DeadlineExceededError) as info:
                     pool.format_bulk(CORPUS)
@@ -304,7 +311,7 @@ class TestTypedErrors:
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "stall", attempt=None,
                              stall=0.4, limit=None)])
-        with BulkPool(jobs=2, kind="thread", budget=0.5) as pool:
+        with BulkPool(jobs=2, budget=0.5) as pool:
             with faults.armed(plan):
                 with pytest.raises(DeadlineExceededError) as info:
                     pool.format_bulk(CORPUS)
@@ -312,10 +319,10 @@ class TestTypedErrors:
 
     def test_repro_error_propagates_without_retry(self):
         # A malformed literal is a deterministic data error, not a
-        # fault: no retries are burned on it, and a worker process
-        # hands it back typed.
-        for kind in ("thread", "process"):
-            with BulkPool(jobs=2, kind=kind, retries=2) as pool:
+        # fault: no retries are burned on it, a worker process hands it
+        # back typed, and the inline route raises it as it is.
+        for jobs in (2, 1):
+            with BulkPool(jobs=jobs, retries=2) as pool:
                 with pytest.raises(ParseError):
                     pool.read_bulk(["1.5", "not-a-number"]
                                    + ["2.5"] * INLINE_ROWS)
@@ -363,14 +370,14 @@ class TestLifecycle:
         assert _wait_gone(pids, 5.0) == set()
 
     def test_close_is_idempotent(self):
-        pool = BulkPool(jobs=2, kind="thread")
+        pool = BulkPool(jobs=2)
         pool.format_bulk(CORPUS)
         pool.close()
         pool.close()
         pool.close()
 
     def test_pool_serves_after_close(self):
-        pool = BulkPool(jobs=2, kind="thread")
+        pool = BulkPool(jobs=2)
         pool.close()
         assert pool.format_bulk(CORPUS) == WANT
         pool.close()
@@ -380,15 +387,13 @@ class TestLifecycle:
             faults.FaultSpec("pool.format_shard", "raise", shard=0,
                              attempt=None, limit=None)])
         with pytest.raises(ShardError):
-            with BulkPool(jobs=2, kind="thread", on_error="raise",
-                          retries=0) as pool:
+            with BulkPool(jobs=2, on_error="raise", retries=0) as pool:
                 with faults.armed(plan):
                     pool.format_bulk(CORPUS)
         assert pool._executor is None
 
     def test_run_shards_failure_does_not_leak_executor(self):
-        pool = BulkPool(jobs=2, kind="thread", on_error="raise",
-                        retries=0)
+        pool = BulkPool(jobs=2, on_error="raise", retries=0)
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "raise", shard=0,
                              attempt=None, limit=None)])
@@ -435,15 +440,15 @@ class TestConcurrentCalls:
 
 
     def test_concurrent_degradations_step_down_once(self):
-        # Every process-rung attempt of shard 0 crashes, so each of the
-        # four threads exhausts its attempts there and asks to degrade.
-        # The ladder must step down once: later requests come from
-        # calls that failed on the old rung, and the executor in use
-        # must always match the level.
+        # Every attempt of shard 0 crashes, so each of the four threads
+        # exhausts its attempts on the process rung and asks to
+        # degrade.  The ladder must step down once: later requests come
+        # from calls that failed on the old rung, and once inline the
+        # pool must hold no executor.
         errors = []
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "crash", shard=0,
-                             attempt=None, level="process", limit=None)])
+                             attempt=None, limit=None)])
         with BulkPool(jobs=2, retries=0, max_rebuilds=0,
                       on_error="degrade") as pool:
             def calls():
@@ -463,10 +468,9 @@ class TestConcurrentCalls:
                     t.join(timeout=60)
                 assert not any(t.is_alive() for t in threads)
             assert errors == []
-            assert pool.level == "thread"
+            assert pool.level == "inline"
             assert pool.stats()["degradations"] == 1
-            assert isinstance(pool._executor,
-                              concurrent.futures.ThreadPoolExecutor)
+            assert pool._executor is None
 
 
 class TestStats:
@@ -490,7 +494,7 @@ class TestStats:
             faults.FaultSpec("pool.format_shard", "raise", shard=0,
                              attempt=0, limit=calls)])
         errors = []
-        with BulkPool(jobs=2, kind="thread") as pool:
+        with BulkPool(jobs=2) as pool:
             def one_call():
                 try:
                     if pool.format_bulk(CORPUS) != WANT:

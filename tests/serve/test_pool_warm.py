@@ -45,19 +45,21 @@ def snap_path(tmp_path_factory):
 
 
 class TestWarmIdentity:
-    @pytest.mark.parametrize("kind", ["process", "thread"])
-    def test_pool_format_bytes_identical(self, snap_path, kind):
-        with BulkPool(jobs=2, kind=kind, snapshot=snap_path) as pool:
+    @pytest.mark.parametrize("route", ["process", "inline"])
+    def test_pool_format_bytes_identical(self, snap_path, route):
+        jobs = 2 if route == "process" else 1
+        with BulkPool(jobs=jobs, snapshot=snap_path) as pool:
             got = pool.format_bulk(CORPUS)
             stats = pool.stats()
         assert got == WANT
         assert stats["snapshot_faults"] == 0
 
-    @pytest.mark.parametrize("kind", ["process", "thread"])
-    def test_pool_read_bits_identical(self, snap_path, kind):
-        with BulkPool(jobs=2, kind=kind) as cold:
+    @pytest.mark.parametrize("route", ["process", "inline"])
+    def test_pool_read_bits_identical(self, snap_path, route):
+        jobs = 2 if route == "process" else 1
+        with BulkPool(jobs=jobs) as cold:
             want_bits = cold.read_bulk(WANT)
-        with BulkPool(jobs=2, kind=kind, snapshot=snap_path) as pool:
+        with BulkPool(jobs=jobs, snapshot=snap_path) as pool:
             got = pool.read_bulk(WANT)
             stats = pool.stats()
         assert got == want_bits

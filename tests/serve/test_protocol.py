@@ -40,7 +40,7 @@ WANT_BITS = pack_bits(read_bulk(PLANE, BINARY64, engine=Engine()), BINARY64)
 
 @pytest.fixture(scope="module")
 def daemon():
-    with serving(jobs=1, kind="thread") as d:
+    with serving(jobs=1) as d:
         yield d
 
 

@@ -88,8 +88,7 @@ CONTROLLED_SHED_BOUND = 0.2
 #: update this and tests/test_tools.py.
 BENCH_SERVE_SCHEMA = {
     "config": ("rate", "duration", "connections", "rows_per_request",
-               "formats", "zipf_s", "distinct", "seed", "jobs", "kind",
-               "quick"),
+               "formats", "zipf_s", "distinct", "seed", "jobs", "quick"),
     "baseline": {
         "requests": int,
         "responses": int,
@@ -289,13 +288,13 @@ async def _drive(daemon, templates, rate: float, duration: float,
     }
 
 
-def run_leg(templates, *, rate, duration, connections, seed, jobs, kind,
+def run_leg(templates, *, rate, duration, connections, seed, jobs,
             plan=None, **daemon_kw) -> dict:
     """One serving leg: boot a daemon, drive open-loop traffic at it,
     return the measured section (with daemon counters attached).
     Extra keyword arguments reach the daemon — the controlled leg uses
     them to arm the control plane."""
-    with serving(jobs=jobs, kind=kind, retries=3, **daemon_kw) as daemon:
+    with serving(jobs=jobs, retries=3, **daemon_kw) as daemon:
         ctx = faults.armed(plan) if plan is not None else None
         try:
             if ctx is not None:
@@ -431,8 +430,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--jobs", type=int, default=2,
                         help="BulkPool workers per (format, delimiter)")
-    parser.add_argument("--kind", default="process",
-                        choices=["thread", "process"])
     parser.add_argument("--quick", action="store_true",
                         help="short legs, identity gates only (CI smoke)")
     parser.add_argument("--no-chaos", action="store_true",
@@ -467,7 +464,7 @@ def main(argv=None) -> int:
             "connections": args.connections,
             "rows_per_request": args.rows, "formats": args.formats,
             "zipf_s": args.zipf_s, "distinct": args.distinct,
-            "seed": args.seed, "jobs": args.jobs, "kind": args.kind,
+            "seed": args.seed, "jobs": args.jobs,
             "quick": args.quick, "chaos_rows_per_request": chaos_rows,
             "chaos_rate": chaos_rate,
         },
@@ -479,7 +476,7 @@ def main(argv=None) -> int:
 
     base = run_leg(templates, rate=rate, duration=duration,
                    connections=args.connections, seed=args.seed,
-                   jobs=args.jobs, kind=args.kind)
+                   jobs=args.jobs)
     result["baseline"] = base
     status = _check_baseline_gates(base, quick=args.quick)
 
@@ -488,7 +485,7 @@ def main(argv=None) -> int:
         chaos = run_leg(chaos_templates, rate=chaos_rate,
                         duration=duration,
                         connections=args.connections, seed=args.seed + 1,
-                        jobs=args.jobs, kind=args.kind, plan=plan)
+                        jobs=args.jobs, plan=plan)
         with plan._lock:
             fired = sum(plan.fired.get(s, 0) for s in faults.POOL_SITES)
         pool = chaos["pool_stats"]
@@ -509,7 +506,7 @@ def main(argv=None) -> int:
         ctl = run_leg(chaos_templates, rate=chaos_rate,
                       duration=duration,
                       connections=args.connections, seed=args.seed + 1,
-                      jobs=args.jobs, kind=args.kind, plan=cplan,
+                      jobs=args.jobs, plan=cplan,
                       breaker_threshold=8, slo_target_ms=60.0,
                       hedge=True, hedge_min=0.05,
                       hedge_under_faults=True)
