@@ -3,7 +3,7 @@ algorithm that can certify the correct shortest output.
 
 One route, tried in order for positive finite values:
 
-* a bounded LRU memo of recent conversions (repeated values are common
+* a bounded memo of recent conversions (repeated values are common
   in real traffic — column data, sensor streams, test corpora);
 * **Tier 0** (:mod:`repro.engine.tier0`): integers and short exact
   decimals, certified with a few machine-word operations;
@@ -62,7 +62,7 @@ from repro.format.notation import (
 )
 
 from repro.engine.counted import counted_tier_digits
-from repro.engine.memo import LruMemo
+from repro.engine.memo import GenMemo
 from repro.engine.reader import (READ_STAT_KEYS, ReadEngine, ReadResult,
                                  exact_only_order)
 from repro.engine.schubfach import schubfach_digits
@@ -145,9 +145,7 @@ class Engine:
         self.fixed_tier1 = fixed_tier1
         self.strict = strict
         self.cache_size = cache_size
-        # OrderedDict-backed LRU: O(1) eviction at steady state, where
-        # a plain dict's dead prefix made every eviction a scan.
-        self._cache = LruMemo(cache_size)
+        self._cache = GenMemo(cache_size)
         # Memo keys are (f, e, ctx) with ctx a small int interning the
         # (format, base, mode, tie) combination — shorter tuples hash
         # measurably faster on the hot path than six-element ones.
@@ -492,11 +490,6 @@ class Engine:
         return hit
 
     def _cache_get(self, key):
-        # The whole lookup — get, LRU bump, counters — runs under the
-        # lock: an unlocked recency bump can race a concurrent
-        # eviction and drop or resurrect entries, so every memo read
-        # and mutation is serialized, matching ``pow_cache``'s
-        # discipline.
         with self._lock:
             hit = self._cache.hit(key)
             if hit is not None:
@@ -746,10 +739,9 @@ class Engine:
         together worth roughly another 2x on uniform random doubles.
 
         Batch discipline: an empty batch touches no shared state (and
-        no lock); the batch loop runs lock-free and takes one final
-        acquisition for its counters and memo updates; a batch larger
-        than the memo installs only the entries sequential calls would
-        have left behind instead of churning the whole LRU.
+        no lock); the batch loop leaves the memo as sequential calls
+        would and takes one lock acquisition for its counters, plus one
+        per generation swap.
         """
         if not isinstance(xs, list):
             xs = list(xs)
@@ -767,13 +759,10 @@ class Engine:
 
         Host floats (``fmt is BINARY64`` only) decompose by ``frexp``,
         Flonums of ``fmt`` from their attributes; anything else takes
-        :meth:`format`.  Memo probes are lock-free ``get`` calls and
-        counters accumulate in locals; one final lock flushes the
-        counters (a concurrent :meth:`stats` never sees a torn batch),
-        moves the batch's memo hits still present to the recent end in
-        probe order, then installs its new conversions in one
-        tail-capped pass.  New conversions land in a batch-local
-        ``pending`` dict first: intra-batch repeats skip the memo.
+        :meth:`format`.  The memo is probed and filled in place,
+        lock-free (:mod:`repro.engine.memo`).  Counters accumulate in
+        locals; one final lock flushes them (a concurrent :meth:`stats`
+        never sees a torn batch) and trims the memo.
 
         The route is :meth:`_convert`'s, inlined: tier 0 (pre-filtered
         on ``e``), then Schubfach under the same gates, guard rail and
@@ -801,12 +790,7 @@ class Engine:
         hot = self._hot or None
         plane_pos = self._planes.get(ctx_pos) if self._planes else None
         plane_neg = self._planes.get(ctx_neg) if self._planes else None
-        # Every key the batch touched (hits too, for intra-batch
-        # repeats) and, separately, its memo hits in probe order and its
-        # misses: the flush bumps the one and installs the other.
-        pending: Optional[dict] = {} if cache is not None else None
-        hits: list = []
-        fresh: dict = {}
+        new, old, cap = self._cache.new, self._cache.old, self._cache.capacity
         plan = _faults._PLAN
         strict = self.strict
         c_hits = c_misses = t0_hits = schub_hits = t2_calls = 0
@@ -844,8 +828,10 @@ class Engine:
                     continue
                 e = x.e
             else:
-                # Ints, Flonums of another format: full route.
+                # Ints, Flonums of another format: full route (which
+                # may swap the generations).
                 append(self.format(x, 10, mode, tie, None, fmt))
+                new, old = self._cache.new, self._cache.old
                 continue
             if neg:
                 sign = "-"
@@ -865,14 +851,11 @@ class Engine:
             kb = None
             key = (f, e, ctx)
             if cache is not None:
-                kb = pending.get(key)
+                kb = new.get(key)
                 if kb is None:
-                    kb = cache.get(key)
+                    kb = old.pop(key, None)
                     if kb is not None:
-                        # Bumped at the flush; intra-batch repeats are
-                        # served from the batch-local dict.
-                        pending[key] = kb
-                        hits.append(key)
+                        new[key] = kb
                 if kb is not None:
                     c_hits += 1
                 else:
@@ -931,7 +914,15 @@ class Engine:
                     kb = (res.k, "".join(_DIGIT_CHARS[d]
                                          for d in res.digits))
                 if cache is not None:
-                    pending[key] = fresh[key] = kb
+                    if not old and len(new) >= cap:
+                        with lock:
+                            new, old = cache.turn(new)
+                    if old:
+                        try:
+                            old.popitem()
+                        except KeyError:  # drained by a racing batch
+                            pass
+                    new[key] = kb
             k, body = kb
             # --- render (inline of render_shortest_parts: auto style,
             #     exp window (-4, 16], exp_char 'e', no grouping) ---
@@ -959,18 +950,7 @@ class Engine:
             self._tier_faults += t_faults
             self._hot_hits += hot_hits
             self._snapshot_faults += snap_faults
-            for key in hits:
-                if key in cache:  # another batch may have evicted it
-                    cache.move_to_end(key)
-            if fresh:
-                if len(pending) > cache.capacity:
-                    # Oversized batch: only its last ``capacity`` keys
-                    # would survive sequential calls; the hits among
-                    # them are already in place.
-                    fresh = {k: fresh[k]
-                             for k in list(pending)[-cache.capacity:]
-                             if k in fresh}
-                cache.install(fresh.items())
+            self._cache.trim()
         return out
 
     # ------------------------------------------------------------------
@@ -983,7 +963,7 @@ class Engine:
         built lazily on first use.
 
         The read engine shares this engine's memo and lock (text keys
-        cannot collide with the write side's integer keys, so one LRU
+        cannot collide with the write side's integer keys, so one memo
         budget serves both directions) and its ``read_*`` counters are
         merged into :meth:`stats` / zeroed by :meth:`reset_stats`.
         """

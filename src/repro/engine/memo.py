@@ -1,55 +1,80 @@
-"""The engines' bounded result memo: one owner for the LRU policy.
+"""The engines' bounded result memo: two plain dicts, ``new`` and
+``old``, together never more than ``capacity`` entries.
 
-Iteration order is recency order, oldest first.  An ``OrderedDict``
-evicts in O(1) (``popitem(last=False)``); a plain dict used as an LRU
-leaves a dead prefix in its entry array as the front is deleted, so at
-steady state finding the oldest key meant scanning that prefix on
-every eviction.
-
-Not thread-safe: callers hold the owning engine's lock around every
-mutation and every bumping read.  The two lock-free readers are the
-batch loops' probes — the write side's ``Engine._format_many_fast``
-and the read side's ``ReadEngine._read_batch`` — each a plain ``get``:
-under the GIL it is a single C-level ``OrderedDict`` lookup on int/str
-tuple keys, it changes nothing, and the batch bumps its hits later
-under the lock.
+A probe looks in ``new``, then ``old``; a hit in ``old`` moves into
+``new``.  A miss evicts one entry of ``old`` (``dict.popitem()``, O(1))
+and stores into ``new``; one that finds ``new`` full first makes it
+``old``, which by then is empty, so no call frees a whole generation.
+Every step is an in-place dict operation, atomic under the GIL, so the
+batch loops probe and install lock-free.  Only the swap (:meth:`turn`)
+rebinds ``new``/``old``, under the engine lock; a batch that raced it
+can overshoot the bound until its flush calls :meth:`trim`.
 """
 
-from collections import OrderedDict
 
+class GenMemo:
+    """Read-only mapping (``old`` then ``new``) plus the policy."""
 
-class LruMemo(OrderedDict):
-    """Capacity-bounded LRU map (values are never None)."""
+    __slots__ = ("capacity", "new", "old")
 
     def __init__(self, capacity: int):
-        super().__init__()
-        self.capacity = capacity
+        self.capacity, self.new, self.old = capacity, {}, {}
+
+    def __len__(self) -> int:
+        return len(self.new) + len(self.old)
+
+    def __getitem__(self, key):
+        return self.new[key] if key in self.new else self.old[key]
+
+    def items(self) -> list:
+        """Copied one generation at a time, in one C-level pass each."""
+        old, new = self.old, self.new
+        return list(old.items()) + list(new.items())
+
+    def keys(self):
+        return (key for key, _ in self.items())
+
+    __iter__ = keys
+
+    def clear(self) -> None:
+        self.new.clear()
+        self.old.clear()
 
     def hit(self, key):
-        """The value under ``key``, bumped to most recent; None on a miss."""
-        value = self.get(key)
-        if value is not None:
-            self.move_to_end(key)
+        """The value under ``key`` (moved into ``new``), or None."""
+        value = self.new.get(key)
+        if value is None:
+            value = self.old.pop(key, None)
+            if value is not None:
+                self.new[key] = value
         return value
 
     def put(self, key, value) -> None:
-        """Insert as most recent (an existing key keeps its place) and
-        evict the oldest entry past capacity."""
-        self[key] = value
-        if len(self) > self.capacity:
-            self.popitem(last=False)
+        """Store into ``new`` as a miss does (a key already held moves
+        there and evicts nothing)."""
+        self.turn(self.new)
+        self.old.pop(key, None)
+        self.new[key] = value
+        self.trim()
 
-    def install(self, items) -> int:
-        """Batch :meth:`put` of a sized iterable of ``(key, value)``
-        pairs, in order; returns how many were installed.
+    def install(self, items: list) -> int:
+        """:meth:`put` each ``(key, value)`` pair in order; returns how
+        many of the keys the memo holds afterwards."""
+        for key, value in items:
+            self.put(key, value)
+        return sum(key in self.new or key in self.old for key, _ in items)
 
-        A batch longer than the capacity installs only its tail:
-        sequential puts would have evicted the head anyway.
-        """
-        n = len(items)
-        if n > self.capacity:
-            items = list(items)[n - self.capacity:]
-        self.update(items)
+    def turn(self, seen: dict) -> tuple:
+        """Swap generations if ``seen`` still is ``new``, full, and ``old``
+        is drained; return the current ``(new, old)``.  Lock held."""
+        if seen is self.new and len(seen) >= self.capacity and not self.old:
+            self.new, self.old = {}, seen
+        return self.new, self.old
+
+    def trim(self) -> None:
+        """Evict, ``old`` first, down to the bound.  Lock held."""
         for _ in range(len(self) - self.capacity):
-            self.popitem(last=False)
-        return min(n, self.capacity)
+            try:
+                (self.old or self.new).popitem()
+            except KeyError:  # a racing batch drained it first
+                break

@@ -8,7 +8,7 @@ big-integer path only when certification fails.
 
 Tiers, tried in order for finite nonzero literals:
 
-* a bounded LRU memo of recent conversions, shared with the write
+* a bounded memo of recent conversions, shared with the write
   engine's memo when the :class:`ReadEngine` is obtained through
   :attr:`Engine.reader` (text keys cannot collide with the write side's
   integer keys) and by every read surface — the scalar readers,
@@ -65,7 +65,7 @@ from repro.reader.exact import clamp_extreme, round_rational
 from repro.reader.parse import ParsedNumber, _scan_decimal, parse_decimal
 from repro.reader.truncated import truncate_significand
 
-from repro.engine.memo import LruMemo
+from repro.engine.memo import GenMemo
 from repro.engine.tables import FormatTables, tables_for
 
 __all__ = ["ReadEngine", "ReadResult", "default_read_engine", "read_many",
@@ -242,7 +242,7 @@ class ReadEngine:
     process-wide through :func:`repro.engine.tables.tables_for`.  Each
     engine owns its statistics; the result memo is private by default
     but can be shared (``Engine.reader`` hands its own memo and lock in,
-    so read and write conversions compete for one LRU budget).
+    so read and write conversions compete for one memo budget).
 
     Args:
         cache_size: Max entries in the result memo (0 disables it).
@@ -262,7 +262,7 @@ class ReadEngine:
     """
 
     def __init__(self, cache_size: int = 8192, strict: bool = False,
-                 _shared_cache: Optional[LruMemo] = None,
+                 _shared_cache: Optional[GenMemo] = None,
                  _shared_lock: Optional[threading.Lock] = None,
                  snapshot=None,
                  tier_order: Optional[Iterable[str]] = None):
@@ -272,12 +272,8 @@ class ReadEngine:
         self.exact_only = exact_only_order(tier_order)
         self.strict = strict
         self.cache_size = cache_size
-        # OrderedDict-backed LRU (O(1) eviction at steady state, where
-        # a plain dict's dead prefix made every eviction a scan); shared
-        # with the write engine's memo when handed in through
-        # ``Engine.reader``.
         self._cache = (_shared_cache if _shared_cache is not None
-                       else LruMemo(cache_size))
+                       else GenMemo(cache_size))
         self._contexts: dict = {}
         self._lock = _shared_lock if _shared_lock is not None \
             else threading.Lock()
@@ -582,13 +578,11 @@ class ReadEngine:
         of ``fmt``.  ``code`` is the last item's lane code, or
         :data:`MEMO` for a memo hit (the scalar readers' attribution).
 
-        Every read probes, installs and attributes here.  Memo probes
-        are lock-free ``get`` calls; lane codes accumulate in a list
-        indexed by code.  One final lock flushes the counters (a
-        concurrent :meth:`stats` never sees a torn batch), moves the
-        batch's memo hits still present to the recent end in probe
-        order, then installs the misses in one tail-capped pass.  Memo
-        values are ``(bits, Flonum or None)``: a Flonum-producing batch
+        Every read probes, installs and attributes here.  The memo is
+        probed and filled in place, lock-free (:mod:`repro.engine.memo`);
+        lane codes accumulate in a list indexed by code.  One final lock
+        flushes the counters (a concurrent :meth:`stats` never sees a
+        torn batch) and trims the memo.  Memo values are ``(bits, Flonum or None)``: a Flonum-producing batch
         installs the Flonum it built, a bits batch (``parse_buffer``)
         None, decoded on a later Flonum hit.  Formats without a bit
         encoding memoize ``(None, Flonum)`` and cannot produce bits.
@@ -601,23 +595,24 @@ class ReadEngine:
         elif not flonums:
             fmt._require_encoding()
         cache = self._cache if memo and self.cache_size else None
-        if cache is not None:
-            probe = cache.get
+        new, old, cap = self._cache.new, self._cache.old, self._cache.capacity
         want = 1 if flonums else 0  # the memo value's slot to return
         convert = self._convert
         counts = [0] * _TALLY
-        hits: list = []
-        note = hits.append
-        fresh: list = []
+        n_hits = n_misses = 0
         out: list = []
         append = out.append
         code = SPECIAL
         for s in texts:
             if cache is not None and len(s) <= _MEMO_TEXT_LIMIT:
                 key = (s, ctx_id)
-                hit = probe(key)
+                hit = new.get(key)
+                if hit is None:
+                    hit = old.pop(key, None)
+                    if hit is not None:
+                        new[key] = hit
                 if hit is not None:
-                    note(key)  # bumped at the flush
+                    n_hits += 1
                     v = hit[want]
                     if v is None:  # a bits-only entry, read as a Flonum
                         v = _from_bits(hit[0], fmt)
@@ -670,20 +665,20 @@ class ReadEngine:
                 v = None
                 append(bits)
             if key is not None:
-                fresh.append((key, (bits, v)))
-        counts[MEMO] = len(hits)
-        counts[_MISSES] = len(fresh)
+                n_misses += 1
+                if not old and len(new) >= cap:
+                    with self._lock:
+                        new, old = cache.turn(new)
+                if old:
+                    try:
+                        old.popitem()
+                    except KeyError:  # drained by a racing batch
+                        pass
+                new[key] = (bits, v)
+        counts[MEMO], counts[_MISSES] = n_hits, n_misses
         with self._lock:
             self._tally = list(map(_add, self._tally, counts))
-            if hits:
-                bump = cache.move_to_end
-                for key in hits:
-                    try:
-                        bump(key)
-                    except KeyError:  # another batch evicted it
-                        pass
-            if fresh:
-                cache.install(fresh)
+            self._cache.trim()
         return out, code
 
     def read_parsed(self, parsed: ParsedNumber, fmt: FloatFormat = BINARY64,
@@ -719,8 +714,8 @@ class ReadEngine:
 
         Semantically ``[self.read(t, fmt, mode) for t in texts]``, but
         the whole batch runs through :meth:`_read_batch`: lock-free
-        memo probes and one lock acquisition for the counters, bumps
-        and installs.  An empty batch touches no shared state at all.
+        memo probes and installs, one lock acquisition for the
+        counters.  An empty batch touches no shared state at all.
         """
         texts = list(texts)
         for t in texts:

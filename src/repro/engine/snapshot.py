@@ -7,7 +7,7 @@ conversion:
 * the expensive portion of the per-format :class:`FormatTables` (the
   per-binary-exponent Grisu power list — one correctly rounded 64-bit
   power of ten per normalized exponent, ~2100 entries for binary64);
-* selected LRU memo contents from a donor engine (both directions:
+* selected memo contents from a donor engine (both directions:
   ``(f, e) -> (k, digits)`` shortest results and ``text -> Flonum``
   read results), re-keyed on *stable* identities — format name, base,
   reader-mode value, tie value — never on process-local ``id()``s or
@@ -109,7 +109,7 @@ class Snapshot:
         formats: Format names covered, in order.
         tables: ``{name: {"fingerprint", "grisu_e_min", "grisu_powers"}}``.
         write_memo: ``[name, mode, tie, f, e, k, body]`` rows (shortest
-            results; recency order, oldest first).
+            results; the ``old`` generation first, then ``new``).
         read_memo: ``[name, mode, text, kind, sign, f, e, tier]`` rows
             (``tier`` is written as ``"memo"`` and ignored on load).
         hot: same row shape as ``write_memo`` — the never-evicted
@@ -314,8 +314,8 @@ def _capture_memo(engine, names: List[str], base: int
     value)``.  Only shortest-conversion entries of standard formats in
     the requested set survive; fixed-format entries (4-tuple keys with
     kind-string contexts) and read entries of other formats are
-    skipped.  Iteration order is the memo's recency order, preserved so
-    a restore reproduces the donor's LRU state.
+    skipped.  Rows keep the memo's iteration order, ``old`` then
+    ``new``, and a restore installs them in that order.
     """
     wanted = set(names)
     with engine._lock:
@@ -447,8 +447,8 @@ def _decode_read_row(name, mode, text, kind, sign, f, e) -> tuple:
 def apply_snapshot(engine, snap: Snapshot) -> dict:
     """Warm an :class:`~repro.engine.engine.Engine` from a snapshot.
 
-    Restores tables, installs write-memo rows into the LRU (newest
-    last, capped at the engine's ``cache_size``), fills the hot
+    Restores tables, installs write-memo rows into the memo (in row
+    order, capped at the engine's ``cache_size``), fills the hot
     dictionary, and — when the snapshot has read rows — builds the read
     engine and installs those too.  Returns restore counts.  Raises
     :class:`SnapshotError` without touching the engine if validation

@@ -1,5 +1,5 @@
 """Satellite: batch-API edge cases — empty batches, memo-disabled
-engines, and batches larger than the memo.
+engines, batches larger than the memo, and the memo's two generations.
 
 The contracts under test:
 
@@ -7,24 +7,29 @@ The contracts under test:
   lock acquisitions);
 * a memo-disabled engine runs the whole batch lock-free and takes
   exactly one acquisition (the counter flush);
-* a batch larger than the memo installs only the tail the equivalent
-  sequential calls would have left behind, and never grows the memo
-  past its bound;
-* intra-batch duplicates are deduplicated against the batch-local
-  pending set and counted as cache hits;
-* the memo's recency order after any mix of scalar and batch calls in
-  both directions is pinned exactly, and survives a snapshot round
-  trip per direction;
-* a memo-enabled batch also takes exactly one acquisition: probes are
-  lock-free and the hits are bumped at the flush;
+* a batch larger than the memo leaves what the equivalent sequential
+  calls would have left, and never grows the memo past its bound;
+* intra-batch duplicates hit the memo and count as cache hits;
+* the ``new``/``old`` contents after any mix of scalar and batch calls
+  in both directions are pinned exactly, step by step and against a
+  reference model of the policy, and a snapshot restore installs them
+  ``old`` then ``new``;
+* a memo-enabled batch also takes exactly one acquisition when no
+  generation swap falls inside it: probes and installs are lock-free;
+* batches racing each other's swaps, and a ``popitem`` on an ``old``
+  that another batch just drained, change no byte and keep the bound;
 * the batch loop serves binary32/16 batches too, equal to the scalar
   route element by element and in every counter.
 """
 
 import math
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.rounding import ReaderMode
 from repro.engine import Engine, ReadEngine
@@ -170,8 +175,7 @@ class TestNarrowFormatBatches:
             assert g == w, (i, batch[i])
         assert len(got) == len(want)
         assert many.stats() == scalar.stats()
-        # Same entries; the batch installs its own conversions at the
-        # flush, after the ones the scalar fallback made in-loop.
+        # Same entries.
         assert dict(many._cache) == dict(scalar._cache)
 
 
@@ -227,64 +231,224 @@ class TestIntraBatchDuplicates:
 
 def _label(key):
     """A context-free name for one memo key: ``r<text>`` for reads,
-    ``w<value>`` for shortest writes, ``n<value>`` for fixed-format
-    (counted/``#``-mark) entries."""
+    ``w<value>`` for shortest writes, ``n<value>/<n>`` for fixed-format
+    (counted/``#``-mark) entries of ``n`` digits."""
     if isinstance(key[0], str):
         return "r" + key[0]
-    tag = "w" if len(key) == 3 else "n"
-    return tag + repr(math.ldexp(key[0], key[1]))
+    value = repr(math.ldexp(key[0], key[1]))
+    return "w" + value if len(key) == 3 else f"n{value}/{key[2]}"
 
 
-class TestRecencyOrder:
-    def test_scripted_calls_pin_lru_order(self):
+def _gens(memo):
+    """The memo's two generations as label lists: ``(old, new)``."""
+    return ([_label(k) for k in memo.old], [_label(k) for k in memo.new])
+
+
+class TestGenerations:
+    def test_scripted_calls_pin_generations(self):
         eng = Engine(cache_size=4)
         steps = [
-            (lambda: eng.format(1.5), ["w1.5"]),
-            # 2.5 repeats from the batch-local pending set.
+            (lambda: eng.format(1.5), [], ["w1.5"]),
+            # 2.5 repeats as a hit in ``new``.
             (lambda: eng.format_many([2.5, 3.5, 2.5]),
-             ["w1.5", "w2.5", "w3.5"]),
-            (lambda: eng.read("0.25"), ["w1.5", "w2.5", "w3.5", "r0.25"]),
-            # A scalar hit moves its entry to the most recent end.
-            (lambda: eng.format(1.5), ["w2.5", "w3.5", "r0.25", "w1.5"]),
+             [], ["w1.5", "w2.5", "w3.5"]),
+            (lambda: eng.read("0.25"), [], ["w1.5", "w2.5", "w3.5", "r0.25"]),
+            # A miss that finds ``new`` full swaps the generations, then
+            # evicts the last entry of ``old`` (``popitem``).
             (lambda: eng.counted_digits(4.5, ndigits=3),
-             ["w3.5", "r0.25", "w1.5", "n4.5"]),
+             ["w1.5", "w2.5", "w3.5"], ["n4.5/3"]),
+            # A scalar hit in ``old`` moves the entry into ``new``.
+            (lambda: eng.format(1.5), ["w2.5", "w3.5"], ["n4.5/3", "w1.5"]),
+            # Two misses drain ``old``.
             (lambda: eng.read_many(["0.25", "0.75"]),
-             ["w1.5", "n4.5", "r0.25", "r0.75"]),
-            # Oversized batch: only its last four keys count, and the
-            # hit among them (1.5, bumped when probed) sits before the
-            # new entries; 9.5 is never installed.
+             [], ["n4.5/3", "w1.5", "r0.25", "r0.75"]),
+            # Oversized batch: the first miss swaps, the next three
+            # drain ``old`` from its end, 1.5 included, so 1.5 misses
+            # too; the fifth miss swaps again.
             (lambda: eng.format_many([9.5, 10.5, 11.5, 1.5, 12.5]),
-             ["w1.5", "w10.5", "w11.5", "w12.5"]),
+             ["w9.5", "w10.5", "w11.5"], ["w12.5"]),
             (lambda: eng.fixed_digits(6.5, ndigits=2),
-             ["w10.5", "w11.5", "w12.5", "n6.5"]),
-            (lambda: eng.read("2.25"), ["w11.5", "w12.5", "n6.5", "r2.25"]),
-            # Oversized read batch: the hit is bumped, then the last
-            # four misses push everything older out.
+             ["w9.5", "w10.5"], ["w12.5", "n6.5/2"]),
+            (lambda: eng.read("2.25"),
+             ["w9.5"], ["w12.5", "n6.5/2", "r2.25"]),
+            # Oversized read batch: a drain, a swap, a promotion
+            # (2.25), a second drain and a second swap.
             (lambda: eng.read_many(["0.5", "1.25", "2.25", "3.25", "4.25",
                                     "5.25"]),
-             ["r1.25", "r3.25", "r4.25", "r5.25"]),
+             ["r1.25", "r2.25", "r3.25"], ["r5.25"]),
             (lambda: eng.format_many([1.5]),
-             ["r3.25", "r4.25", "r5.25", "w1.5"]),
-            (lambda: eng.read("4.25"), ["r3.25", "r5.25", "w1.5", "r4.25"]),
+             ["r1.25", "r2.25"], ["r5.25", "w1.5"]),
+            (lambda: eng.read("4.25"),
+             ["r1.25"], ["r5.25", "w1.5", "r4.25"]),
         ]
-        for i, (call, expected) in enumerate(steps):
+        for i, (call, old, new) in enumerate(steps):
             call()
-            assert [_label(k) for k in eng._cache] == expected, f"step {i}"
-        # A restore installs the write rows, then the read rows, each in
-        # the donor's recency order.
+            assert _gens(eng._cache) == (old, new), f"step {i}"
+            assert list(map(_label, eng._cache)) == old + new, f"step {i}"
+        # A restore installs the write rows, then the read rows, each
+        # ``old`` then ``new``, as a sequence of misses.
         warm = Engine(cache_size=4,
                       snapshot=build_snapshot(["binary64"], engine=eng))
-        assert [_label(k) for k in warm._cache] == [
-            "w1.5", "r3.25", "r5.25", "r4.25"]
+        assert _gens(warm._cache) == (
+            [], ["w1.5", "r1.25", "r5.25", "r4.25"])
+        assert warm.snapshot_restored["read"] == 3
         small = Engine(cache_size=2,
                        snapshot=build_snapshot(["binary64"], engine=eng))
-        assert [_label(k) for k in small._cache] == ["r5.25", "r4.25"]
-        # A below-capacity batch mixing hits and misses: the hits move
-        # to the recent end in probe order (5.5 before the older 1.5),
-        # then the misses install.
+        assert _gens(small._cache) == ([], ["r5.25", "r4.25"])
+        assert small.snapshot_restored == {
+            "formats": 1, "write": 1, "read": 2, "hot": 0}
+        # A miss drains ``old``; then a batch's first miss swaps, its
+        # misses evict from the new ``old`` and its hit there moves.
         eng.format_many([5.5])
-        assert [_label(k) for k in eng._cache] == [
-            "r5.25", "w1.5", "r4.25", "w5.5"]
+        assert _gens(eng._cache) == (
+            [], ["r5.25", "w1.5", "r4.25", "w5.5"])
         eng.format_many([7.5, 5.5, 1.5])
-        assert [_label(k) for k in eng._cache] == [
-            "r4.25", "w5.5", "w1.5", "w7.5"]
+        assert _gens(eng._cache) == (["r5.25"], ["w7.5", "w5.5", "w1.5"])
+
+
+class GenModel:
+    """Reference model of the memo policy over labels: a probe hits in
+    ``new`` or moves a hit in ``old`` into ``new``; a miss that finds
+    ``new`` full (and ``old`` empty) makes it ``old``, evicts the last
+    entry of ``old`` and appends to ``new``."""
+
+    def __init__(self, cap):
+        self.cap, self.new, self.old = cap, [], []
+
+    def touch(self, label) -> bool:
+        if label in self.new:
+            return True
+        if label in self.old:
+            self.old.remove(label)
+            self.new.append(label)
+            return True
+        if not self.old and len(self.new) >= self.cap:
+            self.old, self.new = self.new, []
+        if self.old:
+            self.old.pop()
+        self.new.append(label)
+        return False
+
+
+_POOL = [1.5, -1.5, 0.1, 2.5e-300, 5e-324, 1e23, 123456.789, 0.0, -0.0,
+         math.inf, math.nan, 7.0, 7, -12]
+_TEXTS = ["1.5", " 1.5", "-1.5", "0.1", "1e23", "5e-324", "nan", "inf",
+          "0", "7", "123456.789", "2.5e-300"]
+
+
+def _write_labels(x):
+    return [] if x == 0 or not math.isfinite(x) else [
+        "w" + repr(float(abs(x)))]
+
+
+_value = st.sampled_from(_POOL)
+_text = st.sampled_from(_TEXTS)
+_positive = st.sampled_from([x for x in _POOL if x > 0 and x != math.inf])
+_call = st.one_of(
+    st.tuples(st.just("format"), _value),
+    st.tuples(st.just("format_many"), st.lists(_value, max_size=8)),
+    st.tuples(st.just("read"), _text),
+    st.tuples(st.just("read_many"), st.lists(_text, max_size=8)),
+    st.tuples(st.just("counted_digits"), _positive, st.integers(1, 4)),
+)
+
+
+class TestPolicyModel:
+    @settings(max_examples=200, deadline=None)
+    @given(cap=st.integers(1, 6), calls=st.lists(_call, max_size=25))
+    def test_memo_follows_the_model(self, cap, calls):
+        eng = Engine(cache_size=cap)
+        exact = Engine(tier_order=(), read_tier_order=(), cache_size=0)
+        model = GenModel(cap)
+        writes = reads = 0
+        for name, arg, *rest in calls:
+            kw = {"ndigits": rest[0]} if rest else {}
+            got = getattr(eng, name)(arg, **kw)
+            want = getattr(exact, name)(arg, **kw)
+            if name.startswith("read"):
+                labels = ["r" + t.strip()
+                          for t in (arg if name == "read_many" else [arg])]
+                got, want = ([repr(v) for v in x] if name == "read_many"
+                             else repr(x) for x in (got, want))
+            elif name == "counted_digits":
+                labels = [f"n{float(arg)!r}/{kw['ndigits']}"]
+            else:
+                labels = [lab for x in (arg if name == "format_many"
+                                        else [arg])
+                          for lab in _write_labels(x)]
+            assert got == want
+            for lab in labels:
+                hit = model.touch(lab)
+                if lab[0] == "r":
+                    reads += hit
+                else:
+                    writes += hit
+            assert _gens(eng._cache) == (model.old, model.new)
+            s = eng.stats()
+            assert s["cache_entries"] <= cap
+            assert (s["cache_hits"], s["read_cache_hits"]) == (writes, reads)
+
+
+class TestGenerationSwapRace:
+    def test_racing_swaps_keep_bytes_and_bound(self):
+        # An 8-entry memo swaps generations every few misses, so four
+        # threads' batches race each other's swaps, promotions and
+        # ``popitem`` calls on an ``old`` another thread just drained.
+        eng = Engine(cache_size=8)
+        floats = _vals(120, seed=7)
+        texts = [repr(x) for x in floats]
+        oracle = Engine(tier_order=(), read_tier_order=(), cache_size=0)
+        want_w = oracle.format_many(floats)
+        want_r = [v.to_bits() for v in oracle.read_many(texts)]
+        failures = []
+
+        def work(tid):
+            try:
+                for rnd in range(15):
+                    lo = (7 * tid + 11 * rnd) % 90
+                    hi = lo + 30
+                    if eng.format_many(floats[lo:hi]) != want_w[lo:hi]:
+                        failures.append(("write", tid, rnd))
+                    got = [v.to_bits() for v in eng.read_many(texts[lo:hi])]
+                    if got != want_r[lo:hi]:
+                        failures.append(("read", tid, rnd))
+            except Exception as exc:  # pragma: no cover - the regression
+                failures.append(("raised", tid, repr(exc)))
+
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(4)]
+        # Switch threads every few bytecodes, not every 5 ms, so the
+        # batches interleave mid-loop.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures, failures[:5]
+        assert eng.stats()["cache_entries"] <= 8
+
+    @pytest.mark.parametrize("call", [
+        lambda eng: eng.format_many([1.5, -2.5, 3.5]),
+        lambda eng: [v.to_bits()
+                     for v in eng.read_many(["1.5", "-2.5", "3.5"])],
+        lambda eng: eng.format(1.5),
+    ], ids=["format_many", "read_many", "format"])
+    def test_popitem_on_a_drained_old_does_not_raise(self, call):
+        class Drained(dict):
+            """An ``old`` that a racing batch empties between the
+            emptiness check and the ``popitem``."""
+
+            def popitem(self):
+                self.clear()
+                raise KeyError("popitem(): dictionary is empty")
+
+        eng = Engine(cache_size=1)
+        eng._cache.old = Drained({("unprobed", -1): (0, None)})
+        exact = Engine(tier_order=(), read_tier_order=(), cache_size=0)
+        assert call(eng) == call(exact)
+        assert eng.stats()["cache_entries"] <= 1
