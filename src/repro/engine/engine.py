@@ -85,14 +85,14 @@ _INF = float("inf")
 
 #: The exact key set :meth:`Engine.stats` returns, before and after any
 #: :meth:`Engine.reset_stats` and whether or not the read engine has
-#: been built — pinned by a schema test so counter consumers (benches,
-#: dashboards) never ``KeyError`` on a fresh or reset engine.
+#: been built — pinned by a schema test so counter consumers never
+#: ``KeyError`` on a fresh or reset engine.  Every value is a count.
 STAT_KEYS = frozenset({
     "tier0_hits", "tier2_calls",
     "schubfach_hits", "fixed_tier1_hits", "fixed_tier1_bailouts",
     "fixed_tier2_calls", "fixed_conversions", "cache_hits",
     "cache_misses", "conversions", "cache_entries", "tier_faults",
-    "hot_hits", "snapshot_faults", "bail_rate",
+    "hot_hits", "snapshot_faults",
 }) | READ_STAT_KEYS
 
 
@@ -244,9 +244,6 @@ class Engine:
 
         Keys: ``tier0_hits``, ``schubfach_hits``, ``tier2_calls`` (the
         shortest/free-format route: tier 0, Schubfach, exact);
-        ``bail_rate`` (derived, ``{"write": ..., "read": ...}``
-        — per direction, the fraction of tier-routed conversions the
-        exact tier resolved, 0.0 when none ran);
         ``fixed_tier1_hits``, ``fixed_tier1_bailouts``,
         ``fixed_tier2_calls`` (the counted/fixed-format tiers, shared by
         :meth:`counted_digits` and :meth:`fixed_digits`);
@@ -277,15 +274,6 @@ class Engine:
         reader = self._reader
         out = (reader._stats_locked() if reader is not None
                else dict.fromkeys(READ_STAT_KEYS, 0))
-        # Derived bail-rate summary (the satellite consumers — bench and
-        # daemon logs — stop recomputing it ad hoc): per direction, the
-        # fraction of tier-routed conversions the exact tier had to
-        # resolve.  Memo/hot hits and the fixed tiers are excluded —
-        # they never reach the exact shortest path.
-        write_den = (self._tier0_hits + self._schubfach_hits
-                     + self._tier2_calls)
-        read_den = (out["read_tier0_hits"] + out["read_tier1_hits"]
-                    + out["read_tier2_calls"])
         out.update({
             "tier0_hits": self._tier0_hits,
             "tier2_calls": self._tier2_calls,
@@ -303,12 +291,6 @@ class Engine:
                             + self._tier2_calls
                             + fixed + self._cache_hits + self._hot_hits),
             "cache_entries": len(self._cache),
-            "bail_rate": {
-                "write": (self._tier2_calls / write_den
-                          if write_den else 0.0),
-                "read": (out["read_tier2_calls"] / read_den
-                         if read_den else 0.0),
-            },
         })
         return out
 

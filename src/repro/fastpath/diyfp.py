@@ -26,7 +26,6 @@ __all__ = [
     "normalize",
     "normalized_boundaries",
     "cached_power_for_binary_exponent",
-    "clear_power_cache",
 ]
 
 SIGNIFICAND_SIZE = 64
@@ -140,18 +139,6 @@ def _pow10_diyfp(k: int) -> Tuple[DiyFp, bool]:
         result = (DiyFp(q, -s), False)
     _POWER_CACHE[k] = result
     return result
-
-
-def clear_power_cache() -> None:
-    """Drop every cached power of ten.
-
-    The powers are recomputed exactly on demand, so this only affects
-    speed — it exists so cold-start measurements (``bench warm``) can
-    reproduce what a fresh process pays, which ``clear_tables`` alone
-    does not (this cache backs the table build *and* the per-value
-    Grisu fast path).
-    """
-    _POWER_CACHE.clear()
 
 
 def cached_power_for_binary_exponent(e: int, target_lo: int = -60,

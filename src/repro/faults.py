@@ -56,7 +56,7 @@ Arming
 
 No plan is armed by default, and every site compiles down to a single
 module-global ``is None`` test on the hot path — the disarmed cost is
-one load per conversion, which the bulk bench gates confirm is noise::
+one load per conversion::
 
     plan = FaultPlan([FaultSpec("pool.format_shard", "crash", shard=1)])
     with faults.armed(plan):
@@ -82,7 +82,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["FaultPlan", "FaultSpec", "InjectedFault", "arm", "disarm",
-           "armed", "active", "smoke_plan", "CALL_SITES", "POOL_SITES"]
+           "armed", "active", "smoke_plan", "chaos_plan", "CALL_SITES",
+           "POOL_SITES"]
 
 #: Call sites: evaluated in-process, ``raise`` kind only.
 CALL_SITES = frozenset({
@@ -319,4 +320,17 @@ def smoke_plan(seed: int = 0) -> FaultPlan:
         FaultSpec("pool.read_shard", "corrupt", shard=0),
         FaultSpec("engine.schubfach", "raise", rate=0.1, limit=32),
         FaultSpec("reader.tier1", "raise", rate=0.1, limit=32),
+    ], seed=seed)
+
+
+def chaos_plan(seed: int = 0) -> FaultPlan:
+    """The standing plan for chaos traffic through a daemon: one
+    guaranteed worker crash, then rate-drawn crashes, stalls and
+    corruptions, each on a shard's first attempt (one retry heals)."""
+    return FaultPlan([
+        FaultSpec("pool.format_shard", "crash", shard=0, attempt=0, limit=1),
+        FaultSpec("pool.format_shard", "crash", rate=0.02, attempt=0, limit=5),
+        FaultSpec("pool.read_shard", "corrupt", rate=0.02, attempt=0, limit=5),
+        FaultSpec("pool.read_shard", "stall", rate=0.01,
+                  attempt=0, stall=0.05, limit=5),
     ], seed=seed)

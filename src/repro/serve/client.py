@@ -3,9 +3,9 @@
 :class:`ServeClient` is the blocking socket client — one request, one
 response, in order.  It is what the verify battery, the conformance
 tests and the documentation example use.  :class:`AsyncServeClient` is
-the pipelined asyncio client the open-loop load generator
-(``tools/bench_serve.py``) drives: many requests in flight on one
-connection, responses matched back in FIFO order.
+the pipelined asyncio client for callers inside an event loop: many
+requests in flight on one connection, responses matched back in FIFO
+order.
 
 Both speak byte planes, exactly like the daemon: ``format`` sends
 packed native-order bit patterns and returns a delimited ASCII plane;

@@ -824,10 +824,7 @@ class ReproDaemon:
             pools = list(self._pools.values())
         if not pools:
             return {}
-        # Derived ratios (``bail_rate``) don't sum; consumers recompute
-        # them from the merged counters.
-        out = {k: v for k, v in self._engine.stats().items()
-               if not isinstance(v, dict)}
+        out = self._engine.stats()
         for pool in pools:
             for k, v in pool._own_stats().items():
                 out[k] = out.get(k, 0) + v
@@ -843,9 +840,9 @@ def serving(**kwargs):
     """Run a :class:`ReproDaemon` on a background event-loop thread.
 
     Yields the started daemon (``daemon.host``/``daemon.port`` are
-    live); drains and tears the loop down on exit.  The harness tests,
-    the ``--serve`` verify battery and ``tools/bench_serve.py`` all
-    serve through this.
+    live); drains and tears the loop down on exit.  The harness tests
+    and the ``--serve`` and ``--control`` verify batteries serve
+    through this.
     """
     daemon = ReproDaemon(**kwargs)
     loop = asyncio.new_event_loop()

@@ -498,7 +498,7 @@ class BulkPool:
         #: shard CRC contract: both legs compute the same pure function
         #: of the same payload.  Suppressed while a fault plan is armed
         #: unless ``hedge_with_faults`` opts in (the dedicated hedge
-        #: verify/bench legs), so chaos determinism tests see exactly
+        #: verify rows), so chaos determinism tests see exactly
         #: the dispatches their plans scripted.
         self.hedge = bool(hedge)
         self.hedge_min = float(hedge_min)
@@ -666,13 +666,8 @@ class BulkPool:
             if plan is not None and plan.token == fired[0]:
                 plan.absorb(fired[1])
         with self._lock:
-            acc = self._stats
             for k, v in delta.items():
-                if isinstance(v, dict):
-                    # Derived summaries (``bail_rate``) are ratios, not
-                    # counts — summing them across shards is meaningless.
-                    continue
-                acc[k] = acc.get(k, 0) + v
+                self._stats[k] = self._stats.get(k, 0) + v
 
     def _check_budget(self, start: float) -> None:
         if self.budget is not None:

@@ -32,7 +32,8 @@ flag          surfaces (rows)                             oracle
               readers, scheme/hex/truncated surfaces,     ``Fraction``
               host ``repr``/``%``/``float``               counted oracle
 --roundtrip   print→parse→print and parse→print→parse     the sample,
-              through the default engine, per read tier   host ``float``
+              through the default engine, per read tier;  host ``float``,
+              exact midpoints, default and exact reader   even neighbour
 --contenders  ``Engine.format``, ``format_many`` with     exact tier
               memo off and on (cold and warm), both
               nearest modes; no exact-tier call
@@ -46,9 +47,9 @@ flag          surfaces (rows)                             oracle
 --chaos       process ``BulkPool`` under five fault       exact tier,
               plans; typed errors, strict engine          exact reader
 --serve       daemon wire on ``jobs=1`` (inline) and      exact tier,
-              process pools: format, read, a pipelined    exact reader
-              burst; typed errors
---control     controlled process daemon under three       exact tier
+              process pools: format, read, pipelined      exact reader
+              bursts, the chaos plan; typed errors
+--control     controlled process daemon under four        exact tier
               fault plans, a hedged process pool, live
               snapshot rotation
 ============  ==========================================  ================
@@ -781,7 +782,8 @@ def _daemon(h: Harness, **kw):
     """A loopback daemon and one client connection to it."""
     with serving(**kw) as daemon:
         with ServeClient(daemon.host, daemon.port) as client:
-            yield SimpleNamespace(daemon=daemon, client=client)
+            yield SimpleNamespace(daemon=daemon, client=client, sent=0,
+                                  errors=0)
 
 
 def _wire_format(c: Corpus, rig) -> List[str]:
@@ -800,9 +802,12 @@ def _wire_read(c: Corpus, rig) -> List[int]:
     return got
 
 
-def _wire_pipeline(c: Corpus, rig) -> List:
-    """Every span as a format frame then a read frame, pipelined on one
-    connection: responses must come back in request order."""
+def _wire_pipeline(c: Corpus, rig, rounds: int = 1, burst: int = 0,
+                   resends: int = 0) -> List:
+    """Each span's format and read frame, ``rounds`` times over,
+    pipelined ``burst`` frames at a time (default all) on one connection
+    in request order.  A typed error is sent again, up to ``resends``
+    times; ``rig.sent`` and ``rig.errors`` count frames and errors."""
     from repro.serve import protocol
 
     frames = []
@@ -812,9 +817,23 @@ def _wire_pipeline(c: Corpus, rig) -> List:
             c.fmt.name, b"\n"))
         frames.append(protocol.encode_request(
             protocol.OP_READ, c.plane(a, b), c.fmt.name, b"\n"))
+    frames *= rounds
+    burst = burst or len(frames)
     got: List = []
-    for i, (status, payload) in enumerate(rig.client.pipeline(frames)):
+    for i, frame in enumerate(frames):
+        if i % burst == 0:
+            answers = iter(rig.client.pipeline(frames[i:i + burst]))
+        status, payload = next(answers)
+        rig.sent += 1
+        for _ in range(resends):
+            if status == protocol.STATUS_OK:
+                break
+            rig.errors += 1
+            time.sleep(0.05)
+            (status, payload), = rig.client.pipeline([frame])
+            rig.sent += 1
         if status != protocol.STATUS_OK:
+            rig.errors += 1
             got.append(f"status {status}")
         elif i % 2 == 0:
             got += _rows(payload)
@@ -823,13 +842,13 @@ def _wire_pipeline(c: Corpus, rig) -> List:
     return got
 
 
-def _pipelined(c: Corpus):
+def _pipelined(c: Corpus, rounds: int = 1):
     want: List = []
     lanes: List[str] = []
     for a, b in c.spans():
         want += c.lines[a:b] + c.want_bits[a:b]
         lanes += c.lanes[a:b] * 2
-    return want, lanes
+    return want * rounds, lanes * rounds
 
 
 # ----------------------------------------------------------------------
@@ -885,6 +904,37 @@ def _check_roundtrip(report: VerificationReport, h: Harness) -> None:
             report.expect("host-float", _same_datum(
                 Flonum.from_float(float(lit)), first.value), first.value,
                 f"host reads {lit!r} as {float(lit)!r}")
+
+
+def _check_midpoints(report: VerificationReport, h: Harness) -> None:
+    """The midpoint ``(2f+1)·2^(e-1)`` above each finite sample value
+    ``f·2^e`` is an exact tie: ``read_many`` on the default engine and on
+    the exact-only reader must return the neighbour with the even
+    significand (zero below the least denormal, infinity past the max)."""
+    fmt = h.corpus.fmt
+    if fmt.radix != 2:
+        return
+    texts: List[str] = []
+    want: List[str] = []
+    for v in h.corpus.sample:
+        if not v.is_finite:
+            continue
+        d, e = 2 * v.f + 1, v.e - 1
+        texts.append(("-" if v.sign else "")
+                     + (str(d << e) if e >= 0 else f"{d * 5**-e}e{e}"))
+        f, e = v.f + (v.f & 1), v.e
+        if f == fmt.mantissa_limit:
+            f, e = fmt.hidden_limit, e + 1
+        want.append(repr(Flonum.zero(fmt, v.sign) if f == 0
+                         else Flonum.infinity(fmt, v.sign) if e > fmt.max_e
+                         else Flonum.finite(v.sign, f, e, fmt)))
+    read = ReadEngine(cache_size=0).read_result
+    lanes = [read(t, fmt).tier for t in texts]
+    for tag, reader in (
+            ("midpoint/read_many", h.engine or Engine()),
+            ("midpoint/exact", ReadEngine(tier_order=(), cache_size=0))):
+        got = [repr(v) for v in reader.read_many(texts, fmt)]
+        _compare_rows(report, tag, got, want, texts, lanes)
 
 
 # ----------------------------------------------------------------------
@@ -1270,8 +1320,35 @@ def _wire_errors(report: VerificationReport, h: Harness, rig,
                       f"post-error response: {alive!r}")
 
 
+#: Passes per chaos wire row.  Each span's frame pair is one burst, so
+#: every pass makes its own pool calls instead of one coalesced batch.
+_CHAOS_ROUNDS = 16
+
+
+def _wire_chaos_audit(report: VerificationReport, h: Harness, rig, plan,
+                      tag: str, shed_bound: float = 0.0) -> None:
+    """Chaos through a daemon: a pool fault fired, ``pool_stats()``
+    counts a recovery per pool fault fired, the daemon admitted each
+    frame sent once, and at most ``shed_bound`` got a typed error."""
+    with plan._lock:
+        fired = sum(plan.fired.get(s, 0) for s in faults.POOL_SITES)
+    pool = rig.daemon.pool_stats()
+    recovered = sum(pool.get(k, 0) for k in (
+        "shard_failures", "corrupt_shards", "deadline_hits"))
+    admitted = rig.daemon.stats()["requests"]
+    report.expect(tag, 1 <= fired <= recovered and admitted == rig.sent
+                  and rig.errors <= rig.sent * shed_bound,
+                  h.corpus.values[0],
+                  f"{fired} pool faults fired, {recovered} recoveries; "
+                  f"{rig.sent} frames sent, {admitted} admitted, "
+                  f"{rig.errors} typed errors (bound {shed_bound:.0%})")
+
+
 _INLINE_WIRE = Rig(lambda h: _daemon(h, jobs=1), audit=_wire_errors)
 _PROCESS_WIRE = Rig(lambda h: _daemon(h, jobs=h.jobs))
+_CHAOS_WIRE = Rig(lambda h: _daemon(h, jobs=h.jobs, retries=3),
+                  plan=faults.chaos_plan, audit=functools.partial(
+                      _wire_chaos_audit, tag="serve/chaos-accounting"))
 
 _SERVE_ROWS = (
     Row("serve/format", _wire_format, rig=_INLINE_WIRE),
@@ -1279,6 +1356,10 @@ _SERVE_ROWS = (
     Row("serve/pipeline", _wire_pipeline, _pipelined, rig=_INLINE_WIRE),
     Row("serve/process-format", _wire_format, rig=_PROCESS_WIRE),
     Row("serve/process-read", _wire_read, _bits, rig=_PROCESS_WIRE),
+    Row("serve/chaos",
+        functools.partial(_wire_pipeline, rounds=_CHAOS_ROUNDS, burst=2),
+        functools.partial(_pipelined, rounds=_CHAOS_ROUNDS),
+        rig=_CHAOS_WIRE),
 )
 
 
@@ -1365,6 +1446,19 @@ def _control_rows() -> Tuple[Row, ...]:
         rig = Rig(_controlled(pool_kw), plan=plan,
                   audit=functools.partial(_control_audit, tag=tag))
         rows.append(Row(tag, _wire_format, rig=rig))
+    # The chaos plan again: the control plane may shed (and the client
+    # resend) at most a fifth of the frames.
+    rows.append(Row(
+        "control/chaos-wire",
+        functools.partial(_wire_pipeline, rounds=_CHAOS_ROUNDS, burst=2,
+                          resends=20),
+        functools.partial(_pipelined, rounds=_CHAOS_ROUNDS),
+        rig=Rig(lambda h: _daemon(
+            h, jobs=h.jobs, retries=3, breaker_threshold=8,
+            slo_target_ms=60.0, hedge=True, hedge_min=0.05,
+            hedge_under_faults=True), plan=faults.chaos_plan,
+            audit=functools.partial(_wire_chaos_audit, shed_bound=0.2,
+                                    tag="control/chaos-wire-accounting"))))
     return tuple(rows) + (
         Row("control/hedge", lambda c, pool: _rows(pool.format_bulk(
             c.packed[:INLINE_ROWS * c.itemsize])),
@@ -1418,8 +1512,9 @@ _BATTERIES: Dict[str, _Battery] = {
         "", "", checks=(_check_values,), sample=sample_values, min_rows=0),
     "roundtrip": _Battery(
         "round-trip", "run the print↔parse round-trip battery (tiered "
-        "read engine + host float() oracle) instead of the printing "
-        "battery", checks=(_check_roundtrip,), min_rows=0),
+        "read engine + host float() oracle, exact decimal midpoints "
+        "read ties-to-even) instead of the printing battery",
+        checks=(_check_roundtrip, _check_midpoints), min_rows=0),
     "bulk": _Battery(
         "bulk", "run the bulk serving-layer battery: every columnar/"
         "pooled route must be byte-identical to the exact tier",

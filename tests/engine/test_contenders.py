@@ -5,8 +5,7 @@ byte-identical to the exact Burger–Dybvig writer on every finite input
 *without a bail path*, so the default engine never consults the exact
 tier on a nearest-mode shortest conversion.  The engines' one switch
 (``tier_order=None`` for the route, ``()`` for exact-only, anything
-else rejected) gets its own edge cases here, plus the ``bail_rate``
-stats summary the engine reports.
+else rejected) gets its own edge cases here.
 """
 
 import random
@@ -162,42 +161,6 @@ class TestTierRouterEdges:
         assert s["tier2_calls"] == 0
         assert s["schubfach_hits"] > 0
         assert s["tier0_hits"] + s["schubfach_hits"] == s["conversions"]
-
-
-class TestBailRate:
-    """Satellite: the derived ``bail_rate`` summary in ``stats()``."""
-
-    def test_formula_pinned(self):
-        eng = Engine(cache_size=0)
-        vals = [v.to_float() for v in corpus64()]
-        eng.format_many(vals)
-        eng.read_many([repr(x) for x in vals])
-        s = eng.stats()
-        wd = s["tier0_hits"] + s["schubfach_hits"] + s["tier2_calls"]
-        rd = (s["read_tier0_hits"] + s["read_tier1_hits"]
-              + s["read_tier2_calls"])
-        assert s["bail_rate"]["write"] == pytest.approx(
-            s["tier2_calls"] / wd)
-        assert s["bail_rate"]["read"] == pytest.approx(
-            s["read_tier2_calls"] / rd)
-
-    def test_zero_denominator_is_zero(self):
-        s = Engine(cache_size=0).stats()
-        assert s["bail_rate"] == {"write": 0.0, "read": 0.0}
-
-    def test_exact_only_rate_is_one(self):
-        eng = Engine(tier_order=(), cache_size=0)
-        eng.format_many([0.1, 1.5, 2.5])
-        assert eng.stats()["bail_rate"]["write"] == 1.0
-
-    def test_schubfach_only_rate_is_zero(self):
-        # The default route never bails: 0.1 goes to Schubfach, the
-        # short exact values to tier 0.
-        eng = Engine(cache_size=0)
-        eng.format_many([0.1, 1.5, 2.5])
-        s = eng.stats()
-        assert s["schubfach_hits"] >= 1
-        assert s["bail_rate"]["write"] == 0.0
 
 
 def _binade_edges(fmt):

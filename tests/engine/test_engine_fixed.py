@@ -17,6 +17,7 @@ from repro.errors import RangeError
 from repro.floats.formats import BINARY32, BINARY64
 from repro.floats.model import Flonum
 from repro.format.printf import format_printf
+from repro.workloads.corpus import uniform_random
 
 
 @pytest.fixture()
@@ -206,3 +207,14 @@ class TestRouting:
             engine.fixed_digits(-0.3, ndigits=2)
         with pytest.raises(RangeError):
             engine.counted_digits(float("inf"), ndigits=2)
+
+
+class TestLaneFloor:
+    def test_counted_lane_settles_nine_in_ten(self):
+        # %.6e-shaped requests (7 digits) on uniform random binary64:
+        # the counted lane, not the exact tier, settles at least 90 %.
+        eng = Engine(cache_size=0)
+        for v in uniform_random(2000, seed=2024):
+            eng.counted_digits(v, ndigits=7)
+        s = eng.stats()
+        assert s["fixed_tier1_hits"] >= 0.90 * s["conversions"], s

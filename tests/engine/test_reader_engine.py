@@ -1,5 +1,6 @@
 """The tiered read engine: routing, certification, memo, stats, threads."""
 
+import random
 import threading
 
 import pytest
@@ -22,6 +23,8 @@ from repro.floats.formats import (
 from repro.floats.model import Flonum
 from repro.reader.exact import read_decimal
 from repro.reader.parse import _scan_decimal, parse_decimal
+from repro.workloads.corpus import uniform_random
+from repro.workloads.schryer import corpus as schryer_corpus
 
 NARROW_FORMATS = [BINARY16, BINARY32, BINARY64]
 ALL_FORMATS = NARROW_FORMATS + [BINARY128, X87_80]
@@ -140,6 +143,34 @@ class TestDifferentialVsExactReader:
         for fmt in (BINARY16, BINARY32):
             assert _same(eng.read(text, fmt), read_decimal(text, fmt)), (
                 fmt.name, text)
+
+
+class TestLaneFloor:
+    def test_fast_lanes_settle_nineteen_in_twenty(self):
+        # The round-trip mix: shortest output of uniform random doubles
+        # and of Schryer's hard cases, plus human-style literals (short
+        # decimals, long scientific, integers).  Tier 0 and the window
+        # tier settle at least 95 % of it without the exact tier.
+        eng = Engine()
+        texts = eng.format_many([v.to_float()
+                                 for v in uniform_random(2000, seed=2024)])
+        texts += eng.format_many([v.to_float() for v in schryer_corpus(1000)])
+        rng = random.Random(2024)
+        for _ in range(500):
+            kind = rng.randrange(3)
+            if kind == 0:
+                texts.append(f"{rng.randrange(10**6)}"
+                             f".{rng.randrange(10**6):06d}")
+            elif kind == 1:
+                texts.append(f"{rng.randrange(1, 10**19)}"
+                             f"e{rng.randrange(-300, 300)}")
+            else:
+                texts.append(str(rng.randrange(10**9)))
+        reader = ReadEngine(cache_size=0)
+        reader.read_many(texts)
+        s = reader.stats()
+        fast = s["read_tier0_hits"] + s["read_tier1_hits"]
+        assert fast >= 0.95 * s["read_conversions"], s
 
 
 class TestSignedZeros:
@@ -321,7 +352,13 @@ class TestStatsSchema:
         eng.format(0.1)
         eng.read("1.5")
         before = frozenset(eng.stats())
-        assert before == STAT_KEYS | {"cache_entries"}
+        assert before == STAT_KEYS == READ_STAT_KEYS | {
+            "tier0_hits", "tier2_calls", "schubfach_hits",
+            "fixed_tier1_hits", "fixed_tier1_bailouts", "fixed_tier2_calls",
+            "fixed_conversions", "cache_hits", "cache_misses",
+            "conversions", "cache_entries", "tier_faults", "hot_hits",
+            "snapshot_faults",
+        }
         eng.reset_stats()
         after = eng.stats()
         assert frozenset(after) == before

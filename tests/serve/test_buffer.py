@@ -20,6 +20,7 @@ from repro.engine.bulk import format_column, ingest_bits, pack_bits
 from repro.errors import DecodeError, ParseError, RangeError
 from repro.floats.formats import BINARY16, BINARY32, BINARY64, BINARY128
 from repro.floats.model import Flonum
+from repro.reader.exact import read_decimal
 from repro.serve import BulkPool, DelimitedWriter
 from repro.workloads.corpus import duplicated_random, uniform_random
 
@@ -142,6 +143,12 @@ class TestParseBuffer:
         assert bits[3] == 0x8000000000000000
         assert bits[4] == 0
         assert bits[5] == 1  # smallest subnormal
+        # Other spellings read like the exact reader reads them.
+        rows = ["-nan", "infinity", "+Infinity", "-Infinity",
+                "-4.9406564584124654e-324"]
+        plane = "".join(t + "\n" for t in rows).encode()
+        assert parse_buffer(plane) == [read_decimal(t).to_bits()
+                                       for t in rows]
 
     def test_flonums_out(self):
         flos = parse_buffer(b"1.5\n-2.25\n", out="flonums")

@@ -111,6 +111,7 @@ class TestRoundtripBattery:
         assert any(t.startswith("print-parse/") for t in legs)
         assert any(t.startswith("parse-print-parse/") for t in legs)
         assert "print-parse-print" in legs
+        assert {"midpoint/read_many", "midpoint/exact"} <= legs
 
     def test_host_oracle_only_on_binary64(self):
         with_host = verify_roundtrip(BINARY64, n=40, seed=2)
@@ -243,6 +244,11 @@ class TestEveryFlag:
         for row in battery.rows:
             assert re.search(rf"^  {re.escape(row.tag)} +\d+ checks  ok$",
                              out, re.M), row.tag
+        for audit in ("serve/chaos-accounting",
+                      "control/chaos-wire-accounting"):
+            if audit.startswith(flag):
+                assert re.search(rf"^  {re.escape(audit)} +1 checks  ok$",
+                                 out, re.M), audit
         # Each sampled value counts once, however many rows repeat it
         # (the round-trip battery adds as many literals).
         sampled = len(battery.sample(BINARY64, 200, 0))
