@@ -16,8 +16,10 @@ delimited byte *planes* instead, in the style of Lemire's
   engine's batch loop for bit patterns — the same loop, lanes and memo
   as :meth:`~repro.engine.reader.ReadEngine.read_many`, but never a
   per-row ``str`` or ``Flonum``;
-* :func:`format_buffer` — the mirror image: dedup bit patterns, format
-  each distinct value once, and fan the rows out with one ``join`` and
+* :func:`format_buffer` — the mirror image: dedup bit patterns, pass
+  the distinct ones straight into the write engine's batch loop
+  (:meth:`~repro.engine.engine.Engine._write_batch`, whose memo maps
+  bit patterns to text), and fan the rows out with one ``join`` and
   one ``encode`` (optionally into a
   :class:`~repro.serve.DelimitedWriter` buffer).
 

@@ -249,13 +249,11 @@ def _serial_engine(engine, snapshot):
 def _format_bits(eng, bits: List[int], fmt: FloatFormat, mode: ReaderMode,
                  tie: TieBreak, options: Optional[NotationOptions]
                  ) -> List[str]:
-    """Format a list of bit patterns through the scalar engine (its
-    batch loop under the default options)."""
-    from_bits = Flonum.from_bits
+    """Format a list of bit patterns through the engine: under the
+    default options, straight into its bit-keyed write batch loop."""
     if options is None or options is DEFAULT_OPTIONS:
-        xs = (floats_from_bits64(bits) if fmt is BINARY64
-              else [from_bits(b, fmt) for b in bits])
-        return eng.format_many(xs, mode=mode, tie=tie, fmt=fmt)
+        return eng._write_batch(bits, fmt, mode, tie)
+    from_bits = Flonum.from_bits
     fm = eng.format
     return [fm(from_bits(b, fmt), mode=mode, tie=tie, options=options,
                fmt=fmt) for b in bits]

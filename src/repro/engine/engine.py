@@ -24,22 +24,34 @@ exact tier.  Tier 0 is mode-aware and eligible everywhere.
 
 Two representation choices carry the throughput:
 
-* the engine's internal currency is ``(k, body)`` pairs where ``body``
-  is the digit *string* (no point, no sign).  Fast tiers accumulate
-  digits into one integer and let ``str()`` render it at C speed;
+* the default write route (base 10, default options, every Schubfach
+  format: binary16/32/64) trades in signed bit patterns.  One batch
+  loop, :meth:`Engine._write_batch` — the mirror of the read side's
+  :meth:`~repro.engine.reader.ReadEngine._read_batch` — maps each
+  pattern to its final text, and its memo entries map
+  ``(bits, ctx)`` to that text, so a hit is one probe and one append.
+  :meth:`Engine.format`, :meth:`Engine.format_many` (an all-float
+  binary64 batch becomes patterns in one ``array`` pass) and
+  :func:`repro.engine.buffer.format_buffer` (its ingested patterns
+  pass straight in) all run it.  A miss splits the pattern into
+  ``(f, e)`` with integer operations; no :class:`Flonum` is built;
+* inside a conversion the currency is ``(k, body)`` pairs where
+  ``body`` is the digit *string* (no point, no sign).  Fast tiers
+  accumulate digits into one integer and let ``str()`` render it at C
+  speed.  Memo entries of this shape, keyed ``(f, e, ctx)`` on the
+  magnitude, serve only the other routes (other options and bases,
+  :meth:`Engine.shortest_digits`), as do the hot dictionary and the
+  shared-memory hot plane, probed on a miss;
   :func:`repro.format.notation.render_shortest_parts` accepts the
-  string form directly, so no per-digit tuple is built on the hot path;
-* :meth:`Engine.format_many` runs every Schubfach format (binary16/32/
-  64) through one inlined batch loop with one memo lock per batch; for
-  binary64 floats its ``(f, e)`` decomposition comes straight from
-  ``math.frexp`` (canonical for every normal value; subnormals are
-  re-clamped to ``min_e``), so no :class:`Flonum` is built.
+  string form directly, so no per-digit tuple is built.
 """
 
 from __future__ import annotations
 
 import os
+import struct
 import threading
+from array import array
 from math import copysign, frexp
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -53,7 +65,7 @@ from repro.core.rounding import ReaderMode, TieBreak
 from repro import faults as _faults
 from repro.errors import RangeError, ReproError, SnapshotError
 from repro.floats.formats import BINARY64, FloatFormat
-from repro.floats.model import Flonum, to_flonum
+from repro.floats.model import Flonum, FlonumKind, to_flonum
 from repro.format.notation import (
     DEFAULT_OPTIONS,
     NotationOptions,
@@ -64,7 +76,7 @@ from repro.format.notation import (
 from repro.engine.counted import counted_tier_digits
 from repro.engine.memo import GenMemo
 from repro.engine.reader import (READ_STAT_KEYS, ReadEngine, ReadResult,
-                                 exact_only_order)
+                                 _bits_layout, exact_only_order)
 from repro.engine.schubfach import schubfach_digits
 from repro.engine.tables import FormatTables, tables_for
 from repro.engine.tier0 import _MAX_NEG_E, tier0_digits
@@ -82,6 +94,15 @@ _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 _TWO_P53 = float(1 << 53)
 _INF = float("inf")
+
+_FINITE, _NAN = FlonumKind.FINITE, FlonumKind.NAN
+_FLOAT_ONLY = {float}
+_PACK64 = struct.Struct("<d").pack
+
+
+def _bits64(x: float) -> int:
+    """The binary64 bit pattern of a float, sign included."""
+    return int.from_bytes(_PACK64(x), "little")
 
 #: The exact key set :meth:`Engine.stats` returns, before and after any
 #: :meth:`Engine.reset_stats` and whether or not the read engine has
@@ -161,6 +182,8 @@ class Engine:
         # both keyed/selected by interned context.
         self._hot: "Dict[tuple, Tuple[int, str]]" = {}
         self._planes: dict = {}
+        # :meth:`_write_batch`'s per-(format, mode, tie) state.
+        self._routes: dict = {}
         self._lock = threading.Lock()
         self._reader: Optional[ReadEngine] = None
         self.reset_stats()
@@ -380,7 +403,7 @@ class Engine:
         region is guard-railed: anything unexpected it raises (a
         :class:`ReproError` is a deliberate signal and passes through)
         falls back to the exact path with ``tier_faulted`` set, unless
-        :attr:`strict`.  :meth:`_format_many_fast` inlines the same
+        :attr:`strict`.  :meth:`_write_batch` inlines the same
         route for its batch loop.
         """
         faulted = False
@@ -670,9 +693,17 @@ class Engine:
                tie: TieBreak = TieBreak.UP,
                options: Optional[NotationOptions] = None,
                fmt: FloatFormat = BINARY64) -> str:
-        """Shortest string for one value (signs/zeros/specials included)."""
-        opts = options or DEFAULT_OPTIONS
+        """Shortest string for one value (signs/zeros/specials included).
+
+        Base 10 under the default options runs :meth:`_write_batch` on
+        the value's bit pattern, as :meth:`format_many` does a batch.
+        """
+        default = base == 10 and (options is None
+                                  or options is DEFAULT_OPTIONS)
         if type(x) is float and fmt is BINARY64:
+            if default:
+                return self._write_batch((_bits64(x),), fmt, mode, tie)[0]
+            opts = options or DEFAULT_OPTIONS
             if x != x:
                 return opts.nan_text
             if x == 0.0:
@@ -693,6 +724,9 @@ class Engine:
             k, digits = self._body_fe(f, e, BINARY64, base, vmode, tie)
             return sign + render_shortest_parts(digits, k, opts)
         v = to_flonum(x, fmt)
+        if default and self._route(v.fmt, mode, tie) is not None:
+            return self._write_batch((v.to_bits(),), v.fmt, mode, tie)[0]
+        opts = options or DEFAULT_OPTIONS
         if not v.is_finite:
             return special_text(v.is_nan, bool(v.sign), opts)
         if v.is_zero:
@@ -714,11 +748,12 @@ class Engine:
                     fmt: FloatFormat = BINARY64) -> List[str]:
         """Shortest strings for a batch, amortizing per-call overhead.
 
-        Semantically ``[self.format(x, ...) for x in xs]`` but with the
-        routing state hoisted out of the loop and — for the default
-        rendering options in base 10 on every format the Schubfach lane
-        serves (binary16/32/64) — inlined decomposition and rendering,
-        together worth roughly another 2x on uniform random doubles.
+        Semantically ``[self.format(x, ...) for x in xs]``.  In base 10
+        under the default options, on every format the Schubfach lane
+        serves (binary16/32/64), the batch becomes bit patterns up
+        front (an all-float binary64 batch in one C pass) and runs
+        through :meth:`_write_batch`; a batch holding a Flonum of
+        another format, like every other request, goes value by value.
 
         Batch discipline: an empty batch touches no shared state (and
         no lock); the batch loop leaves the memo as sequential calls
@@ -730,131 +765,191 @@ class Engine:
         if not xs:
             return []
         opts = options or DEFAULT_OPTIONS
-        if (base == 10 and opts is DEFAULT_OPTIONS
-                and (fmt is BINARY64 or tables_for(fmt, 10).grisu_ok)):
-            return self._format_many_fast(xs, mode, tie, fmt)
+        if base == 10 and opts is DEFAULT_OPTIONS:
+            bits = self._patterns(xs, fmt, mode, tie)
+            if bits is not None:
+                return self._write_batch(bits, fmt, mode, tie)
         return [self.format(x, base, mode, tie, opts, fmt) for x in xs]
 
-    def _format_many_fast(self, xs: List[Number], mode: ReaderMode,
-                          tie: TieBreak, fmt: FloatFormat) -> List[str]:
-        """Decimal batch loop, default options, all state hoisted.
+    def _patterns(self, xs: List[Number], fmt: FloatFormat,
+                  mode: ReaderMode, tie: TieBreak
+                  ) -> Optional[Iterable[int]]:
+        """The batch's signed bit patterns of ``fmt``, or None when
+        ``fmt`` is off the bit-keyed route or an item is a Flonum of
+        another format (which formats as its own format).
 
-        Host floats (``fmt is BINARY64`` only) decompose by ``frexp``,
-        Flonums of ``fmt`` from their attributes; anything else takes
-        :meth:`format`.  The memo is probed and filled in place,
-        lock-free (:mod:`repro.engine.memo`).  Counters accumulate in
-        locals; one final lock flushes them (a concurrent :meth:`stats`
-        never sees a torn batch) and trims the memo.
-
-        The route is :meth:`_convert`'s, inlined: tier 0 (pre-filtered
-        on ``e``), then Schubfach under the same gates, guard rail and
-        fault sites, then the exact tier.
+        An all-float binary64 batch packs with one ``array('d')`` pass;
+        Flonums of ``fmt`` encode inline; ints (and floats into a
+        narrower format) take :func:`to_flonum` and its range checks.
         """
-        tables = tables_for(fmt, 10)
-        host = fmt is BINARY64
-        hidden_limit = tables.hidden_limit
+        route = self._route(fmt, mode, tie)
+        if route is None:
+            return None
+        if fmt is BINARY64 and set(map(type, xs)) == _FLOAT_ONLY:
+            return array("Q", array("d", xs).tobytes())
+        hidden, shift, offset, sign_bit, inf_bits, nan_bits = route[-1]
+        out = []
+        append = out.append
+        for x in xs:
+            if type(x) is Flonum:
+                if x.fmt is not fmt:
+                    return None
+                f = x.f  # 0 for zeros, infinities and NaN
+                if f >= hidden:
+                    b = (x.e << shift) + f + offset
+                elif f or x.kind is _FINITE:
+                    b = f
+                else:
+                    b = nan_bits if x.kind is _NAN else inf_bits
+                append(b | sign_bit if x.sign else b)
+            elif type(x) is float and fmt is BINARY64:
+                append(_bits64(x))
+            else:
+                v = to_flonum(x, fmt)
+                if v.fmt is not fmt:
+                    return None
+                append(v.to_bits())
+        return out
+
+    def _route(self, fmt: FloatFormat, mode: ReaderMode,
+               tie: TieBreak) -> Optional[tuple]:
+        """:meth:`_write_batch`'s state for one ``(fmt, mode, tie)``, or
+        None when ``fmt`` is off the bit-keyed route (no IEEE-style
+        hidden-bit encoding, or no Schubfach table).  Built once per
+        engine; the probe keys on identities, since hashing an enum
+        member runs Python code, and the format is pinned by
+        :meth:`_ctx_id`."""
+        key = (id(fmt), id(mode), id(tie))
+        route = self._routes.get(key, False)
+        if route is not False:
+            return route
+        route = None
+        if fmt.has_encoding and not fmt.explicit_leading_bit:
+            tables = tables_for(fmt, 10)
+            if tables.grisu_ok:
+                mirrored = mode.mirrored()
+                lanes_ok = not self.exact_only
+                route = (
+                    tables, self._ctx_id(fmt, 10, mode, tie),
+                    self._ctx_id(fmt, 10, mirrored, tie), mirrored,
+                    lanes_ok and mode in _NEAREST_MODES,
+                    lanes_ok and mirrored in _NEAREST_MODES,
+                    mode is ReaderMode.NEAREST_EVEN,
+                    mirrored is ReaderMode.NEAREST_EVEN,
+                    _bits_layout(fmt))
+        self._routes[key] = route
+        return route
+
+    def _write_batch(self, bits: Iterable[int], fmt: FloatFormat,
+                     mode: ReaderMode, tie: TieBreak) -> List[str]:
+        """The default write route's one batch loop: the shortest text
+        of each signed bit pattern of ``fmt``, base 10, default options.
+
+        The mirror of :meth:`ReadEngine._read_batch`.  Memo entries map
+        ``(bits, ctx)`` to the final text, so a hit is one probe and
+        one append: no decomposition and no render.  A miss splits the
+        pattern into ``(f, e)`` with integer operations, probes the hot
+        dictionary and any attached hot plane, then runs
+        :meth:`_convert`'s route, inlined: tier 0 (pre-filtered on
+        ``e``), Schubfach under the same gates, guard rail and fault
+        sites, then the exact tier.  NaN, infinities and zeros are
+        never memoized.
+
+        The memo is probed and filled in place, lock-free
+        (:mod:`repro.engine.memo`).  Counters accumulate in locals; one
+        final lock flushes them (a concurrent :meth:`stats` never sees
+        a torn batch) and trims the memo.  A format off the route
+        formats each pattern through :meth:`format`.
+        """
+        route = self._route(fmt, mode, tie)
+        if route is None:
+            from_bits = Flonum.from_bits
+            return [self.format(from_bits(b, fmt), 10, mode, tie, None, fmt)
+                    for b in bits]
+        (tables, ctx, ctx_neg, mirrored, schub_pos, schub_neg, even_pos,
+         even_neg, layout) = route
+        if (schub_pos or schub_neg) and not tables.schub_ready:
+            tables.ensure_schub()
+        hidden, shift, _, sign_bit, inf_bits, _ = layout
+        frac = hidden - 1
         min_e = tables.min_e
+        emin1 = min_e - 1
         mantissa_limit = tables.mantissa_limit
         max_e = tables.max_e
         use_tier0 = not self.exact_only
-        mirrored = mode.mirrored()
-        lanes_ok = use_tier0 and tables.grisu_ok
-        use_schub = lanes_ok and mode in _NEAREST_MODES
-        use_schub_mirrored = lanes_ok and mirrored in _NEAREST_MODES
-        if use_schub or use_schub_mirrored:
-            tables.ensure_schub()
-        even_pos = mode is ReaderMode.NEAREST_EVEN
-        even_neg = mirrored is ReaderMode.NEAREST_EVEN
-        cache = self._cache if self.cache_size else None
+        memo = self._cache
+        cache = memo if self.cache_size else None
+        new, old, cap = memo.new, memo.old, memo.capacity
         lock = self._lock
-        ctx_pos = self._ctx_id(fmt, 10, mode, tie)
-        ctx_neg = self._ctx_id(fmt, 10, mirrored, tie)
         hot = self._hot or None
-        plane_pos = self._planes.get(ctx_pos) if self._planes else None
-        plane_neg = self._planes.get(ctx_neg) if self._planes else None
-        new, old, cap = self._cache.new, self._cache.old, self._cache.capacity
+        planes = self._planes
+        plane_pos = planes.get(ctx) if planes else None
+        plane_neg = planes.get(ctx_neg) if planes else None
         plan = _faults._PLAN
         strict = self.strict
         c_hits = c_misses = t0_hits = schub_hits = t2_calls = 0
         t_faults = hot_hits = snap_faults = 0
         out: List[str] = []
         append = out.append
-        for x in xs:
-            # --- decompose (inline Flonum.from_float for host floats) ---
-            if host and type(x) is float:
-                if x != x:
-                    append("nan")
+        for b in bits:
+            if cache is not None:
+                key = (b, ctx)
+                text = new.get(key)
+                if text is None:
+                    text = old.pop(key, None)
+                    if text is not None:
+                        new[key] = text
+                if text is not None:
+                    c_hits += 1
+                    append(text)
                     continue
-                if x == 0.0:
-                    append("-0" if copysign(1.0, x) < 0.0 else "0")
-                    continue
-                neg = x < 0.0
-                ax = -x if neg else x
-                if ax == _INF:
-                    append("-inf" if neg else "inf")
-                    continue
-                m, ex = frexp(ax)
-                f = int(m * _TWO_P53)
-                e = ex - 53
-                if e < -1074:
-                    f >>= -1074 - e
-                    e = -1074
-            elif type(x) is Flonum and x.fmt is fmt:
-                neg = x.sign
-                if not x.is_finite:
-                    append(special_text(x.is_nan, neg))
-                    continue
-                f = x.f
-                if not f:
-                    append("-0" if neg else "0")
-                    continue
-                e = x.e
-            else:
-                # Ints, Flonums of another format: full route (which
-                # may swap the generations).
-                append(self.format(x, 10, mode, tie, None, fmt))
-                new, old = self._cache.new, self._cache.old
-                continue
-            if neg:
+            # --- decode: the magnitude's (f, e), or a special ---
+            if b >= sign_bit:
+                mag = b - sign_bit
                 sign = "-"
+            else:
+                mag = b
+                sign = ""
+            if mag >= hidden:
+                if mag >= inf_bits:
+                    append("nan" if mag > inf_bits else sign + "inf")
+                    continue
+                f = (mag & frac) | hidden
+                e = (mag >> shift) + emin1
+            elif mag:
+                f = mag
+                e = min_e
+            else:
+                append(sign + "0")
+                continue
+            if sign:
                 vmode = mirrored
-                schub_ok = use_schub_mirrored
+                schub_ok = schub_neg
                 even_mode = even_neg
-                ctx = ctx_neg
+                mctx = ctx_neg
                 plane = plane_neg
             else:
-                sign = ""
                 vmode = mode
-                schub_ok = use_schub
+                schub_ok = schub_pos
                 even_mode = even_pos
-                ctx = ctx_pos
+                mctx = ctx
                 plane = plane_pos
             # --- route ---
             kb = None
-            key = (f, e, ctx)
             if cache is not None:
-                kb = new.get(key)
-                if kb is None:
-                    kb = old.pop(key, None)
-                    if kb is not None:
-                        new[key] = kb
-                if kb is not None:
-                    c_hits += 1
-                else:
-                    c_misses += 1
-            if kb is None and hot is not None:
-                kb = hot.get(key)
+                c_misses += 1
+            if hot is not None:
+                kb = hot.get((f, e, mctx))
                 if kb is not None:
                     hot_hits += 1
             if kb is None and plane is not None:
-                view, to_bits = plane
                 try:
-                    kb = view.get(to_bits(f, e))
+                    kb = plane[0].get(mag)
                 except Exception:
                     if strict:
                         raise
                     # Detach the misbehaving plane for both signs.
-                    plane_pos = plane_neg = plane = None
+                    plane_pos = plane_neg = None
                     snap_faults += 1
                     kb = None
                 if kb is not None:
@@ -867,7 +962,7 @@ class Engine:
                     if use_tier0 and e >= -_MAX_NEG_E:
                         if plan is not None:
                             plan.fire("engine.tier0")
-                        t0 = tier0_digits(f, e, hidden_limit, min_e,
+                        t0 = tier0_digits(f, e, hidden, min_e,
                                           mantissa_limit, max_e, vmode)
                         if t0 is not None:
                             t0_hits += 1
@@ -895,34 +990,35 @@ class Engine:
                                                  tables.scale)
                     kb = (res.k, "".join(_DIGIT_CHARS[d]
                                          for d in res.digits))
-                if cache is not None:
-                    if not old and len(new) >= cap:
-                        with lock:
-                            new, old = cache.turn(new)
-                    if old:
-                        try:
-                            old.popitem()
-                        except KeyError:  # drained by a racing batch
-                            pass
-                    new[key] = kb
             k, body = kb
             # --- render (inline of render_shortest_parts: auto style,
             #     exp window (-4, 16], exp_char 'e', no grouping) ---
             if -4 < k <= 16:
                 if k <= 0:
-                    append(sign + "0." + "0" * -k + body)
+                    text = sign + "0." + "0" * -k + body
                 else:
                     nd = len(body)
                     if nd <= k:
-                        append(sign + body + "0" * (k - nd))
+                        text = sign + body + "0" * (k - nd)
                     else:
-                        append(sign + body[:k] + "." + body[k:])
+                        text = sign + body[:k] + "." + body[k:]
             else:
                 rest = body[1:]
                 if rest:
-                    append(sign + body[0] + "." + rest + "e" + str(k - 1))
+                    text = sign + body[0] + "." + rest + "e" + str(k - 1)
                 else:
-                    append(sign + body[0] + "e" + str(k - 1))
+                    text = sign + body[0] + "e" + str(k - 1)
+            append(text)
+            if cache is not None:
+                if not old and len(new) >= cap:
+                    with lock:
+                        new, old = cache.turn(new)
+                if old:
+                    try:
+                        old.popitem()
+                    except KeyError:  # drained by a racing batch
+                        pass
+                new[key] = text
         with lock:
             self._cache_hits += c_hits
             self._cache_misses += c_misses

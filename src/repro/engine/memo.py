@@ -9,6 +9,26 @@ Every step is an in-place dict operation, atomic under the GIL, so the
 batch loops probe and install lock-free.  Only the swap (:meth:`turn`)
 rebinds ``new``/``old``, under the engine lock; a batch that raced it
 can overshoot the bound until its flush calls :meth:`trim`.
+
+One memo serves both directions of an engine; entries are told apart
+by key shape:
+
+* read: ``(text, ctx)`` -> ``(bits, Flonum or None)``, the literal's
+  bit pattern (and, when a Flonum reader built it, the value);
+* default write route: ``(bits, ctx)`` -> the final text, ``bits``
+  the value's *signed* bit pattern, so ``x`` and ``-x`` are two
+  entries and a hit needs no sign handling;
+* other shortest routes: ``(f, e, ctx)`` -> ``(k, digits)`` over the
+  magnitude;
+* fixed format: ``(f, e, n, ctx)`` -> the digit result.
+
+``ctx`` is a small int interning the conversion context.  Keys are
+never floats: a float's hash depends on its exponent only modulo 61
+(``hash(2.0**k)`` repeats every 61 binades), so float keys would
+collide on powers of two and on values any client can choose.  An
+integer's hash is its value modulo ``2**61 - 1``, so at most nine
+64-bit patterns share one.  A ``str`` key cannot equal an ``int`` one,
+so read and write entries never collide.
 """
 
 

@@ -8,8 +8,8 @@ conversion:
   per-binary-exponent Grisu power list — one correctly rounded 64-bit
   power of ten per normalized exponent, ~2100 entries for binary64);
 * selected memo contents from a donor engine (both directions:
-  ``(f, e) -> (k, digits)`` shortest results and ``text -> Flonum``
-  read results), re-keyed on *stable* identities — format name, base,
+  signed bit pattern -> shortest text and text -> value read
+  results), re-keyed on *stable* identities — format name, base,
   reader-mode value, tie value — never on process-local ``id()``s or
   arrival-order context ints;
 * a **hot-values dictionary**: precomputed shortest-repr results for
@@ -77,7 +77,9 @@ __all__ = [
     "bits_encoder",
 ]
 
-SNAPSHOT_VERSION = 1
+#: Version 2: write-memo rows carry ``(bits, text)``, the bit-keyed
+#: write memo's entries; version 1 carried ``(f, e, k, body)``.
+SNAPSHOT_VERSION = 2
 
 _MAGIC = b"RPRSNAP\x00"
 _HEADER = struct.Struct("<8sHHII")
@@ -108,12 +110,15 @@ class Snapshot:
         base: Output base the tables and memo entries were built for.
         formats: Format names covered, in order.
         tables: ``{name: {"fingerprint", "grisu_e_min", "grisu_powers"}}``.
-        write_memo: ``[name, mode, tie, f, e, k, body]`` rows (shortest
-            results; the ``old`` generation first, then ``new``).
+        write_memo: ``[name, mode, tie, bits, text]`` rows (the default
+            write route's entries: a signed bit pattern of the format
+            and its shortest text, base 10, default options; the
+            ``old`` generation first, then ``new``).
         read_memo: ``[name, mode, text, kind, sign, f, e, tier]`` rows
             (``tier`` is written as ``"memo"`` and ignored on load).
-        hot: same row shape as ``write_memo`` — the never-evicted
-            hot-values dictionary.
+        hot: ``[name, mode, tie, f, e, k, body]`` rows — the
+            never-evicted hot-values dictionary of magnitudes and their
+            ``(k, digits)``.
         meta: free-form provenance (corpus parameters, counts).
     """
 
@@ -251,10 +256,12 @@ def hot_entries(values: Iterable[Flonum], engine=None,
                 tie: TieBreak = TieBreak.UP, base: int = 10) -> list:
     """Precompute hot-dictionary rows for finite non-zero values.
 
-    Magnitude-level, like the memo itself: signs are dropped (nearest
-    modes are mirror-symmetric, so one entry serves both signs) and
-    duplicates keep the first occurrence.  Rows are the ``write_memo``
-    shape: ``[fmt_name, mode, tie, f, e, k, body]``.
+    Magnitude-level: signs are dropped (nearest modes are
+    mirror-symmetric, so one entry serves both signs) and duplicates
+    keep the first occurrence.  Rows are
+    ``[fmt_name, mode, tie, f, e, k, body]``.  The conversions bypass
+    ``engine``'s memo, so building rows from a donor evicts none of the
+    entries a snapshot of it exports.
     """
     if engine is None:
         from repro.engine.engine import Engine
@@ -272,7 +279,8 @@ def hot_entries(values: Iterable[Flonum], engine=None,
         if dedup in seen:
             continue
         seen.add(dedup)
-        k, body = engine._body_fe(v.f, v.e, fmt, base, mode, tie)
+        k, body = engine._convert(v.f, v.e, fmt, base, mode, tie,
+                                  tables_for(fmt, base))[0]
         rows.append([fmt.name, mode.value, tie.value, v.f, v.e, k, body])
     return rows
 
@@ -311,11 +319,18 @@ def _capture_memo(engine, names: List[str], base: int
     The in-memory memo keys on interned context ints derived from
     ``id(fmt)`` — process-local and meaningless on disk — so every
     exported row is re-keyed on ``(format name, mode value, tie
-    value)``.  Only shortest-conversion entries of standard formats in
-    the requested set survive; fixed-format entries (4-tuple keys with
-    kind-string contexts) and read entries of other formats are
-    skipped.  Rows keep the memo's iteration order, ``old`` then
-    ``new``, and a restore installs them in that order.
+    value)``.  Entries are told apart by key shape:
+
+    * ``(text, read_ctx)``, a ``str`` first: a read entry;
+    * ``(bits, ctx)``, an ``int`` first: a default-route write entry;
+    * ``(f, e, ctx)``: a ``(k, digits)`` entry of a non-default route
+      (other options or bases, :meth:`Engine.shortest_digits`),
+      skipped — no default-route call reads it;
+    * ``(f, e, n, ctx)``: a fixed-format entry, skipped.
+
+    Only entries of standard formats in the requested set survive.
+    Rows keep the memo's iteration order, ``old`` then ``new``, and a
+    restore installs them in that order.
     """
     wanted = set(names)
     with engine._lock:
@@ -335,7 +350,9 @@ def _capture_memo(engine, names: List[str], base: int
                 if name is not None:
                     read_rev[ctx_id] = (name, mode, tabs.fmt)
         for key, val in engine._cache.items():
-            if len(key) == 2 and isinstance(key[0], str):
+            if len(key) != 2:
+                continue  # (f, e, ctx) and fixed-format entries
+            if isinstance(key[0], str):
                 # Read entry: (text, read_ctx) -> (bits, Flonum or
                 # None); formats without an encoding memoize no bits.
                 text, ctx = key
@@ -356,9 +373,7 @@ def _capture_memo(engine, names: List[str], base: int
                 read_rows.append([name, mode.value, text, kind, sign,
                                   f, e, "memo"])
                 continue
-            if len(key) != 3:
-                continue  # fixed-format entries (4-tuple keys)
-            f, e, ctx = key
+            bits, ctx = key
             got = ctx_rev.get(ctx)
             if got is None:
                 continue
@@ -366,9 +381,7 @@ def _capture_memo(engine, names: List[str], base: int
             name = fmt_names.get(fmt_id)
             if name is None:
                 continue
-            k, body = val
-            write_rows.append([name, mode.value, tie.value, f, e,
-                               k, body])
+            write_rows.append([name, mode.value, tie.value, bits, val])
     return write_rows, read_rows
 
 
@@ -447,8 +460,9 @@ def _decode_read_row(name, mode, text, kind, sign, f, e) -> tuple:
 def apply_snapshot(engine, snap: Snapshot) -> dict:
     """Warm an :class:`~repro.engine.engine.Engine` from a snapshot.
 
-    Restores tables, installs write-memo rows into the memo (in row
-    order, capped at the engine's ``cache_size``), fills the hot
+    Restores tables, installs write-memo rows into the memo as
+    ``(bits, ctx) -> text`` entries (in row order, capped at the
+    engine's ``cache_size``), fills the hot
     dictionary, and — when the snapshot has read rows — builds the read
     engine and installs those too.  Returns restore counts.  Raises
     :class:`SnapshotError` without touching the engine if validation
@@ -470,22 +484,30 @@ def apply_snapshot(engine, snap: Snapshot) -> dict:
                 _decode_tie(tie))
         return tri
 
-    def _decode_write_rows(rows, what):
-        out = []
-        for row in rows:
-            try:
-                name, mode, tie, f, e, k, body = row
-                fmt, m, t = _triple(name, mode, tie)
-                out.append((fmt, m, t, f + 0, e + 0, (k + 0, str(body))))
-            except SnapshotError:
-                raise
-            except Exception as exc:
-                raise SnapshotError(
-                    f"malformed {what} row: {row!r}") from exc
-        return out
-
-    decoded_w = _decode_write_rows(snap.write_memo, "write-memo")
-    decoded_h = _decode_write_rows(snap.hot, "hot")
+    decoded_w = []
+    for row in snap.write_memo:
+        try:
+            name, mode, tie, bits, text = row
+            fmt, m, t = _triple(name, mode, tie)
+            if (type(bits) is not int or not 0 <= bits < 1 << fmt.total_bits
+                    or type(text) is not str):
+                raise ValueError("bits not a pattern of the format or "
+                                 "text not a string")
+            decoded_w.append((fmt, m, t, bits, text))
+        except SnapshotError:
+            raise
+        except Exception as exc:
+            raise SnapshotError(f"malformed write-memo row: {row!r}") from exc
+    decoded_h = []
+    for row in snap.hot:
+        try:
+            name, mode, tie, f, e, k, body = row
+            fmt, m, t = _triple(name, mode, tie)
+            decoded_h.append((fmt, m, t, f + 0, e + 0, (k + 0, str(body))))
+        except SnapshotError:
+            raise
+        except Exception as exc:
+            raise SnapshotError(f"malformed hot row: {row!r}") from exc
     decoded_r = []
     for row in snap.read_memo:
         try:
@@ -505,8 +527,8 @@ def apply_snapshot(engine, snap: Snapshot) -> dict:
         return c
 
     if decoded_w and engine.cache_size:
-        keyed = [((f, e, _ctx(fmt, mode, tie)), kb)
-                 for fmt, mode, tie, f, e, kb in decoded_w]
+        keyed = [((bits, _ctx(fmt, mode, tie)), text)
+                 for fmt, mode, tie, bits, text in decoded_w]
         with engine._lock:
             counts["write"] = engine._cache.install(keyed)
     hot = engine._hot

@@ -552,11 +552,14 @@ class ReproDaemon:
                 f"request of {len(req.payload)} bytes exceeds the "
                 f"in-flight byte budget ({self._inflight_bytes}/"
                 f"{self.max_inflight_bytes} used); back off"), loop)
-        if self._controller is not None \
+        if self._controller is not None and self._inflight_bytes \
                 and self._inflight_bytes + len(req.payload) \
                 > self._controller.limit_bytes:
             # The AIMD window has shrunk below the static cap: latency
             # is past the SLO target, so shed early rather than queue.
+            # An idle daemon admits anyway: a shed request feeds the
+            # controller nothing, so traffic made only of requests
+            # larger than the window would never reopen it.
             self._stats["overloads"] += 1
             self._stats["admission_sheds"] += 1
             return _failed(self._controller.shed_error(

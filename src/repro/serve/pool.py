@@ -606,16 +606,20 @@ class BulkPool:
                     ((self.fmt.name,), self._warm))
             return self._executor
 
-    def _abandon_executor(self, ex: PipeExecutor) -> None:
+    def _abandon_executor(self, ex: PipeExecutor) -> bool:
         """Drop ``ex`` without waiting: terminate its worker processes,
         stalled or crashed ones included.  The pool's handle is cleared
         only if it still points at ``ex`` — a concurrent call may
-        already have built the replacement.  The next :meth:`_pool`
-        call rebuilds."""
+        already have cleared it or built the replacement.  Returns
+        whether this call cleared it, so concurrent calls abandoning
+        one executor count one rebuild.  The next :meth:`_pool` call
+        rebuilds."""
         with self._lock:
-            if self._executor is ex:
+            cleared = self._executor is ex
+            if cleared:
                 self._executor = None
         ex.terminate()
+        return cleared
 
     def close(self) -> None:
         """Shut the worker pool down.  Idempotent: safe to call any
@@ -897,8 +901,7 @@ class BulkPool:
                 failed.append((i, exc))
             except Exception as exc:
                 failed.append((i, exc))
-        if abandon:
-            self._abandon_executor(pool)
+        if abandon and self._abandon_executor(pool):
             self._bump("pool_rebuilds")
         return failed
 

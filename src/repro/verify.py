@@ -972,9 +972,11 @@ def _route_audit(report: VerificationReport, h: Harness, rig,
                       f"values the memo holds")
 
 
-def _route_engine(path: str, memo: bool = False) -> Rig:
+def _route_engine(path: str, memo: int = 0) -> Rig:
+    """A route rig whose engine's memo holds ``memo`` times the corpus
+    (0: no memo)."""
     def open_(h: Harness):
-        size = len(h.corpus.values) if memo else 0
+        size = memo * len(h.corpus.values)
         return contextlib.nullcontext(SimpleNamespace(
             eng=Engine(cache_size=size), path=path, cold=None))
     return Rig(open_, audit=_route_audit)
@@ -990,9 +992,24 @@ def _cold_pass(c: Corpus, rig) -> List[str]:
     return got
 
 
+def _hot(surface: Callable) -> Callable:
+    """``surface`` through an engine whose memo holds the corpus and its
+    negation: the rig's first such row fills it with ``format_many``
+    passes, negated values first, so an entry served to the wrong sign
+    shows as a mismatch."""
+    def row(c: Corpus, rig) -> List[str]:
+        if rig.cold is None:
+            rig.eng.format_many([v.negate() for v in c.values],
+                                mode=c.mode, fmt=c.fmt)
+            _cold_pass(c, rig)
+        return surface(c, rig)
+    return row
+
+
 _SCALAR_ROUTE = _route_engine("scalar")
 _BATCH_ROUTE = _route_engine("format_many")
-_MEMO_ROUTE = _route_engine("format_many+memo", memo=True)
+_MEMO_ROUTE = _route_engine("format_many+memo", memo=1)
+_HOT_ROUTE = _route_engine("memo-hot", memo=2)
 
 _CONTENDER_ROWS = (
     Row("route/scalar", lambda c, rig: _scalar(rig.eng, c),
@@ -1000,6 +1017,11 @@ _CONTENDER_ROWS = (
     Row("route/format_many", _many, rig=_BATCH_ROUTE),
     Row("route/format_many+memo", _cold_pass, rig=_MEMO_ROUTE),
     Row("route/format_many+memo", _many, rig=_MEMO_ROUTE),
+    Row("format_many/memo-hot", _hot(_many), rig=_HOT_ROUTE),
+    Row("format/memo-hot", _hot(lambda c, rig: _scalar(rig.eng, c)),
+        rig=_HOT_ROUTE),
+    Row("format_buffer/memo-hot", _hot(lambda c, rig: _rows(format_buffer(
+        c.packed, c.fmt, mode=c.mode, engine=rig.eng))), rig=_HOT_ROUTE),
 )
 
 
@@ -1133,9 +1155,22 @@ def _restored(tag: str, clean: bool):
     return audit
 
 
+def _warm_engine_audit(report: VerificationReport, h: Harness,
+                       eng: Engine, plan) -> None:
+    """A clean restore that installed write-memo rows: a snapshot of a
+    donor that formatted the corpus restores at least one."""
+    _restored("warm/engine-clean-restore", clean=True)(report, h, eng,
+                                                        plan)
+    rows = len(_snapshot_files(h)[0].write_memo)
+    installed = (eng.snapshot_restored or {}).get("write", 0)
+    report.expect("warm/engine-write-rows", installed > 0,
+                  h.corpus.values[0],
+                  f"restored {installed} of the snapshot's {rows} "
+                  f"write-memo rows")
+
+
 _WARM_ENGINE = Rig(lambda h: contextlib.nullcontext(
-    Engine(snapshot=_snapshot_files(h)[0])),
-    audit=_restored("warm/engine-clean-restore", clean=True))
+    Engine(snapshot=_snapshot_files(h)[0])), audit=_warm_engine_audit)
 _WARM_POOL = Rig(lambda h: BulkPool(jobs=h.jobs, fmt=h.corpus.fmt,
                                     snapshot=_snapshot_files(h)[1]),
                  audit=_restored("warm/pool-clean-restore", clean=True))

@@ -24,6 +24,7 @@ The contracts under test:
 
 import math
 import random
+import struct
 import sys
 import threading
 
@@ -231,12 +232,16 @@ class TestIntraBatchDuplicates:
 
 def _label(key):
     """A context-free name for one memo key: ``r<text>`` for reads,
-    ``w<value>`` for shortest writes, ``n<value>/<n>`` for fixed-format
-    (counted/``#``-mark) entries of ``n`` digits."""
+    ``w<value>`` for default-route writes (keyed on the signed binary64
+    pattern, so ``x`` and ``-x`` are two entries), ``d<value>`` for the
+    ``(k, digits)`` entries of other routes and ``n<value>/<n>`` for
+    fixed-format (counted/``#``-mark) entries of ``n`` digits."""
     if isinstance(key[0], str):
         return "r" + key[0]
+    if len(key) == 2:
+        return "w" + repr(struct.unpack("<d", struct.pack("<Q", key[0]))[0])
     value = repr(math.ldexp(key[0], key[1]))
-    return "w" + value if len(key) == 3 else f"n{value}/{key[2]}"
+    return "d" + value if len(key) == 3 else f"n{value}/{key[2]}"
 
 
 def _gens(memo):
@@ -338,7 +343,7 @@ _TEXTS = ["1.5", " 1.5", "-1.5", "0.1", "1e23", "5e-324", "nan", "inf",
 
 def _write_labels(x):
     return [] if x == 0 or not math.isfinite(x) else [
-        "w" + repr(float(abs(x)))]
+        "w" + repr(float(x))]
 
 
 _value = st.sampled_from(_POOL)

@@ -19,6 +19,8 @@ from repro.core.dragon import shortest_digits
 from repro.core.rounding import ReaderMode, TieBreak
 from repro.engine import Engine, ReadEngine
 from repro.engine import schubfach as schubfach_mod
+from repro.engine.buffer import format_buffer
+from repro.engine.bulk import pack_bits
 from repro.engine.schubfach import _image, schubfach_digits
 from repro.engine.tables import _floor_log10_pow2, _pow10_128, tables_for
 from repro.errors import RangeError
@@ -210,6 +212,44 @@ class TestRouteBoundaryCorpus:
         assert s["tier2_calls"] == 0
         assert s["tier0_hits"] + s["schubfach_hits"] == \
             s["conversions"] == len(values) - 2
+
+
+def _pow2_neighbourhoods():
+    """Every binary64 power of two, subnormal ones included, with the
+    patterns one below and one above it, both signs, each once."""
+    powers = [1 << k for k in range(52)] + [be << 52 for be in range(1, 2047)]
+    out = []
+    for p in powers:
+        for b in (p - 1, p, p + 1):
+            if b:
+                out += [b, b | 1 << 63]
+    return list(dict.fromkeys(out))
+
+
+class TestMemoHotRoute:
+    """A memo hit returns the text the route rendered when it missed:
+    every surface's second pass over the values equals the exact tier
+    and runs no lane."""
+
+    @pytest.mark.parametrize("mode", [NE, ReaderMode.NEAREST_UNKNOWN])
+    def test_binary64_powers_of_two_and_neighbours(self, mode):
+        bits = _pow2_neighbourhoods()
+        floats = [Flonum.from_bits(b, BINARY64).to_float() for b in bits]
+        want = Engine(tier_order=(), cache_size=0).format_many(
+            floats, mode=mode)
+        eng = Engine(cache_size=1 << 15)
+        assert eng.format_many(floats, mode=mode) == want
+        packed = pack_bits(bits, BINARY64)
+        plane = "".join(t + "\n" for t in want).encode("ascii")
+        for rnd in range(2):
+            eng.reset_stats()
+            assert eng.format_many(floats, mode=mode) == want
+            assert [eng.format(x, mode=mode) for x in floats] == want
+            assert format_buffer(packed, BINARY64, mode=mode,
+                                 engine=eng) == plane
+            s = eng.stats()
+            assert s["cache_hits"] == s["conversions"] == 3 * len(bits)
+            assert s["cache_misses"] == 0
 
 
 def _fraction_image(c, e, k, j):

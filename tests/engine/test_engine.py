@@ -141,16 +141,19 @@ class TestStatsAndCache:
         eng = Engine()
         eng.format(0.1)
         eng.format(0.1)
-        # NEAREST_EVEN mirrors to itself, so -0.1 shares the entry.
+        # Entries key on the signed bit pattern and map to the final
+        # text, so -0.1 has its own entry even though NEAREST_EVEN
+        # mirrors to itself.
+        eng.format(-0.1)
         eng.format(-0.1)
         s = eng.stats()
         assert s["cache_hits"] == 2
-        assert s["cache_misses"] == 1
-        assert s["cache_entries"] == 1
-        # An asymmetric mode keeps signs apart.
+        assert s["cache_misses"] == 2
+        assert s["cache_entries"] == 2
+        # Each mode keeps its own entries.
         eng.format(0.1, mode=ReaderMode.TOWARD_POSITIVE)
         eng.format(-0.1, mode=ReaderMode.TOWARD_POSITIVE)
-        assert eng.stats()["cache_entries"] == 3
+        assert eng.stats()["cache_entries"] == 4
 
     def test_cache_is_bounded_lru(self):
         eng = Engine(cache_size=16)

@@ -249,6 +249,51 @@ class TestRestore:
         assert rows[0][0] == "binary64"
 
 
+class TestWriteMemoRows:
+    """Write-memo rows carry the bit-keyed entries: ``[name, mode, tie,
+    bits, text]``, signed patterns, entries of the other routes left
+    out."""
+
+    def test_rows_are_signed_patterns_and_texts(self):
+        donor = Engine()
+        texts = donor.format_many([1.5, -1.5, 0.1])
+        donor.shortest_digits(2.5)  # an (f, e, ctx) entry, same ctx
+        donor.format(3.5, base=16)  # an (f, e, ctx) entry, base 16
+        donor.counted_digits(4.5, ndigits=3)  # a fixed-format entry
+        rows = build_snapshot(["binary64"], engine=donor).write_memo
+        want = [[name, "nearest-even", "up",
+                 Flonum.from_float(x).to_bits(), t]
+                for name, x, t in zip(["binary64"] * 3, [1.5, -1.5, 0.1],
+                                      texts)]
+        assert rows == want
+
+    def test_version_1_file_starts_cold(self, tmp_path):
+        snap, _ = make_snapshot(with_hot=False)
+        blob = snapshot_to_bytes(snap)
+        magic, _version, res, length, crc = _HEADER.unpack_from(blob)
+        path = tmp_path / "v1.snap"
+        path.write_bytes(_HEADER.pack(magic, 1, res, length, crc)
+                         + blob[_HEADER.size:])
+        eng = Engine(snapshot=path)
+        assert eng.stats()["snapshot_faults"] == 1
+        assert eng.snapshot_restored is None
+        assert len(eng._cache) == 0
+
+    @pytest.mark.parametrize("row", [
+        ["binary64", "nearest-even", "up", 1 << 64, "1"],
+        ["binary64", "nearest-even", "up", -1, "1"],
+        ["binary64", "nearest-even", "up", 1.5, "1.5"],
+        ["binary64", "nearest-even", "up", 4609434218613702656, 1.5],
+        ["binary64", "nearest-even", "up", 6755399441055744, -52, 2, "15"],
+    ], ids=["bits-too-wide", "bits-negative", "bits-not-int",
+            "text-not-str", "v1-shape"])
+    def test_malformed_rows_rejected(self, row):
+        snap, _ = make_snapshot(with_hot=False)
+        snap.write_memo[0] = row
+        with pytest.raises(SnapshotError, match="write-memo row"):
+            apply_snapshot(Engine(), snap)
+
+
 #: Read-memo rows as the ``(Flonum, tier)`` memo wrote them, before
 #: read entries held bit patterns: real tier names in the last column.
 TIERED_ROWS = [

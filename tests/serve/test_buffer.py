@@ -317,6 +317,51 @@ class TestBinary16Total:
         assert s["tier2_calls"] == 0
         assert s["tier0_hits"] + s["schubfach_hits"] == len(finite)
 
+    @pytest.mark.parametrize("mode,tie", [
+        (ReaderMode.NEAREST_EVEN, TieBreak.UP),
+        (ReaderMode.NEAREST_EVEN, TieBreak.DOWN),
+        (ReaderMode.NEAREST_UNKNOWN, TieBreak.UP),
+        (ReaderMode.NEAREST_UNKNOWN, TieBreak.DOWN),
+        # Mirrors to TOWARD_NEGATIVE: a negative value's text is not
+        # "-" + its magnitude's.
+        (ReaderMode.TOWARD_POSITIVE, TieBreak.UP),
+    ])
+    def test_memo_hot_surfaces_match_exact_every_pattern(self, mode, tie):
+        # One engine whose memo holds every pattern: after a first
+        # format_many pass, format_many, format and format_buffer each
+        # serve every finite non-zero pattern from the memo and equal
+        # the exact tier on every pattern.
+        values = [Flonum.from_bits(b, BINARY16) for b in range(1 << 16)]
+        finite = [v for v in values if v.is_finite and not v.is_zero]
+        exact = Engine(tier_order=(), cache_size=0)
+        if mode.mirrored() is mode:
+            positive = self._exact_positive(finite, mode, tie)
+        else:
+            positive = None
+        want = []
+        for v in values:
+            if positive is not None and v.is_finite and not v.is_zero:
+                text = positive[v.f, v.e]
+                want.append("-" + text if v.sign else text)
+            else:
+                want.append(exact.format(v, mode=mode, tie=tie,
+                                         fmt=BINARY16))
+        eng = Engine(cache_size=1 << 17)
+        assert eng.format_many(values, mode=mode, tie=tie,
+                               fmt=BINARY16) == want
+        plane = "".join(t + "\n" for t in want).encode("ascii")
+        packed = pack_bits(range(1 << 16), BINARY16)
+        eng.reset_stats()
+        assert eng.format_many(values, mode=mode, tie=tie,
+                               fmt=BINARY16) == want
+        assert [eng.format(v, mode=mode, tie=tie, fmt=BINARY16)
+                for v in values] == want
+        assert format_buffer(packed, BINARY16, mode=mode, tie=tie,
+                             engine=eng, dedup=False) == plane
+        s = eng.stats()
+        assert s["cache_hits"] == s["conversions"] == 3 * len(finite)
+        assert s["cache_misses"] == 0
+
     _exact_cache: dict = {}
 
     @classmethod

@@ -407,6 +407,25 @@ class TestDaemonControl:
         assert health["observer"]["requests"] >= 1
         assert stats["health_requests"] == 1
 
+    def test_idle_daemon_admits_a_request_past_the_aimd_window(self):
+        # An unreachable SLO drives the window down to its floor; a
+        # request larger than the floor must still be admitted when
+        # nothing is in flight, or such traffic could never reopen it.
+        single = pack_bits(ingest_bits([1.5], BINARY64), BINARY64)
+        plane = b"1.5\n" * 30000  # 120 kB
+        with serving(jobs=1, slo_target_ms=0.001) as d:
+            with ServeClient(d.host, d.port) as c:
+                for _ in range(300):
+                    assert c.format(single) == b"1.5\n"
+                floor = c.health()["admission"]["floor_bytes"]
+                assert c.health()["admission"]["limit_bytes"] == floor
+                assert len(plane) > floor
+                got = c.read(plane)
+            stats = d.stats()
+        assert got == pack_bits(ingest_bits([1.5] * 30000, BINARY64),
+                                BINARY64)
+        assert stats["admission_sheds"] == 0
+
     def test_observer_counted_in_stats(self):
         with serving(observe_stride=1) as d:
             with ServeClient(d.host, d.port) as c:

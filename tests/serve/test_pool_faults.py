@@ -438,6 +438,47 @@ class TestConcurrentCalls:
                     assert not any(t.is_alive() for t in threads)
         assert errors == []
 
+    def test_concurrent_calls_count_one_rebuild_per_executor(self,
+                                                              monkeypatch):
+        # Four threads share one executor; each crash breaks it under
+        # every call in flight, and each of them abandons it.  Only the
+        # call that clears the live handle counts the rebuild, so the
+        # counter equals the executors built after the first.
+        from repro.serve import pool as pool_mod
+
+        built = []
+
+        class Counting(pool_mod.PipeExecutor):
+            def __init__(self, *args, **kw):
+                built.append(self)
+                super().__init__(*args, **kw)
+
+        monkeypatch.setattr(pool_mod, "PipeExecutor", Counting)
+        errors = []
+        plan = faults.FaultPlan([
+            faults.FaultSpec("pool.format_shard", "crash", shard=0,
+                             limit=3)])
+        with BulkPool(jobs=2) as pool:
+            def calls():
+                for _ in range(20):
+                    try:
+                        if pool.format_bulk(CORPUS) != WANT:
+                            errors.append("payload mismatch")
+                    except Exception as exc:
+                        errors.append(repr(exc))
+
+            with faults.armed(plan):
+                threads = [threading.Thread(target=calls)
+                           for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+            stats = pool.stats()
+        assert errors == []
+        assert plan.fired["pool.format_shard"] == 3
+        assert stats["pool_rebuilds"] == len(built) - 1 >= 1
 
     def test_concurrent_degradations_step_down_once(self):
         # Every attempt of shard 0 crashes, so each of the four threads
