@@ -855,10 +855,12 @@ class Engine:
         sites, then the exact tier.  NaN, infinities and zeros are
         never memoized.
 
-        The memo is probed and filled in place, lock-free
+        The memo is probed and filled in place, lock-free; under
+        sampled admission only every ``STRIDE``-th miss installs
         (:mod:`repro.engine.memo`).  Counters accumulate in locals; one
         final lock flushes them (a concurrent :meth:`stats` never sees
-        a torn batch) and trims the memo.  A format off the route
+        a torn batch), records the memo's hits and misses for its
+        admission rule and trims it.  A format off the route
         formats each pattern through :meth:`format`.
         """
         route = self._route(fmt, mode, tie)
@@ -880,6 +882,7 @@ class Engine:
         memo = self._cache
         cache = memo if self.cache_size else None
         new, old, cap = memo.new, memo.old, memo.capacity
+        gap, skip = memo.gap, memo.skip
         lock = self._lock
         hot = self._hot or None
         planes = self._planes
@@ -948,8 +951,13 @@ class Engine:
                 except Exception:
                     if strict:
                         raise
-                    # Detach the misbehaving plane for both signs.
-                    plane_pos = plane_neg = None
+                    # Detach the misbehaving plane for good, as
+                    # _plane_probe does, for every sign it serves.
+                    planes.pop(mctx, None)
+                    if plane_pos is plane:
+                        plane_pos = None
+                    if plane_neg is plane:
+                        plane_neg = None
                     snap_faults += 1
                     kb = None
                 if kb is not None:
@@ -1010,6 +1018,10 @@ class Engine:
                     text = sign + body[0] + "e" + str(k - 1)
             append(text)
             if cache is not None:
+                if skip:  # sampled admission: not this miss
+                    skip -= 1
+                    continue
+                skip = gap
                 if not old and len(new) >= cap:
                     with lock:
                         new, old = cache.turn(new)
@@ -1028,7 +1040,8 @@ class Engine:
             self._tier_faults += t_faults
             self._hot_hits += hot_hits
             self._snapshot_faults += snap_faults
-            self._cache.trim()
+            memo.record(c_hits, c_misses, skip)
+            memo.trim()
         return out
 
     # ------------------------------------------------------------------

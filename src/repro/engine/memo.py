@@ -29,16 +29,55 @@ collide on powers of two and on values any client can choose.  An
 integer's hash is its value modulo ``2**61 - 1``, so at most nine
 64-bit patterns share one.  A ``str`` key cannot equal an ``int`` one,
 so read and write entries never collide.
+
+Admission
+---------
+
+On traffic that never repeats, installs only cost: each one evicts an
+entry nobody asks for again, and two full generations make every probe
+dearer than probes of small ones.  The memo therefore admits by
+measured payoff.  The two batch loops count their probes' hits and
+misses and flush them through :meth:`record`, beside :meth:`trim`:
+
+* once the window holds at least ``capacity`` misses and fewer than
+  one hit per :data:`PAYOFF` misses, the memo enters *sampled
+  admission*: it clears ``new`` and ``old`` once, and from then on the
+  batch loops install only every :data:`STRIDE`-th miss, counted
+  across batches (so one-value scalar calls are sampled too);
+* the first flush at which hits reach one per :data:`PAYOFF` misses
+  returns it to full admission;
+* the window stays recent: both counts halve while the misses exceed
+  ``2 * capacity``.
+
+The sampled installs are what lets a hot set that returns be noticed.
+Each batch reads the rule's state once and carries the install
+position in a local; when batches overlap, the last flush's position
+wins, which shifts only which misses install, never a result.
+:meth:`put` and :meth:`install` (snapshot restores and the routes off
+the batch loops) admit everything; :meth:`clear` resets the rule.
 """
+
+#: Sampled admission starts when hits fall below one per ``PAYOFF``
+#: misses, and ends when they reach it again.
+PAYOFF = 64
+#: Sampled admission installs one miss in ``STRIDE``.
+STRIDE = 16
 
 
 class GenMemo:
-    """Read-only mapping (``old`` then ``new``) plus the policy."""
+    """Read-only mapping (``old`` then ``new``) plus the policy.
 
-    __slots__ = ("capacity", "new", "old")
+    The admission rule's state: ``hits`` and ``misses`` (the window),
+    ``gap`` (misses skipped between two installs: 0 under full
+    admission, ``STRIDE - 1`` under sampled) and ``skip`` (misses still
+    to skip before the next install).
+    """
+
+    __slots__ = ("capacity", "new", "old", "hits", "misses", "gap", "skip")
 
     def __init__(self, capacity: int):
         self.capacity, self.new, self.old = capacity, {}, {}
+        self.hits = self.misses = self.gap = self.skip = 0
 
     def __len__(self) -> int:
         return len(self.new) + len(self.old)
@@ -56,9 +95,16 @@ class GenMemo:
 
     __iter__ = keys
 
+    @property
+    def sampled(self) -> bool:
+        """True under sampled admission."""
+        return self.gap != 0
+
     def clear(self) -> None:
+        """Drop every entry and reset the admission rule."""
         self.new.clear()
         self.old.clear()
+        self.hits = self.misses = self.gap = self.skip = 0
 
     def hit(self, key):
         """The value under ``key`` (moved into ``new``), or None."""
@@ -98,3 +144,23 @@ class GenMemo:
                 (self.old or self.new).popitem()
             except KeyError:  # a racing batch drained it first
                 break
+
+    def record(self, hits: int, misses: int, skip: int) -> None:
+        """Flush one batch's probe counts and its admission position
+        (``skip``), then apply the admission rule.  A batch that
+        probed nothing changes nothing.  Lock held."""
+        if not (hits or misses):
+            return
+        hits += self.hits
+        misses += self.misses
+        if hits * PAYOFF >= misses:
+            self.gap = 0
+        elif not self.gap and misses >= self.capacity:
+            self.gap = STRIDE - 1
+            self.new.clear()
+            self.old.clear()
+        while misses > 2 * self.capacity:
+            hits >>= 1
+            misses >>= 1
+        self.hits, self.misses = hits, misses
+        self.skip = min(skip, self.gap)

@@ -579,10 +579,13 @@ class ReadEngine:
         :data:`MEMO` for a memo hit (the scalar readers' attribution).
 
         Every read probes, installs and attributes here.  The memo is
-        probed and filled in place, lock-free (:mod:`repro.engine.memo`);
-        lane codes accumulate in a list indexed by code.  One final lock
-        flushes the counters (a concurrent :meth:`stats` never sees a
-        torn batch) and trims the memo.  Memo values are ``(bits, Flonum or None)``: a Flonum-producing batch
+        probed and filled in place, lock-free; under sampled admission
+        only every ``STRIDE``-th miss installs
+        (:mod:`repro.engine.memo`).  Lane codes accumulate in a list
+        indexed by code.  One final lock flushes the counters (a
+        concurrent :meth:`stats` never sees a torn batch), records the
+        memo's hits and misses for its admission rule and trims it.
+        Memo values are ``(bits, Flonum or None)``: a Flonum-producing batch
         installs the Flonum it built, a bits batch (``parse_buffer``)
         None, decoded on a later Flonum hit.  Formats without a bit
         encoding memoize ``(None, Flonum)`` and cannot produce bits.
@@ -594,8 +597,10 @@ class ReadEngine:
             hidden, shift, offset, sign_bit, inf_bits, nan_bits = layout
         elif not flonums:
             fmt._require_encoding()
-        cache = self._cache if memo and self.cache_size else None
-        new, old, cap = self._cache.new, self._cache.old, self._cache.capacity
+        gen = self._cache
+        cache = gen if memo and self.cache_size else None
+        new, old, cap = gen.new, gen.old, gen.capacity
+        gap, skip = gen.gap, gen.skip
         want = 1 if flonums else 0  # the memo value's slot to return
         convert = self._convert
         counts = [0] * _TALLY
@@ -666,6 +671,10 @@ class ReadEngine:
                 append(bits)
             if key is not None:
                 n_misses += 1
+                if skip:  # sampled admission: not this miss
+                    skip -= 1
+                    continue
+                skip = gap
                 if not old and len(new) >= cap:
                     with self._lock:
                         new, old = cache.turn(new)
@@ -678,7 +687,8 @@ class ReadEngine:
         counts[MEMO], counts[_MISSES] = n_hits, n_misses
         with self._lock:
             self._tally = list(map(_add, self._tally, counts))
-            self._cache.trim()
+            gen.record(n_hits, n_misses, skip)
+            gen.trim()
         return out, code
 
     def read_parsed(self, parsed: ParsedNumber, fmt: FloatFormat = BINARY64,

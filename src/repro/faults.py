@@ -124,8 +124,9 @@ class FaultSpec:
             (None: every attempt; default 0, so one retry heals).
         at: Call sites — fire on these 0-based call indices.
         rate: Per-call (or per-dispatch) firing probability, decided by
-            a seeded RNG keyed on the plan seed, site and call index —
-            the same plan fires at the same calls in any run.
+            a seeded RNG keyed on the plan seed, site and call (or
+            dispatch) index — the same plan fires at the same calls in
+            any run.
         stall: Seconds a ``stall`` fault sleeps.
         limit: Cap on total firings of this spec (None: unbounded).
             With neither ``at`` nor ``rate`` given, the spec fires on
@@ -218,9 +219,14 @@ class FaultPlan:
 
         Called by the pool parent before submitting shard ``shard`` on
         attempt ``attempt``; the returned spec (or None) is
-        deterministic for a given plan state.
+        deterministic for a given plan state.  A rate-drawn spec rolls
+        once per dispatch, keyed on the site's dispatch index (as
+        :meth:`fire` keys on the call index) and the spec's position,
+        so two rate specs of one site draw independently.
         """
         with self._lock:
+            idx = self._calls.get(site, 0)
+            self._calls[site] = idx + 1
             for j, spec in self._by_site.get(site, ()):
                 if not self._spec_matches_budget(j, spec):
                     continue
@@ -229,7 +235,7 @@ class FaultPlan:
                 if spec.attempt is not None and spec.attempt != attempt:
                     continue
                 if spec.rate and not self._roll(
-                        f"{site}:{shard}:{attempt}", spec.rate):
+                        f"{site}:{j}:{idx}", spec.rate):
                     continue
                 self._spec_fired[j] += 1
                 self.fired[site] = self.fired.get(site, 0) + 1

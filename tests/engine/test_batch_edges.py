@@ -8,7 +8,11 @@ The contracts under test:
 * a memo-disabled engine runs the whole batch lock-free and takes
   exactly one acquisition (the counter flush);
 * a batch larger than the memo leaves what the equivalent sequential
-  calls would have left, and never grows the memo past its bound;
+  calls would have left while the memo admits every miss, and never
+  grows the memo past its bound;
+* the admission rule: a stream of distinct values enters sampled
+  admission after ``capacity`` misses, a hot set brings back full
+  admission, and ``clear_cache()`` resets the rule;
 * intra-batch duplicates hit the memo and count as cache hits;
 * the ``new``/``old`` contents after any mix of scalar and batch calls
   in both directions are pinned exactly, step by step and against a
@@ -16,8 +20,9 @@ The contracts under test:
   ``old`` then ``new``;
 * a memo-enabled batch also takes exactly one acquisition when no
   generation swap falls inside it: probes and installs are lock-free;
-* batches racing each other's swaps, and a ``popitem`` on an ``old``
-  that another batch just drained, change no byte and keep the bound;
+* batches racing each other's swaps (with and without the rule
+  engaging mid-race), and a ``popitem`` on an ``old`` that another
+  batch just drained, change no byte and keep the bound;
 * the batch loop serves binary32/16 batches too, equal to the scalar
   route element by element and in every counter.
 """
@@ -34,6 +39,7 @@ from hypothesis import strategies as st
 
 from repro.core.rounding import ReaderMode
 from repro.engine import Engine, ReadEngine
+from repro.engine.memo import GenMemo
 from repro.engine.snapshot import build_snapshot
 from repro.floats.formats import BINARY16, BINARY32, BINARY64
 from repro.floats.model import Flonum
@@ -181,10 +187,18 @@ class TestNarrowFormatBatches:
 
 
 class TestOversizedBatches:
+    """Below one generation of evidence for sampled admission (fewer
+    than ``capacity`` misses, or a hit per 64 misses) the memo admits
+    every miss, so an oversized batch leaves its tail exactly as
+    sequential calls would.  Past it, a batch of distinct values
+    enters sampled admission, and the bound holds either way."""
+
     def test_format_many_keeps_only_the_tail(self):
         eng = Engine(cache_size=8)
         vals = _vals(64, seed=3)
-        eng.format_many(vals)
+        eng.format_many(vals[:1] * 2)  # a hit: full admission holds
+        eng.format_many(vals)  # 1 hit, 63 misses
+        assert not eng._cache.sampled
         assert eng.stats()["cache_entries"] <= 8
         eng.reset_stats()
         eng.format_many(vals[-8:])
@@ -199,7 +213,9 @@ class TestOversizedBatches:
     def test_read_many_keeps_only_the_tail(self):
         eng = ReadEngine(cache_size=8)
         texts = [repr(v) for v in _vals(64, seed=4)]
+        eng.read_many(texts[:1] * 2)
         eng.read_many(texts)
+        assert not eng._cache.sampled
         assert len(eng._cache) <= 8
         eng.reset_stats()
         eng.read_many(texts[-8:])
@@ -207,11 +223,112 @@ class TestOversizedBatches:
         assert s["read_cache_hits"] == 8
         assert s["read_cache_misses"] == 0
 
+    def test_format_many_past_a_generation_enters_sampled_admission(self):
+        eng = Engine(cache_size=8)
+        vals = _vals(64, seed=3)
+        eng.format_many(vals)  # 64 misses, no hit
+        assert eng._cache.sampled
+        assert eng.stats()["cache_entries"] == 0  # cleared on entry
+        eng.reset_stats()
+        eng.format_many(vals[-8:])
+        s = eng.stats()
+        assert (s["cache_hits"], s["cache_misses"]) == (0, 8)
+        assert s["cache_entries"] == 1  # the first miss of sixteen
+
+    def test_read_many_past_a_generation_enters_sampled_admission(self):
+        eng = ReadEngine(cache_size=8)
+        texts = [repr(v) for v in _vals(64, seed=4)]
+        eng.read_many(texts)
+        assert eng._cache.sampled
+        assert len(eng._cache) == 0
+        eng.reset_stats()
+        eng.read_many(texts[-8:])
+        s = eng.stats()
+        assert (s["read_cache_hits"], s["read_cache_misses"]) == (0, 8)
+        assert len(eng._cache) == 1
+
     def test_memo_never_exceeds_bound_under_stream(self):
         eng = Engine(cache_size=16)
         for i in range(10):
             eng.format_many(_vals(50, seed=i))
             assert eng.stats()["cache_entries"] <= 16
+
+
+class TestAdmission:
+    def test_distinct_stream_enters_after_capacity_misses(self):
+        eng = Engine(cache_size=64)
+        stream = iter(_vals(400, seed=5))
+        for _ in range(4):
+            assert not eng._cache.sampled
+            eng.format_many([next(stream) for _ in range(16)])
+        # The fourth flush brings the window to 64 misses, no hit.
+        assert eng._cache.sampled
+        assert eng.stats()["cache_entries"] == 0
+        # Then every sixteenth miss installs, across batches.
+        for _ in range(10):
+            eng.format_many([next(stream) for _ in range(16)])
+        assert eng.stats()["cache_entries"] == 10
+        # One-value scalar calls, reads included, are sampled too.
+        for _ in range(32):
+            eng.format(next(stream))
+        eng.read_many([repr(next(stream)) for _ in range(16)])
+        assert eng.stats()["cache_entries"] == 13
+        assert eng._cache.sampled
+
+    def test_hot_set_returns_to_full_admission(self):
+        eng = Engine(cache_size=64)
+        model = GenModel(64)
+        distinct = _vals(96, seed=6)
+        hot = _vals(8, seed=7)
+        calls = [distinct[i:i + 16] for i in range(0, 96, 16)] \
+            + [hot * 2] * 4
+        hits, per_batch, sampled = 0, [], []
+        for batch in calls:
+            eng.format_many(batch)
+            per_batch.append(model.batch(["w" + repr(x) for x in batch]))
+            hits += per_batch[-1]
+            assert _gens(eng._cache) == (model.old, model.new)
+            assert eng.stats()["cache_hits"] == hits
+            assert eng._cache.sampled == model.sampled
+            sampled.append(model.sampled)
+        # Sampled from the fourth distinct batch on.  The first hot
+        # batch installs one hot value (1 hit in a window of 111
+        # misses); the second brings 4 hits in 124 misses, past one in
+        # 64, and full admission; the fourth is all hits.
+        assert sampled == [False] * 3 + [True] * 4 + [False] * 3
+        assert per_batch == [0] * 6 + [1, 3, 10, 16]
+        assert eng.format_many(hot) == [repr(x) for x in hot]
+        assert eng.stats()["cache_hits"] == hits + 8
+
+    def test_clear_cache_resets_the_rule(self):
+        eng = Engine(cache_size=8)
+        eng.format_many(_vals(64, seed=8))
+        assert eng._cache.sampled
+        eng.clear_cache()
+        memo = eng._cache
+        assert not memo.sampled
+        assert (memo.hits, memo.misses, memo.skip) == (0, 0, 0)
+        eng.format_many(_vals(5, seed=9))
+        assert eng.stats()["cache_entries"] == 5
+
+    def test_read_engine_clear_cache_resets_the_rule(self):
+        eng = ReadEngine(cache_size=8)
+        eng.read_many([repr(v) for v in _vals(64, seed=8)])
+        assert eng._cache.sampled
+        eng.clear_cache()
+        assert not eng._cache.sampled
+        eng.read_many([repr(v) for v in _vals(5, seed=9)])
+        assert len(eng._cache) == 5
+
+    def test_put_admits_every_miss(self):
+        # The routes off the batch loops (here: another base) and
+        # snapshot restores install regardless of the rule.
+        eng = Engine(cache_size=8)
+        eng.format_many(_vals(64, seed=8))
+        assert eng._cache.sampled
+        for x in _vals(4, seed=10):
+            eng.format(x, base=16)
+        assert eng.stats()["cache_entries"] == 4
 
 
 class TestIntraBatchDuplicates:
@@ -315,24 +432,59 @@ class GenModel:
     """Reference model of the memo policy over labels: a probe hits in
     ``new`` or moves a hit in ``old`` into ``new``; a miss that finds
     ``new`` full (and ``old`` empty) makes it ``old``, evicts the last
-    entry of ``old`` and appends to ``new``."""
+    entry of ``old`` and appends to ``new``.
+
+    Admission: a batch-loop call (:meth:`batch`) flushes its hits and
+    misses into a window.  Once the window holds at least ``cap``
+    misses and fewer than one hit per 64, the memo clears and enters
+    sampled admission, where a batch-loop miss installs only every
+    16th time (counted across calls); the first flush with a hit per
+    64 misses leaves it.  Both counts halve while the misses exceed
+    ``2 * cap``.  Other routes (:meth:`touch` alone) admit every miss
+    and flush nothing."""
 
     def __init__(self, cap):
         self.cap, self.new, self.old = cap, [], []
+        self.hits = self.misses = self.skip = 0
+        self.sampled = False
 
-    def touch(self, label) -> bool:
+    def touch(self, label, sampling: bool = False) -> bool:
         if label in self.new:
             return True
         if label in self.old:
             self.old.remove(label)
             self.new.append(label)
             return True
+        if sampling and self.sampled:
+            if self.skip:
+                self.skip -= 1
+                return False
+            self.skip = 15
         if not self.old and len(self.new) >= self.cap:
             self.old, self.new = self.new, []
         if self.old:
             self.old.pop()
         self.new.append(label)
         return False
+
+    def batch(self, labels) -> int:
+        """One batch-loop call over ``labels``; returns its hits."""
+        if not labels:
+            return 0
+        hits = sum([self.touch(lab, sampling=True) for lab in labels])
+        misses = len(labels) - hits
+        h, m = self.hits + hits, self.misses + misses
+        if h * 64 >= m:
+            self.sampled = False
+        elif not self.sampled and m >= self.cap:
+            self.sampled = True
+            self.new, self.old = [], []
+        while m > 2 * self.cap:
+            h, m = h >> 1, m >> 1
+        self.hits, self.misses = h, m
+        if not self.sampled:
+            self.skip = 0
+        return hits
 
 
 _POOL = [1.5, -1.5, 0.1, 2.5e-300, 5e-324, 1e23, 123456.789, 0.0, -0.0,
@@ -382,13 +534,14 @@ class TestPolicyModel:
                                         else [arg])
                           for lab in _write_labels(x)]
             assert got == want
-            for lab in labels:
-                hit = model.touch(lab)
-                if lab[0] == "r":
-                    reads += hit
-                else:
-                    writes += hit
+            hits = (model.touch(labels[0]) if name == "counted_digits"
+                    else model.batch(labels))
+            if name.startswith("read"):
+                reads += hits
+            else:
+                writes += hits
             assert _gens(eng._cache) == (model.old, model.new)
+            assert eng._cache.sampled == model.sampled
             s = eng.stats()
             assert s["cache_entries"] <= cap
             assert (s["cache_hits"], s["read_cache_hits"]) == (writes, reads)
@@ -435,6 +588,59 @@ class TestGenerationSwapRace:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not failures, failures[:5]
+        assert eng.stats()["cache_entries"] <= 8
+
+    def test_rule_engaging_mid_race_keeps_bytes_and_bound(self):
+        # Two threads stream values that never repeat, so the memo
+        # enters sampled admission (clearing both generations) while
+        # two others replay a hot window; either may pull the rule
+        # back and forth.  No byte changes and the bound holds.
+        class Counting(GenMemo):
+            __slots__ = ("entries",)
+
+            def record(self, hits, misses, skip):
+                was = self.sampled
+                super().record(hits, misses, skip)
+                self.entries += self.sampled and not was
+
+        eng = Engine(cache_size=8)
+        eng._cache = Counting(8)
+        eng._cache.entries = 0
+        floats = _vals(960, seed=11)
+        texts = [repr(x) for x in floats]
+        oracle = Engine(tier_order=(), read_tier_order=(), cache_size=0)
+        want_w = oracle.format_many(floats)
+        want_r = [v.to_bits() for v in oracle.read_many(texts)]
+        failures = []
+
+        def work(tid):
+            try:
+                for rnd in range(15):
+                    lo = 60 + 30 * (2 * rnd + tid) if tid < 2 \
+                        else (7 * tid + 11 * rnd) % 30
+                    hi = lo + 30
+                    if eng.format_many(floats[lo:hi]) != want_w[lo:hi]:
+                        failures.append(("write", tid, rnd))
+                    got = [v.to_bits() for v in eng.read_many(texts[lo:hi])]
+                    if got != want_r[lo:hi]:
+                        failures.append(("read", tid, rnd))
+            except Exception as exc:  # pragma: no cover - the regression
+                failures.append(("raised", tid, repr(exc)))
+
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures, failures[:5]
+        assert eng._cache.entries >= 1
         assert eng.stats()["cache_entries"] <= 8
 
     @pytest.mark.parametrize("call", [

@@ -219,6 +219,23 @@ class TestFaultPlanDeterminism:
 
         assert run(21) == run(21)
 
+    def test_pool_rate_rolls_once_per_dispatch(self):
+        # Binomial(1000, 0.25): mean 250, standard deviation 13.7.
+        plan = faults.FaultPlan([faults.FaultSpec(
+            "pool.format_shard", "crash", shard=0, rate=0.25, limit=None)])
+        fired = sum(plan.pool_action("pool.format_shard", 0, 0) is not None
+                    for _ in range(1000))
+        assert fired == 249
+        assert abs(fired - 250) < 4 * 13.7
+
+    def test_pool_rate_specs_of_one_site_draw_independently(self):
+        # The standing chaos plan's two read-shard rate specs (corrupt
+        # at 2 %, stall at 1 %) each spend their limit of 5.
+        plan = faults.chaos_plan(0)
+        for i in range(1000):
+            plan.pool_action("pool.read_shard", i % 2, 0)
+        assert plan.spec_fired() == [0, 0, 5, 5]
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             faults.FaultSpec("engine.tier0", kind="crash")

@@ -381,6 +381,22 @@ class TestHotPlane:
         assert eng.format_many(CORPUS) == Engine().format_many(CORPUS)
         assert eng.stats()["hot_hits"] > 0
 
+    def test_faulting_plane_detached_for_good_by_the_batch_loop(self):
+        snap, _ = make_snapshot(with_hot=True)
+        eng = Engine(cache_size=0)
+        eng.attach_hot_plane(HotPlane(memoryview(self.plane_for(snap))))
+        (ctx, (_, to_bits)), = eng._planes.items()
+
+        class Faulting:
+            def get(self, bits):
+                raise OSError("segment unmapped")
+
+        eng._planes[ctx] = (Faulting(), to_bits)
+        for _ in range(3):
+            assert eng.format_many([1.5, 2.5]) == ["1.5", "2.5"]
+        assert eng.stats()["snapshot_faults"] == 1
+        assert ctx not in eng._planes
+
     def test_torn_plane_rejected_at_attach(self):
         snap, _ = make_snapshot(with_hot=True)
         blob = bytearray(self.plane_for(snap))

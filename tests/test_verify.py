@@ -245,7 +245,8 @@ class TestEveryFlag:
             assert re.search(rf"^  {re.escape(row.tag)} +\d+ checks  ok$",
                              out, re.M), row.tag
         for audit in ("serve/chaos-accounting",
-                      "control/chaos-wire-accounting"):
+                      "control/chaos-wire-accounting",
+                      "buffer/sampled-admission"):
             if audit.startswith(flag):
                 assert re.search(rf"^  {re.escape(audit)} +1 checks  ok$",
                                  out, re.M), audit
