@@ -13,14 +13,14 @@ Public surface, in one import::
   against (any rounding mode).
 * :func:`read` / :func:`read_many` — the same semantics through the
   shared tiered :class:`ReadEngine` (typically much faster).
-* :func:`format_bulk` / :func:`read_bulk` — the bulk serving layer:
-  zero-copy columnar ingestion, dedup interning and sharded
-  multi-worker pipelines with deadlines, retries and graceful
-  degradation (see :mod:`repro.serve` and ``docs/robustness.md``).
-* :func:`parse_buffer` / :func:`format_buffer` — the byte-plane
-  pipeline underneath it: whole delimited byte buffers in and out,
-  throughput measured in MB/s, never a per-row string (see
-  :mod:`repro.engine.buffer` and ``docs/benchmarks.md``).
+* :func:`parse_buffer` / :func:`format_buffer` — the column API: whole
+  delimited byte buffers in and out through the engines' batch loops
+  and their memo, with zero-copy columnar ingestion
+  (:func:`ingest_bits`), throughput measured in MB/s, never a per-row
+  string (see :mod:`repro.engine.buffer` and ``docs/benchmarks.md``).
+* :class:`BulkPool` — the same calls sharded across worker processes,
+  with deadlines, retries and graceful degradation (see
+  :mod:`repro.serve` and ``docs/robustness.md``).
 * :class:`FaultPlan` / :func:`armed` — deterministic fault injection
   for chaos testing the serving layer (see :mod:`repro.faults`).
 * :class:`Flonum` / :class:`FloatFormat` — exact value model for binary16
@@ -57,11 +57,9 @@ _EXPORTS = {
     "repro.engine.snapshot": ("Snapshot", "build_snapshot",
                               "load_snapshot", "save_snapshot",
                               "hot_entries", "HotPlane"),
-    "repro.engine.bulk": ("bits_from_buffer", "format_bulk",
-                          "format_column", "ingest_bits", "pack_bits",
-                          "read_bulk", "read_column"),
-    "repro.engine.buffer": ("format_buffer", "parse_buffer",
-                            "split_plane", "split_rows"),
+    "repro.engine.buffer": ("bits_from_buffer", "ingest_bits",
+                            "pack_bits", "format_buffer", "parse_buffer",
+                            "split_plane"),
     "repro.errors": ("ReproError", "FormatError", "DecodeError",
                      "ParseError", "RangeError", "NotRepresentableError",
                      "ShardError", "SnapshotError",
@@ -81,7 +79,6 @@ _EXPORTS = {
     "repro.serve.client": ("AsyncServeClient", "ServeClient"),
     "repro.serve.daemon": ("ReproDaemon", "serving"),
     "repro.serve.pool": ("BulkPool",),
-    "repro.serve.writer": ("DelimitedWriter",),
     "repro.verify": ("VerificationReport", "verify_format",
                      "verify_chaos", "verify_serve", "verify_warm"),
 }

@@ -91,20 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "fallback (free/relative fixed format only)")
     parser.add_argument("--bulk", action="store_true",
                         help="columnar pipeline: read every literal, then "
-                             "format the whole column through the bulk "
-                             "serving layer (dedup interning, batch emit); "
+                             "format the whole column, both through one "
+                             "BulkPool over the byte-plane pipeline; "
                              "output is byte-identical to the scalar path")
-    parser.add_argument("--buffer", action="store_true",
-                        help="byte-plane pipeline: treat stdin (or the "
-                             "joined values) as one delimited byte "
-                             "buffer, round-trip it through "
-                             "parse_buffer/format_buffer without ever "
-                             "materializing per-row strings; output is "
-                             "byte-identical to --bulk")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="with --bulk/--buffer: shard the column "
-                             "across N worker processes (default 1, "
-                             "in-process)")
+                        help="with --bulk: shard the column across N "
+                             "worker processes (default 1, in-process)")
     parser.add_argument("--chaos-seed", type=int, default=None,
                         metavar="SEED",
                         help="with --bulk: arm the deterministic smoke "
@@ -122,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with --serve: listen port (0 picks a free "
                              "one, printed on startup)")
     parser.add_argument("--snapshot", default=None, metavar="PATH",
-                        help="with --bulk/--buffer/--serve: warm-start "
+                        help="with --bulk/--serve: warm-start "
                              "snapshot built by tools/warm_snapshot.py "
                              "(precomputed tables + memo + hot "
                              "dictionary); a corrupt or stale file "
@@ -131,9 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _reject_scalar_flags(args, parser: argparse.ArgumentParser,
-                         pipeline: str) -> None:
-    """Columnar pipelines only do shortest-decimal round trips."""
+def _reject_scalar_flags(args, parser: argparse.ArgumentParser) -> None:
+    """The columnar pipeline only does shortest-decimal round trips."""
     for flag, name in ((args.digits is not None, "--digits"),
                        (args.decimals is not None, "--decimals"),
                        (args.position is not None, "--position"),
@@ -146,60 +137,26 @@ def _reject_scalar_flags(args, parser: argparse.ArgumentParser,
                        (args.python_repr, "--python-repr"),
                        (args.group != "", "--group")):
         if flag:
-            parser.error(f"{pipeline} is the shortest-decimal columnar "
+            parser.error(f"--bulk is the shortest-decimal columnar "
                          f"pipeline; {name} is not supported with it")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
 
 
-def _run_buffer(args, parser: argparse.ArgumentParser, fmt, out) -> int:
-    """The ``--buffer`` pipeline: one delimited byte plane, round-
-    tripped through ``parse_buffer``/``format_buffer`` — per-row
-    strings are never materialized on either side."""
-    _reject_scalar_flags(args, parser, "--buffer")
-    from repro.errors import ReproError
-    from repro.serve import format_bulk, read_bulk
-
-    if args.values:
-        plane = "\n".join(args.values) + "\n"
-    else:
-        plane = sys.stdin.buffer.read()
-    if not plane:
-        return 0
-    mode = _MODES[args.reader_mode]
-    try:
-        # read_bulk routes byte/str planes through parse_buffer, and
-        # format_bulk emits through format_buffer.
-        bits = read_bulk(plane, fmt, out="bits", jobs=args.jobs,
-                         mode=mode, snapshot=args.snapshot)
-        payload = format_bulk(bits, fmt, jobs=args.jobs, mode=mode,
-                              tie=_TIES[args.tie], snapshot=args.snapshot)
-    except ReproError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=out)
-        return 1
-    out.write(payload.decode("ascii"))
-    if args.engine_stats:
-        from repro.engine import default_engine
-
-        for name, count in default_engine().stats().items():
-            print(f"{name}: {count}", file=sys.stderr)
-    return 0
-
-
 def _run_bulk(args, parser: argparse.ArgumentParser, fmt, out) -> int:
-    """The ``--bulk`` pipeline: literals → bits → delimited payload."""
-    _reject_scalar_flags(args, parser, "--bulk")
+    """The ``--bulk`` pipeline: literals → bits → delimited payload,
+    both legs through one :class:`~repro.serve.BulkPool`."""
+    _reject_scalar_flags(args, parser)
     import contextlib
 
     from repro.errors import ReproError
-    from repro.serve import format_bulk, read_bulk
+    from repro.serve import BulkPool
 
     texts = list(args.values)
     if not texts:
         texts = [line.strip() for line in sys.stdin if line.strip()]
     if not texts:
         return 0
-    mode = _MODES[args.reader_mode]
     if args.chaos_seed is not None:
         from repro import faults
 
@@ -207,20 +164,18 @@ def _run_bulk(args, parser: argparse.ArgumentParser, fmt, out) -> int:
     else:
         arming = contextlib.nullcontext()
     try:
-        with arming:
-            bits = read_bulk(texts, fmt, out="bits", jobs=args.jobs,
-                             mode=mode, snapshot=args.snapshot)
-            payload = format_bulk(bits, fmt, jobs=args.jobs, mode=mode,
-                                  tie=_TIES[args.tie],
-                                  snapshot=args.snapshot)
+        with arming, BulkPool(jobs=args.jobs, fmt=fmt,
+                              mode=_MODES[args.reader_mode],
+                              tie=_TIES[args.tie],
+                              snapshot=args.snapshot) as pool:
+            payload = pool.format_bulk(pool.read_bulk(texts))
+            stats = pool.stats()
     except ReproError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=out)
         return 1
     out.write(payload.decode("ascii"))
     if args.engine_stats:
-        from repro.engine import default_engine
-
-        for name, count in default_engine().stats().items():
+        for name, count in stats.items():
             print(f"{name}: {count}", file=sys.stderr)
     return 0
 
@@ -242,7 +197,7 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
     args = parser.parse_args(argv)
     fmt = STANDARD_FORMATS[args.format]
     if args.serve:
-        if args.bulk or args.buffer or args.values:
+        if args.bulk or args.values:
             parser.error("--serve runs the daemon; it takes no values "
                          "and no columnar pipeline flags")
         from repro.serve.daemon import main as serve_main
@@ -254,14 +209,9 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
         return serve_main(serve_args)
     if args.chaos_seed is not None and not args.bulk:
         parser.error("--chaos-seed only applies to the --bulk pipeline")
-    if args.snapshot is not None and not (args.bulk or args.buffer):
+    if args.snapshot is not None and not args.bulk:
         parser.error("--snapshot warm-starts the columnar/serving "
-                     "paths; it requires --bulk, --buffer or --serve")
-    if args.bulk and args.buffer:
-        parser.error("--bulk and --buffer are alternative columnar "
-                     "pipelines; pick one")
-    if args.buffer:
-        return _run_buffer(args, parser, fmt, out)
+                     "paths; it requires --bulk or --serve")
     if args.bulk:
         return _run_bulk(args, parser, fmt, out)
     opts = NotationOptions(style=args.style, python_repr=args.python_repr,

@@ -20,7 +20,7 @@ Public surface:
   for the counted lane, the Schubfach table, exact-pow10 read
   windows);
 * :func:`parse_buffer` / :func:`format_buffer` /
-  :func:`split_plane` / :func:`split_rows` — the byte-plane pipeline
+  :func:`split_plane` — the byte-plane pipeline
   (:mod:`repro.engine.buffer`): whole delimited buffers in and out,
   measured in MB/s, never a per-row string.
 
@@ -47,8 +47,7 @@ _EXPORTS = {
                               "snapshot_from_bytes", "apply_snapshot",
                               "apply_read_snapshot", "hot_entries",
                               "HotPlane", "bits_encoder"),
-    "repro.engine.buffer": ("parse_buffer", "format_buffer", "split_plane",
-                            "split_rows"),
+    "repro.engine.buffer": ("parse_buffer", "format_buffer", "split_plane"),
 }
 
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items()

@@ -204,7 +204,7 @@ class FaultPlan:
                 if spec.at is not None:
                     hit = idx in spec.at
                 elif spec.rate:
-                    hit = self._roll(f"{site}:{idx}", spec.rate)
+                    hit = self._roll(f"{site}:{j}:{idx}", spec.rate)
                 else:
                     hit = True
                 if hit:

@@ -1,25 +1,18 @@
-"""The bulk serving layer: columnar ingestion, batch emission, and
-sharded multi-worker pipelines over the tiered engines.
+"""The serving layer: sharded multi-worker pipelines and the daemon
+over the byte-plane pipeline.
 
-This package depends on :mod:`repro.engine.bulk` (which holds the
-ingestion/dedup kernels), never the reverse.
+This package depends on :mod:`repro.engine.buffer` (columnar ingestion
+and the byte-plane ``format_buffer``/``parse_buffer``, re-exported
+here), never the reverse.
 """
 
 from repro.engine.buffer import (
-    format_buffer,
-    parse_buffer,
-    split_plane,
-    split_rows,
-)
-from repro.engine.bulk import (
     bits_from_buffer,
-    floats_from_bits64,
-    format_bulk,
-    format_column,
+    format_buffer,
     ingest_bits,
     pack_bits,
-    read_bulk,
-    read_column,
+    parse_buffer,
+    split_plane,
 )
 from repro.serve.client import AsyncServeClient, ServeClient
 from repro.serve.control import (
@@ -29,29 +22,21 @@ from repro.serve.control import (
 )
 from repro.serve.daemon import ReproDaemon, main, serving
 from repro.serve.pool import BulkPool
-from repro.serve.writer import DelimitedWriter
 
 __all__ = [
     "AdmissionController",
     "AsyncServeClient",
     "BulkPool",
     "CircuitBreaker",
-    "DelimitedWriter",
     "ReproDaemon",
     "ServeClient",
     "TrafficObserver",
     "main",
     "serving",
     "bits_from_buffer",
-    "floats_from_bits64",
     "format_buffer",
-    "format_bulk",
-    "format_column",
     "ingest_bits",
     "pack_bits",
     "parse_buffer",
-    "read_bulk",
-    "read_column",
     "split_plane",
-    "split_rows",
 ]

@@ -330,7 +330,7 @@ class TrafficObserver:
 
     def observe_format(self, fmt_name: str, fmt, payload: bytes) -> None:
         """Sample a format request's packed-bits payload."""
-        from repro.engine.bulk import _itemsize
+        from repro.engine.buffer import _itemsize
 
         itemsize = _itemsize(fmt)
         n = len(payload) // itemsize if itemsize else 0

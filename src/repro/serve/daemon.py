@@ -57,7 +57,7 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.rounding import ReaderMode, TieBreak
-from repro.engine.bulk import _itemsize, pack_bits
+from repro.engine.buffer import _itemsize, pack_bits
 from repro.errors import (
     DecodeError,
     ProtocolError,
@@ -250,7 +250,7 @@ class ReproDaemon:
                  retries: int = 2, on_error: str = "degrade",
                  mode: ReaderMode = ReaderMode.NEAREST_EVEN,
                  tie: TieBreak = TieBreak.UP,
-                 drain_timeout: float = 10.0, dedup: bool = True,
+                 drain_timeout: float = 10.0,
                  workers: int = 4, snapshot=None,
                  breaker_threshold: int = 0, breaker_reset: float = 1.0,
                  slo_target_ms: Optional[float] = None,
@@ -283,7 +283,6 @@ class ReproDaemon:
         self.on_error = on_error
         self.mode = mode
         self.tie = tie
-        self.dedup = dedup
         self.drain_timeout = drain_timeout
         self._inflight_requests = 0
         self._inflight_bytes = 0
@@ -709,7 +708,7 @@ class ReproDaemon:
             if pool is None:
                 pool = self._pools[key] = BulkPool(
                     jobs=self.jobs, fmt=STANDARD_FORMATS[fmt_name],
-                    mode=self.mode, tie=self.tie, dedup=self.dedup,
+                    mode=self.mode, tie=self.tie,
                     delimiter=delimiter, engine=self._engine,
                     deadline=self.deadline, budget=self.budget,
                     retries=self.retries, on_error=self.on_error,

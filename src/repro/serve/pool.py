@@ -113,22 +113,21 @@ from typing import List, Optional, Union
 from repro import faults as _faults
 from repro.core.rounding import ReaderMode, TieBreak
 from repro.engine.buffer import (
+    _bits_from_bytes,
+    _itemsize,
     _plane_bytes,
     _row_count,
     format_buffer,
-    parse_buffer,
-    split_plane,
-)
-from repro.engine.bulk import (
-    _bits_from_bytes,
-    _itemsize,
-    _split_rows,
     ingest_bits,
     pack_bits,
+    parse_buffer,
+    split_plane,
 )
 from repro.engine.engine import Engine
 from repro.errors import (
     DeadlineExceededError,
+    DecodeError,
+    ParseError,
     PoolBrokenError,
     RangeError,
     ReproError,
@@ -345,16 +344,16 @@ def _format_shard(payload) -> tuple:
     """Format one shard: ``(delimited_ascii, stats_delta, crc32)``.
 
     The shard body is produced by the byte-plane pipeline
-    (:func:`~repro.engine.buffer.format_buffer`): interned
-    pre-terminated byte rows joined once — no per-row string list
-    between the engine and the wire.
+    (:func:`~repro.engine.buffer.format_buffer`): the worker engine's
+    batch loop, its rows joined once — no per-row string list between
+    the engine and the wire.
     """
-    fmt_name, raw, mode, tie, dedup, delim, fault = payload
+    fmt_name, raw, mode, tie, delim, fault = payload
     _apply_pre_fault(fault)
     fmt = STANDARD_FORMATS[fmt_name]
     eng = _shard_engine()
     body = format_buffer(raw, fmt, delimiter=delim, mode=mode, tie=tie,
-                         engine=eng, dedup=dedup)
+                         engine=eng)
     crc = zlib.crc32(body)
     return _apply_post_fault(fault, body), _shard_delta(eng), crc
 
@@ -368,12 +367,11 @@ def _read_shard(payload) -> tuple:
     — no per-row ``str`` or ``Flonum`` is ever materialized in the
     worker.
     """
-    fmt_name, raw, mode, dedup, delim, fault = payload
+    fmt_name, raw, mode, delim, fault = payload
     _apply_pre_fault(fault)
     fmt = STANDARD_FORMATS[fmt_name]
     eng = _shard_engine()
-    bits = parse_buffer(raw, fmt, delimiter=delim, mode=mode,
-                        engine=eng, dedup=dedup)
+    bits = parse_buffer(raw, fmt, delimiter=delim, mode=mode, engine=eng)
     body = pack_bits(bits, fmt)
     crc = zlib.crc32(body)
     return _apply_post_fault(fault, body), _shard_delta(eng), crc
@@ -406,7 +404,6 @@ class BulkPool:
         fmt: The column's float format — must be a standard
             byte-encoded format (it travels by name).
         mode / tie: Reader assumption and tie strategy for formatting.
-        dedup: Intern duplicate values inside each shard.
         delimiter: Row terminator for bulk payloads.
         shards_per_job: Shards dispatched per worker (smaller shards
             smooth stragglers; each shard pays one transport).
@@ -445,7 +442,7 @@ class BulkPool:
     def __init__(self, jobs: Optional[int] = None,
                  fmt: FloatFormat = BINARY64,
                  mode: ReaderMode = ReaderMode.NEAREST_EVEN,
-                 tie: TieBreak = TieBreak.UP, dedup: bool = True,
+                 tie: TieBreak = TieBreak.UP,
                  delimiter: Union[bytes, str] = b"\n",
                  shards_per_job: int = 2, engine=None,
                  deadline: Optional[float] = None,
@@ -473,7 +470,6 @@ class BulkPool:
         self.fmt = fmt
         self.mode = mode
         self.tie = tie
-        self.dedup = dedup
         if isinstance(delimiter, str):
             delimiter = delimiter.encode("ascii")
         else:
@@ -1001,23 +997,20 @@ class BulkPool:
         if self._sharded(len(bits)):
             spans = _chunk_slices(len(bits), self.jobs * self.shards_per_job)
             payloads = [(self.fmt.name, pack_bits(bits[a:b], self.fmt),
-                         self.mode, self.tie, self.dedup, self.delimiter,
-                         None) for a, b in spans]
+                         self.mode, self.tie, self.delimiter, None)
+                        for a, b in spans]
             bodies = self._run_shards(_format_shard, payloads,
                                       "pool.format_shard")
             if bodies is not None:
                 return b"".join(bodies)
         return format_buffer(bits, self.fmt, delimiter=self.delimiter,
                              mode=self.mode, tie=self.tie,
-                             engine=self._engine, dedup=self.dedup)
-
-    def format_column(self, data) -> List[str]:
-        """Shortest strings for a column, in input order."""
-        payload = self.format_bulk(data)
-        return _split_rows(payload, self.delimiter)
+                             engine=self._engine)
 
     def read_bulk(self, data, out: str = "bits"):
-        """Parse a delimited payload (or sequence of literals)."""
+        """Parse a delimited payload (or a sequence of ``str`` literals,
+        joined into one; a literal holding the delimiter raises
+        :class:`ParseError`, as ``read_many`` would)."""
         if out not in ("bits", "flonums"):
             raise RangeError(f"out must be 'bits' or 'flonums', "
                              f"got {out!r}")
@@ -1026,8 +1019,16 @@ class BulkPool:
             plane = _plane_bytes(data)
         else:
             d = delim.decode("ascii")
-            texts = data if isinstance(data, list) else list(data)
-            plane = _plane_bytes(d.join(texts) + d) if texts else b""
+            try:
+                texts = data if isinstance(data, list) else list(data)
+                plane = _plane_bytes(d.join(texts) + d) if texts else b""
+            except TypeError:
+                raise DecodeError(
+                    f"expected a delimited payload or a sequence of str "
+                    f"literals, got {type(data).__name__!r}") from None
+            if self.rows(plane, read=True) != len(texts):
+                raise ParseError(f"a literal holds the row delimiter "
+                                 f"{delim!r}")
         rows = self.rows(plane, read=True)
         if not rows:
             return []
@@ -1038,7 +1039,7 @@ class BulkPool:
             starts = split_plane(plane, delim)[1].tolist()
             starts.append(len(plane))
             payloads = [(self.fmt.name, plane[starts[a]:starts[b]],
-                         self.mode, self.dedup, delim, None)
+                         self.mode, delim, None)
                         for a, b in _chunk_slices(
                             rows, self.jobs * self.shards_per_job)]
             bodies = self._run_shards(_read_shard, payloads,
@@ -1050,8 +1051,7 @@ class BulkPool:
                     bits.extend(_bits_from_bytes(packed, itemsize))
         if bits is None:
             bits = parse_buffer(plane, self.fmt, delimiter=delim,
-                                mode=self.mode, engine=self._engine,
-                                dedup=self.dedup)
+                                mode=self.mode, engine=self._engine)
         if out == "bits":
             return bits
         from_bits = Flonum.from_bits

@@ -37,12 +37,12 @@ flag          surfaces (rows)                             oracle
 --contenders  ``Engine.format``, ``format_many`` with     exact tier
               memo off and on (cold and warm), both
               nearest modes; no exact-tier call
---bulk        ``format_column`` ×3, ``format_bulk``,      exact tier,
-              ``read_bulk``, ``read_many``, a process     exact reader
-              and a ``jobs=1`` (inline) ``BulkPool``
---buffer      ``format_buffer`` ×5, ``parse_buffer`` ×5,  exact tier,
+--bulk        a process and a ``jobs=1`` (inline)         exact tier,
+              ``BulkPool``, ``read_many``                 exact reader
+--buffer      ``format_buffer`` ×4, ``parse_buffer`` ×5,  exact tier,
               scalar ``read_result``; the memo pass;      exact reader
-              four surfaces on a sampled-admission memo
+              both on a memo-less engine; four
+              surfaces on a sampled-admission memo
 --warm        snapshot-warmed ``Engine`` and pool, a      exact tier,
               pool on a corrupt snapshot file             exact reader
 --chaos       process ``BulkPool`` under five fault       exact tier,
@@ -89,9 +89,8 @@ from repro.format.repr_shortest import py_repr
 from repro.reader.algorithm_r import algorithm_r
 from repro.reader.bellerophon import bellerophon
 from repro.reader.exact import read_decimal, read_fraction
-from repro.serve import (BulkPool, DelimitedWriter, bits_from_buffer,
-                         format_buffer, format_bulk, format_column,
-                         pack_bits, parse_buffer, read_bulk, serving)
+from repro.serve import (BulkPool, bits_from_buffer, format_buffer,
+                         pack_bits, parse_buffer, serving)
 from repro.serve.client import ServeClient
 from repro.serve.pool import INLINE_ROWS
 from repro.workloads.corpus import (
@@ -1035,20 +1034,10 @@ _PROCESS_POOL = Rig(_pool())
 _INLINE_POOL = Rig(_pool(jobs=1))
 
 _BULK_ROWS = (
-    Row("bulk/column-dedup",
-        lambda c, _: format_column(c.bits, c.fmt, engine=Engine())),
-    Row("bulk/column-nodedup", lambda c, _: format_column(
-        c.bits, c.fmt, engine=Engine(), dedup=False)),
-    Row("bulk/column-packed",
-        lambda c, _: format_column(c.packed, c.fmt, engine=Engine())),
-    Row("bulk/writer",
-        lambda c, _: _rows(format_bulk(c.bits, c.fmt, engine=Engine()))),
     Row("bulk/pool-format", _pool_format, rig=_PROCESS_POOL),
     Row("bulk/pool-read", _pool_read, _bits, rig=_PROCESS_POOL),
     Row("bulk/inline-format", _pool_format, rig=_INLINE_POOL),
     Row("bulk/inline-read", _pool_read, _bits, rig=_INLINE_POOL),
-    Row("bulk/read",
-        lambda c, _: read_bulk(c.payload, c.fmt, engine=Engine()), _bits),
     Row("bulk/read-roundtrip", lambda c, _: [
         v.to_bits() for v in Engine().read_many(c.lines, c.fmt)], _sampled),
 )
@@ -1061,17 +1050,18 @@ def _memo_pass(c: Corpus, reader: ReadEngine) -> List[int]:
 
 def _memo_audit(report: VerificationReport, h: Harness,
                 reader: ReadEngine, plan) -> None:
-    """The second parse through one engine is served by its memo, once
-    per distinct row."""
+    """The second parse through one engine is served by its memo: every
+    row is a hit and none a miss."""
     stats = reader.stats()
-    distinct = len(set(h.corpus.lines))
+    rows = len(h.corpus.lines)
     report.expect("buffer/parse-memo",
-                  stats["read_cache_hits"] == distinct
-                  and stats["read_conversions"] == distinct,
+                  stats["read_cache_misses"] == 0
+                  and stats["read_cache_hits"] == rows
+                  and stats["read_conversions"] == rows,
                   h.corpus.values[0],
                   f"second pass: {stats['read_cache_hits']} memo hits "
-                  f"of {stats['read_conversions']} conversions, "
-                  f"{distinct} distinct rows")
+                  f"and {stats['read_cache_misses']} misses of "
+                  f"{stats['read_conversions']} conversions, {rows} rows")
 
 
 _MEMO_READER = Rig(lambda h: contextlib.nullcontext(
@@ -1084,11 +1074,11 @@ def _scalar_reads(c: Corpus, _) -> List[int]:
     return [reader.read_result(t, c.fmt).value.to_bits() for t in c.lines]
 
 
-def _emit(bits_in: bool = False, delimiter: bytes = b"\n", **kw):
+def _emit(bits_in: bool = False, delimiter: bytes = b"\n"):
     """A ``format_buffer`` row on a fresh default engine."""
     return lambda c, _: _rows(format_buffer(
         c.bits if bits_in else c.packed, c.fmt, engine=Engine(),
-        delimiter=delimiter, **kw), delimiter)
+        delimiter=delimiter), delimiter)
 
 
 def _on_sampled(surface: Callable) -> Callable:
@@ -1124,6 +1114,28 @@ def _sampled_audit(report: VerificationReport, h: Harness, rig,
                   f"admission")
 
 
+def _nomemo_audit(report: VerificationReport, h: Harness, eng: Engine,
+                  plan) -> None:
+    """With the memo off nothing dedups: every finite nonzero row of the
+    format call reaches a write lane, and every row of the parse call a
+    read lane (specials included)."""
+    c = h.corpus
+    stats = eng.stats()
+    finite = sum(v.is_finite and not v.is_zero for v in c.values)
+    lanes = (stats["tier0_hits"] + stats["schubfach_hits"]
+             + stats["tier2_calls"] + stats["hot_hits"])
+    report.expect("buffer/nomemo-lanes",
+                  lanes == finite and stats["conversions"] == finite
+                  and stats["read_conversions"] == len(c.lines)
+                  and not stats["read_cache_hits"], c.values[0],
+                  f"{lanes} write-lane conversions of {finite} finite "
+                  f"nonzero rows, {stats['read_conversions']} reads of "
+                  f"{len(c.lines)} rows")
+
+
+_NOMEMO_ENGINE = Rig(lambda h: contextlib.nullcontext(Engine(cache_size=0)),
+                     audit=_nomemo_audit)
+
 _SAMPLED_ENGINE = Rig(lambda h: contextlib.nullcontext(SimpleNamespace(
     eng=Engine(cache_size=max(64, len(h.corpus.values) // 8)), rows=0,
     sampled=0)), audit=_sampled_audit)
@@ -1131,14 +1143,13 @@ _SAMPLED_ENGINE = Rig(lambda h: contextlib.nullcontext(SimpleNamespace(
 _BUFFER_ROWS = (
     Row("buffer/format-packed", _emit()),
     Row("buffer/format-bits", _emit(bits_in=True)),
-    Row("buffer/format-nodedup", _emit(dedup=False)),
-    Row("buffer/format-writer", lambda c, _: _rows(format_buffer(
-        c.packed, c.fmt, engine=Engine(), writer=DelimitedWriter(b"\n")))),
     Row("buffer/format-crlf", _emit(delimiter=b"\r\n")),
+    Row("buffer/format-nomemo", lambda c, eng: _rows(format_buffer(
+        c.packed, c.fmt, engine=eng)), rig=_NOMEMO_ENGINE),
     Row("buffer/parse", _memo_pass, _bits, rig=_MEMO_READER),
     Row("buffer/parse-memo", _memo_pass, _bits, rig=_MEMO_READER),
-    Row("buffer/parse-nodedup", lambda c, _: parse_buffer(
-        c.payload, c.fmt, engine=ReadEngine(), dedup=False), _bits),
+    Row("buffer/parse-nomemo", lambda c, eng: parse_buffer(
+        c.payload, c.fmt, engine=eng), _bits, rig=_NOMEMO_ENGINE),
     Row("buffer/parse-flonums", lambda c, _: [v.to_bits() for v in (
         parse_buffer(c.payload, c.fmt, engine=ReadEngine(),
                      out="flonums"))], _bits),
@@ -1684,18 +1695,18 @@ def verify_contenders(fmt: FloatFormat = BINARY64, n: int = 50000,
 
 def verify_bulk(fmt: FloatFormat = BINARY64, n: int = 50000, seed: int = 0,
                 jobs: int = 2) -> VerificationReport:
-    """The columnar serving layer — ``format_column``, ``format_bulk``,
-    ``read_bulk``, a ``jobs``-worker process :class:`BulkPool` and a
-    ``jobs=1`` one that converts inline — against the exact tier and
-    reader."""
+    """The columnar serving layer — a ``jobs``-worker process
+    :class:`BulkPool` and a ``jobs=1`` one that converts inline, and
+    ``read_many`` — against the exact tier and reader."""
     return _run("bulk", fmt, n, seed, jobs)
 
 
 def verify_buffer(fmt: FloatFormat = BINARY64, n: int = 50000,
                   seed: int = 0) -> VerificationReport:
     """The byte-plane pipeline (``format_buffer``/``parse_buffer``:
-    packed and bit-list input, dedup off, a prepared writer, CRLF, the
-    memo pass, flonum output) against the exact tier and reader."""
+    packed and bit-list input, CRLF, the memo pass, a memo-less engine,
+    flonum output, a sampled-admission memo) against the exact tier and
+    reader."""
     return _run("buffer", fmt, n, seed)
 
 

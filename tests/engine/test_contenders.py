@@ -20,7 +20,7 @@ from repro.core.rounding import ReaderMode, TieBreak
 from repro.engine import Engine, ReadEngine
 from repro.engine import schubfach as schubfach_mod
 from repro.engine.buffer import format_buffer
-from repro.engine.bulk import pack_bits
+from repro.engine.buffer import pack_bits
 from repro.engine.schubfach import _image, schubfach_digits
 from repro.engine.tables import _floor_log10_pow2, _pow10_128, tables_for
 from repro.errors import RangeError

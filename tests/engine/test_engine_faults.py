@@ -2,6 +2,8 @@
 back to the exact tier (counted in ``tier_faults``), byte-identically;
 ``strict=True`` re-raises it for CI."""
 
+import contextlib
+
 import pytest
 
 from repro import faults
@@ -235,6 +237,19 @@ class TestFaultPlanDeterminism:
         for i in range(1000):
             plan.pool_action("pool.read_shard", i % 2, 0)
         assert plan.spec_fired() == [0, 0, 5, 5]
+
+    def test_call_rate_specs_of_one_site_draw_independently(self):
+        # The first spec fires on Binomial(1000, 0.2) calls (mean 200,
+        # sd 12.6); the second rolls only on the calls the first let
+        # through: Binomial(~800, 0.1) (mean 80, sd 8.5).
+        plan = faults.FaultPlan([
+            faults.FaultSpec("engine.tier0", rate=0.2, limit=None),
+            faults.FaultSpec("engine.tier0", rate=0.1, limit=None)])
+        for _ in range(1000):
+            with contextlib.suppress(faults.InjectedFault):
+                plan.fire("engine.tier0")
+        assert plan.spec_fired() == [205, 75]
+        assert abs(205 - 200) < 4 * 12.6 and abs(75 - 80) < 4 * 8.5
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

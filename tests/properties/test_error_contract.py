@@ -13,11 +13,11 @@ from repro import (
     Flonum,
     ReadEngine,
     ReproError,
-    format_bulk,
+    format_buffer,
     format_fixed,
     format_shortest,
+    parse_buffer,
     read,
-    read_bulk,
     read_decimal,
     read_many,
 )
@@ -97,11 +97,16 @@ class TestBulkContract:
                              ids=["bad-literal", "empty-literal",
                                   "non-string"])
     def test_read_bulk(self, column):
-        _only_repro_error(lambda: read_bulk(column, BINARY64))
+        with BulkPool(jobs=1) as pool:
+            _only_repro_error(lambda: pool.read_bulk(column))
+        _only_repro_error(lambda: parse_buffer(column, BINARY64))
 
     def test_format_bulk_bad_data(self):
-        _only_repro_error(lambda: format_bulk(["not", "floats"]))
-        _only_repro_error(lambda: format_bulk(object()))
+        _only_repro_error(lambda: format_buffer(["not", "floats"]))
+        _only_repro_error(lambda: format_buffer(object()))
+        with BulkPool(jobs=1) as pool:
+            _only_repro_error(lambda: pool.format_bulk(["not", "floats"]))
+            _only_repro_error(lambda: pool.format_bulk(object()))
 
     def test_pool_constructor_validation(self):
         _only_repro_error(lambda: BulkPool(jobs=0))

@@ -10,18 +10,18 @@ from repro.engine import Engine, ReadEngine
 from repro.engine.buffer import (
     _row_count,
     format_buffer,
+    ingest_bits,
+    pack_bits,
     parse_buffer,
     split_plane,
-    split_rows,
 )
 from repro.core.api import format_shortest
 from repro.core.rounding import ReaderMode, TieBreak
-from repro.engine.bulk import format_column, ingest_bits, pack_bits
 from repro.errors import DecodeError, ParseError, RangeError
 from repro.floats.formats import BINARY16, BINARY32, BINARY64, BINARY128
 from repro.floats.model import Flonum
 from repro.reader.exact import read_decimal
-from repro.serve import BulkPool, DelimitedWriter
+from repro.serve import BulkPool
 from repro.workloads.corpus import duplicated_random, uniform_random
 
 CORPUS = [v.to_float() for v in duplicated_random(800, 60, seed=11)] + [
@@ -31,8 +31,11 @@ CORPUS = [v.to_float() for v in duplicated_random(800, 60, seed=11)] + [
 
 
 def row_payload(xs, fmt=BINARY64):
-    texts = format_column(ingest_bits(xs, fmt), fmt, engine=Engine())
-    return DelimitedWriter().extend(texts).getvalue(), texts
+    """The row-at-a-time path: one scalar ``Engine.format`` per row."""
+    eng = Engine()
+    texts = [eng.format(Flonum.from_bits(b, fmt), fmt=fmt)
+             for b in ingest_bits(xs, fmt)]
+    return "".join(t + "\n" for t in texts).encode("ascii"), texts
 
 
 class TestSplitPlane:
@@ -78,7 +81,7 @@ class TestSplitPlane:
                     assert _row_count(plane, delim) == len(starts)
 
     def test_terminated_and_unterminated_planes_split_alike(self):
-        # Both splitters, bytes and str, every delimiter width.
+        # bytes and str delimiters, every delimiter width.
         head = ["1.5", "-2e3", "nan"]
         for delim in ("\n", "\r\n", "||"):
             body = delim.join(head)
@@ -87,8 +90,9 @@ class TestSplitPlane:
                                                      delim)
                 assert [plane[s:s + n].decode("ascii")
                         for s, n in zip(starts, lengths)] == head
-                assert split_rows(text, delim) == head
-        assert split_rows("", "\n") == []
+                assert _row_count(text.encode("ascii"),
+                                  delim.encode("ascii")) == len(head)
+        assert len(split_plane("", "\n")[1]) == 0
 
     def test_empty_and_only_delimiter_planes(self):
         assert split_plane(b"")[1:] == (split_plane(b"")[1],
@@ -99,13 +103,9 @@ class TestSplitPlane:
         assert [plane[s:s + n] for s, n in zip(starts, lengths)] \
             == [b"", b"", b""]
 
-    def test_split_rows_decodes_ascii(self):
-        assert split_rows(b"1.5\n2.5\n") == ["1.5", "2.5"]
-        assert split_rows(memoryview(b"1\n2")) == ["1", "2"]
-
     def test_non_bytes_input_raises_decode_error_not_type_error(self):
         with pytest.raises(DecodeError):
-            split_rows(object())
+            split_plane(object())
         with pytest.raises(DecodeError):
             parse_buffer(12.5)
 
@@ -155,8 +155,13 @@ class TestParseBuffer:
         assert [v.to_float() for v in flos] == [1.5, -2.25]
 
     def test_dedup_off_matches_dedup_on(self):
+        # The memo is the only dedup: a memo-less engine reads every
+        # duplicate row and must return the same bits.
         payload, _ = row_payload(CORPUS)
-        assert parse_buffer(payload, dedup=False) == parse_buffer(payload)
+        nomemo = Engine(cache_size=0)
+        assert parse_buffer(payload, engine=nomemo) == parse_buffer(payload)
+        assert nomemo.stats()["read_conversions"] == len(CORPUS)
+        assert nomemo.stats()["read_cache_hits"] == 0
 
     def test_crlf_delimiter(self):
         assert parse_buffer(b"1.5\r\n2.5\r\n", delimiter=b"\r\n") \
@@ -206,23 +211,15 @@ class TestFormatBuffer:
 
     @pytest.mark.parametrize("fmt", [BINARY16, BINARY32, BINARY64],
                              ids=lambda f: f.name)
-    @pytest.mark.parametrize("dedup", [True, False])
-    def test_ragged_packed_column_raises_decode_error(self, fmt, dedup):
-        import repro
-
+    @pytest.mark.parametrize("memo", [True, False])
+    def test_ragged_packed_column_raises_decode_error(self, fmt, memo):
+        eng = Engine() if memo else Engine(cache_size=0)
         ragged = b"\x00" * (3 * (fmt.total_bits // 8) + 1)
         with pytest.raises(DecodeError, match="trailing partial"):
-            format_buffer(ragged, fmt, dedup=dedup)
-        with pytest.raises(DecodeError, match="trailing partial"):
-            repro.format_bulk(ragged, fmt, dedup=dedup)
-
-    def test_dedup_off_and_writer_reuse(self):
-        bits = ingest_bits(CORPUS)
-        want, _ = row_payload(CORPUS)
-        assert format_buffer(bits, dedup=False) == want
-        w = DelimitedWriter(b"\n")
-        w.write("0")
-        assert format_buffer(bits, writer=w) == b"0\n" + want
+            format_buffer(ragged, fmt, engine=eng)
+        with BulkPool(jobs=1, fmt=fmt, engine=eng) as pool:
+            with pytest.raises(DecodeError, match="trailing partial"):
+                pool.format_bulk(ragged)
 
     def test_custom_delimiter(self):
         bits = ingest_bits([1.5, -2.5])
@@ -236,17 +233,6 @@ class TestFormatBuffer:
         assert parse_buffer(format_buffer(bits)) == [
             b if not math.isnan(f) else parse_buffer(b"nan\n")[0]
             for b, f in zip(bits, CORPUS)]
-
-
-class TestWriterExtendFastPath:
-    def test_extend_matches_per_item_write(self):
-        texts = [str(i / 7) for i in range(500)]
-        w1 = DelimitedWriter(b"\n")
-        for t in texts:
-            w1.write(t)
-        assert DelimitedWriter(b"\n").extend(texts).getvalue() \
-            == w1.getvalue()
-        assert DelimitedWriter(b"\n").extend([]).getvalue() == b""
 
 
 class TestPoolBytePlanes:
@@ -357,7 +343,7 @@ class TestBinary16Total:
         assert [eng.format(v, mode=mode, tie=tie, fmt=BINARY16)
                 for v in values] == want
         assert format_buffer(packed, BINARY16, mode=mode, tie=tie,
-                             engine=eng, dedup=False) == plane
+                             engine=eng) == plane
         s = eng.stats()
         assert s["cache_hits"] == s["conversions"] == 3 * len(finite)
         assert s["cache_misses"] == 0

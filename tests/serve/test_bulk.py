@@ -1,20 +1,21 @@
-"""The bulk serving API: column formatting, payload emit, bulk read."""
+"""Whole columns through the column API: ``format_buffer`` and
+``parse_buffer`` (and ``BulkPool.read_bulk`` for literal sequences),
+compared with the scalar engine, with the engine memo as the only
+dedup."""
 
 import pytest
 
 from repro.engine import Engine
-from repro.engine.bulk import (
-    format_bulk,
-    format_column,
+from repro.engine.buffer import (
+    format_buffer,
     ingest_bits,
     pack_bits,
-    read_bulk,
-    read_column,
+    parse_buffer,
 )
 from repro.errors import RangeError
 from repro.floats.formats import BINARY16, BINARY32, BINARY64
 from repro.floats.model import Flonum
-from repro.serve import DelimitedWriter
+from repro.serve import BulkPool
 from repro.workloads.corpus import uniform_random, zipf_random
 
 SPECIALS = [0.0, -0.0, float("inf"), float("-inf"), float("nan"),
@@ -26,61 +27,66 @@ def scalar_texts(eng, xs, fmt=BINARY64):
             for b in ingest_bits(xs, fmt)]
 
 
+def rows(payload, delimiter=b"\n"):
+    """A terminated payload's rows as strings."""
+    assert payload.endswith(delimiter)
+    return payload[:-len(delimiter)].decode("ascii").split(
+        delimiter.decode("ascii"))
+
+
 class TestFormatColumn:
     def test_matches_scalar_engine_with_and_without_dedup(self):
-        eng = Engine()
+        # The memo is the dedup: on or off, the bytes are the scalar
+        # engine's.
         xs = SPECIALS + [v.to_float() for v in uniform_random(200, seed=9)] \
             + SPECIALS
-        want = scalar_texts(eng, xs)
-        assert format_column(xs, engine=eng) == want
-        assert format_column(xs, engine=eng, dedup=False) == want
+        want = scalar_texts(Engine(), xs)
+        assert rows(format_buffer(xs, engine=Engine())) == want
+        assert rows(format_buffer(xs, engine=Engine(cache_size=0))) == want
 
     def test_duplicates_hit_the_kernel_once(self):
-        eng = Engine(cache_size=0)  # memo off: conversions == kernel runs
+        eng = Engine()
         xs = [0.1] * 50 + [0.2] * 50
-        eng.reset_stats()
-        out = format_column(xs, engine=eng)
-        assert out == ["0.1"] * 50 + ["0.2"] * 50
-        assert eng.stats()["conversions"] == 2
+        assert format_buffer(xs, engine=eng) == b"0.1\n" * 50 + b"0.2\n" * 50
+        s = eng.stats()
+        assert s["cache_misses"] == 2
+        assert s["tier0_hits"] + s["schubfach_hits"] + s["tier2_calls"] == 2
+        assert s["cache_hits"] == 98
 
     def test_dedup_keys_on_bits_not_float_equality(self):
+        # The memo keys on signed bit patterns: 0.0 == -0.0 and
+        # nan != nan would make float keys wrong.  Two NaN payloads
+        # print alike.
         eng = Engine()
-        out = format_column([0.0, -0.0, float("nan"), float("nan")],
-                            engine=eng)
-        assert out[0] != out[1]          # signed zeros stay distinct
-        assert out[2] == out[3] == "nan"
+        qnan, payload_nan = 0x7FF8000000000000, 0x7FF8000000000001
+        out = rows(format_buffer([0, 1 << 63, qnan, payload_nan, qnan],
+                                 engine=eng))
+        assert out == ["0", "-0", "nan", "nan", "nan"]
+        out = rows(format_buffer([1.5, -1.5, 1.5, -1.5], engine=eng))
+        assert out == ["1.5", "-1.5", "1.5", "-1.5"]
+        assert eng.stats()["cache_misses"] == 2
 
     @pytest.mark.parametrize("fmt", [BINARY16, BINARY32],
                              ids=lambda f: f.name)
     def test_narrow_formats_go_through_the_generic_path(self, fmt):
         eng = Engine()
         bits = ingest_bits(pack_bits(list(range(40)), fmt), fmt)
-        assert format_column(bits, fmt, engine=eng) \
+        assert rows(format_buffer(bits, fmt, engine=eng)) \
                == scalar_texts(eng, bits, fmt)
 
     def test_empty_column(self):
-        assert format_column([], engine=Engine()) == []
+        assert format_buffer([], engine=Engine()) == b""
 
 
 class TestFormatBulk:
     def test_payload_is_newline_terminated_rows(self):
-        eng = Engine()
-        xs = [1.5, 2.5, 0.1]
-        payload = format_bulk(xs, engine=eng)
+        payload = format_buffer([1.5, 2.5, 0.1], engine=Engine())
         assert payload == b"1.5\n2.5\n0.1\n"
 
-    def test_custom_delimiter_and_writer_reuse(self):
-        eng = Engine()
-        w = DelimitedWriter(b"\x00")
-        first = format_bulk([1.0], engine=eng, writer=w)
-        assert first == b"1\x00"
-        again = format_bulk([2.0], engine=eng, writer=w)
-        assert again == b"1\x002\x00"  # appended into the same buffer
-        w.clear()
-        assert format_bulk([3.0], engine=eng, writer=w) == b"3\x00"
-
     def test_empty_column_empty_payload(self):
-        assert format_bulk([], engine=Engine()) == b""
+        assert format_buffer([], engine=Engine()) == b""
+        with BulkPool(jobs=1) as pool:
+            assert pool.format_bulk([]) == b""
 
 
 class TestReadBulk:
@@ -89,50 +95,64 @@ class TestReadBulk:
         xs = SPECIALS + [v.to_float()
                          for v in uniform_random(100, seed=4, signed=True)]
         bits = ingest_bits(xs, BINARY64)
-        payload = format_bulk(xs, engine=eng)
-        assert read_bulk(payload, engine=eng) == bits
-        flonums = read_bulk(payload, engine=eng, out="flonums")
+        payload = format_buffer(xs, engine=eng)
+        assert parse_buffer(payload, engine=eng) == bits
+        flonums = parse_buffer(payload, engine=eng, out="flonums")
         assert [v.to_bits() for v in flonums] == bits
 
     def test_accepts_literal_sequences_too(self):
-        eng = Engine()
         texts = ["0.1", "-0", "1e300", "0.1"]
-        vals = read_column(texts, engine=eng)
-        assert [v.to_bits() for v in vals] == read_bulk(texts, engine=eng)
+        with BulkPool(jobs=1) as pool:
+            vals = pool.read_bulk(texts, out="flonums")
+            assert [v.to_bits() for v in vals] == pool.read_bulk(texts)
+        assert [v.to_bits() for v in vals] == parse_buffer(
+            "".join(t + "\n" for t in texts), engine=Engine())
         assert vals[0] == vals[3]
 
     def test_dedup_reads_each_distinct_literal_once(self):
-        eng = Engine(cache_size=0)
-        eng.reset_stats()
-        read_bulk(["0.25"] * 30, engine=eng)
-        assert eng.stats()["read_conversions"] == 1
+        eng = Engine()
+        parse_buffer(b"0.25\n" * 30, engine=eng)
+        s = eng.stats()
+        assert s["read_cache_misses"] == 1
+        assert s["read_cache_hits"] == 29
+        assert s["read_conversions"] == 30
 
     def test_bad_out_kind_raises(self):
         with pytest.raises(RangeError):
-            read_bulk(b"1\n", out="strings")
+            parse_buffer(b"1\n", out="strings")
+        with BulkPool(jobs=1) as pool:
+            with pytest.raises(RangeError):
+                pool.read_bulk(b"1\n", out="strings")
 
     def test_empty_payload(self):
-        assert read_bulk(b"", engine=Engine()) == []
+        assert parse_buffer(b"", engine=Engine()) == []
 
 
 class TestZipfianThroughputShape:
     def test_interning_shrinks_kernel_work_on_skewed_corpora(self):
-        eng = Engine(cache_size=0)
+        # The memo absorbs a skewed column's repeats: the kernel runs
+        # once per distinct pattern (the memo is sized past the column).
+        eng = Engine()
         xs = zipf_random(2000, 150, s=1.3, seed=8)
-        eng.reset_stats()
-        format_column(xs, engine=eng)
-        assert eng.stats()["conversions"] == len(set(
-            ingest_bits(xs, BINARY64)))
+        format_buffer(xs, engine=eng)
+        distinct = len(set(ingest_bits(xs, BINARY64)))
+        s = eng.stats()
+        assert s["cache_misses"] == distinct
+        assert s["cache_hits"] == len(xs) - distinct
+        assert s["tier0_hits"] + s["schubfach_hits"] + s["tier2_calls"] \
+            == distinct
 
 
 class TestDelimitedWriter:
     def test_terminates_every_row(self):
-        w = DelimitedWriter(",")
-        w.write("a").extend(["b", "c"]).write_bytes(b"d,")
-        assert bytes(w) == b"a,b,c,d,"
-        assert len(w) == 8
-        assert w.view().tobytes() == w.getvalue()
+        payload = format_buffer([1.0, 2.5, -0.0, 1.0], delimiter=",",
+                                engine=Engine())
+        assert payload == b"1,2.5,-0,1,"
+        assert parse_buffer(payload, delimiter=b",") \
+            == ingest_bits([1.0, 2.5, -0.0, 1.0])
 
     def test_empty_delimiter_rejected(self):
         with pytest.raises(RangeError):
-            DelimitedWriter("")
+            format_buffer([1.0], delimiter="", engine=Engine())
+        with pytest.raises(RangeError):
+            parse_buffer(b"1\n", delimiter=b"")

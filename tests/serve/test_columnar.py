@@ -12,12 +12,7 @@ from array import array
 
 import pytest
 
-from repro.engine.bulk import (
-    bits_from_buffer,
-    floats_from_bits64,
-    ingest_bits,
-    pack_bits,
-)
+from repro.engine.buffer import bits_from_buffer, ingest_bits, pack_bits
 from repro.errors import DecodeError
 from repro.floats.formats import (
     BINARY16,
@@ -89,8 +84,8 @@ class TestPackedRoundTrip:
         if sys.byteorder == "big":  # pragma: no cover
             want = [struct.unpack(">Q", struct.pack(">d", x))[0] for x in xs]
         assert bits == want
-        assert [str(x) for x in floats_from_bits64(bits)] == \
-               [str(x) for x in xs]
+        floats = memoryview(pack_bits(bits, BINARY64)).cast("d").tolist()
+        assert [str(x) for x in floats] == [str(x) for x in xs]
 
 
 class TestBufferShapes:

@@ -17,7 +17,7 @@ import pytest
 
 from repro import faults
 from repro.engine import Engine
-from repro.engine.bulk import format_bulk, ingest_bits, pack_bits
+from repro.engine.buffer import format_buffer, ingest_bits, pack_bits
 from repro.errors import (
     DeadlineExceededError,
     DecodeError,
@@ -44,7 +44,7 @@ from repro.serve.pool import INLINE_ROWS
 
 VALUES = [1.5, 2.5, 3.0, -0.0, 5e-324, 1e308]
 PACKED = pack_bits(ingest_bits(VALUES, BINARY64), BINARY64)
-PLANE = format_bulk(PACKED, BINARY64, engine=Engine())
+PLANE = format_buffer(PACKED, BINARY64, engine=Engine())
 # Tests aimed at a pool rung send at least INLINE_ROWS rows, so the
 # call shards (smaller calls convert inline, where no pool site fires).
 WIDE_PACKED = PACKED * -(-INLINE_ROWS // len(VALUES))

@@ -24,7 +24,12 @@ import time
 import pytest
 
 from repro.engine import Engine
-from repro.engine.bulk import format_bulk, ingest_bits, pack_bits
+from repro.engine.buffer import (
+    format_buffer,
+    ingest_bits,
+    pack_bits,
+    parse_buffer,
+)
 from repro.errors import RangeError, ReproError, ServeOverloadError
 from repro.floats.formats import BINARY64
 from repro.serve import protocol
@@ -35,7 +40,7 @@ from repro.serve.protocol import OP_FORMAT, OP_PING, OP_READ
 
 VALUES = [1.5, 2.5, 3.0, -0.0, 5e-324, 1e308]
 PACKED = pack_bits(ingest_bits(VALUES, BINARY64), BINARY64)
-PLANE = format_bulk(PACKED, BINARY64, engine=Engine())
+PLANE = format_buffer(PACKED, BINARY64, engine=Engine())
 # At least INLINE_ROWS rows: a batch of this one request runs on the
 # worker executor, where a Hold can stop it.
 WIDE = PACKED * -(-INLINE_ROWS // len(VALUES))
@@ -249,8 +254,8 @@ class TestBatching:
         # exactly: per-request responses equal per-request oracles.
         chunks = [PACKED[:8], PACKED[:24], PACKED, b"", PACKED[8:16]]
         for delim in (b"\n", b"\r\n"):
-            oracles = [format_bulk(c, BINARY64, engine=Engine(),
-                                   delimiter=delim) for c in chunks]
+            oracles = [format_buffer(c, BINARY64, engine=Engine(),
+                                     delimiter=delim) for c in chunks]
             with serving() as d:
                 alone, outs = self.alone_and_batched(d, "format", chunks,
                                                      delim)
@@ -263,12 +268,10 @@ class TestBatching:
         planes = [b"1.5\n2.5\n", b"", b"17\n", b"1e10\n-0.0\n3.25\n",
                   b"9.5",  # unterminated tail rides along
                   b"0.1\n2e-3"]  # terminated rows, unterminated tail
-        from repro.engine.bulk import read_bulk
-
         for delim in (b"\n", b"\r\n"):
             sent = [p.replace(b"\n", delim) for p in planes]
-            oracles = [pack_bits(read_bulk(p, BINARY64, engine=Engine(),
-                                           delimiter=delim), BINARY64)
+            oracles = [pack_bits(parse_buffer(p, BINARY64, engine=Engine(),
+                                              delimiter=delim), BINARY64)
                        for p in sent]
             with serving() as d:
                 alone, outs = self.alone_and_batched(d, "read", sent, delim)

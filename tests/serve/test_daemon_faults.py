@@ -13,7 +13,12 @@ import pytest
 
 from repro import faults
 from repro.engine import Engine
-from repro.engine.bulk import format_bulk, ingest_bits, pack_bits, read_bulk
+from repro.engine.buffer import (
+    format_buffer,
+    ingest_bits,
+    pack_bits,
+    parse_buffer,
+)
 from repro.errors import ReproError, ShardError
 from repro.floats.formats import BINARY64
 from repro.serve.client import ServeClient
@@ -28,8 +33,9 @@ VALUES = [v.to_float()
           for v in uniform_random(INLINE_ROWS, seed=23, signed=True)] \
     + [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324]
 PACKED = pack_bits(ingest_bits(VALUES, BINARY64), BINARY64)
-PLANE = format_bulk(PACKED, BINARY64, engine=Engine())
-WANT_BITS = pack_bits(read_bulk(PLANE, BINARY64, engine=Engine()), BINARY64)
+PLANE = format_buffer(PACKED, BINARY64, engine=Engine())
+WANT_BITS = pack_bits(parse_buffer(PLANE, BINARY64, engine=Engine()),
+                      BINARY64)
 
 
 @pytest.fixture(autouse=True)

@@ -7,8 +7,8 @@ import threading
 import pytest
 
 from repro.engine import Engine
-from repro.engine.bulk import format_bulk, ingest_bits, read_bulk
-from repro.errors import RangeError
+from repro.engine.buffer import format_buffer, ingest_bits, parse_buffer
+from repro.errors import ParseError, RangeError
 from repro.floats.formats import BINARY32, BINARY64, FloatFormat
 from repro.serve import BulkPool
 from repro.serve.pool import INLINE_ROWS
@@ -20,7 +20,7 @@ CORPUS = [v.to_float() for v in uniform_random(600, seed=21, signed=True)] \
 
 
 def scalar_payload(xs):
-    return format_bulk(xs, engine=Engine())
+    return format_buffer(xs, engine=Engine())
 
 
 class TestProcessPool:
@@ -41,10 +41,11 @@ class TestProcessPool:
         with BulkPool(jobs=2, shards_per_job=1) as pool:
             pool.format_bulk(xs)
             stats = pool.stats()
-        # Interning inside each shard: at most one conversion per
-        # distinct value per shard, and every row was served.
-        assert 0 < stats["conversions"] <= 2 * 50
-        assert stats["conversions"] < 400
+        # Each worker engine's memo: at most one miss per distinct value
+        # per shard, and every row was served (a lane or a memo hit).
+        assert 0 < stats["cache_misses"] <= 2 * 50
+        assert stats["conversions"] == len(xs)
+        assert stats["cache_hits"] == len(xs) - stats["cache_misses"]
 
     def test_jobs_1_runs_inline(self):
         pool = BulkPool(jobs=1)
@@ -52,15 +53,11 @@ class TestProcessPool:
         assert pool.format_bulk([1.5, 2.5]) == b"1.5\n2.5\n"
         pool.close()
 
-    def test_format_column_splits_rows(self):
-        with BulkPool(jobs=2) as pool:
-            assert pool.format_column([0.1, -0.0]) == ["0.1", "-0"]
-
     def test_narrow_format_pool(self):
         bits = list(range(0, 1000 * INLINE_ROWS, 1000))
         with BulkPool(jobs=2, fmt=BINARY32) as pool:
             got = pool.format_bulk(bits)
-        assert got == format_bulk(bits, BINARY32, engine=Engine())
+        assert got == format_buffer(bits, BINARY32, engine=Engine())
 
     def test_concurrent_calls_get_their_own_bytes(self):
         # More calling threads than workers or cores, each with its own
@@ -155,8 +152,8 @@ class TestRouting:
     def test_route_by_row_count(self, route, rows):
         xs = self.COLUMN[:rows]
         exact = Engine(tier_order=(), read_tier_order=(), cache_size=0)
-        want = format_bulk(xs, engine=exact)
-        want_bits = read_bulk(want, engine=exact)
+        want = format_buffer(xs, engine=exact)
+        want_bits = parse_buffer(want, engine=exact)
         assert want_bits == ingest_bits(xs, BINARY64)
         texts = want.decode("ascii").split("\n")[:-1]
         with BulkPool(jobs=2 if route == "process" else 1) as pool:
@@ -213,6 +210,14 @@ class TestValidation:
             with pytest.raises(RangeError):
                 pool.read_bulk(b"1\n", out="text")
 
+    def test_literal_holding_the_delimiter_is_a_parse_error(self):
+        # A sequence of literals is joined into one plane; a literal
+        # with the delimiter inside must not become two rows.
+        with BulkPool(jobs=1) as pool:
+            with pytest.raises(ParseError, match="delimiter"):
+                pool.read_bulk(["0.5", "1.5\n2.5"])
+            assert pool.read_bulk(["0.5", " 2.5"]) == ingest_bits([0.5, 2.5])
+
     def test_empty_inputs(self):
         with BulkPool(jobs=2) as pool:
             assert pool.format_bulk([]) == b""
@@ -222,9 +227,13 @@ class TestValidation:
 class TestEntryPointSharding:
     def test_format_bulk_jobs_flag_matches_inline(self):
         xs = CORPUS[:INLINE_ROWS]
-        assert format_bulk(xs, jobs=2) == scalar_payload(xs)
+        with BulkPool(jobs=2) as pool:
+            assert pool.format_bulk(xs) == scalar_payload(xs)
+            assert pool.level == "process"
 
     def test_read_bulk_jobs_flag_matches_inline(self):
         payload = scalar_payload(CORPUS[:INLINE_ROWS])
-        assert read_bulk(payload, jobs=2) == read_bulk(
-            payload, engine=Engine())
+        with BulkPool(jobs=2) as pool:
+            assert pool.read_bulk(payload) == parse_buffer(
+                payload, engine=Engine())
+            assert pool.level == "process"

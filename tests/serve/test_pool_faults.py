@@ -14,7 +14,7 @@ import pytest
 
 from repro import faults
 from repro.engine import Engine
-from repro.engine.bulk import format_bulk, ingest_bits
+from repro.engine.buffer import format_buffer, ingest_bits
 from repro.errors import (
     DeadlineExceededError,
     ParseError,
@@ -33,7 +33,7 @@ CORPUS = [v.to_float()
           for v in uniform_random(INLINE_ROWS, seed=11, signed=True)] \
     + [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324]
 
-WANT = format_bulk(CORPUS, engine=Engine())
+WANT = format_buffer(CORPUS, engine=Engine())
 
 
 def _alive(pid: int) -> bool:
@@ -119,7 +119,7 @@ class TestHealing:
         # worker's second shard must not block the call until the stall
         # ends, so the deadline still cuts it short.
         big = CORPUS * 600
-        want = format_bulk(big, engine=Engine())
+        want = format_buffer(big, engine=Engine())
         plan = faults.FaultPlan([
             faults.FaultSpec("pool.format_shard", "stall", shard=0,
                              stall=30.0)])
@@ -262,7 +262,7 @@ class TestInlineRoute:
             assert multiprocessing.active_children() == []
             level = pool.level
             stats = pool.stats()
-        assert payload == format_bulk(small, engine=Engine())
+        assert payload == format_buffer(small, engine=Engine())
         assert bits == ingest_bits(small, BINARY64)
         assert plan.spec_fired() == [0, 0]
         assert level == "process"
@@ -285,7 +285,7 @@ class TestInlineRoute:
             assert multiprocessing.active_children() == []
             level = pool.level
             stats = pool.stats()
-        assert payload == format_bulk(big, engine=Engine())
+        assert payload == format_buffer(big, engine=Engine())
         assert bits == ingest_bits(big, BINARY64)
         assert plan.spec_fired() == [0, 0]
         assert level == "inline"

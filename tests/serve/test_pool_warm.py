@@ -10,7 +10,7 @@ correctness.
 import pytest
 
 from repro.engine import Engine, build_snapshot, hot_entries, save_snapshot
-from repro.engine.bulk import format_bulk, read_bulk
+from repro.engine.buffer import format_buffer, parse_buffer
 from repro.floats.model import Flonum
 from repro.serve import BulkPool
 from repro.serve.pool import (
@@ -23,7 +23,7 @@ from repro.workloads.corpus import zipf_random
 CORPUS = [v.to_float() for v in zipf_random(600, 80, seed=21, signed=True)] \
     + [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324]
 
-WANT = format_bulk(CORPUS, engine=Engine())
+WANT = format_buffer(CORPUS, engine=Engine())
 
 
 def _snapshot():
@@ -66,12 +66,17 @@ class TestWarmIdentity:
         assert stats["snapshot_faults"] == 0
 
     def test_serial_path_through_module_function(self, snap_path):
-        assert format_bulk(CORPUS, jobs=1, snapshot=snap_path) == WANT
-        assert read_bulk(WANT, jobs=1, snapshot=snap_path) \
-            == read_bulk(WANT, jobs=1)
+        # A jobs=1 pool warms the engine it builds (the snapshot's
+        # write-memo rows serve every format row); both legs inline.
+        with BulkPool(jobs=1, snapshot=snap_path) as pool:
+            assert pool.format_bulk(CORPUS) == WANT
+            got = pool.read_bulk(WANT)
+            assert pool.stats()["cache_misses"] == 0
+        assert got == parse_buffer(WANT, engine=Engine())
 
     def test_jobs2_module_function(self, snap_path):
-        assert format_bulk(CORPUS, jobs=2, snapshot=snap_path) == WANT
+        with BulkPool(jobs=2, snapshot=snap_path) as pool:
+            assert pool.format_bulk(CORPUS) == WANT
 
 
 class TestDegradation:

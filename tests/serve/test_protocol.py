@@ -7,7 +7,7 @@ zero-length payloads, pipelined bursts and mid-frame disconnects.  The
 contract under attack: every malformed input yields a typed
 :class:`~repro.errors.ReproError` *response* (never a hung or crashed
 connection), and every well-formed response is byte-identical to the
-in-process ``format_bulk``/``read_bulk`` oracles.
+in-process ``format_buffer``/``parse_buffer`` oracles.
 """
 
 import socket
@@ -16,7 +16,12 @@ import struct
 import pytest
 
 from repro.engine import Engine
-from repro.engine.bulk import format_bulk, ingest_bits, pack_bits, read_bulk
+from repro.engine.buffer import (
+    format_buffer,
+    ingest_bits,
+    pack_bits,
+    parse_buffer,
+)
 from repro.errors import (
     DecodeError,
     ParseError,
@@ -34,8 +39,9 @@ VALUES = [v.to_float() for v in uniform_random(200, seed=3, signed=True)] \
     + [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324]
 BITS = ingest_bits(VALUES, BINARY64)
 PACKED = pack_bits(BITS, BINARY64)
-PLANE = format_bulk(PACKED, BINARY64, engine=Engine())
-WANT_BITS = pack_bits(read_bulk(PLANE, BINARY64, engine=Engine()), BINARY64)
+PLANE = format_buffer(PACKED, BINARY64, engine=Engine())
+WANT_BITS = pack_bits(parse_buffer(PLANE, BINARY64, engine=Engine()),
+                      BINARY64)
 
 
 @pytest.fixture(scope="module")
@@ -163,8 +169,8 @@ class TestConformance:
         assert client.ping()
 
     def test_custom_delimiter(self, client):
-        want = format_bulk(PACKED, BINARY64, delimiter=b";",
-                           engine=Engine())
+        want = format_buffer(PACKED, BINARY64, delimiter=b";",
+                             engine=Engine())
         assert client.format(PACKED, "binary64", b";") == want
         assert client.read(want, "binary64", b";") == PACKED
 
@@ -173,13 +179,13 @@ class TestConformance:
         assert client.read(b"", "binary64") == b""
 
     def test_unterminated_read_plane(self, client):
-        want = pack_bits(read_bulk(b"1.5\n2.5", BINARY64,
-                                   engine=Engine()), BINARY64)
+        want = pack_bits(parse_buffer(b"1.5\n2.5", BINARY64,
+                                      engine=Engine()), BINARY64)
         assert client.read(b"1.5\n2.5", "binary64") == want
 
     def test_binary16_leg(self, client):
         packed16 = pack_bits([0x3C00, 0x0001, 0x7BFF, 0xFC00], BINARY16)
-        want = format_bulk(packed16, BINARY16, engine=Engine())
+        want = format_buffer(packed16, BINARY16, engine=Engine())
         assert client.format(packed16, "binary16") == want
 
     def test_pipelined_requests_fifo(self, client):

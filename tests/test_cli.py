@@ -253,6 +253,24 @@ class TestBulk:
         assert status == 0
         assert faults.active() is None
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_engine_stats_count_the_pool_conversions(self, jobs, capsys):
+        # --engine-stats reports the pool that did the work, whether
+        # its parent engine or (at INLINE_ROWS rows) its workers did.
+        for vals in (["0", "0.37", "0.74"],
+                     [f"{i}.{i}e{i % 40}" for i in range(1, INLINE_ROWS + 1)]):
+            status, lines = _run("--bulk", "--jobs", jobs, "--engine-stats",
+                                 *vals)
+            assert status == 0 and len(lines) == len(vals)
+            stats = dict(line.split(": ") for line in
+                         capsys.readouterr().err.splitlines())
+            assert int(stats["conversions"]) > 0
+            assert int(stats["read_conversions"]) == len(vals)
+
+    def test_buffer_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            run(["--buffer", "1.0"], out=io.StringIO())
+
     def test_chaos_seed_requires_bulk(self):
         with pytest.raises(SystemExit):
             run(["--chaos-seed", "3", "1.0"], out=io.StringIO())

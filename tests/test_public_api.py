@@ -69,8 +69,7 @@ class TestImportFootprint:
                        "loaded = sorted(set(sys.modules) - base)\n"
                        "import json\n"
                        "print(json.dumps(loaded))")
-        unused = ["repro.engine.buffer", "repro.engine.bulk",
-                  "repro.engine.snapshot", "json", "tempfile",
+        unused = ["repro.engine.buffer", "repro.engine.snapshot", "json", "tempfile",
                   "repro.baselines.gay_estimator", "repro.baselines.probe",
                   "repro.baselines.naive_printf",
                   "repro.baselines.steele_white"]

@@ -177,19 +177,19 @@ class TestBulkBattery:
     def test_bulk_layer_is_byte_identical(self, fmt):
         report = verify.verify_bulk(fmt, n=300, seed=1)
         assert report.ok, report.mismatches[:5]
-        for tag in ("bulk/column-dedup", "bulk/column-packed",
-                    "bulk/writer", "bulk/pool-format", "bulk/pool-read",
-                    "bulk/read", "bulk/read-roundtrip"):
+        for tag in ("bulk/pool-format", "bulk/pool-read",
+                    "bulk/inline-format", "bulk/inline-read",
+                    "bulk/read-roundtrip"):
             assert report.tier_checks.get(tag) == 1, tag
 
     def test_detects_divergence(self):
         # A corrupted oracle row must surface as a recorded mismatch.
         report = verify.VerificationReport(format_name="probe")
-        verify._compare_rows(report, "bulk/column-dedup",
+        verify._compare_rows(report, "bulk/pool-format",
                              ["1.5", "bad"], ["1.5", "2.5"],
                              verify.roundtrip_values(BINARY64, 2, 0))
         assert not report.ok
-        assert report.tier_mismatches["bulk/column-dedup"] == 1
+        assert report.tier_mismatches["bulk/pool-format"] == 1
 
     def test_cli_bulk_flag(self, capsys):
         status = verify.main(["--bulk", "--n", "120",
