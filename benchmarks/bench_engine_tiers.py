@@ -3,7 +3,7 @@
 Where ``bench_ablation_fastpath.py`` compares the readable Grisu
 reference against exact digit generation, this file measures the
 production-shaped stack: the :class:`repro.engine.Engine` route
-(memo -> exact-decimal tier -> Schubfach -> exact fallback)
+(memo -> inline integer test -> Schubfach -> exact fallback)
 through its string-level APIs, on the uniform-random corpus the
 fast-path literature reports on.
 """
@@ -148,7 +148,8 @@ def test_engine_tier_profile(uniform_floats, capsys):
     with capsys.disabled():
         fast = s["tier0_hits"] + s["schubfach_hits"] + s["cache_hits"]
         print(f"\n[engine] {s['conversions']} conversions: "
-              f"tier0={s['tier0_hits']} schubfach={s['schubfach_hits']} "
+              f"integers={s['tier0_hits']} "
+              f"schubfach={s['schubfach_hits']} "
               f"tier2={s['tier2_calls']} memo={s['cache_hits']} "
               f"fast-resolved={fast / s['conversions']:.4f}")
     assert fast / s["conversions"] >= 0.99

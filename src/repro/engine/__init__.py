@@ -2,12 +2,12 @@
 
 Public surface:
 
-* :class:`Engine` — one route over three tiers (exact-decimal fast
-  path, never-bail Schubfach, exact Burger–Dybvig) with a bounded
+* :class:`Engine` — one route over three tiers (an inline integer
+  test, never-bail Schubfach, exact Burger–Dybvig) with a bounded
   result memo and per-tier statistics;
-* :class:`ReadEngine` — the mirror-image read router (exact-power
-  Bellerophon window, truncated/interval certification, exact
-  ``round_rational`` fallback), reachable per-engine as
+* :class:`ReadEngine` — the mirror-image read router (the
+  truncated/interval window tier, exact ``round_rational``
+  fallback), reachable per-engine as
   :attr:`Engine.reader`;
 * :func:`schubfach_digits` — the shortest-write lane (see
   docs/contenders.md for why it is the only one);
@@ -17,8 +17,7 @@ Public surface:
   the default engines;
 * :func:`tables_for` / :class:`FormatTables` — the per-format
   precomputed state (power tables, estimator constants, Grisu powers
-  for the counted lane, the Schubfach table, exact-pow10 read
-  windows);
+  for the counted lane, the Schubfach table, the read clamps);
 * :func:`parse_buffer` / :func:`format_buffer` /
   :func:`split_plane` — the byte-plane pipeline
   (:mod:`repro.engine.buffer`): whole delimited buffers in and out,

@@ -5,8 +5,10 @@ One route, tried in order for positive finite values:
 
 * a bounded memo of recent conversions (repeated values are common
   in real traffic — column data, sensor streams, test corpora);
-* **Tier 0** (:mod:`repro.engine.tier0`): integers and short exact
-  decimals, certified with a few machine-word operations;
+* **Tier 0**, one inline integer test: a value ``f * 2**e`` with
+  ``e < 0`` and ``2**-e`` dividing ``f`` is an integer whose rounding
+  gap is below 1, so its own digits are the unique shortest output
+  under every reader mode;
 * **Schubfach** (:mod:`repro.engine.schubfach`): certified shortest
   digits from a 128-bit per-format power table — it decides every
   finite value, so it never bails;
@@ -20,7 +22,8 @@ Schryer, random and binade-boundary corpora (and all of binary16).
 Schubfach is only eligible under the two nearest-reader assumptions its
 decision rule covers (``NEAREST_EVEN`` and ``NEAREST_UNKNOWN``) and for
 the formats whose power table it has; every other request reaches the
-exact tier.  Tier 0 is mode-aware and eligible everywhere.
+exact tier.  The integer test is mode-independent and eligible
+everywhere.
 
 Two representation choices carry the throughput:
 
@@ -79,7 +82,6 @@ from repro.engine.reader import (READ_STAT_KEYS, ReadEngine, ReadResult,
                                  _bits_layout, exact_only_order)
 from repro.engine.schubfach import schubfach_digits
 from repro.engine.tables import FormatTables, tables_for
-from repro.engine.tier0 import _MAX_NEG_E, tier0_digits
 
 __all__ = ["Engine", "default_engine", "format_many", "STAT_KEYS"]
 
@@ -147,7 +149,7 @@ class Engine:
             format set) counts one ``snapshot_faults`` and the engine
             starts cold; it never raises and never yields wrong bytes.
         tier_order: The exact-only switch for shortest conversions:
-            None (default) runs the one route (tier 0, Schubfach,
+            None (default) runs the one route (integer test, Schubfach,
             exact); ``()`` sends every conversion to the exact tier.
             Any other value raises :class:`RangeError`.
         read_tier_order: The same switch for :attr:`reader`.
@@ -178,7 +180,7 @@ class Engine:
         # and cross-serve memo entries.
         self._ctx_pins: list = []
         # The hot-values dictionary (never evicted; consulted after the
-        # memo, before tier 0) and any attached shared-memory planes,
+        # memo, before the lanes) and any attached shared-memory planes,
         # both keyed/selected by interned context.
         self._hot: "Dict[tuple, Tuple[int, str]]" = {}
         self._planes: dict = {}
@@ -266,7 +268,7 @@ class Engine:
         """Counters since the last :meth:`reset_stats`.
 
         Keys: ``tier0_hits``, ``schubfach_hits``, ``tier2_calls`` (the
-        shortest/free-format route: tier 0, Schubfach, exact);
+        shortest/free-format route: integer test, Schubfach, exact);
         ``fixed_tier1_hits``, ``fixed_tier1_bailouts``,
         ``fixed_tier2_calls`` (the counted/fixed-format tiers, shared by
         :meth:`counted_digits` and :meth:`fixed_digits`);
@@ -395,11 +397,12 @@ class Engine:
                  mode: ReaderMode, tie: TieBreak, tables: FormatTables,
                  v: Optional[Flonum] = None
                  ) -> Tuple[Tuple[int, str], int, bool]:
-        """One uncached conversion: tier 0, then Schubfach, then exact.
+        """One uncached conversion: the integer test, then Schubfach,
+        then exact.
 
         Counter-free (callers attribute the result under the engine
         lock): returns ``((k, body), tier, tier_faulted)`` with tier
-        codes 0 = tier 0, 1 = Schubfach, 2 = exact.  The fast-lane
+        codes 0 = integer test, 1 = Schubfach, 2 = exact.  The fast-lane
         region is guard-railed: anything unexpected it raises (a
         :class:`ReproError` is a deliberate signal and passes through)
         falls back to the exact path with ``tier_faulted`` set, unless
@@ -412,11 +415,9 @@ class Engine:
                 plan = _faults._PLAN
                 if plan is not None:
                     plan.fire("engine.tier0")
-                t0 = tier0_digits(f, e, tables.hidden_limit, tables.min_e,
-                                  tables.mantissa_limit, tables.max_e, mode)
-                if t0 is not None:
-                    acc, _nd, k = t0
-                    return (k, str(acc)), 0, False
+                if e < 0 and not f & ((1 << -e) - 1):
+                    digits = str(f >> -e)
+                    return (len(digits), digits.rstrip("0")), 0, False
                 if (tables.grisu_ok
                         and (mode is ReaderMode.NEAREST_EVEN
                              or mode is ReaderMode.NEAREST_UNKNOWN)):
@@ -850,10 +851,9 @@ class Engine:
         one append: no decomposition and no render.  A miss splits the
         pattern into ``(f, e)`` with integer operations, probes the hot
         dictionary and any attached hot plane, then runs
-        :meth:`_convert`'s route, inlined: tier 0 (pre-filtered on
-        ``e``), Schubfach under the same gates, guard rail and fault
-        sites, then the exact tier.  NaN, infinities and zeros are
-        never memoized.
+        :meth:`_convert`'s route, inlined: the integer test, Schubfach
+        under the same gates, guard rail and fault sites, then the exact
+        tier.  NaN, infinities and zeros are never memoized.
 
         The memo is probed and filled in place, lock-free; under
         sampled admission only every ``STRIDE``-th miss installs
@@ -876,9 +876,7 @@ class Engine:
         frac = hidden - 1
         min_e = tables.min_e
         emin1 = min_e - 1
-        mantissa_limit = tables.mantissa_limit
-        max_e = tables.max_e
-        use_tier0 = not self.exact_only
+        lanes = not self.exact_only
         memo = self._cache
         cache = memo if self.cache_size else None
         new, old, cap = memo.new, memo.old, memo.capacity
@@ -964,18 +962,13 @@ class Engine:
                     hot_hits += 1
             if kb is None:
                 try:
-                    # Pre-filter: tier 0 only ever accepts values with
-                    # e >= -_MAX_NEG_E (integers and short exact
-                    # decimals); skip the call for everything else.
-                    if use_tier0 and e >= -_MAX_NEG_E:
+                    if lanes:
                         if plan is not None:
                             plan.fire("engine.tier0")
-                        t0 = tier0_digits(f, e, hidden, min_e,
-                                          mantissa_limit, max_e, vmode)
-                        if t0 is not None:
+                        if e < 0 and not f & ((1 << -e) - 1):
+                            digits = str(f >> -e)
+                            kb = (len(digits), digits.rstrip("0"))
                             t0_hits += 1
-                            acc, _nd, k = t0
-                            kb = (k, str(acc))
                     if kb is None and schub_ok:
                         if plan is not None:
                             plan.fire("engine.schubfach")

@@ -15,25 +15,17 @@ Tiers, tried in order for finite nonzero literals:
   :meth:`ReadEngine.read_many` and
   :func:`repro.engine.buffer.parse_buffer` all run one batch loop,
   :meth:`ReadEngine._read_batch`;
-* **Tier 0** — Clinger's Bellerophon exact-power window, generalized
-  beyond binary64: when the significand fits the format and ``|q|`` is
-  inside the per-format window where ``10**q`` is exactly representable
-  (:attr:`FormatTables.read_max_pow10` — 22 for binary64, 10 for
-  binary32, 4 for binary16), one small exact multiply/divide settles the
-  conversion.  For binary64 the multiply is a single host-float
-  operation (IEEE guarantees it correctly rounded); other formats use
-  the same arithmetic over machine-word integers.  Decimal-magnitude
-  clamps (:attr:`read_inf_exp10` / :attr:`read_zero_exp10`) settle
-  overflowing and vanishing exponents here too, without constructing
-  ``10**|q|``.
-* **Tier 1** — a truncated/interval path in the Eisel–Lemire style
-  (Mushtak & Lemire, *Fast Number Parsing Without Fallback*): keep the
-  first 19 significant digits plus a sticky flag
+* **Tier 1**, the window tier — a truncated/interval path in the
+  Eisel–Lemire style (Mushtak & Lemire, *Fast Number Parsing Without
+  Fallback*): keep the first 19 significant digits plus a sticky flag
   (:func:`repro.reader.truncated.truncate_significand`), bracket the
   value with the correctly rounded 64-bit power of ten
   (:func:`repro.fastpath.diyfp._pow10_diyfp`), and round both exact
   interval endpoints to the format.  When they agree, monotonicity of
   rounding certifies the result; otherwise the tier bails.
+  Decimal-magnitude clamps (:attr:`FormatTables.read_inf_exp10` /
+  :attr:`FormatTables.read_zero_exp10`) settle overflowing and
+  vanishing exponents first, without constructing ``10**|q|``.
 * **Tier 2** — the exact :func:`repro.reader.exact.round_rational`
   (always correct, never declines), fed the *untruncated* significand.
 
@@ -50,7 +42,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from math import frexp as _frexp
 from operator import add as _add
 from typing import Iterable, List, Optional, Tuple
 
@@ -60,7 +51,6 @@ from repro.errors import ParseError, RangeError, ReproError
 from repro.fastpath.diyfp import _pow10_diyfp
 from repro.floats.formats import BINARY64, FloatFormat
 from repro.floats.model import Flonum, FlonumKind
-from repro.reader.bellerophon import _MAX_EXACT_POW10, _MAX_SHIFT, _try_fast
 from repro.reader.exact import clamp_extreme, round_rational
 from repro.reader.parse import ParsedNumber, _scan_decimal, parse_decimal
 from repro.reader.truncated import truncate_significand
@@ -83,10 +73,10 @@ READ_TRUNCATION_DIGITS = 19
 _MEMO_TEXT_LIMIT = 48
 
 #: Lane codes :meth:`ReadEngine._convert` returns, indexing the batch
-#: loop's counters: a zero literal (and, in the loop, nan/inf), tier 0,
-#: the window tier, and the exact tier plain, after a window bail and
-#: after a tier fault.  :data:`MEMO`, one past them, marks a memo hit.
-SPECIAL, TIER0, WINDOW, EXACT, EXACT_BAILED, EXACT_FAULTED, MEMO = range(7)
+#: loop's counters: a zero literal (and, in the loop, nan/inf), the
+#: window tier, and the exact tier plain, after a window bail and after
+#: a tier fault.  :data:`MEMO`, one past them, marks a memo hit.
+SPECIAL, WINDOW, EXACT, EXACT_BAILED, EXACT_FAULTED, MEMO = range(6)
 
 #: The counter list: one slot per lane code, then memo hits (at
 #: :data:`MEMO`) and memo misses.
@@ -98,8 +88,7 @@ _from_bits = Flonum.from_bits
 _trusted = Flonum._finite_trusted
 
 #: :attr:`ReadResult.tier` per code.
-_TIER_NAMES = ("special", "tier0", "tier1", "tier2", "tier2", "tier2",
-               "memo")
+_TIER_NAMES = ("special", "tier1", "tier2", "tier2", "tier2", "memo")
 
 #: Sentinel returned by :func:`_round_nearest` when the rounded value
 #: exceeds the format's finite range (IEEE nearest overflow → infinity).
@@ -110,12 +99,6 @@ _POW10 = tuple(10 ** k for k in range(21))
 
 #: First integer with more than READ_TRUNCATION_DIGITS decimal digits.
 _TRUNCATION_LIMIT = 10 ** READ_TRUNCATION_DIGITS
-
-#: Exponent window of the binary64 host-float fast multiply
-#: (:func:`repro.reader.bellerophon._try_fast`): exact powers of ten up
-#: to 10**22, plus Clinger's digit-shift extension above.
-_HOST_POW10_MIN = -_MAX_EXACT_POW10
-_HOST_POW10_MAX = _MAX_EXACT_POW10 + _MAX_SHIFT
 
 #: Flat cache of ``(2*Pf, pe - 1, exact)`` per decimal exponent — the
 #: tier-1 working form of :func:`_pow10_diyfp`'s result, precomputed so
@@ -145,7 +128,7 @@ def _decimal_digits(d: int) -> int:
 #: so :meth:`Engine.stats` can merge a zeroed copy before the reader is
 #: ever built and schema tests can assert nothing drifts.
 READ_STAT_KEYS = frozenset({
-    "read_tier0_hits", "read_tier1_hits", "read_tier1_bailouts",
+    "read_tier1_hits", "read_tier1_bailouts",
     "read_tier2_calls", "read_specials",
     "read_cache_hits", "read_cache_misses", "read_conversions",
     "read_tier_faults", "read_snapshot_faults",
@@ -197,7 +180,7 @@ class ReadResult:
     """A conversion plus which tier resolved it (for attribution)."""
 
     value: Flonum
-    tier: str  # 'tier0'|'tier1'|'tier2'|'special'|'memo'
+    tier: str  # 'tier1'|'tier2'|'special'|'memo'
 
 
 def _round_nearest(n: int, e2: int, sticky: bool, min_e: int, max_e: int,
@@ -238,7 +221,7 @@ def _round_nearest(n: int, e2: int, sticky: bool, min_e: int, max_e: int,
 class ReadEngine:
     """A tiered correctly rounding reader with per-format tables.
 
-    Instances are cheap; the per-format exact-power tables are shared
+    Instances are cheap; the per-format tables are shared
     process-wide through :func:`repro.engine.tables.tables_for`.  Each
     engine owns its statistics; the result memo is private by default
     but can be shared (``Engine.reader`` hands its own memo and lock in,
@@ -256,7 +239,7 @@ class ReadEngine:
             the reader starts cold — never an exception, never wrong
             bits.
         tier_order: The exact-only switch: None (default) runs the one
-            route (tier 0, window, exact); ``()`` reads every literal
+            route (window, exact); ``()`` reads every literal
             with the exact tier.  Any other value raises
             :class:`RangeError`.
     """
@@ -316,9 +299,9 @@ class ReadEngine:
     def stats(self) -> dict:
         """Counters since the last :meth:`reset_stats`.
 
-        Keys are exactly :data:`READ_STAT_KEYS`: ``read_tier0_hits``
-        (exact-power window and magnitude clamps), ``read_tier1_hits`` /
-        ``read_tier1_bailouts`` (the interval tier),
+        Keys are exactly :data:`READ_STAT_KEYS`: ``read_tier1_hits`` /
+        ``read_tier1_bailouts`` (the window tier, magnitude clamps
+        included),
         ``read_tier2_calls`` (exact fallback), ``read_specials``
         (nan/inf/zero literals), ``read_cache_hits`` /
         ``read_cache_misses`` (the memo) and ``read_conversions``
@@ -333,10 +316,8 @@ class ReadEngine:
             return self._stats_locked()
 
     def _stats_locked(self) -> dict:
-        (specials, tier0, window, exact, bailed, faulted, hits,
-         misses) = self._tally
+        specials, window, exact, bailed, faulted, hits, misses = self._tally
         return {
-            "read_tier0_hits": tier0,
             "read_tier1_hits": window,
             "read_tier1_bailouts": bailed,
             "read_tier2_calls": exact + bailed + faulted,
@@ -345,7 +326,7 @@ class ReadEngine:
             "read_cache_hits": hits,
             "read_cache_misses": misses,
             "read_snapshot_faults": self._snapshot_faults,
-            "read_conversions": (tier0 + window + exact + bailed + faulted
+            "read_conversions": (window + exact + bailed + faulted
                                  + specials + hits),
         }
 
@@ -376,47 +357,6 @@ class ReadEngine:
         return ctx
 
     # ------------------------------------------------------------------
-    # The tiers
-    # ------------------------------------------------------------------
-
-    def _tier0(self, d: int, q: int, tables: FormatTables,
-               fmt: FloatFormat) -> Optional[Tuple[int, int]]:
-        """Exact-power window over exact integers: the magnitude's
-        ``(f, t)`` (``f == -1`` past the finite range), or None.
-
-        Requires the significand representable (``d < mantissa_limit``,
-        checked by the caller) and ``|q|`` inside the window where
-        ``10**q = 2**q * 5**q`` is exact in the format
-        (:attr:`FormatTables.read_max_pow10`).  Inside it, one multiply
-        (``q >= 0``) or one division with sticky remainder (``q < 0``)
-        settles the conversion.  Serves the non-binary64 formats; for
-        binary64 :meth:`_convert` uses the host-float multiply
-        (:func:`repro.reader.bellerophon._try_fast`) directly.
-        """
-        w = tables.read_max_pow10
-        if q < -w or q > w:
-            return None
-        prec = fmt.precision
-        if q >= 0:
-            r = _round_nearest(d * tables.read_pow5[q], q, False,
-                               tables.min_e, tables.max_e, prec,
-                               tables.mantissa_limit)
-        else:
-            den5 = tables.read_pow5[-q]
-            # Scale so the quotient keeps >= prec + 2 bits: rounding then
-            # always cuts at least one bit and the sticky remainder is
-            # decisive.
-            a = prec + 2 + den5.bit_length() - d.bit_length()
-            if a < 0:
-                a = 0
-            quo, rem = divmod(d << a, den5)
-            r = _round_nearest(quo, q - a, rem != 0, tables.min_e,
-                               tables.max_e, prec, tables.mantissa_limit)
-        if r is _OVERFLOW:
-            return -1, 0
-        return r  # None only defensively: operands are sized above
-
-    # ------------------------------------------------------------------
     # Conversions
     # ------------------------------------------------------------------
 
@@ -424,12 +364,12 @@ class ReadEngine:
                  mode: ReaderMode, tables: FormatTables
                  ) -> Tuple[int, int, int]:
         """Route one finite literal ``(-1)**sign * d * 10**q`` through
-        tier 0, the window tier, then the exact tier: ``(f, t, code)``.
+        the window tier, then the exact tier: ``(f, t, code)``.
 
         ``f > 0`` is the canonical magnitude ``f * 2**t``, ``f == 0``
         zero and ``f == -1`` infinity; the sign is the caller's.
         ``code`` is the lane that decided (:data:`SPECIAL` for a zero
-        literal, :data:`TIER0`, :data:`WINDOW`, :data:`EXACT`, or
+        literal, :data:`WINDOW`, :data:`EXACT`, or
         :data:`EXACT_BAILED` / :data:`EXACT_FAULTED` for the exact tier
         after a window bail or a tier fault).
 
@@ -482,30 +422,9 @@ class ReadEngine:
                 mag = q19 + READ_TRUNCATION_DIGITS
             # Decimal magnitude: value ∈ [10**(mag-1), 10**mag).
             if mag - 1 >= tables.read_inf_exp10:
-                return -1, 0, TIER0
+                return -1, 0, WINDOW
             if mag <= tables.read_zero_exp10:
-                return 0, 0, TIER0
-            mantissa_limit = tables.mantissa_limit
-            if not sticky and d19 < mantissa_limit:
-                if _faults._PLAN is not None:
-                    _faults._PLAN.fire("reader.tier0")
-                if tables.read_host_float:
-                    # One host-float multiply, correctly rounded by IEEE;
-                    # the window gate saves the call when it cannot apply.
-                    if _HOST_POW10_MIN <= q19 <= _HOST_POW10_MAX:
-                        fast = _try_fast(d19, q19)
-                        if fast is not None:
-                            # The fast product is a normal binary64
-                            # (magnitude within [1e-22, ~1e39]), so the
-                            # frexp mantissa scaled to 53 bits is already
-                            # the canonical (f, e) — no decompose needed.
-                            m, ex = _frexp(fast)
-                            return (int(m * 9007199254740992.0), ex - 53,
-                                    TIER0)
-                else:
-                    r = self._tier0(d19, q19, tables, fmt)
-                    if r is not None:
-                        return r[0], r[1], TIER0
+                return 0, 0, WINDOW
             if _faults._PLAN is not None:
                 _faults._PLAN.fire("reader.tier1")
             parts = _POW10_PARTS.get(q19)
@@ -515,6 +434,7 @@ class ReadEngine:
             min_e = tables.min_e
             max_e = tables.max_e
             prec = tables.precision
+            mantissa_limit = tables.mantissa_limit
             if exact:
                 lo = d19 * pf2
                 w = (pf2 if sticky else 0)

@@ -44,7 +44,7 @@ exact Burger–Dybvig tier for every finite input, enforced by the
 ``repro.verify --contenders`` battery, the binade-boundary and
 all-of-binary16 tests and the hypothesis round-trip suite (see
 docs/contenders.md).  It is the engine's only shortest-write lane after
-tier 0.
+the inline integer test.
 """
 
 from __future__ import annotations

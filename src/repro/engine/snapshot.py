@@ -14,7 +14,7 @@ conversion:
   arrival-order context ints;
 * a **hot-values dictionary**: precomputed shortest-repr results for
   the top-N keys of a zipf corpus, consulted after the memo and before
-  tier 0, never evicted (built offline by ``tools/warm_snapshot.py``).
+  the lanes, never evicted (built offline by ``tools/warm_snapshot.py``).
 
 Container format (little-endian)::
 

@@ -34,7 +34,7 @@ from repro.core.boundaries import ScaledValue
 from repro.core.scaling import FIXUP_EPSILON, _too_high, _too_low
 from repro.errors import RangeError
 from repro.fastpath.diyfp import cached_power_for_binary_exponent
-from repro.floats.formats import BINARY64, FloatFormat
+from repro.floats.formats import FloatFormat
 from repro.floats.model import Flonum
 
 __all__ = ["FormatTables", "tables_for", "clear_tables", "install_tables"]
@@ -132,8 +132,7 @@ class FormatTables:
         "fmt", "base", "ratio", "hidden_limit", "min_e", "max_e",
         "mantissa_limit", "precision", "radix", "powers", "power_limit",
         "grisu_ok", "grisu_powers", "grisu_e_min",
-        "read_fast_ok", "read_host_float", "read_max_pow10", "read_pow5",
-        "read_inf_exp10", "read_zero_exp10",
+        "read_fast_ok", "read_inf_exp10", "read_zero_exp10",
         "schub_ready", "schub_e_min", "schub_powers",
     )
 
@@ -175,12 +174,9 @@ class FormatTables:
                     self._build_grisu_powers()
         else:
             self.grisu_e_min, self.grisu_powers = 0, []
-        # Read-engine eligibility and its per-format exact-power state.
+        # Read-engine eligibility and its decimal-magnitude clamps.
         self.read_fast_ok = (base == 10 and fmt.radix == 2
                              and fmt.precision <= READ_MAX_PRECISION)
-        self.read_host_float = False
-        self.read_max_pow10 = 0
-        self.read_pow5: List[int] = [1]
         self.read_inf_exp10 = 0
         self.read_zero_exp10 = 0
         if self.read_fast_ok:
@@ -193,13 +189,7 @@ class FormatTables:
         self.schub_powers: List[tuple] = []
 
     def _build_read_tables(self) -> None:
-        """Exact-power tables and decimal-magnitude clamps for reading.
-
-        ``read_max_pow10`` is the largest ``k`` with ``5**k`` (hence
-        ``10**k = 2**k * 5**k``) exactly representable in ``precision``
-        bits — Clinger's exact-power window, generalized per format (22
-        for binary64, 10 for binary32, 4 for binary16).  ``read_pow5``
-        holds ``5**0 .. 5**read_max_pow10``.
+        """Decimal-magnitude clamps for reading.
 
         ``read_inf_exp10`` is the smallest ``I`` such that any value
         ``>= 10**I`` rounds to infinity under round-to-nearest (at or
@@ -210,15 +200,7 @@ class FormatTables:
         integer comparison at build time, so the read engine can settle
         extreme exponents without constructing ``10**|q|``.
         """
-        fmt = self.fmt
-        self.read_host_float = fmt is BINARY64 or fmt == BINARY64
-        pow5, acc = [1], 1
-        while acc * 5 < self.mantissa_limit:
-            acc *= 5
-            pow5.append(acc)
-        self.read_max_pow10 = len(pow5) - 1
-        self.read_pow5 = pow5
-        p, max_e, min_e = fmt.precision, self.max_e, self.min_e
+        p, max_e, min_e = self.precision, self.max_e, self.min_e
         mid_f, mid_e = (1 << (p + 1)) - 1, max_e - 1
         i = math.ceil(math.log10(mid_f) + mid_e * math.log10(2.0))
         while _pow10_ge(i - 1, mid_f, mid_e):

@@ -21,13 +21,13 @@ re-raise under ``strict=True``):
 ========================  ============================================
 site                      fires inside
 ========================  ============================================
-``engine.tier0``          :class:`~repro.engine.engine.Engine` exact-
-                          decimal fast path
+``engine.tier0``          :class:`~repro.engine.engine.Engine`'s
+                          inline integer test, in front of Schubfach
 ``engine.schubfach``      the Schubfach shortest-write lane (scalar
                           and ``format_many`` batch paths)
 ``engine.counted``        the counted/fixed fast path
-``reader.tier0``          the read engine's exact-power window
-``reader.tier1``          the read engine's interval certification
+``reader.tier1``          the read engine's window tier (interval
+                          certification)
 ========================  ============================================
 
 **Pool sites** are *decided in the parent* when a
@@ -87,8 +87,7 @@ __all__ = ["FaultPlan", "FaultSpec", "InjectedFault", "arm", "disarm",
 
 #: Call sites: evaluated in-process, ``raise`` kind only.
 CALL_SITES = frozenset({
-    "engine.tier0", "engine.schubfach", "engine.counted",
-    "reader.tier0", "reader.tier1",
+    "engine.tier0", "engine.schubfach", "engine.counted", "reader.tier1",
 })
 
 #: Pool sites: decided in the dispatching parent, executed in workers.

@@ -7,8 +7,10 @@ the oracle behind every surface.  A battery is a table of *rows* over
 one *corpus*:
 
 * the **corpus** (:class:`Corpus`, once per ``(fmt, n, seed)``)
-  holds the signed sample with NaN and both infinities, its bits and
-  packed column, and the oracle columns: the lines of
+  holds the signed sample with NaN and both infinities (every bit
+  pattern once when ``n`` reaches the format's pattern count, so
+  ``--n 65536`` is total on binary16), its bits and packed column,
+  and the oracle columns: the lines of
   ``Engine(tier_order=(), cache_size=0)``, their payload, the bits
   :func:`repro.reader.exact.read_decimal` reads back, and the read lane
   a memo-less default :class:`~repro.engine.reader.ReadEngine` resolves
@@ -78,8 +80,7 @@ from repro.core.backends import shortest_digits_bignat
 from repro.core.dragon import shortest_digits
 from repro.core.rational import shortest_digits_rational
 from repro.core.rounding import ReaderMode, TieBreak
-from repro.engine import Engine, ReadEngine, tables_for
-from repro.engine.tier0 import tier0_digits
+from repro.engine import Engine, ReadEngine
 from repro.errors import ReproError
 from repro.fastpath import counted_fixed, grisu_shortest
 from repro.floats.formats import BINARY64, FloatFormat
@@ -277,16 +278,6 @@ def _check_shortest_tiers(v: Flonum, engine: Engine,
     got = engine.shortest_digits(v, fmt=v.fmt)
     if (got.k, got.digits) != (spec.k, spec.digits):
         report.record("free/engine", v, f"{got} != {spec}")
-    if v.fmt.radix == 2:
-        tables = tables_for(v.fmt, 10)
-        t0 = tier0_digits(v.f, v.e, tables.hidden_limit, tables.min_e,
-                          tables.mantissa_limit, tables.max_e,
-                          ReaderMode.NEAREST_EVEN)
-        if t0 is not None:
-            report.check("free/tier0")
-            acc, _nd, k = t0
-            if (k, tuple(int(c) for c in str(acc))) != (spec.k, spec.digits):
-                report.record("free/tier0", v, f"{t0} != {spec}")
 
 
 def _check_fixed_engines(v: Flonum, report: VerificationReport) -> None:
@@ -523,24 +514,35 @@ def _roundtrip_literals(fmt: FloatFormat, n: int, seed: int) -> List[str]:
             edge = rng.choice((span - 3, span - 2, span - 1, span))
             q = edge if rng.randrange(2) else -edge
             lits.append(f"{sign}{d}e{q}")
-        else:  # exact-power-window candidates (tier-0 shapes)
+        else:  # exact-power-window candidates (Clinger's fast-path shapes)
             d = rng.randrange(1, fmt.mantissa_limit)
             lits.append(f"{sign}{d}e{rng.randrange(-25, 40)}")
     return lits
 
 
+def _every_pattern(fmt: FloatFormat, n: int) -> Optional[List[Flonum]]:
+    """Every bit pattern of ``fmt`` once (NaN payloads decode to the one
+    NaN), when ``n`` is at least their count; else None.  At ``--n
+    65536`` this makes a battery total on binary16."""
+    if fmt.has_encoding and n >= 1 << fmt.total_bits:
+        return [Flonum.from_bits(b, fmt) for b in range(1 << fmt.total_bits)]
+    return None
+
+
 def _signed_sample(fmt: FloatFormat, n: int, seed: int) -> List[Flonum]:
-    """:func:`roundtrip_values` plus NaN and both infinities."""
-    return roundtrip_values(fmt, n, seed) + [
+    """:func:`roundtrip_values` plus NaN and both infinities, or every
+    bit pattern (:func:`_every_pattern`)."""
+    return _every_pattern(fmt, n) or roundtrip_values(fmt, n, seed) + [
         Flonum.nan(fmt), Flonum.infinity(fmt, 0), Flonum.infinity(fmt, 1)]
 
 
 def _route_sample(fmt: FloatFormat, n: int, seed: int) -> List[Flonum]:
     """:func:`sample_values` plus the denormal, binade-boundary,
-    decimal-tie and torture corpora: the write route's case splits."""
-    return (sample_values(fmt, n, seed) + denormals(fmt)
-            + power_boundaries(fmt) + decimal_ties(fmt)
-            + torture_floats(fmt))
+    decimal-tie and torture corpora: the write route's case splits; or
+    every bit pattern (:func:`_every_pattern`)."""
+    return _every_pattern(fmt, n) or (
+        sample_values(fmt, n, seed) + denormals(fmt) + power_boundaries(fmt)
+        + decimal_ties(fmt) + torture_floats(fmt))
 
 
 # ----------------------------------------------------------------------
@@ -951,9 +953,9 @@ def _route_batch(c: Corpus) -> List:
 
 def _route_audit(report: VerificationReport, h: Harness, rig,
                  plan) -> None:
-    """The route has no bail path: the exact tier never runs, and tier
-    0, Schubfach and the memo account for every conversion.  A warm
-    pass converts nothing."""
+    """The route has no bail path: the exact tier never runs, and the
+    integer test, Schubfach and the memo account for every conversion.
+    A warm pass converts nothing."""
     stats = rig.eng.stats()
     v0 = h.corpus.values[0]
     mode = h.corpus.mode.name
@@ -1276,7 +1278,7 @@ def _chaos_plans() -> Dict[str, Tuple[Callable, Dict]]:
         "tier-raise": (lambda seed: FaultPlan([
             FaultSpec("engine.tier0", rate=0.2, limit=64),
             FaultSpec("engine.schubfach", rate=0.2, limit=64),
-            FaultSpec("reader.tier0", rate=0.2, limit=64),
+            FaultSpec("reader.tier1", rate=0.2, limit=64),
             FaultSpec("reader.tier1", rate=0.2, limit=64),
         ], seed), {}),
         "mixed": (faults.smoke_plan, {}),
@@ -1637,9 +1639,9 @@ _BATTERIES: Dict[str, _Battery] = {
         "snapshots must fall back cold (counted, never served)",
         rows=_WARM_ROWS),
     "contenders": _Battery(
-        "contenders", "run the default-route battery: tier 0 then "
-        "Schubfach, scalar and format_many, must be byte-identical to "
-        "the exact tier with zero exact-tier consultations",
+        "contenders", "run the default-route battery: the integer test "
+        "then Schubfach, scalar and format_many, must be byte-identical "
+        "to the exact tier with zero exact-tier consultations",
         rows=_CONTENDER_ROWS, sample=_route_sample, min_rows=0,
         modes=(ReaderMode.NEAREST_EVEN, ReaderMode.NEAREST_UNKNOWN)),
     "control": _Battery(
@@ -1684,10 +1686,10 @@ def verify_roundtrip(fmt: FloatFormat = BINARY64, n: int = 50000,
 
 def verify_contenders(fmt: FloatFormat = BINARY64, n: int = 50000,
                       seed: int = 0) -> VerificationReport:
-    """The default write route (tier 0, then Schubfach) against the
-    exact tier: ``n`` sampled values plus the denormal/boundary/
-    decimal-tie/torture corpora through a memo-less engine one value at
-    a time and as one ``format_many`` batch, and a memo-on batch twice
+    """The default write route (the integer test, then Schubfach)
+    against the exact tier: ``n`` sampled values plus the denormal/
+    boundary/decimal-tie/torture corpora through a memo-less engine one
+    value at a time and as one ``format_many`` batch, and a memo-on batch twice
     (the warm pass must convert nothing), under both nearest reader
     modes, with no exact-tier call."""
     return _run("contenders", fmt, n, seed)
@@ -1760,7 +1762,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--n", type=int, default=None,
                         help="values sampled per format (default 200; "
                              "50000 with " +
-                             "/".join(f"--{f}" for f in flags) + ")")
+                             "/".join(f"--{f}" for f in flags) + "); "
+                             "from a format's pattern count up (65536 "
+                             "for binary16) the flagged batteries take "
+                             "every bit pattern once")
     parser.add_argument("--seed", default="0",
                         help="sample seed: an integer, or 'fresh' for a "
                              "new random seed (nightly fuzz; the chosen "

@@ -1,4 +1,5 @@
-"""The Schubfach writer: the default route's only lane after tier 0.
+"""The Schubfach writer: the default route's only lane after the
+inline integer test (tier 0).
 
 The guarantees are differential and absolute: the lane must be
 byte-identical to the exact Burger–Dybvig writer on every finite input
@@ -149,7 +150,8 @@ class TestTierRouterEdges:
     @given(positive_flonums())
     @settings(max_examples=200)
     def test_schubfach_only_random_byte_identical(self, v):
-        # The default route: tier 0, then Schubfach for everything else.
+        # The default route: the integer test, then Schubfach for
+        # everything else.
         eng = Engine(cache_size=0)
         base = Engine(tier_order=(), cache_size=0)
         assert eng.format(v) == base.format(v)

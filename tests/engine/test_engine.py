@@ -181,7 +181,7 @@ class TestStatsAndCache:
 
     def test_directed_modes_bypass_tier1(self):
         # Schubfach covers the nearest modes only: directed modes go
-        # from tier 0 straight to the exact tier.
+        # from the integer test (tier 0) straight to the exact tier.
         eng = Engine()
         floats = [v.to_float() for v in uniform_random(30, seed=41)]
         got = eng.format_many(floats, mode=ReaderMode.TOWARD_ZERO)

@@ -91,6 +91,10 @@ class TestFormatGuardRails:
         with pytest.raises(ValueError):
             faults.FaultSpec("engine.tier1")
 
+    def test_retired_read_tier0_site_is_unknown(self):
+        with pytest.raises(ValueError):
+            faults.FaultSpec("reader.tier0")
+
     def test_counted_path_heals(self):
         eng = Engine()
         want = [eng.format_fixed(v, ndigits=8) for v in VALUES]
@@ -128,7 +132,7 @@ class TestReaderGuardRails:
         want = [eng.read(t, BINARY64).to_bits() for t in WANT]
         eng = ReadEngine()
         plan = faults.FaultPlan(
-            [faults.FaultSpec("reader.tier0", rate=0.1, limit=None),
+            [faults.FaultSpec("reader.tier1", rate=0.1, limit=None),
              faults.FaultSpec("reader.tier1", rate=0.1, limit=None)],
             seed=9)
         with faults.armed(plan):
@@ -154,7 +158,7 @@ class TestReaderGuardRails:
     def test_strict_reader_reraises(self):
         eng = ReadEngine(strict=True)
         plan = faults.FaultPlan(
-            [faults.FaultSpec("reader.tier0", at=(0,)),
+            [faults.FaultSpec("reader.tier1", at=(0,)),
              faults.FaultSpec("reader.tier1", at=(0,))])
         with faults.armed(plan):
             with pytest.raises(faults.InjectedFault):
@@ -177,8 +181,8 @@ class TestBytePlaneFaults:
     """``parse_buffer`` runs the scalar readers' batch loop, so an armed
     plan fires its read sites there too."""
 
-    #: WANT's full-precision literals reach the window tier; the short
-    #: ones tier 0.
+    #: WANT's full-precision literals and the short ones all reach the
+    #: window tier, the one read lane.
     TEXTS = WANT + ["1.5", "-0.25", "123", "7e22", "3.0e-5", "65504"]
     PLANE = ("\n".join(TEXTS) + "\n").encode("ascii")
 
@@ -186,18 +190,17 @@ class TestBytePlaneFaults:
         want = [read_decimal(t).to_bits() for t in self.TEXTS]
         reader = ReadEngine()
         plan = faults.FaultPlan(
-            [faults.FaultSpec("reader.tier0", rate=0.3, limit=None),
+            [faults.FaultSpec("reader.tier1", rate=0.3, limit=None),
              faults.FaultSpec("reader.tier1", rate=0.3, limit=None)],
             seed=21)
         with faults.armed(plan):
             got = parse_buffer(self.PLANE, BINARY64, engine=reader)
         assert got == want
-        assert plan.fired.get("reader.tier0", 0) > 0
-        assert plan.fired.get("reader.tier1", 0) > 0
+        assert all(plan.spec_fired()), plan.spec_fired()
         assert reader.stats()["read_tier_faults"] == \
             sum(plan.fired.values())
 
-    @pytest.mark.parametrize("site", ["reader.tier0", "reader.tier1"])
+    @pytest.mark.parametrize("site", ["reader.tier1"])
     def test_strict_reraises(self, site):
         reader = ReadEngine(strict=True)
         plan = faults.FaultPlan([faults.FaultSpec(site, at=(0,))])

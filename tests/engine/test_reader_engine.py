@@ -37,8 +37,8 @@ def _same(a: Flonum, b: Flonum) -> bool:
     return a == b and a.sign == b.sign
 
 
-# A corpus crossing every routing decision: exact-power window, interval
-# tier, truncation, clamps, specials, signs, '#' marks, whitespace.
+# A corpus crossing every routing decision: short and long literals,
+# truncation, clamps, specials, signs, '#' marks, whitespace.
 CORPUS = [
     "0", "-0", "1", "-1", "1.5", "0.1", "3.141592653589793", "255",
     "1e23", "9007199254740993", "6.1e-5", "65504", "65520", "3.4e38",
@@ -55,8 +55,8 @@ class TestTierRouting:
     def test_tier_attribution_binary64(self):
         eng = ReadEngine()
         want = {
-            "1.5": "tier0", "1e23": "tier0", "1e400": "tier0",
-            "1e-999999": "tier0",
+            "1.5": "tier1", "1e23": "tier1", "1e400": "tier1",
+            "1e-999999": "tier1",
             "2.2250738585072014e-308": "tier1", "5e-324": "tier1",
             "1.7976931348623157e308": "tier1",
             "12345678901234567890123456789e-40": "tier1",
@@ -65,12 +65,12 @@ class TestTierRouting:
         for text, tier in want.items():
             assert eng.read_result(text).tier == tier, text
 
-    def test_generic_tier0_serves_narrow_formats(self):
+    def test_window_serves_narrow_formats(self):
         eng = ReadEngine()
-        assert eng.read_result("1.5", BINARY16).tier == "tier0"
-        assert eng.read_result("65504", BINARY32).tier == "tier0"
+        assert eng.read_result("1.5", BINARY16).tier == "tier1"
+        assert eng.read_result("65504", BINARY32).tier == "tier1"
         # Overflow clamp settles without building 10**q.
-        assert eng.read_result("1e10", BINARY16).tier == "tier0"
+        assert eng.read_result("1e10", BINARY16).tier == "tier1"
         assert eng.read_result("1e10", BINARY16).value.is_infinite
 
     def test_directed_modes_always_exact(self):
@@ -95,7 +95,6 @@ class TestTierRouting:
             assert r.tier == "tier2"
             assert _same(r.value, read_decimal(text))
         stats = eng.stats()
-        assert stats["read_tier0_hits"] == 0
         assert stats["read_tier1_hits"] == 0
         assert stats["read_tier2_calls"] == 3
 
@@ -149,8 +148,8 @@ class TestLaneFloor:
     def test_fast_lanes_settle_nineteen_in_twenty(self):
         # The round-trip mix: shortest output of uniform random doubles
         # and of Schryer's hard cases, plus human-style literals (short
-        # decimals, long scientific, integers).  Tier 0 and the window
-        # tier settle at least 95 % of it without the exact tier.
+        # decimals, long scientific, integers).  The window tier alone
+        # settles at least 95 % of it without the exact tier.
         eng = Engine()
         texts = eng.format_many([v.to_float()
                                  for v in uniform_random(2000, seed=2024)])
@@ -169,7 +168,7 @@ class TestLaneFloor:
         reader = ReadEngine(cache_size=0)
         reader.read_many(texts)
         s = reader.stats()
-        fast = s["read_tier0_hits"] + s["read_tier1_hits"]
+        fast = s["read_tier1_hits"]
         assert fast >= 0.95 * s["read_conversions"], s
 
 
@@ -199,7 +198,7 @@ class TestMemo:
         eng = ReadEngine()
         first = eng.read_result("1.5")
         again = eng.read_result("1.5")
-        assert first.tier == "tier0" and again.tier == "memo"
+        assert first.tier == "tier1" and again.tier == "memo"
         assert _same(first.value, again.value)
         stats = eng.stats()
         assert stats["read_cache_hits"] == 1
@@ -231,7 +230,7 @@ class TestMemo:
     def test_cache_size_zero_disables(self):
         eng = ReadEngine(cache_size=0)
         eng.read("1.5")
-        assert eng.read_result("1.5").tier == "tier0"
+        assert eng.read_result("1.5").tier == "tier1"
         assert eng.stats()["read_cache_hits"] == 0
 
 
@@ -317,7 +316,7 @@ class TestDecimalDigits:
 class TestStatsSchema:
     def test_read_stat_keys_pinned(self):
         assert READ_STAT_KEYS == frozenset({
-            "read_tier0_hits", "read_tier1_hits", "read_tier1_bailouts",
+            "read_tier1_hits", "read_tier1_bailouts",
             "read_tier2_calls", "read_specials",
             "read_cache_hits", "read_cache_misses", "read_conversions",
             "read_tier_faults", "read_snapshot_faults",
@@ -337,8 +336,7 @@ class TestStatsSchema:
         s = eng.stats()
         assert s["read_conversions"] == 6
         assert s["read_conversions"] == (
-            s["read_tier0_hits"] + s["read_tier1_hits"]
-            + s["read_tier2_calls"] + s["read_specials"]
+            s["read_tier1_hits"] + s["read_tier2_calls"] + s["read_specials"]
             + s["read_cache_hits"])
 
     def test_engine_stats_include_read_keys_before_reader_built(self):
@@ -387,7 +385,7 @@ class TestEngineIntegration:
 
     def test_read_result_and_read_many_delegate(self):
         eng = Engine()
-        assert eng.read_result("1e23").tier == "tier0"
+        assert eng.read_result("1e23").tier == "tier1"
         out = eng.read_many(["1.5", "2.5"])
         assert _same(out[1], Flonum.from_float(2.5))
 
@@ -429,12 +427,12 @@ class TestEngineIntegration:
 
 
 #: CORPUS after the readers' strip, each text once: every lane code
-#: (tier 0, window, window bail, specials) appears.
+#: (window, window bail, specials) appears.
 DISTINCT = list(dict.fromkeys(t.strip() for t in CORPUS)) + [
     "1.00000000000000011102230246251565404e0"]  # bails the window
 
 #: Counters both surfaces must agree on, per lane code.
-LANE_KEYS = ("read_tier0_hits", "read_tier1_hits", "read_tier1_bailouts",
+LANE_KEYS = ("read_tier1_hits", "read_tier1_bailouts",
              "read_tier2_calls", "read_specials", "read_tier_faults",
              "read_cache_misses", "read_conversions")
 
@@ -476,9 +474,8 @@ class TestOneMemoTwoSurfaces:
         many.read_many(DISTINCT)
         got = {k: buf.stats()[k] for k in LANE_KEYS}
         assert got == {k: many.stats()[k] for k in LANE_KEYS}
-        for key in ("read_tier0_hits", "read_tier1_hits",
-                    "read_tier1_bailouts", "read_tier2_calls",
-                    "read_specials"):
+        for key in ("read_tier1_hits", "read_tier1_bailouts",
+                    "read_tier2_calls", "read_specials"):
             assert got[key] > 0, key
 
     def test_memo_off_and_exact_only_match_exact_reader(self):

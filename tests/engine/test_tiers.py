@@ -1,11 +1,12 @@
 """Tier-level correctness: every fast-tier answer is byte-identical to
 the exact algorithm (satellite: the agreement audit of the engine PR).
 
-The write route is tier 0, then Schubfach (the engine's tier 1), then
-the exact tier."""
+The write route is tier 0 (one inline integer test), then Schubfach
+(the engine's tier 1), then the exact tier."""
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import positive_flonums
 from repro.core.dragon import shortest_digits
@@ -13,10 +14,9 @@ from repro.core.rounding import ReaderMode, TieBreak
 from repro.engine import Engine
 from repro.engine.schubfach import schubfach_digits
 from repro.engine.tables import tables_for
-from repro.engine.tier0 import tier0_digits
 from repro.fastpath import grisu_shortest
-from repro.floats.formats import BINARY32, BINARY64
-from repro.floats.model import Flonum
+from repro.floats.formats import BINARY16, BINARY32, BINARY64
+from repro.floats.model import Flonum, to_flonum
 from repro.workloads.corpus import (
     decimal_ties,
     denormals,
@@ -32,9 +32,28 @@ ALL_MODES = list(ReaderMode)
 NEAREST_MODES = (ReaderMode.NEAREST_EVEN, ReaderMode.NEAREST_UNKNOWN)
 
 
-def run_tier0(v, mode):
-    return tier0_digits(v.f, v.e, T64.hidden_limit, T64.min_e,
-                        T64.mantissa_limit, T64.max_e, mode)
+#: The exact tier every route answer is held to.
+EXACT = Engine(tier_order=(), cache_size=0)
+
+
+def run_route(values, mode, fmt=BINARY64):
+    """``values`` through a memo-less engine's batch loop, then each
+    magnitude through its scalar route (checked against the exact
+    tier's digits): ``(texts, the batch's stats)``."""
+    eng = Engine(cache_size=0)
+    texts = eng.format_many(values, mode=mode, fmt=fmt)
+    stats = eng.stats()
+    for v in values:
+        v = to_flonum(v, fmt)
+        vmode = mode.mirrored() if v.sign else mode
+        got = eng.shortest_digits(v.abs(), mode=vmode, fmt=fmt)
+        want = EXACT.shortest_digits(v.abs(), mode=vmode, fmt=fmt)
+        assert (got.k, got.digits) == (want.k, want.digits), v
+    return texts, stats
+
+
+def exact_texts(values, mode, fmt=BINARY64):
+    return [EXACT.format(v, mode=mode, fmt=fmt) for v in values]
 
 
 def run_tier1(v, mode=ReaderMode.NEAREST_EVEN, tie=TieBreak.UP,
@@ -71,55 +90,98 @@ def curated_corpus():
 
 
 class TestTier0:
+    """The integer test: ``f * 2**e`` with ``e < 0`` and ``2**-e``
+    dividing ``f`` prints as its own digits in every reader mode."""
+
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_curated_corpus_every_mode(self, mode):
-        accepted = 0
-        for v in curated_corpus():
-            got = run_tier0(v, mode)
-            if got is None:
-                continue
-            accepted += 1
-            assert_matches_exact(v, got, mode)
-        assert accepted > 100  # the tier must actually fire
+        vals = curated_corpus()
+        texts, stats = run_route(vals, mode)
+        assert texts == exact_texts(vals, mode)
+        assert stats["tier0_hits"] > 100  # the test must actually fire
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_binary16_integers_every_mode(self, mode):
+        # Every binary16 integer below 2**10, both signs: all have e < 0.
+        vals = [Flonum.from_int(s * i, BINARY16)
+                for i in range(1, 1 << 10) for s in (1, -1)]
+        texts, stats = run_route(vals, mode, BINARY16)
+        assert texts == exact_texts(vals, mode, BINARY16)
+        assert stats["tier0_hits"] == len(vals)
+        assert stats["schubfach_hits"] == stats["tier2_calls"] == 0
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_binary64_integers_near_powers_of_two(self, mode):
+        vals = sorted({float(s * ((1 << j) + d)) for j in range(52)
+                       for d in (-1, 0, 1) for s in (1, -1)
+                       if (1 << j) + d > 0})
+        texts, stats = run_route(vals, mode)
+        assert texts == exact_texts(vals, mode)
+        assert stats["tier0_hits"] == len(vals)
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_larger_integers_leave_the_test(self, mode):
+        # From 2**10 (binary16) and 2**52 (binary64) up, e >= 0: the
+        # values go to Schubfach (nearest modes) or the exact tier.
+        for fmt, vals in (
+                (BINARY16, [Flonum.from_int(i, BINARY16)
+                            for i in (1024, 1025, 2047, 2048, 4096, 65504)]),
+                (BINARY64, [float(x) for x in
+                            (2**52, 2**52 + 1, 2**53, 2**53 + 2, 2**60,
+                             10**18, 10**19, 1e22, 1e23, 2.0**1023)])):
+            texts, stats = run_route(vals, mode, fmt)
+            assert texts == exact_texts(vals, mode, fmt)
+            assert stats["tier0_hits"] == 0
+            lane = ("schubfach_hits" if mode in NEAREST_MODES
+                    else "tier2_calls")
+            assert stats[lane] == len(vals)
 
     def test_small_integers_accepted(self):
+        eng = Engine(cache_size=0)
         for i in range(1, 1000):
-            got = run_tier0(Flonum.from_float(float(i)), ReaderMode.NEAREST_EVEN)
-            assert got is not None
-            acc, nd, k = got
-            assert str(acc) == str(i).rstrip("0")
-            assert k == len(str(i))
+            got = eng.shortest_digits(float(i))
+            assert "".join(map(str, got.digits)) == str(i).rstrip("0")
+            assert got.k == len(str(i))
+        assert eng.stats()["tier0_hits"] == 999
 
-    def test_exact_binary_fractions_accepted(self):
-        for i in (1, 3, 5, 7, 11, 255):
-            for sh in (1, 2, 3, 10, 20):
-                v = Flonum.from_float(i / (1 << sh))
-                assert run_tier0(v, ReaderMode.NEAREST_UNKNOWN) is not None
+    @pytest.mark.parametrize("mode", [m for m in ALL_MODES
+                                      if m not in NEAREST_MODES])
+    def test_short_decimals_reach_exact_tier_outside_schubfach_modes(
+            self, mode):
+        # Short exact decimals (binary fractions, integers of 2**53 and
+        # up) are not integers with e < 0: in every mode Schubfach does
+        # not cover they go to the exact tier, and print its digits.
+        vals = [i / (1 << sh) for i in (1, 3, 5, 7, 11, 255)
+                for sh in (1, 2, 3, 10, 20)]
+        vals += [2.0**53, 2.0**60, 1e18, 1e19]
+        texts, stats = run_route(vals, mode)
+        assert texts == exact_texts(vals, mode)
+        assert stats["tier0_hits"] == 0
+        assert stats["tier2_calls"] == len(vals)
 
     def test_declines_boundary_ambiguity(self):
-        # 1e23 is a decimal-tie: under NEAREST_EVEN the shortest output
-        # is "1e23", which is *not* the exact expansion of the double —
-        # tier 0 must decline rather than print 24 digits.
-        v = Flonum.from_float(1e23)
-        got = run_tier0(v, ReaderMode.NEAREST_EVEN)
-        assert got is None
+        # 1e23 is a decimal tie whose shortest output "1e23" is *not*
+        # the exact expansion of the double; it is no integer with
+        # e < 0, so the test declines and Schubfach prints "1e23".
+        texts, stats = run_route([1e23], ReaderMode.NEAREST_EVEN)
+        assert texts == ["1e23"]
+        assert stats["tier0_hits"] == 0
 
-    def test_mode_changes_acceptance(self):
-        # Under TOWARD_ZERO the value itself is always in the rounding
-        # interval's closure, so exact expansions certify more often.
-        v = Flonum.from_float(1e23)  # f = 0x152d02c7e14af6800...
-        exact = shortest_digits(v, mode=ReaderMode.TOWARD_ZERO)
-        got = run_tier0(v, ReaderMode.TOWARD_ZERO)
-        if got is not None:
-            assert_matches_exact(v, got, ReaderMode.TOWARD_ZERO)
+    @given(st.integers(1, (1 << 53) - 1))
+    @settings(max_examples=100)
+    def test_random_integers_all_modes(self, n):
+        v = float(n)
+        for mode in ALL_MODES:
+            texts, stats = run_route([v], mode)
+            assert texts == exact_texts([v], mode)
+            assert stats["tier0_hits"] == (1 if n < 1 << 52 else 0)
 
     @given(positive_flonums())
     @settings(max_examples=300)
     def test_random_agreement_all_modes(self, v):
         for mode in ALL_MODES:
-            got = run_tier0(v, mode)
-            if got is not None:
-                assert_matches_exact(v, got, mode)
+            texts, _ = run_route([v], mode)
+            assert texts == exact_texts([v], mode)
 
 
 class TestTier1:
@@ -160,8 +222,8 @@ class TestTier1:
             assert str(acc) == "".join(str(d) for d in exact.digits)
 
     def test_high_success_rate(self):
-        # Grisu3 bailed on ~0.5% of these; the route after tier 0 has
-        # no bail path, so the exact tier never runs.
+        # Grisu3 bailed on ~0.5% of these; the route after the integer
+        # test has no bail path, so the exact tier never runs.
         eng = Engine(cache_size=0)
         eng.format_many([v.to_float() for v in uniform_random(1500,
                                                                seed=77)])

@@ -288,8 +288,8 @@ class TestBinary16Total:
     def test_default_write_route_matches_exact_every_pattern(
             self, column, mode, tie):
         # Every finite non-zero pattern through the default route
-        # (tier 0, then Schubfach): byte-identical to the exact tier and
-        # never reaching it.  A nearest mode mirrors to itself, so the
+        # (the integer test, then Schubfach): byte-identical to the
+        # exact tier and never reaching it.  A nearest mode mirrors to itself, so the
         # oracle of -v is "-" + the oracle of v.
         finite = [v for _, v in column[0] if v.is_finite and not v.is_zero]
         assert len(finite) == 2 * (31 * 1024 - 1)

@@ -137,7 +137,7 @@ class TestRead:
         _, lines = _run("1.5", "--read")
         head, tier = lines[0].rsplit(" tier=", 1)
         assert head == "sign=0 f=6755399441055744 e=-52"
-        assert tier in ("tier0", "memo")
+        assert tier in ("tier1", "memo")
 
     def test_interval_tier_literal(self):
         _, lines = _run("2.2250738585072014e-308", "--read")

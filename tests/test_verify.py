@@ -120,10 +120,13 @@ class TestRoundtripBattery:
         assert "host-float" not in without.tier_checks
 
     def test_reader_tiers_all_exercised(self):
+        # The read route is the window tier (tier1), then the exact
+        # tier (tier2).
         report = verify_roundtrip(BINARY64, n=400, seed=0)
-        for tier in ("tier0", "tier1"):
+        for tier in ("tier1", "tier2"):
             assert any(t.endswith("/" + tier) for t in report.tier_checks
                        if report.tier_checks[t]), tier
+        assert not any(t.endswith("/tier0") for t in report.tier_checks)
 
     def test_cli_roundtrip_flag(self, capsys):
         rc = main(["--roundtrip", "--n", "60", "--seed", "4",
@@ -132,6 +135,33 @@ class TestRoundtripBattery:
         assert rc == 0
         assert "round-trip" in out
         assert "binary16" in out and "binary64" in out
+
+
+class TestTotalBinary16:
+    """At ``n`` of at least 2**16 the batteries' samples are every
+    binary16 bit pattern once, so each row is total on binary16."""
+
+    N = 1 << 16
+    #: Exponent field all ones, nonzero fraction, either sign.
+    NAN_PATTERNS = 2 * 1023
+
+    @pytest.mark.parametrize("sample", ["_signed_sample", "_route_sample"])
+    def test_sample_is_every_pattern(self, sample):
+        got = getattr(verify, sample)(BINARY16, self.N, 0)
+        assert len(got) == self.N
+        bits = [v.to_bits() for v in got if not v.is_nan]
+        assert len(bits) == self.N - self.NAN_PATTERNS
+        assert sorted(bits) == [b for b in range(self.N)
+                                if b & 0x7fff <= 0x7c00]
+
+    def test_below_the_count_stays_sampled(self):
+        assert len(verify._signed_sample(BINARY16, self.N - 1, 0)) \
+            == self.N - 1 + 3
+
+    def test_contenders_check_every_pattern(self):
+        report = verify.verify_contenders(BINARY16, n=self.N, seed=0)
+        assert report.ok, report.mismatches[:5]
+        assert report.checked == self.N
 
 
 class TestCli:
