@@ -53,17 +53,18 @@ bench:
 snapshot:
 	$(PY) tools/warm_snapshot.py -o warm.snap
 
-# PR-lane serving smoke: wire conformance + lifecycle + chaos tests,
-# then the fixed-seed serve battery (wire round trips, and pipelined
-# bursts under the standing chaos plan with fault accounting).
+# PR-lane serving smoke: wire conformance + lifecycle + slicing +
+# engine-fault tests, then the fixed-seed serve battery (wire round
+# trips, sliced requests, and pipelined bursts under the engine fault
+# plan with fault accounting).
 serve-smoke:
 	$(PY) -m pytest tests/serve/test_protocol.py tests/serve/test_daemon.py tests/serve/test_daemon_faults.py -q
 	$(PY) -m repro.verify --serve --n 2000 --seed 0 --formats binary64
 
-# PR-lane control-plane smoke: breaker/admission/hedge/observer unit and
-# wire tests, then the fixed-seed control battery (chaos plans through
-# a controlled daemon, with a 20 % shed bound under the standing chaos
-# plan).  See docs/robustness.md#the-control-plane.
+# PR-lane control-plane smoke: admission/hedge/observer unit and wire
+# tests, then the fixed-seed control battery (the engine fault plan
+# through a daemon under AIMD admission, with a 20 % shed bound).  See
+# docs/robustness.md#the-control-plane.
 control-smoke:
 	$(PY) -m pytest tests/serve/test_control.py -q
 	$(PY) -m repro.verify --control --n 2000 --seed 0 --formats binary64

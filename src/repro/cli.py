@@ -106,8 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the serving daemon instead of "
                              "converting: listen on --host/--port and "
                              "serve format/read byte planes over the "
-                             "framed protocol (see docs/serving.md); "
-                             "--jobs sizes each pool")
+                             "framed protocol (see docs/serving.md)")
     parser.add_argument("--host", default="127.0.0.1",
                         help="with --serve: listen address")
     parser.add_argument("--port", type=int, default=0,
@@ -202,8 +201,7 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
                          "and no columnar pipeline flags")
         from repro.serve.daemon import main as serve_main
 
-        serve_args = ["--host", args.host, "--port", str(args.port),
-                      "--jobs", str(args.jobs)]
+        serve_args = ["--host", args.host, "--port", str(args.port)]
         if args.snapshot is not None:
             serve_args += ["--snapshot", args.snapshot]
         return serve_main(serve_args)

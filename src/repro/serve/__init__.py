@@ -1,5 +1,5 @@
-"""The serving layer: sharded multi-worker pipelines and the daemon
-over the byte-plane pipeline.
+"""The serving layer: the sharded offline pool and the daemon over the
+byte-plane pipeline.
 
 This package depends on :mod:`repro.engine.buffer` (columnar ingestion
 and the byte-plane ``format_buffer``/``parse_buffer``, re-exported
@@ -17,7 +17,6 @@ from repro.engine.buffer import (
 from repro.serve.client import AsyncServeClient, ServeClient
 from repro.serve.control import (
     AdmissionController,
-    CircuitBreaker,
     TrafficObserver,
 )
 from repro.serve.daemon import ReproDaemon, main, serving
@@ -27,7 +26,6 @@ __all__ = [
     "AdmissionController",
     "AsyncServeClient",
     "BulkPool",
-    "CircuitBreaker",
     "ReproDaemon",
     "ServeClient",
     "TrafficObserver",

@@ -1,21 +1,6 @@
 """Self-healing control plane for the serving daemon.
 
-Three cooperating pieces, all deterministic and clock-injectable so the
-state machines are testable without sleeping:
-
-``CircuitBreaker``
-    One per daemon pool key.  Counts *consecutive* infrastructure
-    failures (``ShardError`` / ``PoolBrokenError`` /
-    ``DeadlineExceededError`` — data errors such as ``DecodeError`` are
-    successes from the breaker's point of view) and trips
-    closed → open after ``threshold`` of them.  While open every
-    request is shed immediately with a typed
-    :class:`~repro.errors.ServeOverloadError` instead of queueing into
-    a broken pool.  After ``reset_timeout`` the breaker admits exactly
-    one canary request (half-open); the canary's outcome decides
-    between closing (healthy again, backoff reset) and re-opening with
-    exponential backoff.  Concurrent requests during half-open are
-    shed, never queued behind the canary.
+Two pieces, both testable without sleeping:
 
 ``AdmissionController``
     AIMD on the admitted-inflight-bytes window.  A rolling latency
@@ -38,160 +23,17 @@ state machines are testable without sleeping:
     pre-seeds caches.
 
 Everything here is pure bookkeeping — no I/O, no threads of its own —
-so the daemon stays the single owner of sockets and executors.
+so the daemon stays the single owner of sockets and conversions.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
-from repro.errors import (DeadlineExceededError, PoolBrokenError,
-                          ServeOverloadError, ShardError)
+from repro.errors import ServeOverloadError
 
-__all__ = [
-    "CircuitBreaker", "AdmissionController", "TrafficObserver",
-    "BREAKER_FAILURES", "CLOSED", "OPEN", "HALF_OPEN",
-    "ADMIT", "SHED", "CANARY",
-]
-
-#: Exception types that count as infrastructure failures for breakers.
-#: Data errors (DecodeError, ParseError, ...) are the *request's* fault
-#: and must never open a breaker.
-BREAKER_FAILURES = (ShardError, PoolBrokenError, DeadlineExceededError)
-
-CLOSED = "closed"
-OPEN = "open"
-HALF_OPEN = "half_open"
-
-#: ``CircuitBreaker.admit()`` decisions.
-ADMIT = "admit"
-SHED = "shed"
-CANARY = "canary"
-
-
-class CircuitBreaker:
-    """Closed → open → half-open circuit breaker with injectable clock.
-
-    All transitions happen inside ``admit``/``record`` under a lock;
-    there are no timers — the open → half-open edge is evaluated
-    lazily against ``clock()`` when the next request arrives, which
-    makes the whole machine deterministic under a fake clock.
-    """
-
-    def __init__(self, *, threshold: int = 5, reset_timeout: float = 1.0,
-                 backoff_factor: float = 2.0,
-                 max_reset_timeout: float = 30.0,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        if threshold < 1:
-            raise ValueError("breaker threshold must be >= 1")
-        if reset_timeout <= 0:
-            raise ValueError("breaker reset_timeout must be > 0")
-        self.threshold = int(threshold)
-        self.reset_timeout = float(reset_timeout)
-        self.backoff_factor = float(backoff_factor)
-        self.max_reset_timeout = float(max_reset_timeout)
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._state = CLOSED
-        self._consecutive = 0
-        self._open_until = 0.0
-        self._timeout = self.reset_timeout  # current (backed-off) timeout
-        self._canary_inflight = False
-        self.trips = 0      # closed -> open
-        self.reopens = 0    # half-open canary failed -> open again
-        self.closes = 0     # half-open canary succeeded -> closed
-        self.sheds = 0      # requests rejected while open/half-open
-        self.canaries = 0   # probe requests admitted in half-open
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._state
-
-    def admit(self) -> str:
-        """Decide one request: ``ADMIT``, ``SHED`` or ``CANARY``.
-
-        A ``CANARY`` admission must be answered by ``record(ok,
-        canary=True)`` — it is the single probe the half-open state
-        allows; everything else arriving before its verdict is shed.
-        """
-        with self._lock:
-            if self._state == CLOSED:
-                return ADMIT
-            if self._state == OPEN and self._clock() >= self._open_until:
-                self._state = HALF_OPEN
-                self._canary_inflight = True
-                self.canaries += 1
-                return CANARY
-            # Open (timer still running) or half-open with the canary
-            # outstanding: shed, never queue.
-            self.sheds += 1
-            return SHED
-
-    def record(self, ok: bool, *, canary: bool = False) -> None:
-        """Report the outcome of an admitted request."""
-        with self._lock:
-            if canary:
-                self._canary_inflight = False
-                if ok:
-                    self._state = CLOSED
-                    self._consecutive = 0
-                    self._timeout = self.reset_timeout  # backoff resets
-                    self.closes += 1
-                else:
-                    # Full (exponential) backoff: the next probe waits
-                    # the whole doubled window, not the remainder.
-                    self._timeout = min(self._timeout * self.backoff_factor,
-                                        self.max_reset_timeout)
-                    self._state = OPEN
-                    self._open_until = self._clock() + self._timeout
-                    self.reopens += 1
-                return
-            if self._state != CLOSED:
-                # A request admitted before the trip finishing late;
-                # its outcome must not perturb the open/half-open
-                # machine (the canary alone decides).
-                return
-            if ok:
-                self._consecutive = 0
-                return
-            self._consecutive += 1
-            if self._consecutive >= self.threshold:
-                self._state = OPEN
-                self._open_until = self._clock() + self._timeout
-                self._consecutive = 0
-                self.trips += 1
-
-    @staticmethod
-    def is_failure(exc: Optional[BaseException]) -> bool:
-        """Does this outcome count against the breaker?"""
-        return isinstance(exc, BREAKER_FAILURES)
-
-    def shed_error(self, key: str = "") -> ServeOverloadError:
-        suffix = f" for {key}" if key else ""
-        return ServeOverloadError(
-            f"circuit breaker open{suffix}; retry after backoff")
-
-    def snapshot(self) -> dict:
-        """State + counters for the HEALTH opcode."""
-        with self._lock:
-            now = self._clock()
-            retry_in = max(0.0, self._open_until - now) \
-                if self._state == OPEN else 0.0
-            return {
-                "state": self._state,
-                "consecutive_failures": self._consecutive,
-                "threshold": self.threshold,
-                "reset_timeout": self._timeout,
-                "retry_in": retry_in,
-                "trips": self.trips,
-                "reopens": self.reopens,
-                "closes": self.closes,
-                "sheds": self.sheds,
-                "canaries": self.canaries,
-            }
+__all__ = ["AdmissionController", "TrafficObserver"]
 
 
 def _p99(samples: List[float]) -> float:

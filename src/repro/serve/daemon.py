@@ -1,12 +1,13 @@
 """The asyncio serving daemon: the engine behind a wire.
 
-:class:`ReproDaemon` fronts the bulk serving stack
-(:class:`~repro.serve.pool.BulkPool` over
-``format_buffer``/``parse_buffer``) with a loopback/TCP server speaking
-the length-prefixed protocol of :mod:`repro.serve.protocol`.  Payloads
-are byte planes end to end: a format request's packed bit patterns and
-a read request's delimited ASCII plane go straight into the byte-plane
-pipeline — the wire never materializes per-row strings.
+:class:`ReproDaemon` fronts the byte-plane pipeline
+(:func:`~repro.engine.buffer.format_buffer` /
+:func:`~repro.engine.buffer.parse_buffer` on one engine) with a
+loopback/TCP server speaking the length-prefixed protocol of
+:mod:`repro.serve.protocol`.  Payloads are byte planes end to end: a
+format request's packed bit patterns and a read request's delimited
+ASCII plane go straight into the pipeline — the wire never
+materializes per-row strings.
 
 Design:
 
@@ -18,46 +19,45 @@ Design:
   rejection instead of unbounded queueing — the latency SLO is
   protected by shedding, not by lying.
 * **Request batching** — concurrent requests with the same
-  ``(op, format, delimiter)`` key coalesce into one columnar bulk call
-  of at most ``batch_max_bytes``.  Batching is self-clocked: a batch
-  flushes one loop turn after its first request, and the requests that
-  arrive while it converts form the next one.  Responses are
-  byte-identical to unbatched execution: format batches split on row
-  counts, read batches on token counts, and a request that poisons a
-  combined call (e.g. one garbage literal) falls back to per-request
-  conversion so its neighbours still succeed.
-* **Fault tolerance** — every conversion runs through a
-  :class:`BulkPool` (one per ``(format, delimiter)``, built lazily), so
-  PR 5's machinery applies on the wire: CRC'd shards, deadlines and
-  budgets, bounded retries, broken-pool rebuilds and the
-  process → inline degradation ladder.  An unrecoverable
-  failure surfaces as its typed :class:`~repro.errors.ReproError`
-  response; an untyped escape is a protocol violation the chaos battery
-  hunts for.
+  ``(op, format, delimiter)`` key coalesce into one batch of at most
+  ``batch_max_bytes``.  Batching is self-clocked: a batch flushes one
+  loop turn after its first request, and the requests that arrive
+  while it converts form the next one.  Responses are byte-identical
+  to unbatched execution: format batches split on row counts, read
+  batches on token counts, and a request that poisons a combined call
+  (e.g. one garbage literal) falls back to per-request conversion so
+  its neighbours still succeed.
+* **Inline conversion in slices** — every batch converts on the event
+  loop, on the daemon's one engine: no worker process, no thread hop
+  (under the GIL neither buys a 64-row request anything).  A batch
+  converts in slices of at most :data:`~repro.serve.pool.INLINE_ROWS`
+  rows and :data:`SLICE_BYTES` payload bytes, cut on row boundaries,
+  with one loop turn between slices, so the loop is never blocked for
+  longer than one slice: frame reads, pings and other keys' batches
+  run in between.  An error surfaces as its typed
+  :class:`~repro.errors.ReproError` response; an untyped escape (an
+  engine fault under ``strict``) is wrapped in the base type.
 * **Graceful drain** — :meth:`close` stops accepting, waits (bounded
   by ``drain_timeout``) for in-flight responses to be written, then
-  tears down pools and executors.  Idempotent, and safe to call from
-  any thread via :func:`serving`.
+  closes the connections.  Idempotent, and safe to call from any
+  thread via :func:`serving`.
 
-The event loop owns every counter and queue.  A batch of fewer than
-:data:`~repro.serve.pool.INLINE_ROWS` rows converts on the loop itself
-(a hop to a thread buys no parallelism under the GIL), so the loop is
-blocked for the length of one such batch; larger batches run on a small
-thread-pool executor and never block frame reads, admission decisions
-or other connections.
+The event loop owns every counter, queue and conversion; only a live
+snapshot rotation runs on the loop's default executor.
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import contextlib
 import json
 import threading
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.rounding import ReaderMode, TieBreak
-from repro.engine.buffer import _itemsize, pack_bits
+from repro.engine import buffer
+from repro.engine.buffer import _itemsize, _row_count, pack_bits, split_plane
 from repro.errors import (
     DecodeError,
     ProtocolError,
@@ -67,33 +67,35 @@ from repro.errors import (
 )
 from repro.floats.formats import STANDARD_FORMATS
 from repro.serve import protocol
-from repro.serve.control import (
-    CANARY,
-    SHED,
-    AdmissionController,
-    CircuitBreaker,
-    TrafficObserver,
-)
-from repro.serve.pool import BulkPool
+from repro.serve.control import AdmissionController, TrafficObserver
+from repro.serve.pool import INLINE_ROWS
 from repro.serve.protocol import OP_FORMAT, OP_HEALTH, OP_PING, OP_READ
 
-__all__ = ["ReproDaemon", "serving", "main", "SERVE_STAT_KEYS"]
+__all__ = ["ReproDaemon", "serving", "main", "SERVE_STAT_KEYS",
+           "SLICE_BYTES"]
 
 #: Counters :meth:`ReproDaemon.stats` always includes.  The control
-#: plane's ``breaker_*`` / ``admission_increases`` / ``admission_
-#: decreases`` / ``observed_requests`` entries are folded live from the
-#: breaker, controller and observer state in :meth:`ReproDaemon.stats`;
-#: the rest are incremented where the event happens.
+#: plane's ``admission_increases`` / ``admission_decreases`` /
+#: ``observed_requests`` entries are folded live from the controller and
+#: observer state in :meth:`ReproDaemon.stats`; the rest are incremented
+#: where the event happens.
 SERVE_STAT_KEYS = (
     "connections", "requests", "responses", "format_requests",
     "read_requests", "pings", "batches", "batched_requests", "max_batch",
     "batch_fallbacks", "overloads", "protocol_errors", "error_responses",
-    "bytes_in", "bytes_out", "drains",
-    "health_requests", "breaker_trips", "breaker_sheds", "breaker_closes",
-    "breaker_reopens", "breaker_canaries", "admission_sheds",
-    "admission_increases", "admission_decreases", "observed_requests",
-    "snapshot_rotations",
+    "bytes_in", "bytes_out", "drains", "health_requests",
+    "admission_sheds", "admission_increases", "admission_decreases",
+    "observed_requests", "snapshot_rotations",
 )
+
+#: Most payload bytes one slice of a batch converts (with at most
+#: :data:`~repro.serve.pool.INLINE_ROWS` rows), unless a single row is
+#: longer.  A module constant, not a knob: 64 KiB of 5,000-digit
+#: literals is 13 rows, a few milliseconds of the exact reader.
+SLICE_BYTES = 64 << 10
+
+#: One piece of a slice: ``(request index, payload bytes, rows)``.
+Piece = Tuple[int, bytes, int]
 
 
 def _failed(exc: ReproError, loop) -> asyncio.Future:
@@ -103,22 +105,23 @@ def _failed(exc: ReproError, loop) -> asyncio.Future:
 
 
 class _Batcher:
-    """Coalesces same-keyed requests into one columnar bulk call.
+    """Coalesces same-keyed requests into one batch, converted in
+    slices.
 
     Self-clocked, with no timer: the first request for an idle key
     flushes after one loop turn, so a burst that arrives in the same
-    turn coalesces.  Requests that arrive while that conversion runs
+    turn coalesces.  Requests that arrive while that batch converts
     become the next batch, which flushes as soon as it finishes; at
-    most one conversion per key is in flight.  A flush takes the
-    longest prefix of the pending requests within ``batch_max_bytes``
-    (at least one request).
+    most one batch per key is in flight.  A flush takes the longest
+    prefix of the pending requests within ``batch_max_bytes`` (at least
+    one request).
     """
 
     def __init__(self, daemon: "ReproDaemon", op: int, fmt_name: str,
                  delimiter: bytes):
         self.daemon = daemon
         self.op = op
-        self.fmt_name = fmt_name
+        self.fmt = STANDARD_FORMATS[fmt_name]
         self.delimiter = delimiter
         self.pending: List[Tuple[bytes, asyncio.Future]] = []
         self._task: Optional[asyncio.Task] = None
@@ -147,34 +150,89 @@ class _Batcher:
         batch, self.pending = self.pending[:k], self.pending[k:]
         return batch
 
+    def _row_ends(self, payload: bytes) -> Sequence[int]:
+        """The byte offset just past each row of ``payload``."""
+        if self.op == OP_FORMAT:
+            size = _itemsize(self.fmt)
+            return range(size, len(payload) + 1, size)
+        ends = split_plane(payload, self.delimiter)[1][1:].tolist()
+        ends.append(len(payload))
+        return ends
+
+    def _slices(self, payloads: List[bytes]):
+        """The batch cut into slices of at most ``INLINE_ROWS`` rows and
+        ``SLICE_BYTES`` bytes (a row longer than that is a slice of its
+        own): lists of pieces, in request order.  A request that fits
+        the current slice joins it whole; a larger one is cut on row
+        boundaries (packed items for format, delimiter-terminated
+        tokens for read)."""
+        cur: List[Piece] = []
+        rows = size = 0
+        for i, p in enumerate(payloads):
+            n = (_row_count(p, self.delimiter) if self.op == OP_READ
+                 else len(p) // _itemsize(self.fmt))
+            if rows + n <= INLINE_ROWS and size + len(p) <= SLICE_BYTES:
+                cur.append((i, p, n))
+                rows += n
+                size += len(p)
+                continue
+            ends = self._row_ends(p)
+            a = start = 0  # rows of p taken, and their bytes
+            while a < n:
+                b = bisect_right(ends, start + SLICE_BYTES - size, a,
+                                 min(n, a + INLINE_ROWS - rows))
+                if b == a:
+                    if cur:  # no room left: close this slice first
+                        yield cur
+                        cur, rows, size = [], 0, 0
+                        continue
+                    b = a + 1  # one row past the byte bound
+                piece = p[start:ends[b - 1]]
+                cur.append((i, piece, b - a))
+                rows += b - a
+                size += len(piece)
+                a, start = b, ends[b - 1]
+                if a < n:  # cut here: this slice is full
+                    yield cur
+                    cur, rows, size = [], 0, 0
+        if cur:
+            yield cur
+
     async def _flush(self, batch: List[Tuple[bytes, asyncio.Future]]
                      ) -> None:
         daemon = self.daemon
         daemon._note_batch(len(batch))
-        payloads = [p for p, _ in batch]
+        parts: List[List[object]] = [[] for _ in batch]
         try:
-            pool = daemon._pool_for(self.fmt_name, self.delimiter)
-            counts = [pool.rows(p, read=self.op == OP_READ)
-                      for p in payloads]
-            if pool.inline(sum(counts)):
-                results = daemon._convert(pool, self.op, payloads, counts)
-            else:
-                results = await asyncio.get_running_loop().run_in_executor(
-                    daemon._workers, daemon._convert, pool, self.op,
-                    payloads, counts)
-        except (Exception, asyncio.CancelledError) as exc:
-            results = [exc] * len(batch)  # executor died: fail the batch
-        for (payload, fut), res in zip(batch, results):
-            daemon._release(len(payload))
-            if fut.cancelled():
-                continue
-            if isinstance(res, BaseException):
-                if not isinstance(res, ReproError):
-                    res = ReproError(f"internal conversion failure: "
-                                     f"{res!r}")
-                fut.set_exception(res)
-            else:
-                fut.set_result(res)
+            for k, pieces in enumerate(self._slices([p for p, _ in batch])):
+                if k:
+                    await daemon._next_slice()
+                try:
+                    results = daemon._convert(
+                        self.op, self.fmt, self.delimiter,
+                        [p for _, p, _ in pieces], [n for _, _, n in pieces])
+                except Exception as exc:  # untyped escape: fail the slice
+                    results = [exc] * len(pieces)
+                for (i, _, _), res in zip(pieces, results):
+                    parts[i].append(res)
+        except BaseException as exc:  # cancelled at teardown: fail all
+            parts = [[exc]] * len(batch)
+            raise
+        finally:
+            for (payload, fut), res in zip(batch, parts):
+                daemon._release(len(payload))
+                if fut.cancelled():
+                    continue
+                err = next((r for r in res
+                            if isinstance(r, BaseException)), None)
+                if err is None:
+                    fut.set_result(res[0] if len(res) == 1
+                                   else b"".join(res))
+                elif isinstance(err, ReproError):
+                    fut.set_exception(err)
+                else:
+                    fut.set_exception(ReproError(
+                        f"internal conversion failure: {err!r}"))
 
 
 class ReproDaemon:
@@ -183,13 +241,8 @@ class ReproDaemon:
     Args:
         host / port: Listen address (``port=0`` picks a free port,
             published as :attr:`port` after :meth:`start`).
-        jobs: Worker processes per (format, delimiter)
-            :class:`BulkPool`, for batches of at least
-            :data:`repro.serve.pool.INLINE_ROWS` rows.  Smaller
-            batches, and every batch when ``jobs=1``, convert inline
-            on the daemon's one engine.
-        batch_max_bytes: Most payload bytes one combined call takes;
-            a longer backlog flushes as several calls in turn.
+        batch_max_bytes: Most payload bytes one batch takes; a longer
+            backlog flushes as several batches in turn.
         max_inflight_bytes / max_inflight_requests: The admission
             budget; past either, requests are rejected with
             :class:`ServeOverloadError`.
@@ -197,28 +250,15 @@ class ReproDaemon:
             is framing damage (typed response, connection closed).
         idle_timeout: Seconds a connection may sit idle (or hold a
             partial frame) before the daemon closes it; None disables.
-        deadline / budget / retries / on_error: Passed to every
-            :class:`BulkPool` — shard deadline, whole-batch budget,
-            retry count and ladder behaviour (see
-            :mod:`repro.serve.pool`).
         mode / tie: Reader assumption and tie strategy for formatting.
         drain_timeout: Seconds :meth:`close` waits for in-flight
             responses before tearing down anyway.
         snapshot: Optional warm-start source (path or
-            :class:`repro.engine.snapshot.Snapshot`).  It warms the
-            daemon's engine once at construction; with ``jobs > 1``
-            every lazily built :class:`BulkPool` also ships it to its
-            workers, so they fork warm (shared-memory hot plane
-            included).  A rejected snapshot counts ``snapshot_faults``
-            in :meth:`pool_stats` and serving starts cold — response
-            bytes are identical either way.
-        breaker_threshold: Consecutive infrastructure failures
-            (``ShardError``/``PoolBrokenError``/deadline) that trip a
-            per-pool circuit breaker (0: breakers disabled).  While
-            open, requests for that pool shed immediately with
-            :class:`ServeOverloadError`; after ``breaker_reset``
-            seconds one canary probes, closing on success and
-            re-opening with exponential backoff on failure.
+            :class:`repro.engine.snapshot.Snapshot`) for the daemon's
+            one engine, applied once at construction.  A rejected
+            snapshot counts ``snapshot_faults`` in :meth:`pool_stats`
+            and serving starts cold — response bytes are identical
+            either way.
         slo_target_ms: p99 latency target driving AIMD admission
             (None: static caps only).  The adaptive window can only
             shrink below ``max_inflight_bytes``, never grow past it.
@@ -230,57 +270,34 @@ class ReproDaemon:
         observe_stride: Sample every Nth request's corpus shape
             (0: observer off; forced to 1 when rotation needs
             samples).
-        hedge / hedge_min / hedge_under_faults: Hedged shard dispatch
-            in every pool (see :class:`BulkPool`); ``hedge_under_faults``
-            lets hedges race scripted fault plans (dedicated chaos
-            legs only — determinism tests leave it off).
-        clock: Injectable monotonic clock shared by the breakers
-            (tests drive state machines without sleeping).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 jobs: int = 1,
                  batch_max_bytes: int = 1 << 20,
                  max_inflight_bytes: int = 16 << 20,
                  max_inflight_requests: int = 1024,
                  max_frame: int = protocol.MAX_FRAME,
                  idle_timeout: Optional[float] = None,
-                 deadline: Optional[float] = None,
-                 budget: Optional[float] = None,
-                 retries: int = 2, on_error: str = "degrade",
                  mode: ReaderMode = ReaderMode.NEAREST_EVEN,
                  tie: TieBreak = TieBreak.UP,
-                 drain_timeout: float = 10.0,
-                 workers: int = 4, snapshot=None,
-                 breaker_threshold: int = 0, breaker_reset: float = 1.0,
+                 drain_timeout: float = 10.0, snapshot=None,
                  slo_target_ms: Optional[float] = None,
                  rotate_snapshot=None, rotate_every: int = 0,
-                 observe_stride: int = 16,
-                 hedge: bool = False, hedge_min: float = 0.05,
-                 hedge_under_faults: bool = False, clock=None):
-        for name, v in (("jobs", jobs), ("workers", workers)):
-            if v < 1:
-                raise RangeError(f"{name} must be >= 1, got {v}")
+                 observe_stride: int = 16):
         if drain_timeout < 0:
             raise RangeError("drain_timeout must be >= 0")
-        if breaker_threshold < 0 or rotate_every < 0 or observe_stride < 0:
-            raise RangeError("breaker_threshold/rotate_every/"
-                             "observe_stride must be >= 0")
+        if rotate_every < 0 or observe_stride < 0:
+            raise RangeError("rotate_every/observe_stride must be >= 0")
         if slo_target_ms is not None and slo_target_ms <= 0:
             raise RangeError(
                 f"slo_target_ms must be positive, got {slo_target_ms}")
         self.host = host
         self.port = port
-        self.jobs = jobs
         self.batch_max_bytes = batch_max_bytes
         self.max_inflight_bytes = max_inflight_bytes
         self.max_inflight_requests = max_inflight_requests
         self.max_frame = max_frame
         self.idle_timeout = idle_timeout
-        self.deadline = deadline
-        self.budget = budget
-        self.retries = retries
-        self.on_error = on_error
         self.mode = mode
         self.tie = tie
         self.drain_timeout = drain_timeout
@@ -294,16 +311,8 @@ class ReproDaemon:
         #: Live connections: each writer and the task handling it.
         self._conns: Dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._batchers: Dict[Tuple[int, str, bytes], _Batcher] = {}
-        self._pools: Dict[Tuple[str, bytes], BulkPool] = {}
-        self._pools_lock = threading.Lock()
-        self._workers = concurrent.futures.ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-serve")
         self.snapshot = snapshot
         # --- control plane ------------------------------------------
-        self.breaker_threshold = int(breaker_threshold)  # 0: disabled
-        self.breaker_reset = float(breaker_reset)
-        self._clock = clock  # injectable; breakers default to monotonic
-        self._breakers: Dict[Tuple[str, bytes], CircuitBreaker] = {}
         self.slo_target_ms = slo_target_ms
         self._controller = None if slo_target_ms is None else \
             AdmissionController(target_p99_ms=slo_target_ms,
@@ -314,16 +323,9 @@ class ReproDaemon:
         if rotate_every and not self.observe_stride:
             self.observe_stride = 1  # rotation needs samples
         self._observer = TrafficObserver()
-        self._rotation: Optional[concurrent.futures.Future] = None
-        self.hedge = bool(hedge)
-        self.hedge_min = float(hedge_min)
-        self.hedge_under_faults = bool(hedge_under_faults)
+        self._rotation: Optional[asyncio.Future] = None
         from repro.engine.engine import Engine
 
-        # Warm once at construction: every pool converts inline on this
-        # one engine, so the snapshot is applied exactly once here
-        # rather than per (format, delimiter) pool.  Process workers
-        # still get the snapshot from their pool.
         self._engine = Engine(snapshot=snapshot)
         self._stats: Dict[str, int] = dict.fromkeys(SERVE_STAT_KEYS, 0)
 
@@ -354,9 +356,9 @@ class ReproDaemon:
 
     async def close(self) -> None:
         """Graceful drain: stop accepting, wait for in-flight responses
-        (bounded by ``drain_timeout``), then tear down pools and
-        executors.  Idempotent — any number of calls, from the serve
-        loop's finally or directly."""
+        (bounded by ``drain_timeout``), then close the connections.
+        Idempotent — any number of calls, from the serve loop's finally
+        or directly."""
         if self._closed:
             return
         self._draining = True
@@ -385,11 +387,6 @@ class ReproDaemon:
         if self._conns:
             await asyncio.wait(list(self._conns.values()),
                                timeout=max(deadline - loop.time(), 1.0))
-        with self._pools_lock:
-            pools, self._pools = list(self._pools.values()), {}
-        for pool in pools:
-            await loop.run_in_executor(None, pool.close)
-        self._workers.shutdown(wait=False)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -439,10 +436,12 @@ class ReproDaemon:
             await queue.put(None)
             with contextlib.suppress(Exception):
                 await pump
-            self._conns.pop(writer, None)
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
+            # Only now, so that close() waits for a handler still
+            # closing its stream rather than leaving it to be cancelled.
+            self._conns.pop(writer, None)
 
     async def _pump(self, queue: asyncio.Queue,
                     writer: asyncio.StreamWriter) -> None:
@@ -528,17 +527,6 @@ class ReproDaemon:
             self._stats["overloads"] += 1
             return _failed(ServeOverloadError(
                 "daemon is draining; connect elsewhere"), loop)
-        brk = None
-        canary = False
-        if self.breaker_threshold > 0:
-            brk = self._breaker_for((req.fmt_name, req.delimiter))
-            decision = brk.admit()
-            if decision == SHED:
-                # The pool behind this key is (believed) broken: shed
-                # immediately instead of queueing into it.
-                self._stats["overloads"] += 1
-                return _failed(brk.shed_error(req.fmt_name), loop)
-            canary = decision == CANARY
         if self._inflight_requests >= self.max_inflight_requests:
             self._stats["overloads"] += 1
             return _failed(ServeOverloadError(
@@ -588,39 +576,17 @@ class ReproDaemon:
             batcher = self._batchers[key] = _Batcher(
                 self, req.op, req.fmt_name, req.delimiter)
         batcher.add(req.payload, fut)
-        if brk is not None or self._controller is not None:
+        if self._controller is not None:
             t0 = loop.time()
             fut.add_done_callback(
-                lambda f, brk=brk, canary=canary, t0=t0:
-                self._settle(f, brk, canary, t0, loop))
+                lambda f, t0=t0: self._settle(f, t0, loop))
         return fut
 
-    def _breaker_for(self, key: Tuple[str, bytes]) -> CircuitBreaker:
-        brk = self._breakers.get(key)
-        if brk is None:
-            kwargs = {} if self._clock is None else {"clock": self._clock}
-            brk = self._breakers[key] = CircuitBreaker(
-                threshold=self.breaker_threshold,
-                reset_timeout=self.breaker_reset, **kwargs)
-        return brk
-
-    def _settle(self, fut: asyncio.Future, brk: Optional[CircuitBreaker],
-                canary: bool, t0: float,
+    def _settle(self, fut: asyncio.Future, t0: float,
                 loop: asyncio.AbstractEventLoop) -> None:
-        """Outcome bookkeeping for one admitted request: feed the
-        latency reservoir and the breaker state machine.  Data errors
-        (bad literals, misaligned payloads) are the request's fault and
-        count as successes; only infrastructure failures open a
-        breaker."""
-        if fut.cancelled():
-            if brk is not None and canary:
-                brk.record(False, canary=True)
-            return
-        exc = fut.exception()
-        if self._controller is not None:
+        """Feed one admitted request's latency to the AIMD controller."""
+        if not fut.cancelled():
             self._controller.observe(loop.time() - t0)
-        if brk is not None:
-            brk.record(not CircuitBreaker.is_failure(exc), canary=canary)
 
     def _observe(self, req: protocol.Request) -> None:
         """Sample corpus shape; trigger a snapshot rotation when due."""
@@ -637,14 +603,16 @@ class ReproDaemon:
                 and (self._rotation is None or self._rotation.done())
                 and self._observer.rows_since_rotation
                 >= self.rotate_every):
-            self._rotation = self._workers.submit(self._rotate_now)
+            self._rotation = self._loop.run_in_executor(None,
+                                                        self._rotate_now)
 
     def _rotate_now(self) -> None:
-        """Rebuild the warm-start snapshot from live hot keys (worker
-        thread).  Rotation may only skip work, never change bytes: the
-        snapshot pre-seeds caches whose entries the verify battery
-        byte-compares against cold computation, and the save is the
-        torn-write-safe ``save_snapshot`` (temp file + rename)."""
+        """Rebuild the warm-start snapshot from live hot keys (on the
+        loop's default executor).  Rotation may only skip work, never
+        change bytes: the snapshot pre-seeds caches whose entries the
+        verify battery byte-compares against cold computation, and the
+        save is the torn-write-safe ``save_snapshot`` (temp file +
+        rename)."""
         try:
             from repro.engine.snapshot import (build_snapshot, hot_entries,
                                                save_snapshot)
@@ -659,9 +627,9 @@ class ReproDaemon:
                                         "requests":
                                         self._observer.requests})
             save_snapshot(snap, self.rotate_snapshot)
-            # Pools and engines built from here on warm from the
-            # rotated file; existing ones keep their caches (a cache
-            # can only be warmer, never different).
+            # Engines built from here on warm from the rotated file;
+            # the live one keeps its caches (a cache can only be
+            # warmer, never different).
             self.snapshot = self.rotate_snapshot
             self._stats["snapshot_rotations"] += 1
         except Exception:  # pragma: no cover - rotation is best-effort
@@ -670,14 +638,9 @@ class ReproDaemon:
             self._observer.rotation_done()
 
     def health(self) -> dict:
-        """Breaker states + controller window + observer summary — the
-        payload of the ``HEALTH`` opcode, JSON-serializable."""
-        breakers = {}
-        for (fmt_name, delim), brk in list(self._breakers.items()):
-            label = f"{fmt_name}:{delim.decode('ascii', 'replace')!r}"
-            breakers[label] = brk.snapshot()
+        """Controller window + observer summary — the payload of the
+        ``HEALTH`` opcode, JSON-serializable."""
         return {
-            "breakers": breakers,
             "admission": None if self._controller is None
             else self._controller.snapshot(),
             "observer": self._observer.summary(),
@@ -698,94 +661,78 @@ class ReproDaemon:
             self._stats["max_batch"] = size
 
     # ------------------------------------------------------------------
-    # Conversion (on the loop below INLINE_ROWS rows, else the executor)
+    # Conversion: one slice at a time, on the loop
     # ------------------------------------------------------------------
 
-    def _pool_for(self, fmt_name: str, delimiter: bytes) -> BulkPool:
-        key = (fmt_name, delimiter)
-        with self._pools_lock:
-            pool = self._pools.get(key)
-            if pool is None:
-                pool = self._pools[key] = BulkPool(
-                    jobs=self.jobs, fmt=STANDARD_FORMATS[fmt_name],
-                    mode=self.mode, tie=self.tie,
-                    delimiter=delimiter, engine=self._engine,
-                    deadline=self.deadline, budget=self.budget,
-                    retries=self.retries, on_error=self.on_error,
-                    snapshot=self.snapshot, hedge=self.hedge,
-                    hedge_min=self.hedge_min,
-                    hedge_with_faults=self.hedge_under_faults)
-            return pool
+    async def _next_slice(self) -> None:
+        """Yield one loop turn between two slices of a batch."""
+        await asyncio.sleep(0)
 
-    def _convert(self, pool: BulkPool, op: int, payloads: List[bytes],
-                 counts: List[int]) -> List[object]:
-        """One combined bulk call for a whole batch; per-request
-        results (bytes) or typed errors, in batch order.  ``counts``
-        holds each payload's rows (:meth:`BulkPool.rows`).
+    def _format(self, fmt, delimiter: bytes, payload: bytes) -> bytes:
+        return buffer.format_buffer(payload, fmt, delimiter=delimiter,
+                                    mode=self.mode, tie=self.tie,
+                                    engine=self._engine)
+
+    def _read(self, fmt, delimiter: bytes, payload: bytes) -> List[int]:
+        return buffer.parse_buffer(payload, fmt, delimiter=delimiter,
+                                   mode=self.mode, engine=self._engine)
+
+    def _convert(self, op: int, fmt, delimiter: bytes,
+                 payloads: List[bytes], counts: List[int]) -> List[object]:
+        """One combined call for one slice; per-piece results (bytes)
+        or typed errors, in order.  ``counts`` holds each payload's
+        rows.
 
         When the combined call raises a :class:`ReproError` (one
-        request's data poisons the batch — e.g. a garbage literal),
-        falls back to per-request conversion so the error lands only on
+        request's data poisons the slice — e.g. a garbage literal),
+        falls back to per-piece conversion so the error lands only on
         the request that earned it.
         """
-        one = (self._format_one if op == OP_FORMAT else self._read_one)
+        if op == OP_FORMAT:
+            def one(p):
+                return self._format(fmt, delimiter, p)
+        else:
+            def one(p):
+                return pack_bits(self._read(fmt, delimiter, p), fmt)
         if len(payloads) == 1:
             try:
-                return [one(pool, payloads[0])]
+                return [one(payloads[0])]
             except ReproError as exc:
                 return [exc]
-        combined = (self._format_combined if op == OP_FORMAT
-                    else self._read_combined)
         try:
-            return combined(pool, payloads, counts)
+            if op == OP_FORMAT:
+                # Every output row is terminated, so one C-level split
+                # yields the rows plus one empty tail; each piece joins
+                # its share.
+                rows = self._format(fmt, delimiter,
+                                    b"".join(payloads)).split(delimiter)
+                join = delimiter.join
+                out, idx = [], 0
+                for c in counts:
+                    out.append(join(rows[idx:idx + c]) + delimiter
+                               if c else b"")
+                    idx += c
+                return out
+            # Terminate an unterminated tail so piece boundaries survive
+            # concatenation (an unterminated trailing token is one row
+            # either way).
+            bits = self._read(fmt, delimiter, b"".join(
+                [p + delimiter if p and not p.endswith(delimiter) else p
+                 for p in payloads]))
+            out, idx = [], 0
+            for c in counts:
+                out.append(pack_bits(bits[idx:idx + c], fmt))
+                idx += c
+            return out
         except ReproError:
             self._stats["batch_fallbacks"] += 1
-            out: List[object] = []
+            out = []
             for p in payloads:
                 try:
-                    out.append(one(pool, p))
+                    out.append(one(p))
                 except ReproError as exc:
                     out.append(exc)
             return out
-
-    @staticmethod
-    def _format_one(pool: BulkPool, payload: bytes) -> bytes:
-        return pool.format_bulk(payload)
-
-    @staticmethod
-    def _read_one(pool: BulkPool, payload: bytes) -> bytes:
-        return pack_bits(pool.read_bulk(payload), pool.fmt)
-
-    @staticmethod
-    def _format_combined(pool: BulkPool, payloads: List[bytes],
-                         counts: List[int]) -> List[bytes]:
-        delim = pool.delimiter
-        # Every output row is terminated, so one C-level split yields
-        # the rows plus one empty tail; each request joins its share.
-        rows = pool.format_bulk(b"".join(payloads)).split(delim)
-        out: List[bytes] = []
-        idx = 0
-        for c in counts:
-            out.append(delim.join(rows[idx:idx + c]) + delim if c else b"")
-            idx += c
-        return out
-
-    @staticmethod
-    def _read_combined(pool: BulkPool, payloads: List[bytes],
-                       counts: List[int]) -> List[bytes]:
-        delim = pool.delimiter
-        # Terminate an unterminated tail so request boundaries survive
-        # concatenation (an unterminated trailing token is one row
-        # either way).
-        bits = pool.read_bulk(b"".join(
-            [p + delim if p and not p.endswith(delim) else p
-             for p in payloads]))
-        out: List[bytes] = []
-        idx = 0
-        for c in counts:
-            out.append(pack_bits(bits[idx:idx + c], pool.fmt))
-            idx += c
-        return out
 
     # ------------------------------------------------------------------
     # Introspection
@@ -799,19 +746,11 @@ class ReproDaemon:
     def stats(self) -> Dict[str, int]:
         """Serving counters (:data:`SERVE_STAT_KEYS`), always complete.
 
-        Control-plane counters are folded live: breaker transitions
-        from every breaker, AIMD adjustments from the controller,
-        sampled requests from the observer — so every shed, trip,
-        close and rotation is accounted here.
+        Control-plane counters are folded live: AIMD adjustments from
+        the controller, sampled requests from the observer — so every
+        shed, adjustment and rotation is accounted here.
         """
         out = dict(self._stats)
-        for brk in list(self._breakers.values()):
-            snap = brk.snapshot()
-            out["breaker_trips"] += snap["trips"]
-            out["breaker_sheds"] += snap["sheds"]
-            out["breaker_closes"] += snap["closes"]
-            out["breaker_reopens"] += snap["reopens"]
-            out["breaker_canaries"] += snap["canaries"]
         if self._controller is not None:
             out["admission_increases"] += self._controller.increases
             out["admission_decreases"] += self._controller.decreases
@@ -819,18 +758,10 @@ class ReproDaemon:
         return out
 
     def pool_stats(self) -> Dict[str, int]:
-        """Engine + recovery counters across every live pool (empty
-        before the first pool): the engine the pools share counted
-        once, plus each pool's worker deltas and recovery counters."""
-        with self._pools_lock:
-            pools = list(self._pools.values())
-        if not pools:
-            return {}
-        out = self._engine.stats()
-        for pool in pools:
-            for k, v in pool._own_stats().items():
-                out[k] = out.get(k, 0) + v
-        return out
+        """The daemon engine's counters
+        (:meth:`~repro.engine.engine.Engine.stats`): every conversion
+        the wire has made, both directions."""
+        return self._engine.stats()
 
 
 # ----------------------------------------------------------------------
@@ -879,17 +810,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--port", type=int, default=0,
                         help="listen port (0: pick a free one, printed "
                              "on startup)")
+    # perfbench's launcher (and older command lines) still pass these.
     parser.add_argument("--jobs", type=int, default=1,
-                        help="BulkPool workers per (format, delimiter)")
+                        help="ignored: every batch converts inline on "
+                             "the daemon's one engine (accepted for "
+                             "older command lines)")
     parser.add_argument("--kind", default="process", choices=["process"],
-                        help="accepted for older command lines; --jobs "
-                             "alone picks the route (see "
-                             "docs/robustness.md)")
-    parser.add_argument("--deadline", type=float, default=None,
-                        metavar="SECONDS", help="per-shard deadline")
-    parser.add_argument("--budget", type=float, default=None,
-                        metavar="SECONDS",
-                        help="whole-batch conversion budget")
+                        help="ignored, as --jobs is (accepted for older "
+                             "command lines)")
     parser.add_argument("--max-inflight-mb", type=float, default=16.0,
                         help="admission budget: in-flight payload MiB")
     parser.add_argument("--max-inflight-requests", type=int,
@@ -899,14 +827,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="warm-start snapshot (built by "
                              "tools/warm_snapshot.py); a rejected file "
                              "degrades to a cold start")
-    parser.add_argument("--breaker-threshold", type=int, default=0,
-                        metavar="N",
-                        help="consecutive pool failures that trip a "
-                             "circuit breaker (0: disabled)")
-    parser.add_argument("--breaker-reset", type=float, default=1.0,
-                        metavar="SECONDS",
-                        help="open-state backoff before the half-open "
-                             "canary probe")
     parser.add_argument("--slo-target-ms", type=float, default=None,
                         metavar="MS",
                         help="p99 target for AIMD adaptive admission "
@@ -922,24 +842,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                         metavar="N",
                         help="sample every Nth request's corpus shape "
                              "(0: observer off)")
-    parser.add_argument("--hedge", action="store_true",
-                        help="hedge straggling shards onto a spare "
-                             "worker (first CRC-valid answer wins)")
     args = parser.parse_args(argv)
 
     daemon = ReproDaemon(
-        host=args.host, port=args.port, jobs=args.jobs,
-        deadline=args.deadline,
-        budget=args.budget,
+        host=args.host, port=args.port,
         max_inflight_bytes=int(args.max_inflight_mb * (1 << 20)),
         max_inflight_requests=args.max_inflight_requests,
         snapshot=args.snapshot,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset=args.breaker_reset,
         slo_target_ms=args.slo_target_ms,
         rotate_snapshot=args.rotate_snapshot,
         rotate_every=args.rotate_every,
-        observe_stride=args.observe_stride, hedge=args.hedge)
+        observe_stride=args.observe_stride)
 
     async def _run() -> None:
         await daemon.start()

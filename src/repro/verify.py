@@ -49,11 +49,11 @@ flag          surfaces (rows)                             oracle
               pool on a corrupt snapshot file             exact reader
 --chaos       process ``BulkPool`` under five fault       exact tier,
               plans; typed errors, strict engine          exact reader
---serve       daemon wire on ``jobs=1`` (inline) and      exact tier,
-              process pools: format, read, pipelined      exact reader
-              bursts, the chaos plan; typed errors
---control     controlled process daemon under four        exact tier
-              fault plans, a hedged process pool, live
+--serve       daemon wire: format, read, pipelined        exact tier,
+              bursts, requests cut into slices, the       exact reader
+              engine fault plan; typed errors
+--control     the engine fault plan under AIMD            exact tier,
+              admission, a hedged process pool, live      exact reader
               snapshot rotation
 ============  ==========================================  ================
 """
@@ -621,7 +621,7 @@ class Corpus:
     def spans(self) -> List[Tuple[int, int]]:
         """``(start, stop)`` spans of 2048-row wire requests; a
         remainder below :data:`~repro.serve.pool.INLINE_ROWS` joins the
-        span before it, so every request shards to the pool's rung."""
+        span before it, so no request is smaller than one slice."""
         count = len(self.values)
         spans = [(a, min(a + 2048, count)) for a in range(0, count, 2048)]
         if len(spans) > 1 and spans[-1][1] - spans[-1][0] < INLINE_ROWS:
@@ -723,7 +723,7 @@ def _rows(payload: bytes, delimiter: bytes = b"\n") -> List[str]:
 
 
 def _run_row(report: VerificationReport, c: Corpus, row: Row,
-             obj: Any) -> None:
+             obj: Any, oracle) -> None:
     try:
         got = row.surface(c, obj)
     except Exception as exc:
@@ -731,14 +731,15 @@ def _run_row(report: VerificationReport, c: Corpus, row: Row,
             else "untyped escape"
         report.expect(row.tag, False, c.values[0], f"{kind}: {exc!r}")
         return
-    want, lanes = row.oracle(c)
+    want, lanes = oracle
     _compare_rows(report, row.tag, got, want, c.values, lanes)
 
 
 def run_rows(report: VerificationReport, h: Harness,
              rows: Sequence[Row]) -> None:
     """Run ``rows`` over ``h.corpus``: each rig is opened once, its
-    plan armed around its rows, and audited after them."""
+    plan armed around its rows, and audited after them.  The oracles
+    are computed before the plan is armed, so no fault reaches them."""
     groups: Dict[Rig, List[Row]] = {}
     for row in rows:
         groups.setdefault(row.rig, []).append(row)
@@ -746,9 +747,10 @@ def run_rows(report: VerificationReport, h: Harness,
         plan = rig.plan(h.seed) if rig.plan else None
         try:
             with rig.open(h) as obj:
+                oracles = [row.oracle(h.corpus) for row in members]
                 with faults.armed(plan):
-                    for row in members:
-                        _run_row(report, h.corpus, row, obj)
+                    for row, oracle in zip(members, oracles):
+                        _run_row(report, h.corpus, row, obj, oracle)
                 if rig.audit:
                     rig.audit(report, h, obj, plan)
         except Exception as exc:
@@ -1255,6 +1257,19 @@ _WARM_ROWS = (
 # The chaos battery: pool byte identity under injected faults
 # ----------------------------------------------------------------------
 
+def _tier_raise(seed: int) -> "faults.FaultPlan":
+    """Every fast lane raising at a fifth of its calls.  Every spec
+    must fire even on a few hundred values (a pool worker may see only
+    ~40 calls of a site); the limit bounds the healing cost on large
+    corpora."""
+    return faults.FaultPlan([
+        faults.FaultSpec("engine.tier0", rate=0.2, limit=64),
+        faults.FaultSpec("engine.schubfach", rate=0.2, limit=64),
+        faults.FaultSpec("reader.tier1", rate=0.2, limit=64),
+        faults.FaultSpec("reader.tier1", rate=0.2, limit=64),
+    ], seed)
+
+
 def _chaos_plans() -> Dict[str, Tuple[Callable, Dict]]:
     """The named fault plans, each ``(seed -> fresh plan, pool
     kwargs)`` (plans are stateful)."""
@@ -1272,15 +1287,7 @@ def _chaos_plans() -> Dict[str, Tuple[Callable, Dict]]:
             FaultSpec("pool.format_shard", "corrupt", shard=2),
             FaultSpec("pool.read_shard", "corrupt", shard=0),
         ], seed), {}),
-        # Every spec must fire even on a few hundred values (a worker
-        # may see only ~40 calls of a site); the limit bounds the
-        # healing cost on large corpora.
-        "tier-raise": (lambda seed: FaultPlan([
-            FaultSpec("engine.tier0", rate=0.2, limit=64),
-            FaultSpec("engine.schubfach", rate=0.2, limit=64),
-            FaultSpec("reader.tier1", rate=0.2, limit=64),
-            FaultSpec("reader.tier1", rate=0.2, limit=64),
-        ], seed), {}),
+        "tier-raise": (_tier_raise, {}),
         "mixed": (faults.smoke_plan, {}),
     }
 
@@ -1421,41 +1428,48 @@ def _wire_errors(report: VerificationReport, h: Harness, rig,
 
 
 #: Passes per chaos wire row.  Each span's frame pair is one burst, so
-#: every pass makes its own pool calls instead of one coalesced batch.
+#: every pass makes its own batches instead of one coalesced one.
 _CHAOS_ROUNDS = 16
 
 
 def _wire_chaos_audit(report: VerificationReport, h: Harness, rig, plan,
                       tag: str, shed_bound: float = 0.0) -> None:
-    """Chaos through a daemon: a pool fault fired, ``pool_stats()``
-    counts a recovery per pool fault fired, the daemon admitted each
-    frame sent once, and at most ``shed_bound`` got a typed error."""
-    with plan._lock:
-        fired = sum(plan.fired.get(s, 0) for s in faults.POOL_SITES)
-    pool = rig.daemon.pool_stats()
-    recovered = sum(pool.get(k, 0) for k in (
-        "shard_failures", "corrupt_shards", "deadline_hits"))
+    """Engine chaos through a daemon: every spec of the plan fired, the
+    daemon's engine healed each firing (``pool_stats()``), the daemon
+    admitted each frame sent once, and at most ``shed_bound`` got a
+    typed error."""
+    fired = plan.spec_fired()
+    stats = rig.daemon.pool_stats()
+    healed = stats["tier_faults"] + stats["read_tier_faults"]
     admitted = rig.daemon.stats()["requests"]
-    report.expect(tag, 1 <= fired <= recovered and admitted == rig.sent
+    report.expect(tag, all(fired) and healed == sum(fired)
+                  and admitted == rig.sent
                   and rig.errors <= rig.sent * shed_bound,
                   h.corpus.values[0],
-                  f"{fired} pool faults fired, {recovered} recoveries; "
-                  f"{rig.sent} frames sent, {admitted} admitted, "
-                  f"{rig.errors} typed errors (bound {shed_bound:.0%})")
+                  f"spec firings {fired}, {healed} healed; {rig.sent} "
+                  f"frames sent, {admitted} admitted, {rig.errors} typed "
+                  f"errors (bound {shed_bound:.0%})")
 
 
-_INLINE_WIRE = Rig(lambda h: _daemon(h, jobs=1), audit=_wire_errors)
-_PROCESS_WIRE = Rig(lambda h: _daemon(h, jobs=h.jobs))
-_CHAOS_WIRE = Rig(lambda h: _daemon(h, jobs=h.jobs, retries=3),
-                  plan=faults.chaos_plan, audit=functools.partial(
-                      _wire_chaos_audit, tag="serve/chaos-accounting"))
+def _wire_large(c: Corpus, rig) -> List:
+    """The corpus twice over as one format and one read request, each
+    more than ``INLINE_ROWS`` rows, so each batch converts in slices."""
+    got = _rows(rig.client.format(c.packed * 2, c.fmt.name))
+    return got + bits_from_buffer(
+        rig.client.read(c.payload * 2, c.fmt.name), c.fmt)
+
+
+_WIRE = Rig(_daemon, audit=_wire_errors)
+_CHAOS_WIRE = Rig(_daemon, plan=_tier_raise,
+                  audit=functools.partial(_wire_chaos_audit,
+                                          tag="serve/chaos-accounting"))
 
 _SERVE_ROWS = (
-    Row("serve/format", _wire_format, rig=_INLINE_WIRE),
-    Row("serve/read", _wire_read, _bits, rig=_INLINE_WIRE),
-    Row("serve/pipeline", _wire_pipeline, _pipelined, rig=_INLINE_WIRE),
-    Row("serve/process-format", _wire_format, rig=_PROCESS_WIRE),
-    Row("serve/process-read", _wire_read, _bits, rig=_PROCESS_WIRE),
+    Row("serve/format", _wire_format, rig=_WIRE),
+    Row("serve/read", _wire_read, _bits, rig=_WIRE),
+    Row("serve/pipeline", _wire_pipeline, _pipelined, rig=_WIRE),
+    Row("serve/large", _wire_large,
+        lambda c: (c.lines * 2 + c.want_bits * 2, c.lanes * 4), rig=_WIRE),
     Row("serve/chaos",
         functools.partial(_wire_pipeline, rounds=_CHAOS_ROUNDS, burst=2),
         functools.partial(_pipelined, rounds=_CHAOS_ROUNDS),
@@ -1466,24 +1480,6 @@ _SERVE_ROWS = (
 # ----------------------------------------------------------------------
 # The control battery: the self-healing control plane under fire
 # ----------------------------------------------------------------------
-
-def _control_audit(report: VerificationReport, h: Harness, rig, plan,
-                   tag: str) -> None:
-    """Faults the pool heals stay invisible to the control plane: a
-    bounded shed rate and no breaker transitions."""
-    stats = rig.daemon.stats()
-    requests = max(1, stats["requests"])
-    report.expect(tag, stats["overloads"] <= requests * 0.5
-                  and stats["breaker_trips"] == 0, h.corpus.values[0],
-                  f"shed {stats['overloads']}/{requests}, breaker "
-                  f"tripped {stats['breaker_trips']}x")
-
-
-def _controlled(pool_kw: Dict) -> Callable[[Harness], ContextManager]:
-    return lambda h: _daemon(h, jobs=h.jobs, retries=3,
-                             breaker_threshold=5, slo_target_ms=5000.0,
-                             observe_stride=1, **pool_kw)
-
 
 def _hedge_audit(report: VerificationReport, h: Harness, pool,
                  plan) -> None:
@@ -1509,8 +1505,8 @@ _HEDGE_POOL = Rig(
 @contextlib.contextmanager
 def _rotating(h: Harness):
     path = os.path.join(h.tmp, "rotated.snap")
-    with _daemon(h, jobs=1, rotate_snapshot=path,
-                 rotate_every=64, observe_stride=1) as rig:
+    with _daemon(h, rotate_snapshot=path, rotate_every=64,
+                 observe_stride=1) as rig:
         rig.path = path
         yield rig
 
@@ -1536,41 +1532,29 @@ def _rotation_audit(report: VerificationReport, h: Harness, rig,
 
 _ROTATION = Rig(_rotating, audit=_rotation_audit)
 
-
-def _control_rows() -> Tuple[Row, ...]:
-    rows: List[Row] = []
-    for name, (plan, pool_kw) in _chaos_plans().items():
-        if name in ("tier-raise", "mixed"):
-            continue  # in-worker lanes are the chaos battery's beat
-        tag = f"control/chaos-{name}"
-        rig = Rig(_controlled(pool_kw), plan=plan,
-                  audit=functools.partial(_control_audit, tag=tag))
-        rows.append(Row(tag, _wire_format, rig=rig))
-    # The chaos plan again: the control plane may shed (and the client
-    # resend) at most a fifth of the frames.
-    rows.append(Row(
-        "control/chaos-wire",
+_CONTROL_ROWS = (
+    # The engine plan under AIMD admission: the controller may shed
+    # (and the client resend) at most a fifth of the frames.
+    Row("control/chaos-wire",
         functools.partial(_wire_pipeline, rounds=_CHAOS_ROUNDS, burst=2,
                           resends=20),
         functools.partial(_pipelined, rounds=_CHAOS_ROUNDS),
-        rig=Rig(lambda h: _daemon(
-            h, jobs=h.jobs, retries=3, breaker_threshold=8,
-            slo_target_ms=60.0, hedge=True, hedge_min=0.05,
-            hedge_under_faults=True), plan=faults.chaos_plan,
-            audit=functools.partial(_wire_chaos_audit, shed_bound=0.2,
-                                    tag="control/chaos-wire-accounting"))))
-    return tuple(rows) + (
-        Row("control/hedge", lambda c, pool: _rows(pool.format_bulk(
-            c.packed[:INLINE_ROWS * c.itemsize])),
-            lambda c: (c.lines[:INLINE_ROWS], c.lanes[:INLINE_ROWS]),
-            rig=_HEDGE_POOL),
-        Row("control/rotation", _wire_format, rig=_ROTATION),
-        Row("control/rotation-after", _after_rotation, rig=_ROTATION),
-        # A rotated snapshot may only skip work, never change bytes.
-        Row("control/rotation-warm",
-            lambda c, rig: _scalar(Engine(snapshot=rig.path), c),
-            rig=_ROTATION),
-    )
+        rig=Rig(lambda h: _daemon(h, slo_target_ms=60.0),
+                plan=_tier_raise,
+                audit=functools.partial(
+                    _wire_chaos_audit, shed_bound=0.2,
+                    tag="control/chaos-wire-accounting"))),
+    Row("control/hedge", lambda c, pool: _rows(pool.format_bulk(
+        c.packed[:INLINE_ROWS * c.itemsize])),
+        lambda c: (c.lines[:INLINE_ROWS], c.lanes[:INLINE_ROWS]),
+        rig=_HEDGE_POOL),
+    Row("control/rotation", _wire_format, rig=_ROTATION),
+    Row("control/rotation-after", _after_rotation, rig=_ROTATION),
+    # A rotated snapshot may only skip work, never change bytes.
+    Row("control/rotation-warm",
+        lambda c, rig: _scalar(Engine(snapshot=rig.path), c),
+        rig=_ROTATION),
+)
 
 
 # ----------------------------------------------------------------------
@@ -1629,10 +1613,10 @@ _BATTERIES: Dict[str, _Battery] = {
         "fast-tier raises", rows=_chaos_rows(),
         checks=(_check_typed_errors,)),
     "serve": _Battery(
-        "serve", "run the serving battery: loopback daemon round trips on "
-        "inline and process pools (format and read ops, pipelined "
-        "bursts, typed error responses) must be byte-identical to the "
-        "exact tier", rows=_SERVE_ROWS),
+        "serve", "run the serving battery: loopback daemon round trips "
+        "(format and read ops, pipelined bursts, requests converted in "
+        "slices, the engine fault plan, typed error responses) must be "
+        "byte-identical to the exact tier", rows=_SERVE_ROWS),
     "warm": _Battery(
         "warm", "run the warm-start battery: snapshot-warmed engines and "
         "pools must be byte-identical to the exact tier, and corrupt "
@@ -1645,9 +1629,10 @@ _BATTERIES: Dict[str, _Battery] = {
         rows=_CONTENDER_ROWS, sample=_route_sample, min_rows=0,
         modes=(ReaderMode.NEAREST_EVEN, ReaderMode.NEAREST_UNKNOWN)),
     "control": _Battery(
-        "control", "run the control-plane battery: chaos plans through "
-        "a controlled daemon, hedged shards and live snapshot rotation "
-        "— shed or reroute, never change a byte", rows=_control_rows()),
+        "control", "run the control-plane battery: the engine fault "
+        "plan under AIMD admission, hedged shards on an offline pool and "
+        "live snapshot rotation — shed or reroute, never change a byte",
+        rows=_CONTROL_ROWS),
 }
 
 
@@ -1729,19 +1714,21 @@ def verify_chaos(fmt: FloatFormat = BINARY64, n: int = 50000, seed: int = 0,
 
 
 def verify_serve(fmt: FloatFormat = BINARY64, n: int = 50000,
-                 seed: int = 0, jobs: int = 2) -> VerificationReport:
-    """The daemon wire on an inline and a process pool — format, read
-    and a pipelined burst in ~2048-row requests — against the exact
-    tier and reader, and typed error responses on a live connection."""
-    return _run("serve", fmt, n, seed, jobs)
+                 seed: int = 0) -> VerificationReport:
+    """The daemon wire — format, read and a pipelined burst in
+    ~2048-row requests, the corpus as one request each way, and the
+    engine fault plan — against the exact tier and reader, and typed
+    error responses on a live connection."""
+    return _run("serve", fmt, n, seed)
 
 
 def verify_control(fmt: FloatFormat = BINARY64, n: int = 50000,
-                   seed: int = 0, jobs: int = 2) -> VerificationReport:
+                   seed: int = 0) -> VerificationReport:
     """The control plane may shed or reroute, never change a byte: the
-    chaos plans through a controlled process daemon, a hedged stalled
-    shard and live snapshot rotation, against the exact tier."""
-    return _run("control", fmt, n, seed, jobs)
+    engine fault plan through a daemon under AIMD admission, a hedged
+    stalled shard on an offline pool and live snapshot rotation, against
+    the exact tier and reader."""
+    return _run("control", fmt, n, seed)
 
 
 # ----------------------------------------------------------------------

@@ -234,9 +234,19 @@ class TestFaultPlanDeterminism:
         assert abs(fired - 250) < 4 * 13.7
 
     def test_pool_rate_specs_of_one_site_draw_independently(self):
-        # The standing chaos plan's two read-shard rate specs (corrupt
-        # at 2 %, stall at 1 %) each spend their limit of 5.
-        plan = faults.chaos_plan(0)
+        # Two read-shard rate specs (corrupt at 2 %, stall at 1 %) each
+        # spend their limit of 5; the format-shard specs never roll.
+        FaultSpec = faults.FaultSpec
+        plan = faults.FaultPlan([
+            FaultSpec("pool.format_shard", "crash", shard=0, attempt=0,
+                      limit=1),
+            FaultSpec("pool.format_shard", "crash", rate=0.02, attempt=0,
+                      limit=5),
+            FaultSpec("pool.read_shard", "corrupt", rate=0.02, attempt=0,
+                      limit=5),
+            FaultSpec("pool.read_shard", "stall", rate=0.01, attempt=0,
+                      stall=0.05, limit=5),
+        ], seed=0)
         for i in range(1000):
             plan.pool_action("pool.read_shard", i % 2, 0)
         assert plan.spec_fired() == [0, 0, 5, 5]

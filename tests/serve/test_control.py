@@ -1,11 +1,10 @@
-"""The self-healing control plane: circuit breakers, AIMD admission,
-traffic observation, hedged dispatch, client reconnect and the HEALTH
-opcode.
+"""The self-healing control plane: AIMD admission, traffic
+observation, hedged dispatch on an offline pool, client reconnect and
+the HEALTH opcode.
 
-Breaker and controller state machines are driven on injected fake
-clocks — no sleeps, every transition deterministic.  The invariant
-under test throughout: the control plane may *shed or reroute, never
-change a byte*.
+The controller is driven by fed latencies — no sleeps, every transition
+deterministic.  The invariant under test throughout: the control plane
+may *shed or reroute, never change a byte*.
 """
 
 import os
@@ -18,48 +17,21 @@ import pytest
 from repro import faults
 from repro.engine import Engine
 from repro.engine.buffer import format_buffer, ingest_bits, pack_bits
-from repro.errors import (
-    DeadlineExceededError,
-    DecodeError,
-    ParseError,
-    PoolBrokenError,
-    ProtocolError,
-    ReproError,
-    ServeOverloadError,
-    ShardError,
-)
+from repro.errors import ProtocolError, ServeOverloadError
 from repro.floats.formats import BINARY64
 from repro.serve import BulkPool
 from repro.serve.client import ServeClient
-from repro.serve.control import (
-    ADMIT,
-    CANARY,
-    SHED,
-    AdmissionController,
-    CircuitBreaker,
-    TrafficObserver,
-)
+from repro.serve.control import AdmissionController, TrafficObserver
 from repro.serve.daemon import serving
 from repro.serve.pool import INLINE_ROWS
 
 VALUES = [1.5, 2.5, 3.0, -0.0, 5e-324, 1e308]
 PACKED = pack_bits(ingest_bits(VALUES, BINARY64), BINARY64)
 PLANE = format_buffer(PACKED, BINARY64, engine=Engine())
-# Tests aimed at a pool rung send at least INLINE_ROWS rows, so the
-# call shards (smaller calls convert inline, where no pool site fires).
+# The hedging tests send at least INLINE_ROWS rows, so the pool call
+# shards (smaller calls convert inline, where no pool site fires).
 WIDE_PACKED = PACKED * -(-INLINE_ROWS // len(VALUES))
 WIDE_PLANE = PLANE * -(-INLINE_ROWS // len(VALUES))
-
-
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        return self.t
-
-    def advance(self, dt):
-        self.t += dt
 
 
 @pytest.fixture(autouse=True)
@@ -67,151 +39,6 @@ def _disarmed():
     """No test may leak an armed plan into the rest of the suite."""
     yield
     faults.disarm()
-
-
-# ----------------------------------------------------------------------
-# Circuit breaker state machine (clock-injected, no sleeps)
-# ----------------------------------------------------------------------
-
-class TestCircuitBreaker:
-    def _breaker(self, **kw):
-        clock = FakeClock()
-        kw.setdefault("threshold", 3)
-        kw.setdefault("reset_timeout", 1.0)
-        return CircuitBreaker(clock=clock, **kw), clock
-
-    def test_trips_after_threshold_consecutive_failures(self):
-        brk, _ = self._breaker()
-        for _ in range(2):
-            assert brk.admit() == ADMIT
-            brk.record(False)
-        assert brk.state == "closed"
-        assert brk.admit() == ADMIT
-        brk.record(False)
-        assert brk.state == "open"
-        assert brk.trips == 1
-
-    def test_success_resets_the_consecutive_counter(self):
-        brk, _ = self._breaker()
-        for _ in range(5):  # fail, fail, success — never 3 in a row
-            brk.record(False)
-            brk.record(False)
-            brk.record(True)
-        assert brk.state == "closed"
-        assert brk.trips == 0
-
-    def test_open_sheds_until_reset_timeout(self):
-        brk, clock = self._breaker()
-        for _ in range(3):
-            brk.record(False)
-        assert brk.admit() == SHED
-        clock.advance(0.99)
-        assert brk.admit() == SHED
-        clock.advance(0.01)
-        assert brk.admit() == CANARY
-
-    def test_half_open_admits_single_canary_concurrents_shed(self):
-        brk, clock = self._breaker()
-        for _ in range(3):
-            brk.record(False)
-        clock.advance(1.0)
-        assert brk.admit() == CANARY
-        # Concurrent arrivals while the canary is outstanding are shed
-        # immediately — never queued behind the probe.
-        assert brk.admit() == SHED
-        assert brk.admit() == SHED
-        assert brk.sheds >= 2
-        assert brk.canaries == 1
-
-    def test_canary_success_closes_and_resets_backoff(self):
-        brk, clock = self._breaker()
-        for _ in range(3):
-            brk.record(False)
-        clock.advance(1.0)
-        assert brk.admit() == CANARY
-        brk.record(True, canary=True)
-        assert brk.state == "closed"
-        assert brk.closes == 1
-        assert brk.admit() == ADMIT
-        # The backoff reset: a later trip waits reset_timeout again,
-        # not a remembered multiple.
-        for _ in range(3):
-            brk.record(False)
-        clock.advance(1.0)
-        assert brk.admit() == CANARY
-
-    def test_canary_failure_reopens_with_full_doubled_backoff(self):
-        brk, clock = self._breaker()
-        for _ in range(3):
-            brk.record(False)
-        clock.advance(1.0)
-        assert brk.admit() == CANARY
-        brk.record(False, canary=True)
-        assert brk.state == "open"
-        assert brk.reopens == 1
-        # The next probe waits the whole doubled window from *now* —
-        # not the remainder of the old one.
-        clock.advance(1.99)
-        assert brk.admit() == SHED
-        clock.advance(0.01)
-        assert brk.admit() == CANARY
-
-    def test_backoff_caps_at_max_reset_timeout(self):
-        brk, clock = self._breaker(max_reset_timeout=3.0)
-        for _ in range(3):
-            brk.record(False)
-        for _ in range(5):  # 1 -> 2 -> 3 -> 3 -> 3
-            clock.advance(100.0)
-            assert brk.admit() == CANARY
-            brk.record(False, canary=True)
-        assert brk.snapshot()["reset_timeout"] == 3.0
-
-    def test_late_results_do_not_perturb_the_open_machine(self):
-        # A request admitted before the trip, finishing after it, must
-        # not close or re-trip the breaker — only the canary decides.
-        brk, clock = self._breaker()
-        for _ in range(3):
-            brk.record(False)
-        brk.record(True)
-        assert brk.state == "open"
-        brk.record(False)
-        assert brk.trips == 1
-
-    def test_data_errors_are_not_infrastructure_failures(self):
-        assert CircuitBreaker.is_failure(ShardError(0, 1, ValueError()))
-        assert CircuitBreaker.is_failure(PoolBrokenError("gone"))
-        assert CircuitBreaker.is_failure(
-            DeadlineExceededError("late", shard=0))
-        assert not CircuitBreaker.is_failure(ParseError("bad literal"))
-        assert not CircuitBreaker.is_failure(DecodeError("bad payload"))
-        assert not CircuitBreaker.is_failure(None)
-
-    def test_shed_error_is_typed_overload(self):
-        brk, _ = self._breaker()
-        err = brk.shed_error("binary64")
-        assert isinstance(err, ServeOverloadError)
-        assert "binary64" in str(err)
-
-    def test_snapshot_accounts_every_transition(self):
-        brk, clock = self._breaker()
-        for _ in range(3):
-            brk.record(False)
-        brk.admit()  # shed
-        clock.advance(1.0)
-        brk.admit()  # canary
-        brk.record(False, canary=True)
-        clock.advance(2.0)
-        brk.admit()  # canary again
-        brk.record(True, canary=True)
-        snap = brk.snapshot()
-        assert snap["state"] == "closed"
-        assert snap["trips"] == 1
-        assert snap["reopens"] == 1
-        assert snap["closes"] == 1
-        assert snap["sheds"] == 1
-        assert snap["canaries"] == 2
-        # The healing canary resets the doubled backoff.
-        assert snap["reset_timeout"] == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -363,44 +190,13 @@ class TestHedgedDispatch:
 # ----------------------------------------------------------------------
 
 class TestDaemonControl:
-    def test_breaker_trips_sheds_and_heals_on_fake_clock(self):
-        clock = FakeClock()
-        plan = faults.FaultPlan([
-            faults.FaultSpec("pool.format_shard", "raise",
-                             attempt=None, limit=None)])
-        with serving(jobs=2, on_error="raise", retries=0,
-                     breaker_threshold=2, breaker_reset=1.0,
-                     clock=clock) as d:
-            with ServeClient(d.host, d.port) as c:
-                with faults.armed(plan):
-                    for _ in range(2):
-                        # ShardError's structured signature degrades
-                        # to the base class on the wire; the name
-                        # travels in the message.
-                        with pytest.raises(ReproError,
-                                           match="ShardError"):
-                            c.format(WIDE_PACKED)
-                    with pytest.raises(ServeOverloadError,
-                                       match="circuit breaker open"):
-                        c.format(WIDE_PACKED)
-                # Plan disarmed, clock past the backoff: the canary
-                # request heals the key byte-identically.
-                clock.advance(1.5)
-                assert c.format(WIDE_PACKED) == WIDE_PLANE
-            stats = d.stats()
-        assert stats["breaker_trips"] == 1
-        assert stats["breaker_sheds"] >= 1
-        assert stats["breaker_canaries"] == 1
-        assert stats["breaker_closes"] == 1
-
     def test_health_opcode_returns_control_summary(self):
-        with serving(breaker_threshold=3, slo_target_ms=100.0,
-                     observe_stride=1) as d:
+        with serving(slo_target_ms=100.0, observe_stride=1) as d:
             with ServeClient(d.host, d.port) as c:
                 assert c.format(PACKED) == PLANE
                 health = c.health()
             stats = d.stats()
-        assert isinstance(health["breakers"], dict)
+        assert "breakers" not in health
         assert health["admission"]["target_p99_ms"] == 100.0
         assert "limit_bytes" in health["admission"]
         assert isinstance(health["observer"], dict)
@@ -413,7 +209,7 @@ class TestDaemonControl:
         # nothing is in flight, or such traffic could never reopen it.
         single = pack_bits(ingest_bits([1.5], BINARY64), BINARY64)
         plane = b"1.5\n" * 30000  # 120 kB
-        with serving(jobs=1, slo_target_ms=0.001) as d:
+        with serving(slo_target_ms=0.001) as d:
             with ServeClient(d.host, d.port) as c:
                 for _ in range(300):
                     assert c.format(single) == b"1.5\n"
@@ -451,8 +247,7 @@ class TestDaemonControl:
         monkeypatch.setattr(snapshot_mod, "save_snapshot", slow_save)
         root = tmp_path / "snapdir"
         root.mkdir()
-        with serving(jobs=1,
-                     rotate_snapshot=str(root / "rotated.snap"),
+        with serving(rotate_snapshot=str(root / "rotated.snap"),
                      rotate_every=1, observe_stride=1) as d:
             with ServeClient(d.host, d.port) as c:
                 assert c.format(PACKED) == PLANE

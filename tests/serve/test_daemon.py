@@ -15,6 +15,8 @@ than time anything.
 """
 
 import asyncio
+import random
+import select
 import signal
 import subprocess
 import sys
@@ -34,15 +36,21 @@ from repro.errors import RangeError, ReproError, ServeOverloadError
 from repro.floats.formats import BINARY64
 from repro.serve import protocol
 from repro.serve.client import AsyncServeClient, ServeClient
-from repro.serve.daemon import SERVE_STAT_KEYS, ReproDaemon, serving
+from repro.serve.daemon import (
+    SERVE_STAT_KEYS,
+    SLICE_BYTES,
+    ReproDaemon,
+    serving,
+)
 from repro.serve.pool import INLINE_ROWS
 from repro.serve.protocol import OP_FORMAT, OP_PING, OP_READ
+from repro.workloads.corpus import uniform_random
 
 VALUES = [1.5, 2.5, 3.0, -0.0, 5e-324, 1e308]
 PACKED = pack_bits(ingest_bits(VALUES, BINARY64), BINARY64)
 PLANE = format_buffer(PACKED, BINARY64, engine=Engine())
-# At least INLINE_ROWS rows: a batch of this one request runs on the
-# worker executor, where a Hold can stop it.
+# More than INLINE_ROWS rows: a batch of this one request converts in
+# two slices, where a Hold can stop it between them.
 WIDE = PACKED * -(-INLINE_ROWS // len(VALUES))
 WIDE_PLANE = PLANE * -(-INLINE_ROWS // len(VALUES))
 
@@ -88,28 +96,34 @@ def until(d, pred):
 
 
 class Hold:
-    """Holds a daemon's executor-path conversions until released.
+    """Holds a daemon's sliced batches between two slices until
+    released.
 
-    A batch of at least ``INLINE_ROWS`` rows runs on the worker
-    executor; there the patched ``_convert`` sets :attr:`entered` and
-    blocks until :attr:`gate` is set.  :attr:`sizes` records the
-    requests in every combined call, on the loop or off it.
+    A batch of more than ``INLINE_ROWS`` rows converts in several
+    slices with a loop turn between them; there the patched
+    ``_next_slice`` sets :attr:`entered` and waits, without blocking
+    the loop, until :attr:`gate` is set.  :attr:`sizes` records the
+    requests in every batch.
     """
 
     def __init__(self, d):
         self.entered = threading.Event()
         self.gate = threading.Event()
         self.sizes = []
-        convert = d._convert
+        next_slice, note_batch = d._next_slice, d._note_batch
 
-        def held(pool, op, payloads, counts):
-            self.sizes.append(len(payloads))
-            if not pool.inline(sum(counts)):
-                self.entered.set()
-                assert self.gate.wait(30)
-            return convert(pool, op, payloads, counts)
+        async def held():
+            self.entered.set()
+            while not self.gate.is_set():
+                await asyncio.sleep(0.001)
+            await next_slice()
 
-        d._convert = held
+        def noted(size):
+            self.sizes.append(size)
+            note_batch(size)
+
+        d._next_slice = held
+        d._note_batch = noted
 
 
 class TestAdmission:
@@ -294,6 +308,106 @@ class TestBatching:
         assert stats["batch_fallbacks"] >= 1
 
 
+class TestSlices:
+    """Every batch converts on the loop in slices of at most
+    ``INLINE_ROWS`` rows and ``SLICE_BYTES`` bytes, with a loop turn
+    between two slices."""
+
+    @staticmethod
+    def sliced(d):
+        """Record the rows and bytes of every slice ``d`` converts."""
+        seen = []
+        convert = d._convert
+
+        def recorded(op, fmt, delimiter, payloads, counts):
+            seen.append((sum(counts), sum(map(len, payloads))))
+            return convert(op, fmt, delimiter, payloads, counts)
+
+        d._convert = recorded
+        return seen
+
+    @staticmethod
+    def ping_between_slices(d, frame):
+        """Send ``frame``, hold its batch between two slices, and PING
+        on a second connection: the PING must be answered while the
+        large response has not arrived.  Returns the large response."""
+        hold = Hold(d)
+        with ServeClient(d.host, d.port) as big, \
+                ServeClient(d.host, d.port) as small:
+            big.send_raw(frame)
+            assert hold.entered.wait(60)
+            assert small.ping()
+            assert select.select([big._sock], [], [], 0)[0] == []
+            hold.gate.set()
+            return decoded(*protocol.parse_response(big.recv_body()))
+
+    def test_large_read_yields_to_a_ping(self):
+        # 511 rows (one fewer than INLINE_ROWS) of 5,000-digit literals:
+        # about 2.5 MB, so only the byte bound slices it.
+        rng = random.Random(32)
+        plane = b"".join(
+            b"%d.%se%d\n" % (rng.randrange(1, 10),
+                              "".join(rng.choices("0123456789", k=4998))
+                              .encode(), rng.randrange(-300, 300))
+            for _ in range(INLINE_ROWS - 1))
+        want = pack_bits(parse_buffer(plane, BINARY64, engine=Engine()),
+                         BINARY64)
+        with serving() as d:
+            seen = self.sliced(d)
+            got = self.ping_between_slices(d, read(plane))
+        assert got == want
+        assert len(seen) > 1
+        assert all(size <= SLICE_BYTES for _, size in seen)
+        assert sum(rows for rows, _ in seen) == INLINE_ROWS - 1
+
+    def test_large_format_yields_to_a_ping(self):
+        packed = pack_bits(ingest_bits(
+            [v.to_float() for v in uniform_random(
+                4 * INLINE_ROWS, seed=32, signed=True)], BINARY64), BINARY64)
+        want = format_buffer(packed, BINARY64, engine=Engine())
+        with serving() as d:
+            seen = self.sliced(d)
+            got = self.ping_between_slices(d, fmt(packed))
+        assert got == want
+        assert [rows for rows, _ in seen] == [INLINE_ROWS] * 4
+
+    def test_cuts_keep_every_response_byte_identical(self):
+        # One burst: requests whole, cut across slices, empty, and with
+        # an unterminated tail, on both delimiters.
+        packed = [WIDE, b"", PACKED, WIDE * 3, PACKED[:8]]
+        planes = [WIDE_PLANE, b"", PLANE, WIDE_PLANE * 3 + b"7.5",
+                  b"0.1\n2e-3"]
+        for delim in (b"\n", b"\r\n"):
+            sent = [p.replace(b"\n", delim) for p in planes]
+            want = [format_buffer(p, BINARY64, engine=Engine(),
+                                  delimiter=delim) for p in packed]
+            want += [pack_bits(parse_buffer(p, BINARY64, engine=Engine(),
+                                            delimiter=delim), BINARY64)
+                     for p in sent]
+            with serving() as d:
+                seen = self.sliced(d)
+                got = pipelined(d, [fmt(p, delim) for p in packed]
+                                + [read(p, delim) for p in sent])
+                stats = d.stats()
+            assert got == want
+            assert stats["batches"] == 2  # one per key
+            assert max(rows for rows, _ in seen) == INLINE_ROWS
+            assert len(seen) > 2
+
+    def test_error_in_a_cut_request_lands_on_it_alone(self):
+        # The bad request is cut in two; its garbage row shares the
+        # second slice with the third request, which must still succeed.
+        bad = WIDE_PLANE + b"zzz\n"
+        with serving() as d:
+            res = pipelined(d, [read(PLANE), read(bad), read(PLANE)])
+            stats = d.stats()
+        from repro.errors import ParseError
+
+        assert res[0] == PACKED and res[2] == PACKED
+        assert isinstance(res[1], ParseError)
+        assert stats["batches"] == 1 and stats["batch_fallbacks"] == 1
+
+
 class TestDrain:
     def test_close_is_idempotent(self):
         with serving() as d:
@@ -406,23 +520,42 @@ class TestDrain:
             thread.join(timeout=30)
             loop.close()
 
-    def test_drain_right_after_disconnect_logs_no_error(self, caplog):
+    def test_drain_right_after_disconnect_logs_no_error(self, caplog,
+                                                        monkeypatch):
         # The SIGINT path of ``python -m repro.serve``: a client sends
         # a format and a read and hangs up, the daemon drains at once,
         # and the loop is torn down.  close() must let the connection
         # handler finish; one still running at teardown is cancelled,
-        # and asyncio logs its CancelledError as an error.
-        async def serve_then_drain():
-            d = await ReproDaemon(jobs=2).start()
+        # and asyncio logs its CancelledError as an error.  Half the
+        # rounds drain while the handler is still closing its stream
+        # (its wait_closed made a few loop turns slower).
+        real_wait_closed = asyncio.StreamWriter.wait_closed
+        closing = []
+
+        async def slow_wait_closed(self):
+            if closing:
+                closing[0].set()
+                for _ in range(20):
+                    await asyncio.sleep(0)
+            await real_wait_closed(self)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "wait_closed",
+                            slow_wait_closed)
+
+        async def serve_then_drain(mid_close):
+            d = await ReproDaemon().start()
             c = await AsyncServeClient.connect(d.host, d.port)
-            assert await c.format(PACKED) == PLANE
-            assert await c.read(PLANE) == PACKED
+            assert await c.format(WIDE) == WIDE_PLANE  # sliced
+            assert await c.read(WIDE_PLANE) == WIDE
+            closing[:] = [asyncio.Event()] if mid_close else []
             await c.close()
+            if mid_close:
+                await closing[0].wait()
             await d.close()
 
         with caplog.at_level("ERROR", logger="asyncio"):
-            for _ in range(3):
-                asyncio.run(serve_then_drain())
+            for mid_close in (False, True, False, True):
+                asyncio.run(serve_then_drain(mid_close))
         assert [r.getMessage() for r in caplog.records
                 if r.name == "asyncio"] == []
 
@@ -439,10 +572,24 @@ class TestDrain:
     def test_stats_keys_always_complete(self):
         with serving() as d:
             assert set(d.stats()) == set(SERVE_STAT_KEYS)
-            assert d.pool_stats() == {}  # no traffic, no pools
+            # The engine's counters from the start, before any traffic.
+            assert d.pool_stats() == Engine().stats()
             with ServeClient(d.host, d.port) as c:
                 c.format(PACKED)
-            assert d.pool_stats() != {}
+                c.read(PLANE)
+            stats = d.pool_stats()
+        assert stats["conversions"] == 5  # finite nonzero rows
+        assert stats["read_conversions"] == len(VALUES)
+
+    def test_serve_stat_keys_pinned(self):
+        assert SERVE_STAT_KEYS == (
+            "connections", "requests", "responses", "format_requests",
+            "read_requests", "pings", "batches", "batched_requests",
+            "max_batch", "batch_fallbacks", "overloads",
+            "protocol_errors", "error_responses", "bytes_in",
+            "bytes_out", "drains", "health_requests", "admission_sheds",
+            "admission_increases", "admission_decreases",
+            "observed_requests", "snapshot_rotations")
 
 
 class TestConfig:
@@ -456,8 +603,31 @@ class TestConfig:
         assert "--kind" in capsys.readouterr().err
 
     def test_bad_jobs_rejected(self):
-        with pytest.raises(RangeError, match="jobs"):
+        # The daemon has no pool to size: any jobs is an unknown
+        # argument (the CLI's --jobs is accepted and ignored).
+        with pytest.raises(TypeError, match="jobs"):
             ReproDaemon(jobs=0)
+
+    def test_pool_arguments_are_gone(self):
+        for name in ("workers", "deadline", "budget", "retries",
+                     "on_error", "breaker_threshold", "breaker_reset",
+                     "hedge", "hedge_min", "hedge_under_faults", "clock"):
+            with pytest.raises(TypeError, match=name):
+                ReproDaemon(**{name: 1})
+
+    def test_pool_flags_are_gone(self, capsys):
+        from repro.serve.daemon import main
+
+        for argv in (["--deadline", "1"], ["--budget", "1"],
+                     ["--breaker-threshold", "1"],
+                     ["--breaker-reset", "1"], ["--hedge"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_bad_drain_timeout_rejected(self):
+        with pytest.raises(RangeError, match="drain_timeout"):
+            ReproDaemon(drain_timeout=-1)
 
 
 class TestCli:
@@ -474,6 +644,44 @@ class TestCli:
         finally:
             proc.terminate()
             proc.wait(timeout=30)
+            proc.stdout.close()
+
+    def test_launcher_argv_converts_inline_with_no_child(self):
+        # The benchmark launcher's exact argv: --jobs and --kind are
+        # ignored, so batches of INLINE_ROWS rows and more convert in
+        # the daemon's own process and nothing forks.  A thread of the
+        # daemon's process answers "children" with its child count.
+        code = ("import multiprocessing, os, sys, threading\n"
+                "from repro.serve.daemon import main\n"
+                "def answer():\n"
+                "    while os.read(0, 64):\n"
+                "        n = len(multiprocessing.active_children())\n"
+                "        os.write(1, b'children %d\\n' % n)\n"
+                "threading.Thread(target=answer, daemon=True).start()\n"
+                "sys.exit(main(['--jobs', '2', '--kind', 'process', "
+                "'--port', '0']))\n")
+        proc = subprocess.Popen([sys.executable, "-c", code],
+                                stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE, text=True)
+        try:
+            line = proc.stdout.readline()
+            assert "repro-serve listening on" in line
+            port = int(line.rsplit(":", 1)[1])
+            with ServeClient("127.0.0.1", port) as c:
+                assert c.format(WIDE) == WIDE_PLANE
+                assert c.read(WIDE_PLANE) == WIDE
+                assert c.format(WIDE * 4) == WIDE_PLANE * 4
+                assert c.read(WIDE_PLANE * 4) == WIDE * 4
+                proc.stdin.write("children\n")
+                proc.stdin.flush()
+                assert proc.stdout.readline() == "children 0\n"
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            proc.stdin.close()
             proc.stdout.close()
 
     @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM],

@@ -1,13 +1,18 @@
-"""Wire-level chaos: fault plans armed under live loopback traffic.
+"""Wire-level chaos: engine fault plans armed under live loopback
+traffic.
 
-The daemon's conversions run through :class:`~repro.serve.BulkPool`,
-so PR 5's deterministic fault machinery applies on the wire.  The
-contracts under test: the degradation ladder keeps the daemon serving,
-recovery counters account for every fired fault, responses stay
-byte-identical to the fault-free oracle, and unrecoverable failures
-come back as the documented typed error response — the connection is
-never hung or crashed by an injected fault.
+The daemon converts every batch on its one engine, so the faults that
+reach the wire are the engine's call sites (a fast lane raising
+mid-certification).  The contracts under test: the engine's guard rails
+heal every fired fault invisibly, the engine counters account for each
+one, responses stay byte-identical to the fault-free oracle across
+sliced batches, and a failure the engine does not heal (a strict
+engine) comes back as a typed error response — the connection is never
+hung or crashed by an injected fault.  No worker process exists, so no
+pool site ever fires.
 """
+
+import multiprocessing
 
 import pytest
 
@@ -19,23 +24,30 @@ from repro.engine.buffer import (
     pack_bits,
     parse_buffer,
 )
-from repro.errors import ReproError, ShardError
+from repro.errors import ReproError
 from repro.floats.formats import BINARY64
+from repro.serve import protocol
 from repro.serve.client import ServeClient
 from repro.serve.daemon import serving
 from repro.serve.pool import INLINE_ROWS
 from repro.workloads.corpus import uniform_random
 
-# At least INLINE_ROWS rows per request, so every batch on a jobs=2
-# daemon shards to the worker processes (smaller batches convert
-# inline, out of the pool sites' reach).
-VALUES = [v.to_float()
-          for v in uniform_random(INLINE_ROWS, seed=23, signed=True)] \
-    + [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324]
-PACKED = pack_bits(ingest_bits(VALUES, BINARY64), BINARY64)
-PLANE = format_buffer(PACKED, BINARY64, engine=Engine())
-WANT_BITS = pack_bits(parse_buffer(PLANE, BINARY64, engine=Engine()),
-                      BINARY64)
+SPECIALS = [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324]
+
+
+def corpus(seed):
+    """Two slices' worth of signed values plus the specials: the packed
+    column, its plane and the plane's bits."""
+    values = [v.to_float() for v in uniform_random(
+        2 * INLINE_ROWS, seed=seed, signed=True)] + SPECIALS
+    packed = pack_bits(ingest_bits(values, BINARY64), BINARY64)
+    plane = format_buffer(packed, BINARY64, engine=Engine())
+    bits = pack_bits(parse_buffer(plane, BINARY64, engine=Engine()),
+                     BINARY64)
+    return packed, plane, bits
+
+
+PACKED, PLANE, WANT_BITS = corpus(23)
 
 
 @pytest.fixture(autouse=True)
@@ -45,158 +57,154 @@ def _disarmed():
     faults.disarm()
 
 
+def read_request(plane):
+    return protocol.encode_request(protocol.OP_READ, plane, "binary64",
+                                   b"\n")
+
+
+def healed(stats):
+    return stats["tier_faults"] + stats["read_tier_faults"]
+
+
 def fired_pool_faults(plan):
     with plan._lock:
         return sum(plan.fired.get(s, 0) for s in faults.POOL_SITES)
 
 
 class TestHealing:
-    def test_crashed_shard_heals_byte_identically(self):
+    def test_tier_raises_heal_on_the_wire(self):
         plan = faults.FaultPlan([
-            faults.FaultSpec("pool.format_shard", "crash", shard=0)])
-        with serving(jobs=2) as d:
+            faults.FaultSpec("engine.tier0", at=(0, 3, 700), limit=None),
+            faults.FaultSpec("engine.schubfach", at=(1, 4, 600),
+                             limit=None),
+            faults.FaultSpec("reader.tier1", at=(2, 5, 800), limit=None),
+        ])
+        with serving() as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
-                    got = c.format(PACKED)
-                assert got == PLANE
+                    assert c.format(PACKED) == PLANE
+                    assert c.read(PLANE) == WANT_BITS
                 # And again, fault-free, on the same connection.
                 assert c.format(PACKED) == PLANE
             stats = d.pool_stats()
-        assert plan.fired["pool.format_shard"] == 1
-        assert stats["shard_failures"] >= 1
-        assert stats["pool_rebuilds"] >= 1
-
-    def test_corrupt_shard_caught_and_retried(self):
-        plan = faults.FaultPlan([
-            faults.FaultSpec("pool.format_shard", "corrupt", shard=0)])
-        with serving(jobs=2) as d:
-            with ServeClient(d.host, d.port) as c:
-                with faults.armed(plan):
-                    assert c.format(PACKED) == PLANE
-            stats = d.pool_stats()
-        assert stats["corrupt_shards"] >= 1
-
-    def test_stalled_read_shard_misses_deadline_then_heals(self):
-        plan = faults.FaultPlan([
-            faults.FaultSpec("pool.read_shard", "stall", shard=0,
-                             stall=0.6)])
-        with serving(jobs=2, deadline=0.2) as d:
-            with ServeClient(d.host, d.port) as c:
-                with faults.armed(plan):
-                    assert c.read(PLANE) == WANT_BITS
-            stats = d.pool_stats()
-        assert stats["deadline_hits"] >= 1
-
-    def test_tier_raises_heal_in_process_workers(self):
-        plan = faults.FaultPlan([
-            faults.FaultSpec("engine.tier0", at=(0, 3, 7)),
-            faults.FaultSpec("engine.schubfach", at=(1, 4)),
-        ])
-        with serving(jobs=2) as d:
-            with ServeClient(d.host, d.port) as c:
-                with faults.armed(plan):
-                    assert c.format(PACKED) == PLANE
-            stats = d.pool_stats()
-        assert stats.get("tier_faults", 0) >= 1
-        # Every spec fired, the write lane's included.
-        assert all(plan.spec_fired())
+        # Every spec fired, late calls (past the first slice) included,
+        # and the engine healed each one.
+        assert plan.spec_fired() == [3, 3, 3]
+        assert stats["tier_faults"] == 6
+        assert stats["read_tier_faults"] == 3
 
     def test_mixed_plan_under_sustained_traffic(self):
         plan = faults.FaultPlan([
-            faults.FaultSpec("pool.format_shard", "crash", rate=0.2,
-                             attempt=0, limit=3),
-            faults.FaultSpec("pool.read_shard", "corrupt", rate=0.2,
-                             attempt=0, limit=3),
+            faults.FaultSpec("engine.tier0", rate=0.2, limit=16),
+            faults.FaultSpec("engine.schubfach", rate=0.2, limit=16),
+            faults.FaultSpec("reader.tier1", rate=0.2, limit=16),
         ], seed=5)
-        with serving(jobs=2) as d:
+        rounds = [corpus(100 + i) for i in range(6)]
+        with serving() as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
-                    for _ in range(12):
-                        assert c.format(PACKED) == PLANE
-                        assert c.read(PLANE) == WANT_BITS
+                    for packed, plane, bits in rounds:
+                        assert c.format(packed) == plane
+                        assert c.read(plane) == bits
             stats = d.pool_stats()
             serve_stats = d.stats()
-        fired = fired_pool_faults(plan)
-        assert fired >= 1, "dead chaos leg: the plan never fired"
-        recovered = (stats["shard_failures"] + stats["corrupt_shards"]
-                     + stats["deadline_hits"])
-        assert recovered >= fired
+        assert all(plan.spec_fired()), "dead chaos leg: a spec never fired"
+        assert healed(stats) == plan.total_fired()
         assert serve_stats["error_responses"] == 0
 
 
 class TestDegradation:
     def test_ladder_keeps_daemon_serving(self):
-        # Crash every shard attempt: the pool must step down to inline
-        # conversion and the daemon must keep answering, bytes intact.
+        # Every fast lane raises on every call: the engine's guard rails
+        # step each row down to the exact tier, and the daemon keeps
+        # answering, bytes intact.
         plan = faults.FaultPlan([
-            faults.FaultSpec("pool.format_shard", "crash", attempt=None,
-                             limit=None)])
-        with serving(jobs=2) as d:
+            faults.FaultSpec(site, limit=None)
+            for site in ("engine.tier0", "engine.schubfach",
+                         "reader.tier1")])
+        with serving() as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     assert c.format(PACKED) == PLANE
-                    assert c.format(PACKED) == PLANE  # sticky level
+                    assert c.read(PLANE) == WANT_BITS
             stats = d.pool_stats()
-        assert stats["degradations"] >= 1
+            serve_stats = d.stats()
+        assert stats["tier_faults"] >= 2 * INLINE_ROWS
+        assert stats["read_tier_faults"] >= 2 * INLINE_ROWS
+        assert serve_stats["error_responses"] == 0
 
     def test_unrecoverable_fault_is_typed_response_not_hang(self):
+        # A strict engine re-raises an injected lane fault instead of
+        # healing it.  That untyped escape must come back as a typed
+        # error response naming it, in both directions, on a sliced
+        # batch.
         plan = faults.FaultPlan([
-            faults.FaultSpec("pool.format_shard", "raise", attempt=None,
-                             limit=None)])
-        with serving(jobs=2, on_error="raise", retries=1) as d:
+            faults.FaultSpec("engine.schubfach", limit=None),
+            faults.FaultSpec("reader.tier1", limit=None)])
+        with serving() as d:
+            d._engine.strict = True
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
-                    with pytest.raises(ReproError, match="ShardError"):
-                        c.format(PACKED)
+                    for call, payload in ((c.format, PACKED),
+                                          (c.read, PLANE)):
+                        with pytest.raises(ReproError) as err:
+                            call(payload)
+                        assert type(err.value) is ReproError
+                        assert "InjectedFault" in str(err.value)
                 # The connection survives the typed failure...
                 assert c.ping()
                 # ...and the daemon serves fault-free afterwards.
                 assert c.format(PACKED) == PLANE
-            assert d.stats()["error_responses"] == 1
+                assert c.read(PLANE) == WANT_BITS
+            assert d.stats()["error_responses"] == 2
 
-    def test_shard_error_type_travels_by_name(self):
-        # ShardError has a structured __init__, so the client degrades
-        # it to the ReproError base — but the name must survive.
+    def test_parse_error_under_faults_lands_on_its_request(self):
         plan = faults.FaultPlan([
-            faults.FaultSpec("pool.read_shard", "raise", attempt=None,
-                             limit=None)])
-        with serving(jobs=2, on_error="raise", retries=1) as d:
+            faults.FaultSpec("reader.tier1", rate=0.3, limit=None)], seed=3)
+        with serving() as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
-                    try:
-                        c.read(PLANE)
-                        raised = None
-                    except ReproError as exc:
-                        raised = exc
-        assert raised is not None
-        assert not isinstance(raised, ShardError)  # degraded, by design
-        assert "ShardError" in str(raised)
+                    frames = c.pipeline([
+                        read_request(PLANE),
+                        read_request(PLANE + b"zzz\n"),
+                        read_request(PLANE)])
+            stats = d.pool_stats()
+        ok = (protocol.STATUS_OK, WANT_BITS)
+        assert frames[0] == ok and frames[2] == ok
+        assert frames[1][0] == protocol.STATUS_ERROR
+        assert b"ParseError" in frames[1][1]
+        assert stats["read_tier_faults"] == plan.total_fired() > 0
 
 
 class TestAccounting:
     def test_every_fired_fault_is_counted(self):
         plan = faults.FaultPlan([
-            faults.FaultSpec("pool.format_shard", "crash", shard=1),
-            faults.FaultSpec("pool.format_shard", "corrupt", shard=0,
-                             attempt=0, limit=1),
-        ])
-        with serving(jobs=2) as d:
-            with ServeClient(d.host, d.port) as c:
-                with faults.armed(plan):
-                    assert c.format(PACKED) == PLANE
-            stats = d.pool_stats()
-        fired = fired_pool_faults(plan)
-        assert fired >= 2
-        recovered = (stats["shard_failures"] + stats["corrupt_shards"]
-                     + stats["deadline_hits"])
-        assert recovered >= fired
-
-    def test_smoke_plan_over_the_wire(self):
-        plan = faults.smoke_plan(seed=11)
-        with serving(jobs=2) as d:
+            faults.FaultSpec("engine.tier0", rate=0.1, limit=None),
+            faults.FaultSpec("engine.schubfach", rate=0.1, limit=None),
+            faults.FaultSpec("reader.tier1", rate=0.1, limit=None),
+        ], seed=11)
+        with serving() as d:
             with ServeClient(d.host, d.port) as c:
                 with faults.armed(plan):
                     assert c.format(PACKED) == PLANE
                     assert c.read(PLANE) == WANT_BITS
+            stats = d.pool_stats()
+        fired = plan.spec_fired()
+        assert all(fired)
+        assert stats["tier_faults"] == fired[0] + fired[1]
+        assert stats["read_tier_faults"] == fired[2]
+
+    def test_smoke_plan_over_the_wire(self):
+        # Its pool specs never fire: nothing on the wire shards or forks.
+        plan = faults.smoke_plan(seed=11)
+        with serving() as d:
+            with ServeClient(d.host, d.port) as c:
+                with faults.armed(plan):
+                    assert c.format(PACKED) == PLANE
+                    assert c.read(PLANE) == WANT_BITS
+                assert multiprocessing.active_children() == []
+            stats = d.pool_stats()
             serve_stats = d.stats()
+        assert fired_pool_faults(plan) == 0
+        assert healed(stats) == plan.total_fired() > 0
         assert serve_stats["error_responses"] == 0

@@ -46,7 +46,7 @@ WANT_BITS = pack_bits(parse_buffer(PLANE, BINARY64, engine=Engine()),
 
 @pytest.fixture(scope="module")
 def daemon():
-    with serving(jobs=1) as d:
+    with serving() as d:
         yield d
 
 
